@@ -18,7 +18,6 @@ from .problem import (
     ChargingTask,
     NormalizationPoints,
     ObjectiveBreakdown,
-    PriceSeries,
     ProblemInstance,
     SlotGrid,
     availability_weights,
@@ -51,7 +50,6 @@ from .simulator import (
 )
 from .solver import (
     SolveReport,
-    SolverConfig,
     feasibility_check,
     oracle_grid_search,
     single_objective_minimizer,

@@ -90,16 +90,12 @@ def _write_ledger(path: Path, result: RunResult):
             ])
 
 
-def _run_policy(events, prices_fn, sim_config) -> RunResult:
-    return run(events, prices_fn, sim_config)
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     weights = _parse_weights(args.weights) if args.weights else cfg.weights
     policy = Policy(args.policy, weights=weights)
     events, prices_fn, sim_config = _load_inputs(args, cfg, policy)
-    result = _run_policy(events, prices_fn, sim_config)
+    result = run(events, prices_fn, sim_config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     name = policy.kind
@@ -124,7 +120,7 @@ def cmd_compare(args) -> int:
         policy = Policy(kind, weights=weights)
         events, prices_fn, sim_config = _load_inputs(args, cfg, policy)
         digests[kind] = events_digest(events)
-        results[kind] = _run_policy(events, prices_fn, sim_config)
+        results[kind] = run(events, prices_fn, sim_config)
     if digests["baseline"] != digests["proposed"]:
         raise RuntimeError("policies saw different event lists; inputs not identical")
 
@@ -134,9 +130,11 @@ def cmd_compare(args) -> int:
     deltas = {}
     for key, label in METRIC_ROWS:
         b, p = base[key], prop[key]
-        delta = (p - b) / b * 100.0 if b not in (0, 0.0) else float("nan")
+        # A zero baseline has no percentage change: null in JSON, n/a in text.
+        delta = (p - b) / b * 100.0 if b != 0 else None
         deltas[key] = delta
-        lines.append(f"{label:<38} {b:>14.4f} {p:>14.4f} {delta:>9.1f}%")
+        shown = f"{delta:>9.1f}%" if delta is not None else f"{'n/a':>10}"
+        lines.append(f"{label:<38} {b:>14.4f} {p:>14.4f} {shown}")
     report = "\n".join(lines) + "\n"
 
     for kind in ("baseline", "proposed"):
@@ -170,7 +168,7 @@ def cmd_sweep(args) -> int:
     for weights in triples:
         policy = Policy("proposed", weights=weights)
         events, prices_fn, sim_config = _load_inputs(args, cfg, policy)
-        result = _run_policy(events, prices_fn, sim_config)
+        result = run(events, prices_fn, sim_config)
         rows.append((weights, result.metrics.as_dict()))
 
     with (out / "sweep.csv").open("w", newline="") as fh:
@@ -231,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--prices", required=True, help="price CSV file")
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seedless", action="store_true",
-                       help="reserved; runs are deterministic and seed-free")
 
     p_sim = sub.add_parser("simulate", help="run one policy and emit metrics")
     add_io(p_sim)

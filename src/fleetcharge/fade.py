@@ -33,6 +33,7 @@ __all__ = [
     "cyclic_fade_exact",
     "select_branch",
     "cyclic_fade_approx",
+    "cyclic_fade_surface",
     "calendric_fade_approx",
     "total_fade_approx",
     "fade_fit_report",
@@ -58,7 +59,12 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class BranchCoefficients:
-    """Quadratic surface coefficients (p00, p10, p01, p11, p02)."""
+    """Quadratic surface coefficients (p00, p10, p01, p11, p02).
+
+    The fields are floats for one branch, or per-cell arrays when branches
+    are mixed (see :meth:`FadeModelParams.branch_coefficients`); either way
+    :meth:`evaluate` is the one place the quadratic is spelled out.
+    """
 
     p00: float
     p10: float
@@ -118,6 +124,14 @@ class FadeModelParams:
             raise ValueError("activation energy must be >= 0")
         if self.t_amb <= 0:
             raise ValueError("ambient temperature must be > 0")
+
+    def branch_coefficients(self, is_hi: np.ndarray) -> BranchCoefficients:
+        """Per-cell coefficient arrays: the HI branch where ``is_hi``, else LO."""
+        hi, lo = self.branch_hi, self.branch_lo
+        return BranchCoefficients(
+            *(np.where(is_hi, getattr(hi, f), getattr(lo, f))
+              for f in ("p00", "p10", "p01", "p11", "p02"))
+        )
 
 
 @dataclass(frozen=True)
@@ -223,6 +237,20 @@ def cyclic_fade_approx(slot: SlotCharge, params: FadeModelParams) -> float:
     return max(0.0, coeffs.evaluate(sf.soc_avg, slot.current))
 
 
+def cyclic_fade_surface(soc_init, current, dt, c_bat, params: FadeModelParams):
+    """Vectorised :func:`cyclic_fade_approx` over arrays of slots.
+
+    Returns ``(cyclic, soc_avg, is_hi)``, each shaped like the broadcast of
+    ``soc_init``, ``current`` and ``dt``.  No slot validation: callers pass
+    slots from a feasible schedule or a masked grid.
+    """
+    soc_avg = soc_init + 0.5 * current * dt / c_bat
+    is_hi = current >= params.branch_slope * soc_init
+    cyclic = np.maximum(params.branch_coefficients(is_hi).evaluate(soc_avg, current), 0.0)
+    cyclic[current == 0.0] = 0.0
+    return cyclic, soc_avg, is_hi
+
+
 def calendric_fade_approx(soc_avg: float, params: FadeModelParams) -> float:
     """Affine calendric capacity loss for one slot, in Ah."""
     if not 0.0 <= soc_avg <= 1.0:
@@ -258,22 +286,12 @@ def _surfaces(
     feasible = soc + cur * dt / c_bat <= 1.0 + 1e-12
     soc, cur = soc[feasible], cur[feasible]
 
+    approx, avg, is_hi = cyclic_fade_surface(soc, cur, dt, c_bat, params)
     dev = 0.5 * cur * dt / c_bat
-    avg = soc + dev
     exact = (
         params.k1 * dev * np.exp(params.k2 * avg)
         + params.k3 * np.exp(params.k4 * dev)
     ) * np.sqrt(cur * dt)
-
-    hi, lo = params.branch_hi, params.branch_lo
-    is_hi = cur >= params.branch_slope * soc
-    approx = np.where(
-        is_hi,
-        hi.p00 + hi.p10 * avg + hi.p01 * cur + hi.p11 * avg * cur + hi.p02 * cur**2,
-        lo.p00 + lo.p10 * avg + lo.p01 * cur + lo.p11 * avg * cur + lo.p02 * cur**2,
-    )
-    approx = np.maximum(approx, 0.0)
-    approx[cur == 0.0] = 0.0
     exact = np.where(cur == 0.0, 0.0, exact)
     return exact, approx, is_hi
 

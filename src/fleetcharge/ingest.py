@@ -25,8 +25,7 @@ from pathlib import Path
 from .fade import BranchCoefficients, FadeModelParams
 from .problem import ChargingTask
 from .scheduler import Policy
-from .simulator import Event, SimConfig
-from .solver import SolverConfig
+from .simulator import Event, SimConfig, event_sort_key
 
 __all__ = [
     "SessionRecord",
@@ -75,10 +74,6 @@ class SessionRecord:
             )
         if self.kwh_requested < 0:
             raise ValueError(f"session {self.session_id}: negative energy request")
-
-    @property
-    def minutes_available(self) -> float:
-        return (self.disconnect_time - self.connection_time).total_seconds() / 60.0
 
 
 def parse_sessions(path) -> list:
@@ -155,9 +150,7 @@ def sessions_to_events(records: list, config: SimConfig):
         )
         events.append(Event(time_h=t_arr, kind="arrival", task=task))
         events.append(Event(time_h=t_dep, kind="departure", vehicle_id=r.session_id))
-    order = {"arrival": 0, "departure": 1}
-    events.sort(key=lambda e: (e.time_h, order[e.kind],
-                               e.task.vehicle_id if e.task else e.vehicle_id))
+    events.sort(key=event_sort_key)
     return events, epoch
 
 
@@ -193,18 +186,12 @@ class PriceCurve:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("price records must be strictly time-ordered")
 
-    def at(self, ts: datetime) -> float:
-        """Price in force at ``ts`` (first record extends backward)."""
-        price = self.records[0].price
-        for r in self.records:
-            if r.timestamp <= ts:
-                price = r.price
-            else:
-                break
-        return price
-
     def as_fn(self, epoch: datetime):
-        """Price lookup keyed by hours since ``epoch``, sampled at slot starts."""
+        """Price lookup keyed by hours since ``epoch``, sampled at slot starts.
+
+        The price in force at an instant is the latest record at or before
+        it; the first record extends backward.
+        """
         times = [r.timestamp for r in self.records]
         prices = [r.price for r in self.records]
 
@@ -257,7 +244,6 @@ _CONFIG_DEFAULTS = {
     "battery_cost_usd": 11610.0,
     "peak_threshold": 0.75,
     "default_soc_start": 0.4,
-    "default_soc_dep": 0.8,
     "alpha_cost": 1.0,
     "alpha_fade": 1.0,
     "alpha_availability": 1.0,
@@ -306,7 +292,7 @@ class RunConfig:
                 kwargs[attr] = BranchCoefficients(*parts)
         return FadeModelParams(**kwargs)
 
-    def sim_config(self, policy: Policy, solver: SolverConfig | None = None) -> SimConfig:
+    def sim_config(self, policy: Policy) -> SimConfig:
         v = self.values
         return SimConfig(
             dt=v["dt_minutes"] / 60.0,
@@ -318,9 +304,7 @@ class RunConfig:
             battery_cost_usd=v["battery_cost_usd"],
             peak_threshold=v["peak_threshold"],
             default_soc_start=v["default_soc_start"],
-            default_soc_dep=v["default_soc_dep"],
             policy=policy,
-            solver=solver or SolverConfig(),
             fade_params=self.fade_params(),
         )
 

@@ -22,13 +22,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fade import FadeModelParams
+from .fade import FadeModelParams, cyclic_fade_surface
 
 __all__ = [
     "COMPONENTS",
     "ChargingTask",
     "SlotGrid",
-    "PriceSeries",
     "ProblemInstance",
     "ObjectiveBreakdown",
     "NormalizationPoints",
@@ -105,23 +104,6 @@ class SlotGrid:
 
 
 @dataclass(frozen=True)
-class PriceSeries:
-    """Wholesale electricity price per slot index, $/kWh."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.values < 0):
-            raise ValueError("prices must be >= 0")
-
-    def wep(self, i: int) -> float:
-        """Price for slot ``i``; the final price repeats past the series."""
-        if len(self.values) == 0:
-            raise ValueError("empty price series")
-        return float(self.values[min(i, len(self.values) - 1)])
-
-
-@dataclass(frozen=True)
 class ObjectiveBreakdown:
     """Raw values of the three objective components."""
 
@@ -155,7 +137,6 @@ class ProblemInstance:
 
     tasks: tuple                 # ChargingTask, ordered by (t_dep, vehicle_id)
     grid: SlotGrid
-    prices: PriceSeries
     i_max: float                 # per-vehicle current limit, A
     ic_max: float                # station current limit, A
     voltage: float               # charging voltage, V
@@ -241,10 +222,11 @@ def build_instance(
     )
 
     wep = np.array([prices_fn(t_s + i * dt) for i in range(horizon)])
+    if np.any(wep < 0):
+        raise ValueError("prices must be >= 0")
     return ProblemInstance(
         tasks=ordered,
         grid=grid,
-        prices=PriceSeries(values=wep),
         i_max=i_max,
         ic_max=ic_max,
         voltage=voltage,
@@ -286,19 +268,9 @@ def fade_terms(alloc: np.ndarray, inst: ProblemInstance):
     scaled by the fraction of the grid step actually spent plugged.
     """
     p = inst.fade_params
-    soc_init = soc_before_slots(alloc, inst)
-    dev = 0.5 * alloc * inst.durations / inst.c_bat
-    avg = soc_init + dev
-
-    hi, lo = p.branch_hi, p.branch_lo
-    is_hi = alloc >= p.branch_slope * soc_init
-    poly = np.where(
-        is_hi,
-        hi.p00 + hi.p10 * avg + hi.p01 * alloc + hi.p11 * avg * alloc + hi.p02 * alloc**2,
-        lo.p00 + lo.p10 * avg + lo.p01 * alloc + lo.p11 * avg * alloc + lo.p02 * alloc**2,
+    cyclic, avg, _ = cyclic_fade_surface(
+        soc_before_slots(alloc, inst), alloc, inst.durations, inst.c_bat, p
     )
-    cyclic = np.maximum(poly, 0.0)
-    cyclic[alloc == 0.0] = 0.0
     cyclic[~inst.active] = 0.0
 
     frac = np.where(inst.active, inst.durations / inst.grid.dt, 0.0)

@@ -26,7 +26,7 @@ from .fade import (
     cyclic_fade_exact,
 )
 from .problem import ChargingTask, ProblemInstance, build_instance, charging_period
-from .solver import SolverConfig, feasibility_check, solve
+from .solver import feasibility_check, solve
 
 __all__ = [
     "StationLimits",
@@ -188,7 +188,6 @@ def proposed_schedule(
     weights: tuple,
     limits: StationLimits,
     prices_fn: Callable[[float], float],
-    config: SolverConfig | None = None,
 ):
     """Optimized schedule; returns (allocation, solve report, instance).
 
@@ -198,7 +197,7 @@ def proposed_schedule(
     """
     inst = _instance_from_state(state, limits, weights, prices_fn)
     warm = _baseline_fill(inst, limits)
-    alloc, rep = solve(inst, config=config, warm_start=warm)
+    alloc, rep = solve(inst, warm_start=warm)
     if alloc is None:
         raise RuntimeError(
             "proposed_schedule hit an infeasible instance; admission should prevent this"

@@ -30,10 +30,10 @@ from .scheduler import (
     baseline_schedule,
     proposed_schedule,
 )
-from .solver import SolverConfig
 
 __all__ = [
     "Event",
+    "event_sort_key",
     "SimConfig",
     "MetricsReport",
     "DepartureRecord",
@@ -65,6 +65,14 @@ class Event:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
 
+_KIND_ORDER = {"arrival": 0, "departure": 1}
+
+
+def event_sort_key(e: Event) -> tuple:
+    """Time order, arrivals before departures at equal times, then vehicle id."""
+    return (e.time_h, _KIND_ORDER[e.kind], e.task.vehicle_id if e.task else e.vehicle_id)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Station, pack and reporting parameters of one simulated run."""
@@ -78,9 +86,7 @@ class SimConfig:
     battery_cost_usd: float = 11610.0
     peak_threshold: float = 0.75     # fraction of maximum power
     default_soc_start: float = 0.4
-    default_soc_dep: float = 0.8
     policy: Policy = field(default_factory=lambda: Policy("proposed"))
-    solver: SolverConfig = field(default_factory=SolverConfig)
     fade_params: FadeModelParams = field(default_factory=FadeModelParams)
 
     def __post_init__(self):
@@ -233,7 +239,7 @@ def _reschedule(
     else:
         t0 = _time.perf_counter()
         alloc, rep, inst = proposed_schedule(
-            state, policy.weights, config.limits, prices_fn, config.solver
+            state, policy.weights, config.limits, prices_fn
         )
         opt_ms = (_time.perf_counter() - t0) * 1000.0
     result.metrics.max_opt_time_ms = max(result.metrics.max_opt_time_ms, opt_ms)
@@ -252,12 +258,7 @@ def run(
     equal timestamps.  Deterministic: repeated runs produce identical
     results apart from measured optimization wall time.
     """
-    order = {"arrival": 0, "departure": 1}
-    events = sorted(
-        events,
-        key=lambda e: (e.time_h, order[e.kind],
-                       e.task.vehicle_id if e.task else e.vehicle_id),
-    )
+    events = sorted(events, key=event_sort_key)
     result = RunResult(
         metrics=MetricsReport(), ledger=[], departures=[], rejected=[]
     )
@@ -301,13 +302,11 @@ def run(
         schedule = _reschedule(state, config, prices_fn, result)
 
     # Tail: drain any vehicles whose departure events were missing.
-    while state.vehicles:
+    if state.vehicles:
         last_dep = max(vs.task.t_dep for vs in state.vehicles.values())
-        if last_dep <= state.now + 1e-12:
-            break
-        _advance(state, schedule, last_dep, result, config)
-        state.now = last_dep
-        break
+        if last_dep > state.now + 1e-12:
+            _advance(state, schedule, last_dep, result, config)
+            state.now = last_dep
 
     result.metrics.total_value_loss = value_loss(
         result.metrics.total_fade_exact, config

@@ -34,10 +34,10 @@ from .problem import (
     compute_normalization_points,
     normalized_objective,
     objective_components,
+    soc_before_slots,
 )
 
 __all__ = [
-    "SolverConfig",
     "SolveReport",
     "SolveStatus",
     "FeasibilityResult",
@@ -59,20 +59,10 @@ class OracleError(ValueError):
     """Raised when the grid oracle cannot be applied to an instance."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol_obj: float = 1e-6          # relative objective convergence tolerance
-    max_branch_iters: int = 20     # branch-fixing rounds
-    max_inner_iters: int = 150     # projected-gradient steps per round
-    oracle_levels: int = 8         # grid discretization of the oracle
-
-    def __post_init__(self):
-        if self.tol_obj <= 0:
-            raise ValueError("tol_obj must be > 0")
-        if min(self.max_branch_iters, self.max_inner_iters) < 1:
-            raise ValueError("iteration caps must be >= 1")
-        if self.oracle_levels < 2:
-            raise ValueError("oracle_levels must be >= 2")
+TOL_OBJ = 1e-6          # relative objective convergence tolerance
+MAX_BRANCH_ITERS = 20   # branch-fixing rounds
+MAX_INNER_ITERS = 150   # projected-gradient steps per round
+ORACLE_LEVELS = 8       # grid discretization of the oracle
 
 
 @dataclass(frozen=True)
@@ -312,11 +302,11 @@ def _project_vehicle_windows(y: np.ndarray, inst: ProblemInstance) -> np.ndarray
     return x
 
 
-def _project_polytope(y: np.ndarray, inst: ProblemInstance, rounds: int = 30) -> np.ndarray:
-    """Alternating projections onto vehicle windows and station caps."""
+def _project_polytope(y: np.ndarray, inst: ProblemInstance) -> np.ndarray:
+    """Alternating projections onto vehicle windows and station caps (30 rounds at most)."""
     n = max(inst.n_vehicles, 1)
     x = y
-    for _ in range(rounds):
+    for _ in range(30):
         x = _project_vehicle_windows(x, inst)
         col = x.sum(axis=1)
         excess = col - inst.ic_max
@@ -337,14 +327,7 @@ class _Surrogate:
 
     def __init__(self, inst: ProblemInstance, lin: np.ndarray, fade_weight: float,
                  is_hi: np.ndarray):
-        p = inst.fade_params
-        hi, lo = p.branch_hi, p.branch_lo
-        pick = lambda a, b: np.where(is_hi, a, b)
-        self.c0 = pick(hi.p00, lo.p00)
-        self.c1 = pick(hi.p10, lo.p10)
-        self.c2 = pick(hi.p01, lo.p01)
-        self.c3 = pick(hi.p11, lo.p11)
-        self.c4 = pick(hi.p02, lo.p02)
+        self.coef = inst.fade_params.branch_coefficients(is_hi)
         self.inst = inst
         self.lin = lin
         self.fw = fade_weight
@@ -363,7 +346,7 @@ class _Surrogate:
 
     def _pieces(self, x):
         avg = self._soc_init(x) + self.half * x
-        poly = self.c0 + self.c1 * avg + self.c2 * x + self.c3 * avg * x + self.c4 * x * x
+        poly = self.coef.evaluate(avg, x)
         mask = self.inst.active & (x > 0.0) & (poly > 0.0)
         return avg, poly, mask
 
@@ -375,36 +358,34 @@ class _Surrogate:
 
     def gradient(self, x) -> np.ndarray:
         avg, poly, mask = self._pieces(x)
-        p = self.inst.fade_params
+        p, c = self.inst.fade_params, self.coef
         own = np.where(
             mask,
-            (self.c1 + self.c3 * x) * self.half + self.c2 + self.c3 * avg + 2.0 * self.c4 * x,
+            (c.p10 + c.p11 * x) * self.half + c.p01 + c.p11 * avg + 2.0 * x * c.p02,
             0.0,
         )
         own = own + self.frac * p.p1 * self.half
-        path_src = np.where(mask, self.c1 + self.c3 * x, 0.0) + self.frac * p.p1
+        path_src = np.where(mask, c.p10 + c.p11 * x, 0.0) + self.frac * p.p1
         suffix = np.flip(np.cumsum(np.flip(path_src, 0), 0), 0) - path_src
         return self.lin + self.fw * (own + self.dc * suffix)
 
 
 def _derive_branches(x: np.ndarray, inst: ProblemInstance) -> np.ndarray:
     """Branch membership of every cell from the allocation's SoC trajectory."""
-    from .problem import soc_before_slots
-
     if inst.horizon == 0 or inst.n_vehicles == 0:
         return np.zeros((inst.horizon, inst.n_vehicles), dtype=bool)
     soc_init = soc_before_slots(x, inst)
     return x >= inst.fade_params.branch_slope * soc_init
 
 
-def _descend(model: _Surrogate, x0: np.ndarray, config: SolverConfig):
+def _descend(model: _Surrogate, x0: np.ndarray):
     """Projected-gradient descent with backtracking line search."""
     inst = model.inst
     x = _project_polytope(x0, inst)
     f = model.value(x)
     step = 1.0
     iters = 0
-    for _ in range(config.max_inner_iters):
+    for _ in range(MAX_INNER_ITERS):
         iters += 1
         g = model.gradient(x)
         g_inf = np.abs(g).max(initial=0.0)
@@ -426,7 +407,7 @@ def _descend(model: _Surrogate, x0: np.ndarray, config: SolverConfig):
                 break
         if not accepted:
             break
-        if dec <= config.tol_obj * max(abs(f), 1.0):
+        if dec <= TOL_OBJ * max(abs(f), 1.0):
             break
     return x, f, iters
 
@@ -495,9 +476,8 @@ def _zero_snap_polish(x: np.ndarray, inst: ProblemInstance, tracker: _BestTracke
         tracker.consider(cand)
 
 
-_MOVE_POLISH_CELLS = 160  # skip the slot-relocation search on big instances
-_SWAP_POLISH_CELLS = 160  # pairwise exchanges: instance-size gate
-_SWAP_POLISH_ACTIVES = 30  # and a budget on active cells
+_MOVE_POLISH_CELLS = 160  # skip the local search on big instances
+_SWAP_POLISH_ACTIVES = 30  # pairwise exchanges: budget on active cells
 
 
 def _relocation_candidates(x, inst, col_sum, v):
@@ -560,7 +540,7 @@ def _swap_candidates(x, inst, col_sum):
             yield cand
 
 
-def _local_move_polish(x, inst: ProblemInstance, objective_fn, passes: int = 6):
+def _local_move_polish(x, inst: ProblemInstance, objective_fn):
     """Hill-climb over slot relocations (and exchanges on small instances).
 
     The fade term's per-slot activation constant makes the objective
@@ -575,7 +555,7 @@ def _local_move_polish(x, inst: ProblemInstance, objective_fn, passes: int = 6):
         return x
     x = x.copy()
     best = objective_fn(x)
-    for _ in range(passes):
+    for _ in range(6):
         col_sum = x.sum(axis=1)
         move = None
         for v in range(n):
@@ -583,7 +563,7 @@ def _local_move_polish(x, inst: ProblemInstance, objective_fn, passes: int = 6):
                 obj = objective_fn(cand)
                 if obj < best - 1e-12:
                     best, move = obj, cand
-        if cells <= _SWAP_POLISH_CELLS and int((x > 0).sum()) <= _SWAP_POLISH_ACTIVES:
+        if int((x > 0).sum()) <= _SWAP_POLISH_ACTIVES:
             for cand in _swap_candidates(x, inst, col_sum):
                 obj = objective_fn(cand)
                 if obj < best - 1e-12:
@@ -594,17 +574,14 @@ def _local_move_polish(x, inst: ProblemInstance, objective_fn, passes: int = 6):
     return x
 
 
-def single_objective_minimizer(
-    inst: ProblemInstance, component: str, config: SolverConfig | None = None
-) -> np.ndarray:
+def single_objective_minimizer(inst: ProblemInstance, component: str) -> np.ndarray:
     """Minimize one raw objective component alone over the polytope."""
-    config = config or SolverConfig()
     if component == "cost":
         x = _solve_lp(inst, _cost_coeffs(inst))
     elif component == "availability":
         x = _solve_lp(inst, _avail_coeffs(inst))
     elif component == "fade":
-        return _minimize_fade(inst, config)
+        return _minimize_fade(inst)
     else:
         raise ValueError(f"unknown objective component {component!r}")
     if x is None:
@@ -612,7 +589,7 @@ def single_objective_minimizer(
     return x
 
 
-def _minimize_fade(inst: ProblemInstance, config: SolverConfig) -> np.ndarray:
+def _minimize_fade(inst: ProblemInstance) -> np.ndarray:
     if inst.horizon == 0 or inst.n_vehicles == 0:
         return inst.empty_allocation()
     fc = feasibility_check(inst)
@@ -622,10 +599,10 @@ def _minimize_fade(inst: ProblemInstance, config: SolverConfig) -> np.ndarray:
     best_x, best_f = None, np.inf
     for x0 in (_fill_latest(inst), _fill_spread(inst)):
         x = _repair_exact(_project_polytope(x0, inst), inst, anchor=fc.point)
-        for _ in range(config.max_branch_iters):
+        for _ in range(MAX_BRANCH_ITERS):
             branches = _derive_branches(x, inst)
             model = _Surrogate(inst, lin, 1.0, branches)
-            x, _, _ = _descend(model, x, config)
+            x, _, _ = _descend(model, x)
             x = _repair_exact(x, inst, anchor=fc.point)
             if np.array_equal(_derive_branches(x, inst), branches):
                 break
@@ -640,7 +617,6 @@ def _minimize_fade(inst: ProblemInstance, config: SolverConfig) -> np.ndarray:
 
 def solve(
     inst: ProblemInstance,
-    config: SolverConfig | None = None,
     points: NormalizationPoints | None = None,
     warm_start: np.ndarray | None = None,
 ):
@@ -650,7 +626,6 @@ def solve(
     the instance is infeasible.  ``warm_start`` (typically the maximum-power
     schedule) seeds both a descent start and the initial branch assignment.
     """
-    config = config or SolverConfig()
     t0 = time.perf_counter()
 
     def report(status, alloc=None, objective=np.inf, iterations=0):
@@ -683,9 +658,7 @@ def solve(
     if not fc.feasible:
         return report(SolveStatus.INFEASIBLE)
     if points is None:
-        points = compute_normalization_points(
-            inst, lambda i, k: single_objective_minimizer(i, k, config)
-        )
+        points = compute_normalization_points(inst, single_objective_minimizer)
 
     # Fold normalization scales into the surrogate coefficients; degenerate
     # components drop out, mirroring normalized_objective.
@@ -718,15 +691,15 @@ def solve(
         x = _repair_exact(_project_polytope(x0, inst), inst, order_key=lin, anchor=fc.point)
         tracker.consider(x)
         prev_obj = np.inf
-        for _round in range(config.max_branch_iters):
+        for _round in range(MAX_BRANCH_ITERS):
             branches = _derive_branches(x, inst)
             model = _Surrogate(inst, lin, fw, branches)
-            x, f, iters = _descend(model, x, config)
+            x, f, iters = _descend(model, x)
             iterations += iters
             x = _repair_exact(x, inst, order_key=lin, anchor=fc.point)
             tracker.consider(x)
             stable = np.array_equal(_derive_branches(x, inst), branches)
-            small_change = abs(prev_obj - f) <= config.tol_obj * max(abs(f), 1.0)
+            small_change = abs(prev_obj - f) <= TOL_OBJ * max(abs(f), 1.0)
             prev_obj = f
             if stable or small_change:
                 converged = converged or stable
@@ -809,9 +782,8 @@ def _combo_contributions(inst: ProblemInstance, v: int, combos: np.ndarray,
 
 def oracle_grid_search(
     inst: ProblemInstance,
-    levels: int | None = None,
+    levels: int = ORACLE_LEVELS,
     points: NormalizationPoints | None = None,
-    config: SolverConfig | None = None,
 ):
     """Exhaustive search over a discretized current grid; returns (alloc, objective).
 
@@ -820,8 +792,6 @@ def oracle_grid_search(
     cells.  Raises ``OracleError`` when the instance is too large or no grid
     point satisfies the station cap.
     """
-    config = config or SolverConfig()
-    levels = levels or config.oracle_levels
     if levels < 2:
         raise OracleError("levels must be >= 2")
     cells = int(inst.grid.tt.sum())
@@ -833,9 +803,7 @@ def oracle_grid_search(
         alloc = inst.empty_allocation()
         return alloc, 0.0
     if points is None:
-        points = compute_normalization_points(
-            inst, lambda i, k: single_objective_minimizer(i, k, config)
-        )
+        points = compute_normalization_points(inst, single_objective_minimizer)
     a = dict(zip(COMPONENTS, inst.weights))
     scaled = {
         k: (a[k] / points.spread(k) if points.spread(k) >= NORMALIZATION_EPS else 0.0)

@@ -87,6 +87,24 @@ class TestCompare:
             report["baseline"]["total_charging_cost_usd"]
         assert (out / "compare_report.txt").exists()
 
+    def test_json_outputs_are_strict(self, workdir):
+        """Every JSON file compare writes parses without NaN or Infinity; a
+        metric whose baseline is zero has a null delta and n/a in the text."""
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        out = workdir / "strict"
+        assert main(["compare"] + io_args(workdir, out)) == 0
+        files = sorted(out.glob("*.json"))
+        assert len(files) == 4
+        for path in files:
+            json.loads(path.read_text(), parse_constant=reject)
+        report = json.loads((out / "compare_report.json").read_text())
+        assert report["baseline"]["n_rejected"] == 0
+        assert report["delta_percent"]["n_rejected"] is None
+        text = (out / "compare_report.txt").read_text()
+        assert "n/a" in text and "nan" not in text
+
     def test_reports_byte_identical_across_runs(self, workdir):
         out1, out2 = workdir / "c1", workdir / "c2"
         assert main(["compare"] + io_args(workdir, out1)) == 0

@@ -111,8 +111,8 @@ class TestParsePrices:
                   "timestamp,price_usd_per_kwh\n"
                   "2021-05-03T00:00:00Z,0.10\n"
                   "2021-05-03T01:00:00Z,0.10\n")
-        curve = parse_prices(p)
-        assert curve.at(datetime(2021, 5, 3, 0, 30, tzinfo=UTC)) == 0.10
+        fn = parse_prices(p).as_fn(datetime(2021, 5, 3, tzinfo=UTC))
+        assert fn(0.5) == 0.10
 
     def test_slot_start_rule_across_step(self, tmp_path):
         """A slot straddling a price step uses the price in force at the
@@ -138,9 +138,9 @@ class TestParsePrices:
     def test_extends_both_directions(self, tmp_path):
         p = write(tmp_path / "p.csv",
                   "timestamp,price_usd_per_kwh\n2021-05-03T12:00:00Z,0.25\n")
-        curve = parse_prices(p)
-        assert curve.at(datetime(2021, 5, 1, tzinfo=UTC)) == 0.25
-        assert curve.at(datetime(2021, 5, 9, tzinfo=UTC)) == 0.25
+        fn = parse_prices(p).as_fn(datetime(2021, 5, 3, 12, tzinfo=UTC))
+        assert fn(-48.0) == 0.25
+        assert fn(144.0) == 0.25
 
     def test_empty_series_rejected(self, tmp_path):
         p = write(tmp_path / "p.csv", "timestamp,price_usd_per_kwh\n")

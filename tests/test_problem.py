@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetcharge.fade import SlotCharge, cyclic_fade_approx
 from fleetcharge.problem import (
     COMPONENTS,
     ChargingTask,
     NormalizationPoints,
     ObjectiveBreakdown,
-    PriceSeries,
     availability_weights,
     build_constraints,
     charging_period,
     compute_normalization_points,
+    fade_terms,
     normalized_objective,
     objective_components,
 )
@@ -78,14 +79,11 @@ class TestTaskAndPrices:
         assert ChargingTask("x", 0.0, 1.0, 0.9, 0.8).zero_need
         assert not ChargingTask("x", 0.0, 1.0, 0.4, 0.8).zero_need
 
-    def test_price_repeat_last(self):
-        series = PriceSeries(values=np.array([0.1, 0.2]))
-        assert series.wep(0) == 0.1
-        assert series.wep(5) == 0.2
-
     def test_negative_price_rejected(self):
-        with pytest.raises(ValueError):
-            PriceSeries(values=np.array([0.1, -0.2]))
+        prices = {0.0: 0.1, 0.5: -0.2}
+        with pytest.raises(ValueError, match="prices must be >= 0"):
+            make_instance([ChargingTask("v", 0.0, 1.0, 0.4, 0.8)],
+                          prices=lambda t: prices[t])
 
 
 class TestBuildInstance:
@@ -171,6 +169,32 @@ class TestObjectiveComponents:
         bumped = REF_ALLOC.copy()
         bumped[1, 1] += 1.0
         assert objective_components(bumped, inst).availability < base
+
+
+class TestFadeTerms:
+    def test_cyclic_equals_scalar_kernel(self):
+        """The fade the optimizer minimizes is the fade the ledger records:
+        on a one-slot instance every cell equals the scalar slot value
+        exactly, across both branches, zero current and the clamp at zero."""
+        socs = np.linspace(0.0, 0.8, 9)
+        rng = np.random.default_rng(11)
+        currents = np.concatenate([[0.0, 0.37, 1.13], rng.uniform(0.0, 80.0, 38)])
+        cells = {f"v{k:03d}": (s, c) for k, (s, c) in
+                 enumerate((s, c) for s in socs for c in currents)}
+        tasks = [ChargingTask(vid, 0.0, 0.5, s, 1.0) for vid, (s, _) in cells.items()]
+        inst = make_instance(tasks, ic_max=80.0 * len(tasks))
+        alloc = np.array([[cells[t.vehicle_id][1] for t in inst.tasks]])
+        cyclic, _ = fade_terms(alloc, inst)
+
+        scalar = np.array([
+            cyclic_fade_approx(SlotCharge(*cells[t.vehicle_id], 0.5, 210.0),
+                               inst.fade_params)
+            for t in inst.tasks
+        ])
+        assert np.array_equal(cyclic[0], scalar)
+        is_hi = alloc[0] >= inst.fade_params.branch_slope * inst.soc_start
+        assert is_hi.any() and (~is_hi).any()
+        assert np.any((alloc[0] > 0) & (scalar == 0.0))  # clamped cells
 
 
 class TestConstraintAudit:

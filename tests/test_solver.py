@@ -12,7 +12,6 @@ from fleetcharge.problem import (
 )
 from fleetcharge.solver import (
     OracleError,
-    SolverConfig,
     SolveStatus,
     feasibility_check,
     oracle_grid_search,
@@ -173,6 +172,10 @@ class TestSolveContracts:
             costs.append(rep.breakdown.cost)
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
+    def test_branch_assignment_shape(self, two_by_three_instance):
+        alloc, rep = solve(two_by_three_instance)
+        assert rep.branch_assignment.shape == alloc.shape
+
 
 class TestOracle:
     def test_cell_guard(self):
@@ -248,17 +251,3 @@ class TestOracle:
             assert rep.objective <= oracle_obj + 0.02 * scale
             checked += 1
         assert checked >= 4
-
-
-class TestSolverConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol_obj=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_branch_iters=0)
-        with pytest.raises(ValueError):
-            SolverConfig(oracle_levels=1)
-
-    def test_branch_assignment_shape(self, two_by_three_instance):
-        alloc, rep = solve(two_by_three_instance)
-        assert rep.branch_assignment.shape == alloc.shape
