@@ -188,6 +188,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _fixed6(value: float | None) -> str:
+    """Six decimals, or n/a for a statistic the report left undefined (null)."""
+    return "n/a" if value is None else f"{value:.6f}"
+
+
 def cmd_validate_fade(args) -> int:
     cfg = load_config(args.config)
     params = cfg.fade_params()
@@ -202,9 +207,9 @@ def cmd_validate_fade(args) -> int:
         f"fade approximation fit over {report['grid_n']}x{report['grid_n']} grid "
         f"(I in (0, {report['i_max']:g}] A, dt={report['dt_hours']:g} h, "
         f"C={report['c_bat_ah']:g} Ah)\n"
-        f"  high-current branch: R^2 = {report['hi']['r_squared']:.6f} "
+        f"  high-current branch: R^2 = {_fixed6(report['hi']['r_squared'])} "
         f"over {report['hi']['n_points']} points\n"
-        f"  low-current branch:  R^2 = {report['lo']['r_squared']:.6f} "
+        f"  low-current branch:  R^2 = {_fixed6(report['lo']['r_squared'])} "
         f"over {report['lo']['n_points']} points\n"
     )
     if args.out:

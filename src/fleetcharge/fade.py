@@ -308,7 +308,9 @@ def fade_fit_report(
     Evaluates both models on an ``n x n`` grid of (soc_init, current) with
     strictly positive currents up to ``i_max``, restricted to slots that do
     not charge past 100% SoC, and reports the coefficient of determination
-    on each branch domain together with residual statistics.
+    on each branch domain together with residual statistics.  A statistic
+    a branch cannot define (no grid points, or constant exact values for
+    R^2) is None.
     """
     soc_grid = np.linspace(0.0, 1.0, n)
     current_grid = np.linspace(0.0, i_max, n + 1)[1:]
@@ -323,12 +325,13 @@ def fade_fit_report(
     }
     for name, mask in (("hi", is_hi), ("lo", ~is_hi)):
         ex, ap = exact[mask], approx[mask]
-        ss_res = float(np.sum((ap - ex) ** 2))
-        ss_tot = float(np.sum((ex - ex.mean()) ** 2))
-        report[name] = {
-            "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan"),
-            "n_points": int(mask.sum()),
-            "rmse_ah": math.sqrt(ss_res / mask.sum()),
-            "max_abs_err_ah": float(np.max(np.abs(ap - ex))),
-        }
+        count = int(mask.sum())
+        stats = {"n_points": count, "r_squared": None, "rmse_ah": None, "max_abs_err_ah": None}
+        if count:
+            ss_res = float(np.sum((ap - ex) ** 2))
+            ss_tot = float(np.sum((ex - ex.mean()) ** 2))
+            stats["r_squared"] = 1.0 - ss_res / ss_tot if ss_tot > 0 else None
+            stats["rmse_ah"] = math.sqrt(ss_res / count)
+            stats["max_abs_err_ah"] = float(np.max(np.abs(ap - ex)))
+        report[name] = stats
     return report

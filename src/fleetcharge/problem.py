@@ -249,31 +249,41 @@ def build_instance(
 # ---------------------------------------------------------------------------
 
 
-def soc_before_slots(alloc: np.ndarray, inst: ProblemInstance) -> np.ndarray:
-    """SoC of each vehicle at the start of each slot, (H, V)."""
-    delta = alloc * inst.durations / inst.c_bat
+def soc_before_slots(alloc: np.ndarray, inst: ProblemInstance,
+                     vehicles: np.ndarray | None = None) -> np.ndarray:
+    """SoC of each vehicle at the start of each slot, (H, V).
+
+    With ``vehicles`` (K,), ``alloc`` is (H, K) and its column k belongs to
+    vehicle ``vehicles[k]``.
+    """
+    v = slice(None) if vehicles is None else vehicles
+    delta = alloc * inst.durations[:, v] / inst.c_bat
     soc = np.empty_like(delta)
-    soc[0, :] = inst.soc_start
+    soc[0, :] = inst.soc_start[v]
     if inst.horizon > 1:
-        soc[1:, :] = inst.soc_start[None, :] + np.cumsum(delta, axis=0)[:-1, :]
+        soc[1:, :] = inst.soc_start[v][None, :] + np.cumsum(delta, axis=0)[:-1, :]
     return soc
 
 
-def fade_terms(alloc: np.ndarray, inst: ProblemInstance):
+def fade_terms(alloc: np.ndarray, inst: ProblemInstance,
+               vehicles: np.ndarray | None = None):
     """Vectorised per-slot cyclic and calendric fade, each (H, V) in Ah.
 
     Matches the scalar slot operations exactly: the quadratic is clamped at
     zero, forced to zero at zero current, and branch selection uses the
     slot's initial SoC.  Calendric loss for a fractional final slot is
     scaled by the fraction of the grid step actually spent plugged.
+    ``vehicles`` maps columns to vehicles as in :func:`soc_before_slots`.
     """
+    v = slice(None) if vehicles is None else vehicles
     p = inst.fade_params
+    durations, active = inst.durations[:, v], inst.active[:, v]
     cyclic, avg, _ = cyclic_fade_surface(
-        soc_before_slots(alloc, inst), alloc, inst.durations, inst.c_bat, p
+        soc_before_slots(alloc, inst, vehicles), alloc, durations, inst.c_bat, p
     )
-    cyclic[~inst.active] = 0.0
+    cyclic[~active] = 0.0
 
-    frac = np.where(inst.active, inst.durations / inst.grid.dt, 0.0)
+    frac = np.where(active, durations / inst.grid.dt, 0.0)
     calendric = frac * (p.p1 * avg + p.p2)
     return cyclic, calendric
 

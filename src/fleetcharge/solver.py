@@ -32,6 +32,7 @@ from .problem import (
     ProblemInstance,
     build_constraints,
     compute_normalization_points,
+    fade_terms,
     normalized_objective,
     objective_components,
     soc_before_slots,
@@ -274,7 +275,18 @@ def _repair_exact(
 
 
 def _project_vehicle_windows(y: np.ndarray, inst: ProblemInstance) -> np.ndarray:
-    """Euclidean projection of each column onto box + energy-window."""
+    """Euclidean projection of each column onto box + energy-window.
+
+    The projection is ``x = clip(y + lam * d, 0, ub)`` with one multiplier
+    per column.  Delivered energy ``s(lam) = sum(d * x)`` is piecewise
+    linear in ``lam``: a cell with ``d > 0`` starts to rise at ``-y / d``
+    and saturates at ``(ub - y) / d``, adding and then removing ``d**2`` of
+    slope.  Sorting those breakpoints and summing the segments gives ``s``
+    at every breakpoint, so ``lam`` follows exactly by interpolation on the
+    segment that brackets the window edge (breakpoint search for the
+    continuous quadratic knapsack).  Cells with ``d = 0`` carry no slope;
+    an unreachable target leaves the column at its box top.
+    """
     ub = np.where(inst.active, inst.i_max, 0.0)
     x = np.clip(y, 0.0, ub)
     d = inst.durations
@@ -286,19 +298,28 @@ def _project_vehicle_windows(y: np.ndarray, inst: ProblemInstance) -> np.ndarray
         return x
     target = np.where(lo_bad, inst.e_lo, inst.e_hi)[bad]
     yc, dc, ubc = y[:, bad], d[:, bad], ub[:, bad]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam_span = np.where(dc > 0, np.maximum((ubc - yc) / dc, np.abs(yc) / dc), 0.0)
-    lam_hi = lam_span.max(axis=0) + 1.0
-    lam_lo = -lam_hi
-    for _ in range(60):
-        mid = 0.5 * (lam_lo + lam_hi)
-        xm = np.clip(yc + mid[None, :] * dc, 0.0, ubc)
-        sm = (xm * dc).sum(axis=0)
-        go_up = sm < target
-        lam_lo = np.where(go_up, mid, lam_lo)
-        lam_hi = np.where(go_up, lam_hi, mid)
-    mid = 0.5 * (lam_lo + lam_hi)
-    x[:, bad] = np.clip(yc + mid[None, :] * dc, 0.0, ubc)
+    # Idle cells (d = 0) divide by inf: they sit at lam = 0 with no slope.
+    safe_d = np.where(dc > 0, dc, np.inf)
+    points = np.concatenate([-yc / safe_d, (ubc - yc) / safe_d])
+    bend = dc * dc
+    bends = np.concatenate([bend, -bend])
+    cols = np.arange(len(bad))
+    order = points.argsort(axis=0, kind="stable")
+    points = points[order, cols]
+    slope = bends[order, cols].cumsum(axis=0)
+    # energy at each breakpoint; s is zero left of the first one
+    energy = np.zeros_like(points)
+    np.cumsum(slope[:-1] * (points[1:] - points[:-1]), axis=0, out=energy[1:])
+
+    reached = energy >= target
+    first = reached.argmax(axis=0)  # first breakpoint at or past the target
+    seg = np.maximum(first - 1, 0)
+    rise = slope[seg, cols]
+    lam = points[seg, cols] + (target - energy[seg, cols]) / np.where(rise > 0, rise, 1.0)
+    lam[first == 0] = points[0, first == 0] - 1.0    # target <= 0
+    top = ~reached.any(axis=0)                       # unreachable: box top
+    lam[top] = points[-1, top] + 1.0
+    x[:, bad] = np.clip(yc + lam * dc, 0.0, ubc)
     return x
 
 
@@ -478,10 +499,11 @@ def _zero_snap_polish(x: np.ndarray, inst: ProblemInstance, tracker: _BestTracke
 
 _MOVE_POLISH_CELLS = 160  # skip the local search on big instances
 _SWAP_POLISH_ACTIVES = 30  # pairwise exchanges: budget on active cells
+_POLISH_BATCH_CELLS = 1 << 12  # candidate cells scored at once: bounds memory
 
 
 def _relocation_candidates(x, inst, col_sum, v):
-    """Feasible single-slot relocations of vehicle v's charge, as candidates."""
+    """Feasible single-slot relocations of vehicle v's charge, as new columns."""
     tt = int(inst.grid.tt[v])
     for i in np.nonzero(x[:tt, v] > 0.0)[0]:
         ah = x[i, v] * inst.durations[i, v]
@@ -495,9 +517,9 @@ def _relocation_candidates(x, inst, col_sum, v):
             room = min(inst.i_max - x[j, v], inst.ic_max - col_sum[j])
             if amps > room + 1e-12:
                 continue
-            cand = x.copy()
-            cand[j, v] += amps
-            cand[i, v] = 0.0
+            cand = x[:, v].copy()
+            cand[j] += amps
+            cand[i] = 0.0
             yield cand
 
 
@@ -506,6 +528,7 @@ def _swap_candidates(x, inst, col_sum):
 
     Needed when a single relocation is blocked by the station cap and only
     becomes feasible once the other vehicle vacates the target slot.
+    Yields ``(u, v, column_u, column_v)``.
     """
     n = inst.n_vehicles
     cells = [
@@ -532,15 +555,48 @@ def _swap_candidates(x, inst, col_sum):
                 continue
             if col_sum[i] - x[i, u] + amps_v > inst.ic_max + 1e-12:
                 continue
-            cand = x.copy()
-            cand[j, u] += amps_u
-            cand[i, u] -= x[i, u]
-            cand[i, v] += amps_v
-            cand[j, v] -= x[j, v]
-            yield cand
+            cand_u, cand_v = x[:, u].copy(), x[:, v].copy()
+            cand_u[j] += amps_u
+            cand_u[i] -= x[i, u]
+            cand_v[i] += amps_v
+            cand_v[j] -= x[j, v]
+            yield u, v, cand_u, cand_v
 
 
-def _local_move_polish(x, inst: ProblemInstance, objective_fn):
+def _column_parts(cols: np.ndarray, vs: np.ndarray, inst: ProblemInstance) -> np.ndarray:
+    """Raw (cost, fade, availability) of K candidate columns, (K, 3).
+
+    Column k of ``cols`` (H, K) is an allocation of vehicle ``vs[k]``.  The
+    objective separates by vehicle, so the rows of a full allocation's
+    columns sum to its :func:`objective_components`.
+    """
+    d = inst.durations[:, vs]
+    cost = (inst.wep[:, None] * (cols * d * inst.voltage / 1000.0)).sum(axis=0)
+    cyclic, calendric = fade_terms(cols, inst, vs)
+    availability = -(inst.avail_w[:, vs] * cols * inst.voltage).sum(axis=0)
+    return np.column_stack([cost, cyclic.sum(axis=0) + calendric.sum(axis=0), availability])
+
+
+def _normalized_score(points: NormalizationPoints, weights: tuple):
+    """:func:`normalized_objective` over (K, 3) rows of raw components."""
+
+    def score(parts: np.ndarray) -> np.ndarray:
+        total = normalized_objective(ObjectiveBreakdown(*parts.T), points, weights)
+        return np.broadcast_to(total, len(parts))  # scalar 0 if every spread is degenerate
+
+    return score
+
+
+def _score_moves(moves, parts, inst: ProblemInstance, score) -> np.ndarray:
+    """Objective of each move ``(vehicles, columns)`` applied to the allocation
+    whose per-vehicle rows of raw components are ``parts`` (V, 3)."""
+    vs = np.array([v for owners, _ in moves for v in owners])
+    new = _column_parts(np.column_stack([c for _, cols in moves for c in cols]), vs, inst)
+    starts = np.cumsum([0] + [len(owners) for owners, _ in moves[:-1]])
+    return score(parts.sum(axis=0) + np.add.reduceat(new - parts[vs], starts, axis=0))
+
+
+def _local_move_polish(x, inst: ProblemInstance, score):
     """Hill-climb over slot relocations (and exchanges on small instances).
 
     The fade term's per-slot activation constant makes the objective
@@ -548,29 +604,42 @@ def _local_move_polish(x, inst: ProblemInstance, objective_fn):
     charge into an idle slot; relocating one slot's charge wholesale (in
     Ah, respecting box and station headroom) explores exactly those
     combinatorial neighbors.  Deterministic best-improvement passes.
+
+    ``score`` maps (K, 3) rows of raw (cost, fade, availability) to (K,)
+    objective values.  A move changes one column (relocation) or two
+    (swap), so candidates are scored in batches from the changed columns
+    alone; the first candidate in enumeration order that beats the running
+    best by 1e-12 and is not beaten in turn wins the pass.
     """
     h, n = inst.horizon, inst.n_vehicles
     cells = h * n
     if cells > _MOVE_POLISH_CELLS or cells == 0:
         return x
     x = x.copy()
-    best = objective_fn(x)
+    every = np.arange(n)
+    parts = _column_parts(x, every, inst)
+    best = score(parts.sum(axis=0, keepdims=True))[0]
+    batch_size = max(1, _POLISH_BATCH_CELLS // h)
     for _ in range(6):
         col_sum = x.sum(axis=1)
+        moves = itertools.chain(
+            (((v,), (cand,))
+             for v in range(n)
+             for cand in _relocation_candidates(x, inst, col_sum, v)),
+            (((u, v), (cu, cv))
+             for u, v, cu, cv in _swap_candidates(x, inst, col_sum))
+            if int((x > 0).sum()) <= _SWAP_POLISH_ACTIVES else (),
+        )
         move = None
-        for v in range(n):
-            for cand in _relocation_candidates(x, inst, col_sum, v):
-                obj = objective_fn(cand)
+        while batch := list(itertools.islice(moves, batch_size)):
+            for k, obj in enumerate(_score_moves(batch, parts, inst, score).tolist()):
                 if obj < best - 1e-12:
-                    best, move = obj, cand
-        if int((x > 0).sum()) <= _SWAP_POLISH_ACTIVES:
-            for cand in _swap_candidates(x, inst, col_sum):
-                obj = objective_fn(cand)
-                if obj < best - 1e-12:
-                    best, move = obj, cand
+                    best, move = obj, batch[k]
         if move is None:
             break
-        x = move
+        for v, col in zip(*move):
+            x[:, v] = col
+        parts = _column_parts(x, every, inst)
     return x
 
 
@@ -609,10 +678,7 @@ def _minimize_fade(inst: ProblemInstance) -> np.ndarray:
         raw = objective_components(x, inst).fade
         if raw < best_f - 1e-15 or (best_x is None):
             best_x, best_f = x, raw
-    best_x = _local_move_polish(
-        best_x, inst, lambda a: objective_components(a, inst).fade
-    )
-    return best_x
+    return _local_move_polish(best_x, inst, lambda parts: parts[:, 1])
 
 
 def solve(
@@ -707,9 +773,7 @@ def solve(
 
     _zero_snap_polish(tracker.alloc, inst, tracker)
     polished = _local_move_polish(
-        tracker.alloc,
-        inst,
-        lambda a: normalized_objective(objective_components(a, inst), points, inst.weights),
+        tracker.alloc, inst, _normalized_score(points, inst.weights)
     )
     tracker.consider(polished)
 

@@ -147,3 +147,19 @@ class TestValidateFade:
         rc = main(["validate-fade", "--grid-n", "40", "--grid-imax", "60"])
         assert rc == 0
         assert "40x40" in capsys.readouterr().out
+
+    def test_tiny_grid_is_strict_json(self, tmp_path, capsys):
+        """A 2x2 grid leaves the low-current branch empty: exit 0, null
+        statistics in strict JSON and n/a in the text."""
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        out = tmp_path / "vf2"
+        assert main(["validate-fade", "--grid-n", "2", "--out", str(out)]) == 0
+        report = json.loads((out / "fade_validation.json").read_text(),
+                            parse_constant=reject)
+        assert report["lo"] == {"n_points": 0, "r_squared": None,
+                                "rmse_ah": None, "max_abs_err_ah": None}
+        assert report["hi"]["n_points"] == 2
+        assert "R^2 = n/a over 0 points" in (out / "fade_validation.txt").read_text()
+        assert "n/a" in capsys.readouterr().out

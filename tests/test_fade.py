@@ -208,6 +208,16 @@ class TestApproximationQuality:
         assert report["hi"]["n_points"] > 500
         assert report["lo"]["n_points"] > 500
 
+    def test_undefined_statistics_are_none(self, fade_params):
+        """One grid point: the low branch is empty and the high branch has
+        no variance, so R^2 is undefined there but the residuals are not."""
+        report = fade_fit_report(fade_params, n=1)
+        assert report["lo"] == {"n_points": 0, "r_squared": None,
+                                "rmse_ah": None, "max_abs_err_ah": None}
+        assert report["hi"]["n_points"] == 1
+        assert report["hi"]["r_squared"] is None
+        assert report["hi"]["rmse_ah"] == report["hi"]["max_abs_err_ah"] > 0.0
+
     def test_zero_current_agreement(self, fade_params):
         slot = SlotCharge(0.7, 0.0, 0.5, 210.0)
         assert cyclic_fade_exact(slot, fade_params) == 0.0

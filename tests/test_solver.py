@@ -1,5 +1,8 @@
 """Solver tests: feasibility, optimality direction, oracle gap, determinism."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,22 @@ from fleetcharge.problem import (
     normalized_objective,
     objective_components,
 )
+import fleetcharge.solver as solver_module
 from fleetcharge.solver import (
+    _MOVE_POLISH_CELLS,
+    _SWAP_POLISH_ACTIVES,
     OracleError,
     SolveStatus,
+    _column_parts,
+    _fill_forward,
+    _fill_latest,
+    _fill_spread,
+    _local_move_polish,
+    _normalized_score,
+    _project_vehicle_windows,
+    _relocation_candidates,
+    _repair_exact,
+    _swap_candidates,
     feasibility_check,
     oracle_grid_search,
     single_objective_minimizer,
@@ -251,3 +267,186 @@ class TestOracle:
             assert rep.objective <= oracle_obj + 0.02 * scale
             checked += 1
         assert checked >= 4
+
+
+def _bisection_projection(y, inst, steps=200):
+    """Reference column projection: bisection on the multiplier of
+    ``x = clip(y + lam * d, 0, ub)``; an unreachable target ends at the top
+    of the bracket, i.e. the box top."""
+    ub = np.where(inst.active, inst.i_max, 0.0)
+    x = np.clip(y, 0.0, ub)
+    d = inst.durations
+    for v in range(inst.n_vehicles):
+        s = float(x[:, v] @ d[:, v])
+        if inst.e_lo[v] - 1e-12 <= s <= inst.e_hi[v] + 1e-12:
+            continue
+        target = inst.e_lo[v] if s < inst.e_lo[v] else inst.e_hi[v]
+        live = d[:, v] > 0
+        dl, yl, ul = d[live, v], y[live, v], ub[live, v]
+        span = float(np.max(np.maximum((ul - yl) / dl, np.abs(yl) / dl), initial=0.0)) + 1.0
+        lo, hi = -span, span
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            if np.clip(y[:, v] + mid * d[:, v], 0.0, ub[:, v]) @ d[:, v] < target:
+                lo = mid
+            else:
+                hi = mid
+        x[:, v] = np.clip(y[:, v] + 0.5 * (lo + hi) * d[:, v], 0.0, ub[:, v])
+    return x
+
+
+class TestProjection:
+    def _case(self, rng):
+        """Random columns on an 8-slot grid: idle (d = 0) active cells,
+        inactive tails, windows that hold the clipped column, sit above it
+        or below it, and one floor no current in the box can reach."""
+        h, n = 8, 7
+        slots = [h] + [int(rng.integers(3, h + 1)) for _ in range(n - 1)]
+        tasks = [ChargingTask(f"v{v}", 0.0, 0.5 * tt, 0.2, 0.9) for v, tt in enumerate(slots)]
+        base = make_instance(tasks, i_max=80.0, ic_max=400.0, soc_xtra_ah=21.0)
+        active = base.active
+        durations = np.where(active, rng.uniform(0.05, 0.5, size=(h, n)), 0.0)
+        durations[rng.random((h, n)) < 0.2] = 0.0
+        y = rng.normal(30.0, 60.0, size=(h, n))
+        ub = np.where(active, base.i_max, 0.0)
+        clipped = (np.clip(y, 0.0, ub) * durations).sum(axis=0)
+        top = (ub * durations).sum(axis=0)
+        e_lo, e_hi = np.empty(n), np.empty(n)
+        for v in range(n):
+            kind = v % 4 if v < n - 1 else 4
+            if kind == 0:    # already inside
+                e_lo[v], e_hi[v] = 0.5 * clipped[v], clipped[v] + 1.0
+            elif kind == 1:  # floor above the clipped column
+                e_lo[v] = clipped[v] + rng.uniform(0.1, 0.9) * (top[v] - clipped[v])
+                e_hi[v] = e_lo[v] + 5.0
+            elif kind == 2:  # top below the clipped column
+                e_hi[v] = rng.uniform(0.1, 0.9) * clipped[v]
+                e_lo[v] = 0.5 * e_hi[v]
+            elif kind == 3:  # nothing may be delivered
+                e_lo[v] = e_hi[v] = 0.0
+            else:            # unreachable floor
+                e_lo[v], e_hi[v] = top[v] + 10.0, top[v] + 20.0
+        inst = dataclasses.replace(base, durations=durations, e_lo=e_lo, e_hi=e_hi)
+        return y, inst, top
+
+    def test_matches_bisection_inside_box_and_window(self):
+        rng = np.random.default_rng(42)
+        for _ in range(25):
+            y, inst, top = self._case(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x = _project_vehicle_windows(y, inst)
+            ub = np.where(inst.active, inst.i_max, 0.0)
+            assert np.all(x >= 0.0) and np.all(x <= ub)
+            delivered = (x * inst.durations).sum(axis=0)
+            reachable = inst.e_lo <= top
+            assert np.all(delivered[reachable] >= inst.e_lo[reachable] - 1e-9)
+            assert np.all(delivered[reachable] <= inst.e_hi[reachable] + 1e-9)
+            assert np.all(delivered[~reachable] == top[~reachable])
+            zero_top = (inst.durations > 0) & (inst.e_hi == 0.0)[None, :]
+            assert np.all(x[zero_top] == 0.0)  # a zero top is met exactly
+            np.testing.assert_allclose(x, _bisection_projection(y, inst), rtol=0.0, atol=1e-9)
+
+    def test_unreachable_floor_is_box_top(self):
+        y, inst, _ = self._case(np.random.default_rng(7))
+        v = inst.n_vehicles - 1
+        x = _project_vehicle_windows(y, inst)
+        ub = np.where(inst.active, inst.i_max, 0.0)
+        live = inst.durations[:, v] > 0
+        assert np.array_equal(x[live, v], ub[live, v])
+        assert np.array_equal(x[~live, v], np.clip(y[~live, v], 0.0, ub[~live, v]))
+
+
+def _oracle_sized_instances(seed, count):
+    """Instances drawn like acceptance criterion 2's (at most 12 cells)."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        n = int(rng.integers(1, 4))
+        tt = int(rng.integers(2, 5))
+        while n * tt > 12:
+            tt -= 1
+        tasks = []
+        for v in range(n):
+            soc_start = float(rng.uniform(0.25, 0.55))
+            demand_ah = int(rng.integers(1, min(7, 2 * tt) + 1)) * (80.0 / 7.0) * 0.5
+            tasks.append(ChargingTask(f"v{v}", 0.0, float(rng.integers(1, tt + 1)) * 0.5,
+                                      soc_start, min(1.0, soc_start + demand_ah / 210.0)))
+        prices = {i * 0.5: float(rng.uniform(0.02, 0.25)) for i in range(tt)}
+        inst = make_instance(
+            tasks, prices=lambda t, p=prices: p[t],
+            i_max=80.0, ic_max=float(rng.choice([120.0, 160.0, 400.0])),
+            soc_xtra_ah=float(rng.choice([0.0, 21.0])),
+            weights=tuple(rng.uniform(0.1, 1.0, size=3)),
+        )
+        fc = feasibility_check(inst)
+        if fc.feasible:
+            found.append((inst, fc.point))
+    return found
+
+
+def _reference_polish(x, inst, objective_fn):
+    """Local-move polish scoring every candidate as a full allocation."""
+    if inst.horizon * inst.n_vehicles > _MOVE_POLISH_CELLS or x.size == 0:
+        return x
+    x = x.copy()
+    best = objective_fn(x)
+    for _ in range(6):
+        col_sum = x.sum(axis=1)
+        candidates = []
+        for v in range(inst.n_vehicles):
+            for col in _relocation_candidates(x, inst, col_sum, v):
+                cand = x.copy()
+                cand[:, v] = col
+                candidates.append(cand)
+        if int((x > 0).sum()) <= _SWAP_POLISH_ACTIVES:
+            for u, v, col_u, col_v in _swap_candidates(x, inst, col_sum):
+                cand = x.copy()
+                cand[:, u], cand[:, v] = col_u, col_v
+                candidates.append(cand)
+        move = None
+        for cand in candidates:
+            obj = objective_fn(cand)
+            if obj < best - 1e-12:
+                best, move = obj, cand
+        if move is None:
+            break
+        x = move
+    return x
+
+
+class TestColumnBatchedPolish:
+    def test_column_parts_sum_to_objective_components(self):
+        rng = np.random.default_rng(8)
+        for inst, _ in _oracle_sized_instances(8, 12):
+            alloc = rng.uniform(0.0, inst.i_max, size=(inst.horizon, inst.n_vehicles))
+            alloc[rng.random(alloc.shape) < 0.4] = 0.0
+            alloc[~inst.active & (rng.random(alloc.shape) < 0.5)] = 0.0
+            parts = _column_parts(alloc, np.arange(inst.n_vehicles), inst)
+            ref = objective_components(alloc, inst)
+            np.testing.assert_allclose(
+                parts.sum(axis=0), [ref.cost, ref.fade, ref.availability], rtol=1e-12
+            )
+
+    @pytest.mark.parametrize("batch_cells", [None, 1])
+    def test_same_moves_as_full_allocation_scoring(self, batch_cells, monkeypatch):
+        """Also with one candidate per batch, so the running best carries
+        across batches."""
+        if batch_cells is not None:
+            monkeypatch.setattr(solver_module, "_POLISH_BATCH_CELLS", batch_cells)
+        moved = 0
+        for inst, point in _oracle_sized_instances(20210509, 12):
+            pts = _points(inst)
+            normalized = _normalized_score(pts, inst.weights)
+            scorers = [
+                (normalized, lambda a: normalized_objective(
+                    objective_components(a, inst), pts, inst.weights)),
+                (lambda parts: parts[:, 1], lambda a: objective_components(a, inst).fade),
+            ]
+            for start in (_fill_forward(inst), _fill_latest(inst), _fill_spread(inst)):
+                x0 = _repair_exact(start, inst, anchor=point)
+                for batched, full in scorers:
+                    got = _local_move_polish(x0, inst, batched)
+                    assert np.array_equal(got, _reference_polish(x0, inst, full))
+                    moved += not np.array_equal(got, x0)
+        assert moved >= 20
