@@ -12,7 +12,6 @@ from .fade import (
     fade_fit_report,
     select_branch,
     stress_factors,
-    total_fade_approx,
 )
 from .problem import (
     ChargingTask,
@@ -43,7 +42,6 @@ from .simulator import (
     MetricsReport,
     RunResult,
     SimConfig,
-    charging_time,
     peak_power_period,
     run,
     value_loss,

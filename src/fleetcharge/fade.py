@@ -35,7 +35,6 @@ __all__ = [
     "cyclic_fade_approx",
     "cyclic_fade_surface",
     "calendric_fade_approx",
-    "total_fade_approx",
     "fade_fit_report",
 ]
 
@@ -256,13 +255,6 @@ def calendric_fade_approx(soc_avg: float, params: FadeModelParams) -> float:
     if not 0.0 <= soc_avg <= 1.0:
         raise InvalidSlotError("soc_avg", f"{soc_avg} not in [0, 1]")
     return params.p1 * soc_avg + params.p2
-
-
-def total_fade_approx(slot: SlotCharge, params: FadeModelParams) -> float:
-    """Cyclic approximation plus calendric loss for one slot, in Ah."""
-    cyc = cyclic_fade_approx(slot, params)
-    cal = calendric_fade_approx(stress_factors(slot).soc_avg, params)
-    return cyc + cal
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ __all__ = [
     "build_instance",
     "charging_period",
     "availability_weights",
+    "max_power_allocation",
     "objective_components",
     "build_constraints",
     "compute_normalization_points",
@@ -63,11 +64,6 @@ class ChargingTask:
             raise ValueError(f"task {self.vehicle_id}: soc_start {self.soc_start} not in [0, 1]")
         if not 0.0 <= self.soc_dep <= 1.0:
             raise ValueError(f"task {self.vehicle_id}: soc_dep {self.soc_dep} not in [0, 1]")
-
-    @property
-    def zero_need(self) -> bool:
-        """Already at or above the required departure SoC."""
-        return self.soc_start >= self.soc_dep
 
 
 def charging_period(t_dep: float, t_s: float, dt: float) -> int:
@@ -242,6 +238,43 @@ def build_instance(
         soc_start=soc_start,
         wep=wep,
     )
+
+
+def max_power_allocation(inst: ProblemInstance) -> np.ndarray:
+    """Maximum power toward 100% SoC, earliest-departure-first under the cap.
+
+    Each vehicle gets its current limit for the lesser of the slots needed
+    to reach full charge and the slots left before departure; the energy
+    windows are not enforced.
+    """
+    alloc = inst.empty_allocation()
+    for v, task in enumerate(inst.tasks):
+        tt = int(inst.grid.tt[v])
+        if tt == 0:
+            continue
+        n_slots = charging_period(
+            (1.0 - task.soc_start) * inst.c_bat / inst.i_max, 0.0, inst.grid.dt
+        )
+        n_slots = min(n_slots, tt)
+        remaining_ah = (1.0 - task.soc_start) * inst.c_bat
+        for i in range(n_slots):
+            d = inst.durations[i, v]
+            if d <= 0 or remaining_ah <= 0:
+                break
+            amps = min(inst.i_max, remaining_ah / d)
+            alloc[i, v] = amps
+            remaining_ah -= amps * d
+    # Station cap: columns are already in earliest-departure order, so a
+    # cumulative-headroom pass curtails later-departing vehicles first.
+    for i in range(inst.horizon):
+        row = alloc[i, :]
+        used = np.cumsum(row)
+        over = used - inst.ic_max
+        if over[-1] <= 0:
+            continue
+        headroom = inst.ic_max - (used - row)
+        alloc[i, :] = np.clip(np.minimum(row, headroom), 0.0, None)
+    return alloc
 
 
 # ---------------------------------------------------------------------------

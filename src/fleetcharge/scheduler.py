@@ -25,7 +25,7 @@ from .fade import (
     cyclic_fade_approx,
     cyclic_fade_exact,
 )
-from .problem import ChargingTask, ProblemInstance, build_instance, charging_period
+from .problem import ChargingTask, ProblemInstance, build_instance, max_power_allocation
 from .solver import feasibility_check, solve
 
 __all__ = [
@@ -77,7 +77,6 @@ class Policy:
 class VehicleState:
     task: ChargingTask
     soc_cur: float
-    plugged: bool = True
 
 
 @dataclass
@@ -88,16 +87,10 @@ class FleetState:
     dt: float
     vehicles: dict = field(default_factory=dict)  # vehicle_id -> VehicleState
 
-    def slots_remaining(self, vehicle_id: str) -> int:
-        vs = self.vehicles[vehicle_id]
-        return charging_period(vs.task.t_dep, self.now, self.dt)
-
     def current_tasks(self) -> list:
         """Tasks re-anchored at the current state (start SoC = current SoC)."""
         out = []
         for vs in self.vehicles.values():
-            if not vs.plugged:
-                continue
             t = vs.task
             out.append(
                 ChargingTask(
@@ -136,51 +129,15 @@ def _instance_from_state(
     )
 
 
-def _baseline_fill(inst: ProblemInstance, limits: StationLimits) -> np.ndarray:
-    """Maximum power toward 100% SoC, earliest-departure-first under the cap."""
-    alloc = inst.empty_allocation()
-    for v, task in enumerate(inst.tasks):
-        tt = int(inst.grid.tt[v])
-        if tt == 0:
-            continue
-        n_slots = charging_period(
-            (1.0 - task.soc_start) * inst.c_bat / limits.i_max, 0.0, limits.dt
-        )
-        n_slots = min(n_slots, tt)
-        remaining_ah = (1.0 - task.soc_start) * inst.c_bat
-        for i in range(n_slots):
-            d = inst.durations[i, v]
-            if d <= 0 or remaining_ah <= 0:
-                break
-            amps = min(limits.i_max, remaining_ah / d)
-            alloc[i, v] = amps
-            remaining_ah -= amps * d
-    # Station cap: columns are already in earliest-departure order, so a
-    # cumulative-headroom pass curtails later-departing vehicles first.
-    for i in range(inst.horizon):
-        row = alloc[i, :]
-        used = np.cumsum(row)
-        over = used - inst.ic_max
-        if over[-1] <= 0:
-            continue
-        headroom = inst.ic_max - (used - row)
-        alloc[i, :] = np.clip(np.minimum(row, headroom), 0.0, None)
-    return alloc
-
-
 def baseline_schedule(
     state: FleetState,
     limits: StationLimits,
     prices_fn: Callable[[float], float] = ZERO_PRICES,
 ):
-    """Business-as-usual schedule; returns (allocation, instance).
-
-    Each vehicle gets maximum power for the lesser of the slots needed to
-    reach full charge and the slots left before departure; feasibility of
-    the departure-SoC windows is not guaranteed.
-    """
+    """Business-as-usual schedule, :func:`max_power_allocation`; returns
+    (allocation, instance)."""
     inst = _instance_from_state(state, limits, (1.0, 1.0, 1.0), prices_fn)
-    return _baseline_fill(inst, limits), inst
+    return max_power_allocation(inst), inst
 
 
 def proposed_schedule(
@@ -191,13 +148,12 @@ def proposed_schedule(
 ):
     """Optimized schedule; returns (allocation, solve report, instance).
 
-    The baseline allocation seeds the solver's warm start and its initial
-    branch assignment.  Admission must have accepted all tasks, so an
+    :func:`solve` takes the baseline's maximum-power allocation as its
+    first descent start.  Admission must have accepted all tasks, so an
     infeasible solve here signals a bug.
     """
     inst = _instance_from_state(state, limits, weights, prices_fn)
-    warm = _baseline_fill(inst, limits)
-    alloc, rep = solve(inst, warm_start=warm)
+    alloc, rep = solve(inst)
     if alloc is None:
         raise RuntimeError(
             "proposed_schedule hit an infeasible instance; admission should prevent this"
@@ -244,14 +200,6 @@ class SlotLedger:
     slot_index: int
     entries: tuple
 
-    @property
-    def cost_usd(self) -> float:
-        return sum(e.cost_usd for e in self.entries)
-
-    @property
-    def energy_ah(self) -> float:
-        return sum(e.energy_ah for e in self.entries)
-
 
 def apply_slot(
     state: FleetState,
@@ -277,7 +225,7 @@ def apply_slot(
     slot_t = inst.grid.slot_start(slot_index)
     for v, task in enumerate(inst.tasks):
         vs = state.vehicles.get(task.vehicle_id)
-        if vs is None or not vs.plugged:
+        if vs is None:
             continue
         d = min(window, inst.durations[slot_index, v])
         if d <= 0:

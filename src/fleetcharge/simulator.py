@@ -40,7 +40,6 @@ __all__ = [
     "RunResult",
     "run",
     "peak_power_period",
-    "charging_time",
     "value_loss",
 ]
 
@@ -163,13 +162,6 @@ def peak_power_period(alloc: np.ndarray, config: SimConfig) -> float:
         return 0.0
     peaking = alloc * config.voltage > config.peak_threshold * config.i_max * config.voltage
     return float(np.sum(peaking)) * config.dt
-
-
-def charging_time(alloc: np.ndarray, config: SimConfig) -> float:
-    """Hours of slots with nonzero current, summed across vehicles."""
-    if alloc.size == 0:
-        return 0.0
-    return float(np.sum(alloc > ACTIVE_CURRENT_EPS)) * config.dt
 
 
 def value_loss(fade_ah: float, config: SimConfig) -> float:

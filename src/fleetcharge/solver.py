@@ -33,6 +33,7 @@ from .problem import (
     build_constraints,
     compute_normalization_points,
     fade_terms,
+    max_power_allocation,
     normalized_objective,
     objective_components,
     soc_before_slots,
@@ -93,34 +94,17 @@ def _lp_matrices(inst: ProblemInstance):
     h, n = inst.horizon, inst.n_vehicles
     size = h * n
     ub = np.where(inst.active, inst.i_max, 0.0).ravel()
-    rows, cols, data, b = [], [], [], []
-    r = 0
-    for i in range(h):  # station cap per slot
-        for v in range(n):
-            rows.append(r)
-            cols.append(i * n + v)
-            data.append(1.0)
-        b.append(inst.ic_max)
-        r += 1
-    d_flat = inst.durations
-    for v in range(n):  # energy window, upper then lower
-        for i in range(h):
-            if d_flat[i, v] > 0:
-                rows.append(r)
-                cols.append(i * n + v)
-                data.append(d_flat[i, v])
-        b.append(inst.e_hi[v])
-        r += 1
-    for v in range(n):
-        for i in range(h):
-            if d_flat[i, v] > 0:
-                rows.append(r)
-                cols.append(i * n + v)
-                data.append(-d_flat[i, v])
-        b.append(-inst.e_lo[v])
-        r += 1
-    a_ub = sparse.csr_matrix((data, (rows, cols)), shape=(r, size))
-    return a_ub, np.array(b), np.column_stack([np.zeros(size), ub])
+    # Rows: station cap per slot, then each vehicle's energy window top,
+    # then its floor (negated); window rows hold the cells with d > 0.
+    vs, slots = np.nonzero(inst.durations.T > 0)
+    window_cols = slots * n + vs
+    window = inst.durations[slots, vs]
+    rows = np.concatenate([np.repeat(np.arange(h), n), h + vs, h + n + vs])
+    cols = np.concatenate([np.arange(size), window_cols, window_cols])
+    data = np.concatenate([np.ones(size), window, -window])
+    b = np.concatenate([np.full(h, inst.ic_max), inst.e_hi, -inst.e_lo])
+    a_ub = sparse.csr_matrix((data, (rows, cols)), shape=(h + 2 * n, size))
+    return a_ub, b, np.column_stack([np.zeros(size), ub])
 
 
 def _solve_lp(inst: ProblemInstance, c: np.ndarray) -> np.ndarray | None:
@@ -168,21 +152,6 @@ def feasibility_check(inst: ProblemInstance) -> FeasibilityResult:
 # ---------------------------------------------------------------------------
 
 
-def _fill_forward(inst: ProblemInstance) -> np.ndarray:
-    """Per vehicle, maximum current from the first slot until the window top."""
-    x = inst.empty_allocation()
-    for v in range(inst.n_vehicles):
-        remaining = inst.e_hi[v]
-        for i in range(inst.horizon):
-            d = inst.durations[i, v]
-            if d <= 0 or remaining <= 0:
-                continue
-            amps = min(inst.i_max, remaining / d)
-            x[i, v] = amps
-            remaining -= amps * d
-    return x
-
-
 def _fill_latest(inst: ProblemInstance) -> np.ndarray:
     """Per vehicle, maximum current from the last slot backward to the window floor."""
     x = inst.empty_allocation()
@@ -211,10 +180,7 @@ def _fill_spread(inst: ProblemInstance) -> np.ndarray:
 
 
 def _repair_exact(
-    x: np.ndarray,
-    inst: ProblemInstance,
-    order_key: np.ndarray | None = None,
-    anchor: np.ndarray | None = None,
+    x: np.ndarray, inst: ProblemInstance, order_key: np.ndarray, anchor: np.ndarray
 ) -> np.ndarray:
     """Deterministically restore exact feasibility of a near-feasible point.
 
@@ -246,8 +212,6 @@ def _repair_exact(
 
     delivered = (x * inst.durations).sum(axis=0)
     col = x.sum(axis=1)
-    if order_key is None:
-        order_key = np.zeros((h, n))
     for v in range(n):
         deficit = inst.e_lo[v] - delivered[v]
         if deficit <= 1e-12:
@@ -267,9 +231,7 @@ def _repair_exact(
             if deficit <= 1e-12:
                 break
         if deficit > 1e-9:
-            if anchor is not None:
-                return anchor.copy()
-            raise RuntimeError("repair failed and no feasible anchor available")
+            return anchor.copy()
     x[x < 1e-12] = 0.0
     return x
 
@@ -431,6 +393,31 @@ def _descend(model: _Surrogate, x0: np.ndarray):
         if dec <= TOL_OBJ * max(abs(f), 1.0):
             break
     return x, f, iters
+
+
+def _branch_fixed_descent(inst: ProblemInstance, lin: np.ndarray, fw: float,
+                          x0: np.ndarray, anchor: np.ndarray, consider):
+    """Branch-fixing rounds from one start; returns (x, iterations, stable).
+
+    Projects and repairs ``x0``, then freezes the branches of the current
+    point, descends the surrogate ``lin . x + fw * fade`` and repairs the
+    result, until the branches stop changing or the surrogate value moves
+    by less than ``TOL_OBJ``.  ``consider`` sees every repaired iterate.
+    """
+    x = _repair_exact(_project_polytope(x0, inst), inst, lin, anchor)
+    consider(x)
+    iterations, prev = 0, np.inf
+    for _ in range(MAX_BRANCH_ITERS):
+        branches = _derive_branches(x, inst)
+        x, f, iters = _descend(_Surrogate(inst, lin, fw, branches), x)
+        iterations += iters
+        x = _repair_exact(x, inst, lin, anchor)
+        consider(x)
+        stable = np.array_equal(_derive_branches(x, inst), branches)
+        if stable or abs(prev - f) <= TOL_OBJ * max(abs(f), 1.0):
+            break
+        prev = f
+    return x, iterations, stable
 
 
 # ---------------------------------------------------------------------------
@@ -667,30 +654,21 @@ def _minimize_fade(inst: ProblemInstance) -> np.ndarray:
     lin = np.zeros((inst.horizon, inst.n_vehicles))
     best_x, best_f = None, np.inf
     for x0 in (_fill_latest(inst), _fill_spread(inst)):
-        x = _repair_exact(_project_polytope(x0, inst), inst, anchor=fc.point)
-        for _ in range(MAX_BRANCH_ITERS):
-            branches = _derive_branches(x, inst)
-            model = _Surrogate(inst, lin, 1.0, branches)
-            x, _, _ = _descend(model, x)
-            x = _repair_exact(x, inst, anchor=fc.point)
-            if np.array_equal(_derive_branches(x, inst), branches):
-                break
+        x, _, _ = _branch_fixed_descent(inst, lin, 1.0, x0, fc.point, lambda _: None)
         raw = objective_components(x, inst).fade
         if raw < best_f - 1e-15 or (best_x is None):
             best_x, best_f = x, raw
     return _local_move_polish(best_x, inst, lambda parts: parts[:, 1])
 
 
-def solve(
-    inst: ProblemInstance,
-    points: NormalizationPoints | None = None,
-    warm_start: np.ndarray | None = None,
-):
+def solve(inst: ProblemInstance, points: NormalizationPoints | None = None):
     """Minimize the normalized weighted objective; returns (allocation, report).
 
     Deterministic for identical inputs.  The allocation is None exactly when
-    the instance is infeasible.  ``warm_start`` (typically the maximum-power
-    schedule) seeds both a descent start and the initial branch assignment.
+    the instance is infeasible.  Branch-fixed descent starts from the
+    maximum-power allocation, the exact LP corner of the linear objective
+    part (when it has one), and the latest and spread fills; zero-snap and
+    local-move polish then refine the best repaired iterate.
     """
     t0 = time.perf_counter()
 
@@ -738,11 +716,7 @@ def solve(
     fw = a["fade"] / scale["fade"] if scale["fade"] >= NORMALIZATION_EPS else 0.0
 
     tracker = _BestTracker(inst, points, inst.weights)
-    starts = []
-    if warm_start is not None:
-        starts.append(warm_start)
-    else:
-        starts.append(_fill_forward(inst))
+    starts = [max_power_allocation(inst)]
     if np.any(lin != 0.0):
         # Exact corner of the linear objective part; descent only refines
         # the fade trade-off from there.
@@ -754,22 +728,9 @@ def solve(
     iterations = 0
     converged = False
     for x0 in starts:
-        x = _repair_exact(_project_polytope(x0, inst), inst, order_key=lin, anchor=fc.point)
-        tracker.consider(x)
-        prev_obj = np.inf
-        for _round in range(MAX_BRANCH_ITERS):
-            branches = _derive_branches(x, inst)
-            model = _Surrogate(inst, lin, fw, branches)
-            x, f, iters = _descend(model, x)
-            iterations += iters
-            x = _repair_exact(x, inst, order_key=lin, anchor=fc.point)
-            tracker.consider(x)
-            stable = np.array_equal(_derive_branches(x, inst), branches)
-            small_change = abs(prev_obj - f) <= TOL_OBJ * max(abs(f), 1.0)
-            prev_obj = f
-            if stable or small_change:
-                converged = converged or stable
-                break
+        _, iters, stable = _branch_fixed_descent(inst, lin, fw, x0, fc.point, tracker.consider)
+        iterations += iters
+        converged = converged or stable
 
     _zero_snap_polish(tracker.alloc, inst, tracker)
     polished = _local_move_polish(

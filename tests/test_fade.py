@@ -23,7 +23,6 @@ from fleetcharge.fade import (
     fade_fit_report,
     select_branch,
     stress_factors,
-    total_fade_approx,
 )
 
 # Frozen reference values (independent scalar evaluation).
@@ -177,25 +176,6 @@ class TestCalendricFadeApprox:
         sf = stress_factors(slot)
         assert calendric_fade_approx(sf.soc_avg, params) > 0.0
         assert cyclic_fade_approx(slot, params) >= 0.0
-
-
-class TestTotalFadeApprox:
-    def test_idle_slot_is_calendric_only(self, fade_params):
-        got = total_fade_approx(SlotCharge(0.0, 0.0, 0.5, 210.0), fade_params)
-        assert got == 5.356e-05
-
-    def test_definitional_sum(self, fade_params):
-        slot = SlotCharge(0.45, 30.0, 0.5, 210.0)
-        expected = cyclic_fade_approx(slot, fade_params) + calendric_fade_approx(
-            stress_factors(slot).soc_avg, fade_params
-        )
-        assert total_fade_approx(slot, fade_params) == expected
-
-    def test_frozen_sum(self, fade_params):
-        slot = SlotCharge(0.5, 100.0, 1.0 / 12.0, 210.0)
-        soc_avg = stress_factors(slot).soc_avg
-        expected = APPROX_LO_05_100 + fade_params.p1 * soc_avg + fade_params.p2
-        assert total_fade_approx(slot, fade_params) == pytest.approx(expected, rel=1e-12)
 
 
 class TestApproximationQuality:

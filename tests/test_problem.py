@@ -75,10 +75,6 @@ class TestTaskAndPrices:
         with pytest.raises(ValueError):
             ChargingTask("x", 0.0, 1.0, -0.1, 0.8)
 
-    def test_zero_need_flag(self):
-        assert ChargingTask("x", 0.0, 1.0, 0.9, 0.8).zero_need
-        assert not ChargingTask("x", 0.0, 1.0, 0.4, 0.8).zero_need
-
     def test_negative_price_rejected(self):
         prices = {0.0: 0.1, 0.5: -0.2}
         with pytest.raises(ValueError, match="prices must be >= 0"):

@@ -160,7 +160,7 @@ class TestApplySlot:
         state, inst = self._single()
         ledger = apply_slot(state, np.zeros((inst.horizon, 1)), 0, inst)
         assert state.vehicles["v"].soc_cur == 0.5
-        assert ledger.cost_usd == 0.0
+        assert ledger.entries[0].cost_usd == 0.0
         assert ledger.entries[0].current_a == 0.0
 
     def test_soc_recursion(self):
@@ -215,13 +215,6 @@ class TestApplySlot:
 
 
 class TestFleetState:
-    def test_slots_remaining(self):
-        task = ChargingTask("v", 0.0, 2.6, 0.5, 0.8)
-        state = fleet(0.0, 0.5, (task, 0.5))
-        assert state.slots_remaining("v") == 6
-        state.now = 1.0
-        assert state.slots_remaining("v") == 4
-
     def test_current_tasks_reanchored(self):
         task = ChargingTask("v", 0.0, 3.0, 0.4, 0.8)
         state = fleet(0.0, 0.5, (task, 0.4))

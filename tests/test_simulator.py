@@ -8,7 +8,6 @@ from fleetcharge.scheduler import Policy
 from fleetcharge.simulator import (
     Event,
     SimConfig,
-    charging_time,
     peak_power_period,
     run,
     value_loss,
@@ -84,14 +83,6 @@ class TestMetricOps:
         cfg = config()
         alloc = np.full((6, 2), cfg.i_max)
         assert peak_power_period(alloc, cfg) == pytest.approx(12 * cfg.dt)
-
-    def test_charging_time(self):
-        cfg = config()
-        assert charging_time(np.zeros((4, 2)), cfg) == 0.0
-        alloc = np.zeros((4, 1))
-        alloc[0, 0] = 10.0
-        alloc[2, 0] = 5.0
-        assert charging_time(alloc, cfg) == pytest.approx(1.0)
 
     def test_value_loss(self):
         cfg = config()

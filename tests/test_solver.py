@@ -5,11 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fleetcharge.problem import (
     ChargingTask,
     build_constraints,
     compute_normalization_points,
+    max_power_allocation,
     normalized_objective,
     objective_components,
 )
@@ -20,10 +22,10 @@ from fleetcharge.solver import (
     OracleError,
     SolveStatus,
     _column_parts,
-    _fill_forward,
     _fill_latest,
     _fill_spread,
     _local_move_polish,
+    _lp_matrices,
     _normalized_score,
     _project_vehicle_windows,
     _relocation_candidates,
@@ -158,20 +160,18 @@ class TestSolveContracts:
         assert r1.objective == r2.objective
 
     def test_beats_feasible_warm_start(self):
-        """A feasible maximum-power-style schedule is a descent start, so
-        the returned objective never exceeds its objective."""
+        """The maximum-power allocation is the first descent start, so when
+        it is feasible the returned objective never exceeds its objective."""
         task = ChargingTask("v", 0.0, 2.0, 0.5, 0.9)  # 84 Ah on 210
         prices = {i * 0.5: p for i, p in enumerate([0.3, 0.1, 0.2, 0.05])}
         inst = make_instance(
             [task], prices=lambda t: prices[t], soc_xtra_ah=21.0, i_max=80.0
         )
-        warm = np.zeros((4, 1))
-        warm[0, 0] = 80.0
-        warm[1, 0] = 80.0
-        warm[2, 0] = 10.0  # 85 Ah total, inside [84, 105]
+        warm = max_power_allocation(inst)
+        np.testing.assert_array_equal(warm[:, 0], [80.0, 80.0, 50.0, 0.0])  # 105 Ah: full
         assert build_constraints(inst).audit(warm, 1e-9) == []
         pts = _points(inst)
-        alloc, rep = solve(inst, points=pts, warm_start=warm)
+        alloc, rep = solve(inst, points=pts)
         warm_obj = normalized_objective(objective_components(warm, inst), pts, inst.weights)
         assert rep.objective <= warm_obj + 1e-12
 
@@ -191,6 +191,59 @@ class TestSolveContracts:
     def test_branch_assignment_shape(self, two_by_three_instance):
         alloc, rep = solve(two_by_three_instance)
         assert rep.branch_assignment.shape == alloc.shape
+
+
+def _loop_lp_triplets(inst):
+    """Reference (rows, cols, data) of the LP rows, built cell by cell."""
+    h, n = inst.horizon, inst.n_vehicles
+    rows, cols, data = [], [], []
+    for i in range(h):
+        for v in range(n):
+            rows.append(i)
+            cols.append(i * n + v)
+            data.append(1.0)
+    for sign, first in ((1.0, h), (-1.0, h + n)):
+        for v in range(n):
+            for i in range(h):
+                if inst.durations[i, v] > 0:
+                    rows.append(first + v)
+                    cols.append(i * n + v)
+                    data.append(sign * inst.durations[i, v])
+    return rows, cols, data
+
+
+class TestLpMatrices:
+    def test_rows_are_slot_sums_then_window_tops_then_floors(self):
+        """Rows: station cap per slot, delivered Ah per vehicle against the
+        window top, and its negation against the floor; the same sparse
+        arrays as a cell-by-cell build."""
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            # partial last slots, and a vehicle leaving at the start (no slots)
+            deps = [float(rng.uniform(0.1, 4.0)) for _ in range(n - 1)] + [0.0]
+            tasks = [ChargingTask(f"v{v}", 0.0, t, 0.3, 0.5) for v, t in enumerate(deps)]
+            inst = make_instance(tasks, ic_max=float(rng.uniform(80.0, 400.0)),
+                                 soc_xtra_ah=10.0)
+            a_ub, b_ub, bounds = _lp_matrices(inst)
+            h, n = inst.horizon, inst.n_vehicles
+            rows, cols, data = _loop_lp_triplets(inst)
+            ref = sparse.csr_matrix((data, (rows, cols)), shape=(h + 2 * n, h * n))
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(a_ub, name), getattr(ref, name))
+            x = np.where(inst.active, rng.uniform(0.0, inst.i_max, size=(h, n)), 0.0)
+            delivered = (x * inst.durations).sum(axis=0)
+            np.testing.assert_allclose(
+                a_ub @ x.ravel(),
+                np.concatenate([x.sum(axis=1), delivered, -delivered]),
+                rtol=1e-12, atol=1e-12,
+            )
+            np.testing.assert_array_equal(
+                b_ub, np.concatenate([np.full(h, inst.ic_max), inst.e_hi, -inst.e_lo])
+            )
+            np.testing.assert_array_equal(
+                bounds[:, 1], np.where(inst.active, inst.i_max, 0.0).ravel()
+            )
 
 
 class TestOracle:
@@ -443,8 +496,8 @@ class TestColumnBatchedPolish:
                     objective_components(a, inst), pts, inst.weights)),
                 (lambda parts: parts[:, 1], lambda a: objective_components(a, inst).fade),
             ]
-            for start in (_fill_forward(inst), _fill_latest(inst), _fill_spread(inst)):
-                x0 = _repair_exact(start, inst, anchor=point)
+            for start in (max_power_allocation(inst), _fill_latest(inst), _fill_spread(inst)):
+                x0 = _repair_exact(start, inst, np.zeros_like(start), point)
                 for batched, full in scorers:
                     got = _local_move_polish(x0, inst, batched)
                     assert np.array_equal(got, _reference_polish(x0, inst, full))
