@@ -84,7 +84,6 @@ class FleetState:
     """Plugged vehicles and the station clock, in hours."""
 
     now: float
-    dt: float
     vehicles: dict = field(default_factory=dict)  # vehicle_id -> VehicleState
 
     def current_tasks(self) -> list:

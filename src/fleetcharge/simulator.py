@@ -257,7 +257,7 @@ def run(
     if not events:
         return result
 
-    state = FleetState(now=events[0].time_h, dt=config.dt)
+    state = FleetState(now=events[0].time_h)
     schedule: _ActiveSchedule | None = None
     for ev in events:
         _advance(state, schedule, ev.time_h, result, config)

@@ -62,6 +62,8 @@ class OracleError(ValueError):
 
 
 TOL_OBJ = 1e-6          # relative objective convergence tolerance
+JUMP_TRIALS = 3         # the line search ends after this many rejected trials ...
+JUMP_RTOL = 1e-3        # ... whose rises fc - f agree to this relative tolerance
 MAX_BRANCH_ITERS = 20   # branch-fixing rounds
 MAX_INNER_ITERS = 150   # projected-gradient steps per round
 ORACLE_LEVELS = 8       # grid discretization of the oracle
@@ -236,68 +238,100 @@ def _repair_exact(
     return x
 
 
-def _project_vehicle_windows(y: np.ndarray, inst: ProblemInstance) -> np.ndarray:
-    """Euclidean projection of each column onto box + energy-window.
+class _Projector:
+    """Projection onto the schedule polytope, with the instance's constants
+    built once.
 
-    The projection is ``x = clip(y + lam * d, 0, ub)`` with one multiplier
-    per column.  Delivered energy ``s(lam) = sum(d * x)`` is piecewise
-    linear in ``lam``: a cell with ``d > 0`` starts to rise at ``-y / d``
-    and saturates at ``(ub - y) / d``, adding and then removing ``d**2`` of
-    slope.  Sorting those breakpoints and summing the segments gives ``s``
-    at every breakpoint, so ``lam`` follows exactly by interpolation on the
-    segment that brackets the window edge (breakpoint search for the
-    continuous quadratic knapsack).  Cells with ``d = 0`` carry no slope;
-    an unreachable target leaves the column at its box top.
+    :meth:`windows` projects each column onto its box and energy window;
+    calling the projector alternates that with a uniform shave of every
+    slot over the station cap (30 rounds at most).
     """
-    ub = np.where(inst.active, inst.i_max, 0.0)
-    x = np.clip(y, 0.0, ub)
-    d = inst.durations
-    s = (x * d).sum(axis=0)
-    lo_bad = s < inst.e_lo - 1e-12
-    hi_bad = s > inst.e_hi + 1e-12
-    bad = np.where(lo_bad | hi_bad)[0]
-    if len(bad) == 0:
-        return x
-    target = np.where(lo_bad, inst.e_lo, inst.e_hi)[bad]
-    yc, dc, ubc = y[:, bad], d[:, bad], ub[:, bad]
-    # Idle cells (d = 0) divide by inf: they sit at lam = 0 with no slope.
-    safe_d = np.where(dc > 0, dc, np.inf)
-    points = np.concatenate([-yc / safe_d, (ubc - yc) / safe_d])
-    bend = dc * dc
-    bends = np.concatenate([bend, -bend])
-    cols = np.arange(len(bad))
-    order = points.argsort(axis=0, kind="stable")
-    points = points[order, cols]
-    slope = bends[order, cols].cumsum(axis=0)
-    # energy at each breakpoint; s is zero left of the first one
-    energy = np.zeros_like(points)
-    np.cumsum(slope[:-1] * (points[1:] - points[:-1]), axis=0, out=energy[1:])
 
-    reached = energy >= target
-    first = reached.argmax(axis=0)  # first breakpoint at or past the target
-    seg = np.maximum(first - 1, 0)
-    rise = slope[seg, cols]
-    lam = points[seg, cols] + (target - energy[seg, cols]) / np.where(rise > 0, rise, 1.0)
-    lam[first == 0] = points[0, first == 0] - 1.0    # target <= 0
-    top = ~reached.any(axis=0)                       # unreachable: box top
-    lam[top] = points[-1, top] + 1.0
-    x[:, bad] = np.clip(yc + lam * dc, 0.0, ubc)
-    return x
+    def __init__(self, inst: ProblemInstance):
+        d = inst.durations
+        self.d = d
+        self.ub = np.where(inst.active, inst.i_max, 0.0)
+        self.e_lo, self.e_hi = inst.e_lo, inst.e_hi
+        self.lo_tol, self.hi_tol = inst.e_lo - 1e-12, inst.e_hi + 1e-12
+        # Idle cells (d = 0) divide by inf: they sit at lam = 0 with no slope.
+        self.safe_d = np.where(d > 0, d, np.inf)
+        bend = d * d
+        self.bends = np.concatenate([bend, -bend])
+        self.points = np.empty_like(self.bends)
+        self.ic_max = inst.ic_max
+        self.n = max(inst.n_vehicles, 1)
 
+    def windows(self, y: np.ndarray) -> np.ndarray:
+        """Euclidean projection of each column onto box + energy window.
 
-def _project_polytope(y: np.ndarray, inst: ProblemInstance) -> np.ndarray:
-    """Alternating projections onto vehicle windows and station caps (30 rounds at most)."""
-    n = max(inst.n_vehicles, 1)
-    x = y
-    for _ in range(30):
-        x = _project_vehicle_windows(x, inst)
-        col = x.sum(axis=1)
-        excess = col - inst.ic_max
-        if excess.max(initial=0.0) <= 1e-10:
+        The projection is ``x = clip(y + lam * d, 0, ub)`` with one
+        multiplier per column.  Delivered energy ``s(lam) = sum(d * x)`` is
+        piecewise linear in ``lam``: a cell with ``d > 0`` starts to rise at
+        ``-y / d`` and saturates at ``(ub - y) / d``, adding and then
+        removing ``d**2`` of slope.  Sorting those breakpoints and summing
+        the segments gives ``s`` at every breakpoint, so ``lam`` follows
+        exactly by interpolation on the segment that brackets the window
+        edge (breakpoint search for the continuous quadratic knapsack).
+        Cells with ``d = 0`` carry no slope; an unreachable target leaves
+        the column at its box top.
+        """
+        x = np.maximum(y, 0.0)
+        np.minimum(x, self.ub, out=x)
+        s = (x * self.d).sum(axis=0)
+        lo_bad = s < self.lo_tol
+        hi_bad = s > self.hi_tol
+        bad = np.where(lo_bad | hi_bad)[0]
+        k = len(bad)
+        if k == 0:
             return x
-        shave = np.maximum(excess, 0.0) / n
-        x = x - shave[:, None]
-    return _project_vehicle_windows(x, inst)
+        target = np.where(lo_bad, self.e_lo, self.e_hi)
+        h = len(y)
+        every = k == y.shape[1]
+        if every:  # every column out of its window: no gathers
+            yc, dc, ubc, safe_d, bends = y, self.d, self.ub, self.safe_d, self.bends
+        else:
+            target = target[bad]
+            yc, dc, ubc = y[:, bad], self.d[:, bad], self.ub[:, bad]
+            safe_d, bends = self.safe_d[:, bad], self.bends[:, bad]
+        points = self.points[:, :k]
+        np.negative(yc, out=points[:h])
+        np.divide(points[:h], safe_d, out=points[:h])
+        np.subtract(ubc, yc, out=points[h:])
+        np.divide(points[h:], safe_d, out=points[h:])
+        cols = np.arange(k)
+        order = points.argsort(axis=0, kind="stable")
+        points = points[order, cols]
+        slope = bends[order, cols].cumsum(axis=0)
+        # energy at each breakpoint; s is zero left of the first one
+        energy = np.zeros_like(points)
+        np.cumsum(slope[:-1] * (points[1:] - points[:-1]), axis=0, out=energy[1:])
+
+        reached = energy >= target
+        first = reached.argmax(axis=0)  # first breakpoint at or past the target
+        seg = np.maximum(first - 1, 0)
+        rise = slope[seg, cols]
+        lam = points[seg, cols] + (target - energy[seg, cols]) / np.where(rise > 0, rise, 1.0)
+        lam[first == 0] = points[0, first == 0] - 1.0    # target <= 0
+        top = ~reached.any(axis=0)                       # unreachable: box top
+        lam[top] = points[-1, top] + 1.0
+        xc = lam * dc
+        np.add(yc, xc, out=xc)
+        np.maximum(xc, 0.0, out=xc)
+        np.minimum(xc, ubc, out=xc)
+        if every:
+            return xc
+        x[:, bad] = xc
+        return x
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        x = y
+        for _ in range(30):
+            x = self.windows(x)
+            excess = x.sum(axis=1) - self.ic_max
+            if excess.max(initial=0.0) <= 1e-10:
+                return x
+            x -= (np.maximum(excess, 0.0) / self.n)[:, None]
+        return self.windows(x)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +340,14 @@ def _project_polytope(y: np.ndarray, inst: ProblemInstance) -> np.ndarray:
 
 
 class _Surrogate:
-    """Objective model with branch membership frozen per cell."""
+    """Objective model with branch membership frozen per cell, and the
+    instance's projection."""
 
     def __init__(self, inst: ProblemInstance, lin: np.ndarray, fade_weight: float,
-                 is_hi: np.ndarray):
+                 is_hi: np.ndarray, project: _Projector):
         self.coef = inst.fade_params.branch_coefficients(is_hi)
         self.inst = inst
+        self.project = project
         self.lin = lin
         self.fw = fade_weight
         self.frac = np.where(inst.active, inst.durations / inst.grid.dt, 0.0)
@@ -361,10 +397,27 @@ def _derive_branches(x: np.ndarray, inst: ProblemInstance) -> np.ndarray:
     return x >= inst.fade_params.branch_slope * soc_init
 
 
+def _jump(rises: list) -> bool:
+    """True when the last ``JUMP_TRIALS`` rejected rises agree with the latest.
+
+    A rise that no longer shrinks with the step is a jump of the objective,
+    such as the fade activation constant of a cell woken from zero, which
+    every shorter step along the projection arc pays as well.
+    """
+    if len(rises) < JUMP_TRIALS:
+        return False
+    latest = rises[-1]
+    return all(abs(r - latest) <= JUMP_RTOL * abs(latest) for r in rises[-JUMP_TRIALS:])
+
+
 def _descend(model: _Surrogate, x0: np.ndarray):
-    """Projected-gradient descent with backtracking line search."""
-    inst = model.inst
-    x = _project_polytope(x0, inst)
+    """Projected-gradient descent with backtracking line search along the
+    projection arc; returns (x, iterations).
+
+    The line search rejects the iteration after 30 trials or once the
+    rejected rises ``fc - f`` stop shrinking with the step (:func:`_jump`).
+    """
+    x = model.project(x0)
     f = model.value(x)
     step = 1.0
     iters = 0
@@ -376,14 +429,18 @@ def _descend(model: _Surrogate, x0: np.ndarray):
             break
         step = min(step * 2.0, 1e8)
         accepted = False
+        rises = []
         for _bt in range(30):
-            cand = _project_polytope(x - step * g, inst)
+            cand = model.project(x - step * g)
             fc = model.value(cand)
             move = cand - x
             if fc <= f - 1e-4 * float(np.sum(move * move)) / max(step, 1e-16):
                 dec = f - fc
                 x, f = cand, fc
                 accepted = True
+                break
+            rises.append(fc - f)
+            if _jump(rises):
                 break
             step *= 0.5
             if step < 1e-12:
@@ -392,7 +449,7 @@ def _descend(model: _Surrogate, x0: np.ndarray):
             break
         if dec <= TOL_OBJ * max(abs(f), 1.0):
             break
-    return x, f, iters
+    return x, iters
 
 
 def _branch_fixed_descent(inst: ProblemInstance, lin: np.ndarray, fw: float,
@@ -401,22 +458,22 @@ def _branch_fixed_descent(inst: ProblemInstance, lin: np.ndarray, fw: float,
 
     Projects and repairs ``x0``, then freezes the branches of the current
     point, descends the surrogate ``lin . x + fw * fade`` and repairs the
-    result, until the branches stop changing or the surrogate value moves
-    by less than ``TOL_OBJ``.  ``consider`` sees every repaired iterate.
+    result, until the branches stop changing (at most ``MAX_BRANCH_ITERS``
+    rounds).  ``consider`` sees every repaired iterate.
     """
-    x = _repair_exact(_project_polytope(x0, inst), inst, lin, anchor)
+    project = _Projector(inst)
+    x = _repair_exact(project(x0), inst, lin, anchor)
     consider(x)
-    iterations, prev = 0, np.inf
+    iterations = 0
     for _ in range(MAX_BRANCH_ITERS):
         branches = _derive_branches(x, inst)
-        x, f, iters = _descend(_Surrogate(inst, lin, fw, branches), x)
+        x, iters = _descend(_Surrogate(inst, lin, fw, branches, project), x)
         iterations += iters
         x = _repair_exact(x, inst, lin, anchor)
         consider(x)
         stable = np.array_equal(_derive_branches(x, inst), branches)
-        if stable or abs(prev - f) <= TOL_OBJ * max(abs(f), 1.0):
+        if stable:
             break
-        prev = f
     return x, iterations, stable
 
 
@@ -637,7 +694,7 @@ def single_objective_minimizer(inst: ProblemInstance, component: str) -> np.ndar
     elif component == "availability":
         x = _solve_lp(inst, _avail_coeffs(inst))
     elif component == "fade":
-        return _minimize_fade(inst)
+        return _minimize_fade(inst, None)
     else:
         raise ValueError(f"unknown objective component {component!r}")
     if x is None:
@@ -645,10 +702,12 @@ def single_objective_minimizer(inst: ProblemInstance, component: str) -> np.ndar
     return x
 
 
-def _minimize_fade(inst: ProblemInstance) -> np.ndarray:
+def _minimize_fade(inst: ProblemInstance, fc: FeasibilityResult | None) -> np.ndarray:
+    """Fade alone; ``fc`` is the instance's feasibility result, run here when None."""
     if inst.horizon == 0 or inst.n_vehicles == 0:
         return inst.empty_allocation()
-    fc = feasibility_check(inst)
+    if fc is None:
+        fc = feasibility_check(inst)
     if not fc.feasible:
         raise ValueError("infeasible-instance")
     lin = np.zeros((inst.horizon, inst.n_vehicles))
@@ -702,7 +761,12 @@ def solve(inst: ProblemInstance, points: NormalizationPoints | None = None):
     if not fc.feasible:
         return report(SolveStatus.INFEASIBLE)
     if points is None:
-        points = compute_normalization_points(inst, single_objective_minimizer)
+        # The fade payoff reuses this solve's feasibility LP.
+        points = compute_normalization_points(
+            inst,
+            lambda i, component: _minimize_fade(i, fc) if component == "fade"
+            else single_objective_minimizer(i, component),
+        )
 
     # Fold normalization scales into the surrogate coefficients; degenerate
     # components drop out, mirroring normalized_objective.

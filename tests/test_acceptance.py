@@ -128,7 +128,7 @@ def test_criterion_3_real_time_bound():
     limits = StationLimits(dt=0.5, i_max=80.0, ic_max=400.0, voltage=410.0,
                            c_bat=210.0, soc_xtra_ah=21.0,
                            fade_params=FadeModelParams())
-    state = FleetState(now=0.0, dt=0.5)
+    state = FleetState(now=0.0)
     for k in range(14):
         t_dep = 20.0 + 30.0 * k / 13.0
         task = ChargingTask(f"v{k:02d}", 0.0, t_dep,
@@ -201,7 +201,7 @@ def test_criterion_6_deferred_charging():
                            c_bat=210.0, soc_xtra_ah=21.0,
                            fade_params=FadeModelParams())
     task = ChargingTask("v", 0.0, 10.0, 0.4, 0.75)
-    state = FleetState(now=0.0, dt=0.5)
+    state = FleetState(now=0.0)
     state.vehicles["v"] = VehicleState(task=task, soc_cur=0.4)
     base_alloc, _ = baseline_schedule(state, limits, lambda t: 0.1)
     prop_alloc, _, _ = proposed_schedule(state, (0.0, 1.0, 0.0), limits, lambda t: 0.1)

@@ -25,8 +25,8 @@ def limits(**over):
     return StationLimits(**base)
 
 
-def fleet(now, dt, *tasks_soc):
-    state = FleetState(now=now, dt=dt)
+def fleet(now, *tasks_soc):
+    state = FleetState(now=now)
     for task, soc in tasks_soc:
         state.vehicles[task.vehicle_id] = VehicleState(task=task, soc_cur=soc)
     return state
@@ -37,7 +37,7 @@ class TestBaselineSchedule:
         """Half-charged 200 Ah pack at 50 A with 1 h slots: two full-power
         slots, then idle."""
         task = ChargingTask("v", 0.0, 4.0, 0.5, 0.8)
-        state = fleet(0.0, 1.0, (task, 0.5))
+        state = fleet(0.0, (task, 0.5))
         alloc, inst = baseline_schedule(state, limits())
         assert alloc[:, 0] == pytest.approx([50.0, 50.0, 0.0, 0.0])
 
@@ -45,7 +45,7 @@ class TestBaselineSchedule:
         lm = limits(ic_max=50.0)
         early = ChargingTask("early", 0.0, 2.0, 0.5, 0.8)
         late = ChargingTask("late", 0.0, 4.0, 0.5, 0.8)
-        state = fleet(0.0, 1.0, (late, 0.5), (early, 0.5))
+        state = fleet(0.0, (late, 0.5), (early, 0.5))
         alloc, inst = baseline_schedule(state, lm)
         order = [t.vehicle_id for t in inst.tasks]
         assert order == ["early", "late"]
@@ -55,13 +55,13 @@ class TestBaselineSchedule:
         lm = limits(ic_max=80.0)
         early = ChargingTask("early", 0.0, 2.0, 0.5, 0.8)
         late = ChargingTask("late", 0.0, 4.0, 0.5, 0.8)
-        state = fleet(0.0, 1.0, (late, 0.5), (early, 0.5))
+        state = fleet(0.0, (late, 0.5), (early, 0.5))
         alloc, _ = baseline_schedule(state, lm)
         assert alloc[0] == pytest.approx([50.0, 30.0])
 
     def test_full_vehicle_gets_nothing(self):
         task = ChargingTask("v", 0.0, 4.0, 1.0, 1.0)
-        state = fleet(0.0, 1.0, (task, 1.0))
+        state = fleet(0.0, (task, 1.0))
         alloc, _ = baseline_schedule(state, limits())
         assert np.allclose(alloc, 0.0)
 
@@ -69,7 +69,7 @@ class TestBaselineSchedule:
         """Nearly full pack: the single needed slot runs below maximum so
         the SoC recursion cannot overshoot."""
         task = ChargingTask("v", 0.0, 4.0, 0.95, 1.0)
-        state = fleet(0.0, 1.0, (task, 0.95))
+        state = fleet(0.0, (task, 0.95))
         alloc, inst = baseline_schedule(state, limits())
         assert alloc[0, 0] == pytest.approx(10.0)  # 0.05 * 200 Ah over 1 h
         apply_slot(state, alloc, 0, inst)  # must not overflow
@@ -78,7 +78,7 @@ class TestBaselineSchedule:
     def test_never_exceeds_limits(self):
         lm = limits(ic_max=70.0)
         tasks = [ChargingTask(f"v{k}", 0.0, 3.0 + k, 0.4, 0.9) for k in range(3)]
-        state = fleet(0.0, 1.0, *[(t, t.soc_start) for t in tasks])
+        state = fleet(0.0, *[(t, t.soc_start) for t in tasks])
         alloc, _ = baseline_schedule(state, lm)
         assert alloc.max() <= lm.i_max + 1e-12
         assert alloc.sum(axis=1).max() <= lm.ic_max + 1e-12
@@ -87,26 +87,26 @@ class TestBaselineSchedule:
 class TestAdmission:
     def test_vehicle_capacity_reject(self):
         task = ChargingTask("v", 0.0, 1.0, 0.2, 0.8)  # 120 Ah in 50 A*1 h
-        state = FleetState(now=0.0, dt=1.0)
+        state = FleetState(now=0.0)
         res = admit_task(task, state, limits())
         assert not res.accepted and res.reason == "vehicle-capacity"
 
     def test_empty_station_accept(self):
         task = ChargingTask("v", 0.0, 4.0, 0.4, 0.8)
-        res = admit_task(task, FleetState(now=0.0, dt=1.0), limits())
+        res = admit_task(task, FleetState(now=0.0), limits())
         assert res.accepted
 
     def test_station_capacity_reject(self):
         lm = limits(i_max=40.0, ic_max=50.0)
         a = ChargingTask("a", 0.0, 2.0, 0.2, 0.5)
-        state = fleet(0.0, 1.0, (a, 0.2))
+        state = fleet(0.0, (a, 0.2))
         b = ChargingTask("b", 0.0, 2.0, 0.2, 0.5)
         res = admit_task(b, state, lm)
         assert not res.accepted and res.reason == "station-capacity"
 
     def test_accepted_implies_proposed_succeeds(self):
         lm = limits()
-        state = FleetState(now=0.0, dt=1.0)
+        state = FleetState(now=0.0)
         rng = np.random.default_rng(2)
         for k in range(4):
             task = ChargingTask(
@@ -123,13 +123,13 @@ class TestAdmission:
 class TestProposedSchedule:
     def test_empty_state(self):
         alloc, rep, inst = proposed_schedule(
-            FleetState(now=0.0, dt=1.0), (1, 1, 1), limits(), lambda t: 0.1
+            FleetState(now=0.0), (1, 1, 1), limits(), lambda t: 0.1
         )
         assert alloc.shape == (0, 0)
 
     def test_availability_weights_load_earliest(self):
         task = ChargingTask("v", 0.0, 4.0, 0.5, 0.75)
-        state = fleet(0.0, 1.0, (task, 0.5))
+        state = fleet(0.0, (task, 0.5))
         alloc, _, _ = proposed_schedule(state, (0, 0, 1), limits(), lambda t: 0.1)
         assert alloc[0, 0] == pytest.approx(50.0)
 
@@ -137,7 +137,7 @@ class TestProposedSchedule:
         """With only the fade objective and a generous deadline, the
         charge-weighted mean slot index moves later than the baseline's."""
         task = ChargingTask("v", 0.0, 8.0, 0.4, 0.7)
-        state = fleet(0.0, 1.0, (task, 0.4))
+        state = fleet(0.0, (task, 0.4))
         lm = limits()
         base_alloc, _ = baseline_schedule(state, lm)
         prop_alloc, _, _ = proposed_schedule(state, (0, 1, 0), lm, lambda t: 0.1)
@@ -152,7 +152,7 @@ class TestProposedSchedule:
 class TestApplySlot:
     def _single(self, soc=0.5, t_dep=4.0):
         task = ChargingTask("v", 0.0, t_dep, soc, 0.9)
-        state = fleet(0.0, 0.5, (task, soc))
+        state = fleet(0.0, (task, soc))
         _, inst = baseline_schedule(state, limits(dt=0.5), lambda t: 0.2)
         return state, inst
 
@@ -165,7 +165,7 @@ class TestApplySlot:
 
     def test_soc_recursion(self):
         task = ChargingTask("v", 0.0, 4.0, 0.5, 0.9)
-        state = fleet(0.0, 0.5, (task, 0.5))
+        state = fleet(0.0, (task, 0.5))
         _, inst = baseline_schedule(state, limits(dt=0.5, i_max=40.0))
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = 40.0
@@ -217,7 +217,7 @@ class TestApplySlot:
 class TestFleetState:
     def test_current_tasks_reanchored(self):
         task = ChargingTask("v", 0.0, 3.0, 0.4, 0.8)
-        state = fleet(0.0, 0.5, (task, 0.4))
+        state = fleet(0.0, (task, 0.4))
         state.vehicles["v"].soc_cur = 0.6
         state.now = 1.0
         (re_task,) = state.current_tasks()

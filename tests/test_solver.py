@@ -22,14 +22,16 @@ from fleetcharge.solver import (
     OracleError,
     SolveStatus,
     _column_parts,
+    _descend,
     _fill_latest,
     _fill_spread,
     _local_move_polish,
     _lp_matrices,
     _normalized_score,
-    _project_vehicle_windows,
+    _Projector,
     _relocation_candidates,
     _repair_exact,
+    _Surrogate,
     _swap_candidates,
     feasibility_check,
     oracle_grid_search,
@@ -192,6 +194,18 @@ class TestSolveContracts:
         alloc, rep = solve(two_by_three_instance)
         assert rep.branch_assignment.shape == alloc.shape
 
+    def test_one_feasibility_lp_per_solve(self, two_by_three_instance, monkeypatch):
+        """The fade payoff reuses the feasibility result ``solve`` holds."""
+        calls = []
+
+        def counted(inst):
+            calls.append(inst)
+            return feasibility_check(inst)
+
+        monkeypatch.setattr(solver_module, "feasibility_check", counted)
+        alloc, _ = solve(two_by_three_instance)
+        assert alloc is not None and len(calls) == 1
+
 
 def _loop_lp_triplets(inst):
     """Reference (rows, cols, data) of the LP rows, built cell by cell."""
@@ -349,7 +363,8 @@ def _bisection_projection(y, inst, steps=200):
 
 
 class TestProjection:
-    def _case(self, rng):
+    @staticmethod
+    def _case(rng):
         """Random columns on an 8-slot grid: idle (d = 0) active cells,
         inactive tails, windows that hold the clipped column, sit above it
         or below it, and one floor no current in the box can reach."""
@@ -388,7 +403,7 @@ class TestProjection:
             y, inst, top = self._case(rng)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                x = _project_vehicle_windows(y, inst)
+                x = _Projector(inst).windows(y)
             ub = np.where(inst.active, inst.i_max, 0.0)
             assert np.all(x >= 0.0) and np.all(x <= ub)
             delivered = (x * inst.durations).sum(axis=0)
@@ -403,11 +418,170 @@ class TestProjection:
     def test_unreachable_floor_is_box_top(self):
         y, inst, _ = self._case(np.random.default_rng(7))
         v = inst.n_vehicles - 1
-        x = _project_vehicle_windows(y, inst)
+        x = _Projector(inst).windows(y)
         ub = np.where(inst.active, inst.i_max, 0.0)
         live = inst.durations[:, v] > 0
         assert np.array_equal(x[live, v], ub[live, v])
         assert np.array_equal(x[~live, v], np.clip(y[~live, v], 0.0, ub[~live, v]))
+
+
+def _reference_windows(y, inst):
+    """The per-call column projection the projector replaced, kept as written."""
+    ub = np.where(inst.active, inst.i_max, 0.0)
+    x = np.clip(y, 0.0, ub)
+    d = inst.durations
+    s = (x * d).sum(axis=0)
+    lo_bad = s < inst.e_lo - 1e-12
+    hi_bad = s > inst.e_hi + 1e-12
+    bad = np.where(lo_bad | hi_bad)[0]
+    if len(bad) == 0:
+        return x
+    target = np.where(lo_bad, inst.e_lo, inst.e_hi)[bad]
+    yc, dc, ubc = y[:, bad], d[:, bad], ub[:, bad]
+    safe_d = np.where(dc > 0, dc, np.inf)
+    points = np.concatenate([-yc / safe_d, (ubc - yc) / safe_d])
+    bend = dc * dc
+    bends = np.concatenate([bend, -bend])
+    cols = np.arange(len(bad))
+    order = points.argsort(axis=0, kind="stable")
+    points = points[order, cols]
+    slope = bends[order, cols].cumsum(axis=0)
+    energy = np.zeros_like(points)
+    np.cumsum(slope[:-1] * (points[1:] - points[:-1]), axis=0, out=energy[1:])
+    reached = energy >= target
+    first = reached.argmax(axis=0)
+    seg = np.maximum(first - 1, 0)
+    rise = slope[seg, cols]
+    lam = points[seg, cols] + (target - energy[seg, cols]) / np.where(rise > 0, rise, 1.0)
+    lam[first == 0] = points[0, first == 0] - 1.0
+    top = ~reached.any(axis=0)
+    lam[top] = points[-1, top] + 1.0
+    x[:, bad] = np.clip(yc + lam * dc, 0.0, ubc)
+    return x
+
+
+def _reference_polytope(y, inst):
+    """The alternating loop the projector replaced: window projections and a
+    uniform shave of every slot over the station cap, 30 rounds at most."""
+    n = max(inst.n_vehicles, 1)
+    x = y
+    for _ in range(30):
+        x = _reference_windows(x, inst)
+        col = x.sum(axis=1)
+        excess = col - inst.ic_max
+        if excess.max(initial=0.0) <= 1e-10:
+            return x
+        shave = np.maximum(excess, 0.0) / n
+        x = x - shave[:, None]
+    return _reference_windows(x, inst)
+
+
+class TestProjector:
+    @pytest.mark.parametrize("windows", ["mixed", "all-out", "none-out"])
+    @pytest.mark.parametrize("ic_max", [400.0, 90.0, 30.0])
+    def test_bit_equal_to_alternating_loop(self, windows, ic_max):
+        """Seeded columns with idle cells, inactive tails, zero window tops and
+        an unreachable floor; every column, some or none out of its window;
+        a slack, a binding and a tight station cap.  One projector serves
+        several calls, and no call changes an earlier call's output."""
+        rng = np.random.default_rng(11)
+        kept = []
+        for _ in range(12):
+            y, inst, top = TestProjection._case(rng)
+            ub = np.where(inst.active, inst.i_max, 0.0)
+            clipped = (np.clip(y, 0.0, ub) * inst.durations).sum(axis=0)
+            if windows == "all-out":    # tops below, or floors above, every column
+                inst = dataclasses.replace(
+                    inst, e_lo=np.where(clipped > 0, 0.25 * clipped, 0.5 * top + 1.0),
+                    e_hi=np.where(clipped > 0, 0.5 * clipped, 0.5 * top + 2.0))
+                assert np.all((clipped < inst.e_lo - 1e-12) | (clipped > inst.e_hi + 1e-12))
+            elif windows == "none-out":
+                inst = dataclasses.replace(inst, e_lo=np.zeros_like(top), e_hi=top + 1.0)
+            inst = dataclasses.replace(inst, ic_max=ic_max)
+            project = _Projector(inst)
+            for z in (y, 0.5 * y, y):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    x = project(z)
+                    assert x.tobytes() == _reference_polytope(z, inst).tobytes()
+                    assert np.array_equal(project.windows(z), _reference_windows(z, inst))
+                kept.append((x, x.copy()))
+        assert all(np.array_equal(x, snapshot) for x, snapshot in kept)
+
+
+def _woken_cell_model(inst, slope):
+    """Surrogate whose one cell sits at zero, pulled up with gradient ``slope``:
+    any positive current pays the fade activation constant."""
+    p = inst.fade_params
+    half = 0.5 * inst.durations / inst.c_bat
+    frac = inst.durations / inst.grid.dt
+    lin = np.full((1, 1), slope) - frac * p.p1 * half
+    project = _Projector(inst)
+    calls = []
+
+    def counted(y):
+        calls.append(1)
+        return project(y)
+
+    is_hi = np.zeros((1, 1), dtype=bool)
+    return _Surrogate(inst, lin, 1.0, is_hi, counted), calls
+
+
+class _Quadratic:
+    """Smooth model ``0.5 * a * |x - c|^2`` on the box [0, 100]: a long step
+    overshoots, and the rise shrinks with the step."""
+
+    def __init__(self, a, c):
+        self.a, self.c = a, c
+        self.trials = []   # projections per line search
+
+    def project(self, y):
+        self.trials[-1] += 1
+        return np.clip(y, 0.0, 100.0)
+
+    def value(self, x):
+        return 0.5 * self.a * float(np.sum((x - self.c) ** 2))
+
+    def gradient(self, x):
+        self.trials.append(0)
+        return self.a * (x - self.c)
+
+
+class TestLineSearch:
+    def _instance(self):
+        task = ChargingTask("v", 0.0, 0.5, 0.2, 0.2)   # nothing owed, 21 Ah allowed
+        return dataclasses.replace(make_instance([task]), e_hi=np.array([21.0]))
+
+    def test_stops_at_activation_jump(self, monkeypatch):
+        inst = self._instance()
+        model, calls = _woken_cell_model(inst, -1e-5)
+        x0 = np.zeros((1, 1))
+        assert model.gradient(x0)[0, 0] == pytest.approx(-1e-5, rel=1e-6)
+        x, iters = _descend(model, x0)
+        jump_calls, jump = len(calls), solver_module.JUMP_TRIALS
+        monkeypatch.setattr(solver_module, "JUMP_TRIALS", 31)  # exit never fires
+        full_model, full_calls = _woken_cell_model(inst, -1e-5)
+        x_full, iters_full = _descend(full_model, x0)
+        assert len(full_calls) == 1 + 30          # start plus every trial rejected
+        assert jump_calls == 1 + jump
+        assert iters == iters_full == 1
+        assert np.array_equal(x, x_full) and np.all(x == 0.0)
+
+    def test_smooth_rise_backtracks_to_accept(self, monkeypatch):
+        c = np.array([[3.0, 40.0], [0.0, 7.5]])
+        x0 = np.array([[20.0, 10.0], [5.0, 0.0]])
+        model = _Quadratic(10.0, c)
+        model.trials.append(0)   # the start's projection
+        x, _ = _descend(model, x0)
+        jump = solver_module.JUMP_TRIALS
+        monkeypatch.setattr(solver_module, "JUMP_TRIALS", 31)
+        full = _Quadratic(10.0, c)
+        full.trials.append(0)
+        x_full, _ = _descend(full, x0)
+        assert model.trials == full.trials and np.array_equal(x, x_full)
+        # the first line search rejects more than JUMP_TRIALS overshoots, then accepts
+        assert model.trials[1] > jump
+        assert model.value(x) < 1e-6 * model.value(x0)
 
 
 def _oracle_sized_instances(seed, count):
