@@ -2,7 +2,8 @@
 
 Runs week ``compare``, overnight ``sweep`` and overnight ``simulate --policy
 proposed`` from this checkout's ``src/`` into one directory each, then prints
-a sha256 per report file.  ``timing*.json`` holds wall times and is left out.
+a sha256 per report file.  ``--out`` must be new or empty, so every digest
+comes from this run.  ``timing*.json`` holds wall times and is left out.
 With ``--against DIR`` (the output directory of an earlier run, for example
 one made from another commit) it lists the files that differ or exist on
 one side only, and exits 1 if there are any.
@@ -64,6 +65,8 @@ def main(argv=None) -> int:
                         help="output directory of an earlier run to compare with")
     args = parser.parse_args(argv)
     out = Path(args.out)
+    if out.exists() and any(out.iterdir()):
+        parser.error(f"--out {out} is not empty")
     for name in RUNS:
         _run(name, out)
     mine = digests(out)

@@ -257,7 +257,6 @@ class _Projector:
         self.safe_d = np.where(d > 0, d, np.inf)
         bend = d * d
         self.bends = np.concatenate([bend, -bend])
-        self.points = np.empty_like(self.bends)
         self.ic_max = inst.ic_max
         self.n = max(inst.n_vehicles, 1)
 
@@ -275,30 +274,19 @@ class _Projector:
         Cells with ``d = 0`` carry no slope; an unreachable target leaves
         the column at its box top.
         """
-        x = np.maximum(y, 0.0)
-        np.minimum(x, self.ub, out=x)
+        x = np.clip(y, 0.0, self.ub)
         s = (x * self.d).sum(axis=0)
         lo_bad = s < self.lo_tol
         hi_bad = s > self.hi_tol
         bad = np.where(lo_bad | hi_bad)[0]
-        k = len(bad)
-        if k == 0:
+        if len(bad) == 0:
             return x
-        target = np.where(lo_bad, self.e_lo, self.e_hi)
-        h = len(y)
-        every = k == y.shape[1]
-        if every:  # every column out of its window: no gathers
-            yc, dc, ubc, safe_d, bends = y, self.d, self.ub, self.safe_d, self.bends
-        else:
-            target = target[bad]
-            yc, dc, ubc = y[:, bad], self.d[:, bad], self.ub[:, bad]
-            safe_d, bends = self.safe_d[:, bad], self.bends[:, bad]
-        points = self.points[:, :k]
-        np.negative(yc, out=points[:h])
-        np.divide(points[:h], safe_d, out=points[:h])
-        np.subtract(ubc, yc, out=points[h:])
-        np.divide(points[h:], safe_d, out=points[h:])
-        cols = np.arange(k)
+        target = np.where(lo_bad, self.e_lo, self.e_hi)[bad]
+        yc, dc, ubc = y[:, bad], self.d[:, bad], self.ub[:, bad]
+        safe_d = self.safe_d[:, bad]
+        points = np.concatenate([-yc / safe_d, (ubc - yc) / safe_d])
+        bends = self.bends[:, bad]
+        cols = np.arange(len(bad))
         order = points.argsort(axis=0, kind="stable")
         points = points[order, cols]
         slope = bends[order, cols].cumsum(axis=0)
@@ -314,13 +302,7 @@ class _Projector:
         lam[first == 0] = points[0, first == 0] - 1.0    # target <= 0
         top = ~reached.any(axis=0)                       # unreachable: box top
         lam[top] = points[-1, top] + 1.0
-        xc = lam * dc
-        np.add(yc, xc, out=xc)
-        np.maximum(xc, 0.0, out=xc)
-        np.minimum(xc, ubc, out=xc)
-        if every:
-            return xc
-        x[:, bad] = xc
+        x[:, bad] = np.clip(yc + lam * dc, 0.0, ubc)
         return x
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
@@ -330,7 +312,7 @@ class _Projector:
             excess = x.sum(axis=1) - self.ic_max
             if excess.max(initial=0.0) <= 1e-10:
                 return x
-            x -= (np.maximum(excess, 0.0) / self.n)[:, None]
+            x = x - (np.maximum(excess, 0.0) / self.n)[:, None]
         return self.windows(x)
 
 
@@ -402,7 +384,9 @@ def _jump(rises: list) -> bool:
 
     A rise that no longer shrinks with the step is a jump of the objective,
     such as the fade activation constant of a cell woken from zero, which
-    every shorter step along the projection arc pays as well.
+    every shorter step along the projection arc pays as well.  ``rises``
+    holds one rise per distinct candidate: steps that the projection clips
+    to the same point say nothing about how the rise scales with the step.
     """
     if len(rises) < JUMP_TRIALS:
         return False
@@ -415,7 +399,8 @@ def _descend(model: _Surrogate, x0: np.ndarray):
     projection arc; returns (x, iterations).
 
     The line search rejects the iteration after 30 trials or once the
-    rejected rises ``fc - f`` stop shrinking with the step (:func:`_jump`).
+    rejected rises ``fc - f`` of distinct candidates stop shrinking with the
+    step (:func:`_jump`).
     """
     x = model.project(x0)
     f = model.value(x)
@@ -429,7 +414,7 @@ def _descend(model: _Surrogate, x0: np.ndarray):
             break
         step = min(step * 2.0, 1e8)
         accepted = False
-        rises = []
+        rises, prev = [], None
         for _bt in range(30):
             cand = model.project(x - step * g)
             fc = model.value(cand)
@@ -439,9 +424,11 @@ def _descend(model: _Surrogate, x0: np.ndarray):
                 x, f = cand, fc
                 accepted = True
                 break
-            rises.append(fc - f)
-            if _jump(rises):
-                break
+            if prev is None or not np.array_equal(cand, prev):
+                rises.append(fc - f)
+                if _jump(rises):
+                    break
+            prev = cand
             step *= 0.5
             if step < 1e-12:
                 break
@@ -694,7 +681,12 @@ def single_objective_minimizer(inst: ProblemInstance, component: str) -> np.ndar
     elif component == "availability":
         x = _solve_lp(inst, _avail_coeffs(inst))
     elif component == "fade":
-        return _minimize_fade(inst, None)
+        if inst.horizon == 0 or inst.n_vehicles == 0:
+            return inst.empty_allocation()
+        fc = feasibility_check(inst)
+        if not fc.feasible:
+            raise ValueError("infeasible-instance")
+        return _minimize_fade(inst, fc.point)
     else:
         raise ValueError(f"unknown objective component {component!r}")
     if x is None:
@@ -702,18 +694,13 @@ def single_objective_minimizer(inst: ProblemInstance, component: str) -> np.ndar
     return x
 
 
-def _minimize_fade(inst: ProblemInstance, fc: FeasibilityResult | None) -> np.ndarray:
-    """Fade alone; ``fc`` is the instance's feasibility result, run here when None."""
-    if inst.horizon == 0 or inst.n_vehicles == 0:
-        return inst.empty_allocation()
-    if fc is None:
-        fc = feasibility_check(inst)
-    if not fc.feasible:
-        raise ValueError("infeasible-instance")
+def _minimize_fade(inst: ProblemInstance, anchor: np.ndarray) -> np.ndarray:
+    """Fade alone on a non-empty feasible instance; ``anchor`` is its
+    feasibility point."""
     lin = np.zeros((inst.horizon, inst.n_vehicles))
     best_x, best_f = None, np.inf
     for x0 in (_fill_latest(inst), _fill_spread(inst)):
-        x, _, _ = _branch_fixed_descent(inst, lin, 1.0, x0, fc.point, lambda _: None)
+        x, _, _ = _branch_fixed_descent(inst, lin, 1.0, x0, anchor, lambda _: None)
         raw = objective_components(x, inst).fade
         if raw < best_f - 1e-15 or (best_x is None):
             best_x, best_f = x, raw
@@ -764,7 +751,7 @@ def solve(inst: ProblemInstance, points: NormalizationPoints | None = None):
         # The fade payoff reuses this solve's feasibility LP.
         points = compute_normalization_points(
             inst,
-            lambda i, component: _minimize_fade(i, fc) if component == "fade"
+            lambda i, component: _minimize_fade(i, fc.point) if component == "fade"
             else single_objective_minimizer(i, component),
         )
 

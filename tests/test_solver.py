@@ -583,6 +583,28 @@ class TestLineSearch:
         assert model.trials[1] > jump
         assert model.value(x) < 1e-6 * model.value(x0)
 
+    def test_saturated_steps_are_not_a_jump(self, monkeypatch):
+        """Long steps that the box clips to one corner give equal rises; they
+        count once, so the search halves on until the candidate moves inside
+        the box and is accepted."""
+        c = np.array([[3.0, 40.0], [0.0, 7.5]])
+        x0 = np.array([[20.0, 10.0], [5.0, 0.0]])
+        model = _Quadratic(1000.0, c)
+        model.trials.append(0)
+        corner = np.array([[0.0, 100.0], [0.0, 100.0]])
+        for step in (2.0, 1.0, 0.5):
+            assert np.array_equal(model.project(x0 - step * model.gradient(x0)), corner)
+        model.trials.clear()
+        model.trials.append(0)
+        x, _ = _descend(model, x0)
+        monkeypatch.setattr(solver_module, "JUMP_TRIALS", 31)
+        full = _Quadratic(1000.0, c)
+        full.trials.append(0)
+        x_full, _ = _descend(full, x0)
+        assert model.trials == full.trials and np.array_equal(x, x_full)
+        assert not np.array_equal(x, x0)
+        assert model.value(x) < 1e-6 * model.value(x0)
+
 
 def _oracle_sized_instances(seed, count):
     """Instances drawn like acceptance criterion 2's (at most 12 cells)."""
