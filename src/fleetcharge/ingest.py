@@ -18,6 +18,7 @@ import bisect
 import csv
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -72,6 +73,8 @@ class SessionRecord:
             raise ValueError(
                 f"session {self.session_id}: connection not before disconnect"
             )
+        if not math.isfinite(self.kwh_requested):
+            raise ValueError(f"session {self.session_id}: energy request is not finite")
         if self.kwh_requested < 0:
             raise ValueError(f"session {self.session_id}: negative energy request")
 
@@ -219,6 +222,8 @@ def parse_prices(path) -> PriceCurve:
                 raise MalformedRowError(path, line_no, f"{len(row)} columns")
             try:
                 price = float(row[1])
+                if not math.isfinite(price):
+                    raise ValueError("price is not finite")
                 if price < 0:
                     raise ValueError("negative price")
                 records.append(PriceRecord(timestamp=_parse_ts(row[0]), price=price))
@@ -335,6 +340,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                     values[key] = float(val)
                 except ValueError as exc:
                     raise MalformedRowError(path, line_no, f"bad number {val!r}") from exc
+                if not math.isfinite(values[key]):
+                    raise MalformedRowError(path, line_no, f"not a finite number {val!r}")
     for key, val in (overrides or {}).items():
         if key not in values:
             raise ValueError(f"unknown config key {key!r}")

@@ -218,6 +218,8 @@ def build_instance(
     )
 
     wep = np.array([prices_fn(t_s + i * dt) for i in range(horizon)])
+    if not np.all(np.isfinite(wep)):
+        raise ValueError("prices must be finite")
     if np.any(wep < 0):
         raise ValueError("prices must be >= 0")
     return ProblemInstance(

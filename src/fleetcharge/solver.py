@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .fade import Branch
+from .fade import Branch, BranchCoefficients
 from .problem import (
     COMPONENTS,
     NORMALIZATION_EPS,
@@ -242,9 +242,12 @@ class _Projector:
     """Projection onto the schedule polytope, with the instance's constants
     built once.
 
-    :meth:`windows` projects each column onto its box and energy window;
-    calling the projector alternates that with a uniform shave of every
-    slot over the station cap (30 rounds at most).
+    Both methods take a stack of points ``(k, H, V)``, one per start, and
+    treat each start exactly as it would be treated alone.  :meth:`windows`
+    projects each column onto its box and energy window; calling the
+    projector alternates that with a uniform shave of every slot over the
+    station cap (30 rounds at most).  A start leaves the rounds as soon as
+    its slots are within the cap.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -253,10 +256,13 @@ class _Projector:
         self.ub = np.where(inst.active, inst.i_max, 0.0)
         self.e_lo, self.e_hi = inst.e_lo, inst.e_hi
         self.lo_tol, self.hi_tol = inst.e_lo - 1e-12, inst.e_hi + 1e-12
+        # One row per vehicle, for the out-of-window columns' breakpoint search.
+        self.d_rows = d.T.copy()
+        self.ub_rows = self.ub.T.copy()
         # Idle cells (d = 0) divide by inf: they sit at lam = 0 with no slope.
-        self.safe_d = np.where(d > 0, d, np.inf)
-        bend = d * d
-        self.bends = np.concatenate([bend, -bend])
+        self.safe_d_rows = np.where(d > 0, d, np.inf).T.copy()
+        bend = self.d_rows * self.d_rows
+        self.bends = np.concatenate([bend, -bend], axis=1)
         self.ic_max = inst.ic_max
         self.n = max(inst.n_vehicles, 1)
 
@@ -272,48 +278,57 @@ class _Projector:
         exactly by interpolation on the segment that brackets the window
         edge (breakpoint search for the continuous quadratic knapsack).
         Cells with ``d = 0`` carry no slope; an unreachable target leaves
-        the column at its box top.
+        the column at its box top.  The out-of-window columns of every
+        start are searched together, one row each.
         """
         x = np.clip(y, 0.0, self.ub)
-        s = (x * self.d).sum(axis=0)
+        # Summed over axis 1, a start's delivered energy adds its slots in
+        # the order an (H, V) column sum does, for V = 1 as well.
+        s = (x * self.d).sum(axis=1)
         lo_bad = s < self.lo_tol
         hi_bad = s > self.hi_tol
-        bad = np.where(lo_bad | hi_bad)[0]
-        if len(bad) == 0:
+        ks, vs = np.nonzero(lo_bad | hi_bad)
+        if len(vs) == 0:
             return x
-        target = np.where(lo_bad, self.e_lo, self.e_hi)[bad]
-        yc, dc, ubc = y[:, bad], self.d[:, bad], self.ub[:, bad]
-        safe_d = self.safe_d[:, bad]
-        points = np.concatenate([-yc / safe_d, (ubc - yc) / safe_d])
-        bends = self.bends[:, bad]
-        cols = np.arange(len(bad))
-        order = points.argsort(axis=0, kind="stable")
-        points = points[order, cols]
-        slope = bends[order, cols].cumsum(axis=0)
+        target = np.where(lo_bad, self.e_lo, self.e_hi)[ks, vs]
+        yc, dc, ubc = y[ks, :, vs], self.d_rows[vs], self.ub_rows[vs]
+        safe_d = self.safe_d_rows[vs]
+        points = np.concatenate([-yc / safe_d, (ubc - yc) / safe_d], axis=1)
+        rows = np.arange(len(vs))
+        order = points.argsort(axis=1, kind="stable")
+        points = points[rows[:, None], order]
+        slope = self.bends[vs[:, None], order].cumsum(axis=1)
         # energy at each breakpoint; s is zero left of the first one
         energy = np.zeros_like(points)
-        np.cumsum(slope[:-1] * (points[1:] - points[:-1]), axis=0, out=energy[1:])
+        np.cumsum(slope[:, :-1] * (points[:, 1:] - points[:, :-1]), axis=1, out=energy[:, 1:])
 
-        reached = energy >= target
-        first = reached.argmax(axis=0)  # first breakpoint at or past the target
+        reached = energy >= target[:, None]
+        first = reached.argmax(axis=1)  # first breakpoint at or past the target
         seg = np.maximum(first - 1, 0)
-        rise = slope[seg, cols]
-        lam = points[seg, cols] + (target - energy[seg, cols]) / np.where(rise > 0, rise, 1.0)
-        lam[first == 0] = points[0, first == 0] - 1.0    # target <= 0
-        top = ~reached.any(axis=0)                       # unreachable: box top
-        lam[top] = points[-1, top] + 1.0
-        x[:, bad] = np.clip(yc + lam * dc, 0.0, ubc)
+        rise = slope[rows, seg]
+        lam = points[rows, seg] + (target - energy[rows, seg]) / np.where(rise > 0, rise, 1.0)
+        lam[first == 0] = points[first == 0, 0] - 1.0    # target <= 0
+        top = ~reached.any(axis=1)                       # unreachable: box top
+        lam[top] = points[top, -1] + 1.0
+        x[ks, :, vs] = np.clip(yc + lam[:, None] * dc, 0.0, ubc)
         return x
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
+        out = np.empty_like(y)
+        live = np.arange(len(y))
         x = y
         for _ in range(30):
             x = self.windows(x)
-            excess = x.sum(axis=1) - self.ic_max
-            if excess.max(initial=0.0) <= 1e-10:
-                return x
-            x = x - (np.maximum(excess, 0.0) / self.n)[:, None]
-        return self.windows(x)
+            excess = x.sum(axis=2) - self.ic_max
+            done = excess.max(axis=1, initial=0.0) <= 1e-10
+            if done.any():
+                out[live[done]] = x[done]
+                if done.all():
+                    return out
+                live, x, excess = live[~done], x[~done], excess[~done]
+            x = x - (np.maximum(excess, 0.0) / self.n)[:, :, None]
+        out[live] = self.windows(x)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +337,17 @@ class _Projector:
 
 
 class _Surrogate:
-    """Objective model with branch membership frozen per cell, and the
-    instance's projection."""
+    """Objective model of a stack of starts, each with its own branch
+    membership frozen per cell, and the instance's projection.
+
+    ``value`` and ``gradient`` take points ``(m, H, V)`` of the starts
+    ``rows`` and return one value (m,) and one gradient (m, H, V) per start.
+    """
 
     def __init__(self, inst: ProblemInstance, lin: np.ndarray, fade_weight: float,
                  is_hi: np.ndarray, project: _Projector):
-        self.coef = inst.fade_params.branch_coefficients(is_hi)
+        c = inst.fade_params.branch_coefficients(is_hi)
+        self.coef = np.stack([c.p00, c.p10, c.p01, c.p11, c.p02])  # (5, k, H, V)
         self.inst = inst
         self.project = project
         self.lin = lin
@@ -340,26 +360,30 @@ class _Surrogate:
         inst = self.inst
         delta = x * self.dc
         soc = np.empty_like(delta)
-        soc[0, :] = inst.soc_start
+        soc[:, 0, :] = inst.soc_start
         if inst.horizon > 1:
-            soc[1:, :] = inst.soc_start[None, :] + np.cumsum(delta, axis=0)[:-1, :]
+            soc[:, 1:, :] = inst.soc_start + np.cumsum(delta, axis=1)[:, :-1, :]
         return soc
 
-    def _pieces(self, x):
+    def _pieces(self, x, rows):
+        c = BranchCoefficients(*self.coef[:, rows])
         avg = self._soc_init(x) + self.half * x
-        poly = self.coef.evaluate(avg, x)
+        poly = c.evaluate(avg, x)
         mask = self.inst.active & (x > 0.0) & (poly > 0.0)
-        return avg, poly, mask
+        return c, avg, poly, mask
 
-    def value(self, x) -> float:
-        avg, poly, mask = self._pieces(x)
+    def value(self, x, rows) -> np.ndarray:
+        _, avg, poly, mask = self._pieces(x, rows)
         p = self.inst.fade_params
-        fade = float(np.sum(poly[mask])) + float(np.sum(self.frac * (p.p1 * avg + p.p2)))
-        return float(np.sum(self.lin * x)) + self.fw * fade
+        flat = (len(x), -1)
+        # Each start sums its own active cells, as it would alone.
+        active = np.array([np.sum(pj[mj]) for pj, mj in zip(poly, mask)])
+        fade = active + (self.frac * (p.p1 * avg + p.p2)).reshape(flat).sum(axis=1)
+        return (self.lin * x).reshape(flat).sum(axis=1) + self.fw * fade
 
-    def gradient(self, x) -> np.ndarray:
-        avg, poly, mask = self._pieces(x)
-        p, c = self.inst.fade_params, self.coef
+    def gradient(self, x, rows) -> np.ndarray:
+        c, avg, _, mask = self._pieces(x, rows)
+        p = self.inst.fade_params
         own = np.where(
             mask,
             (c.p10 + c.p11 * x) * self.half + c.p01 + c.p11 * avg + 2.0 * x * c.p02,
@@ -367,7 +391,7 @@ class _Surrogate:
         )
         own = own + self.frac * p.p1 * self.half
         path_src = np.where(mask, c.p10 + c.p11 * x, 0.0) + self.frac * p.p1
-        suffix = np.flip(np.cumsum(np.flip(path_src, 0), 0), 0) - path_src
+        suffix = np.flip(np.cumsum(np.flip(path_src, 1), 1), 1) - path_src
         return self.lin + self.fw * (own + self.dc * suffix)
 
 
@@ -395,73 +419,94 @@ def _jump(rises: list) -> bool:
 
 
 def _descend(model: _Surrogate, x0: np.ndarray):
-    """Projected-gradient descent with backtracking line search along the
-    projection arc; returns (x, iterations).
+    """Projected-gradient descent of a stack of starts ``x0`` (k, H, V), with
+    backtracking line search along the projection arc; returns (x,
+    iterations), one of each per start.
 
-    The line search rejects the iteration after 30 trials or once the
-    rejected rises ``fc - f`` of distinct candidates stop shrinking with the
-    step (:func:`_jump`).
+    The starts advance in lockstep, one line-search trial per live start per
+    tick, and each keeps its own step, rises and exits, so it follows the
+    path it would follow alone.  A line search rejects its iteration after
+    30 trials or once the rejected rises ``fc - f`` of distinct candidates
+    stop shrinking with the step (:func:`_jump`).  A start ends on a zero
+    gradient, a rejected iteration, a decrease within ``TOL_OBJ`` or its
+    ``MAX_INNER_ITERS``-th iteration.
     """
     x = model.project(x0)
-    f = model.value(x)
-    step = 1.0
-    iters = 0
-    for _ in range(MAX_INNER_ITERS):
-        iters += 1
-        g = model.gradient(x)
-        g_inf = np.abs(g).max(initial=0.0)
-        if g_inf <= 0:
-            break
-        step = min(step * 2.0, 1e8)
-        accepted = False
-        rises, prev = [], None
-        for _bt in range(30):
-            cand = model.project(x - step * g)
-            fc = model.value(cand)
-            move = cand - x
-            if fc <= f - 1e-4 * float(np.sum(move * move)) / max(step, 1e-16):
-                dec = f - fc
-                x, f = cand, fc
-                accepted = True
-                break
-            if prev is None or not np.array_equal(cand, prev):
-                rises.append(fc - f)
-                if _jump(rises):
-                    break
-            prev = cand
-            step *= 0.5
-            if step < 1e-12:
-                break
-        if not accepted:
-            break
-        if dec <= TOL_OBJ * max(abs(f), 1.0):
-            break
-    return x, iters
+    k = len(x)
+    f = model.value(x, np.arange(k))
+    g = np.empty_like(x)
+    step = np.ones(k)
+    iters = np.zeros(k, dtype=int)
+    trials, rises, prev = [0] * k, [[] for _ in range(k)], [None] * k
+    live, fresh = [], np.arange(k)   # fresh: starts that begin an iteration
+    while True:
+        if len(fresh):
+            iters[fresh] += 1
+            g[fresh] = model.gradient(x[fresh], fresh)
+            stalled = np.abs(g[fresh]).max(axis=(1, 2), initial=0.0) <= 0
+            fresh = fresh[~stalled]
+            step[fresh] = np.minimum(step[fresh] * 2.0, 1e8)
+            for j in fresh:
+                trials[j], rises[j], prev[j] = 0, [], None
+            live += fresh.tolist()
+        if not live:
+            return x, iters
+        rows = np.array(live)
+        cand = model.project(x[rows] - step[rows, None, None] * g[rows])
+        fc = model.value(cand, rows)
+        move = cand - x[rows]
+        sq = (move * move).reshape(len(rows), -1).sum(axis=1)
+        accepted = fc <= f[rows] - 1e-4 * sq / np.maximum(step[rows], 1e-16)
+        live, fresh = [], []
+        for i, j in enumerate(rows.tolist()):
+            if accepted[i]:
+                dec = f[j] - fc[i]
+                x[j], f[j] = cand[i], fc[i]
+                if not (dec <= TOL_OBJ * max(abs(f[j]), 1.0) or iters[j] == MAX_INNER_ITERS):
+                    fresh.append(j)
+                continue
+            if prev[j] is None or not np.array_equal(cand[i], prev[j]):
+                rises[j].append(fc[i] - f[j])
+                if _jump(rises[j]):
+                    continue
+            prev[j] = cand[i]
+            step[j] *= 0.5
+            trials[j] += 1
+            if not (step[j] < 1e-12 or trials[j] == 30):
+                live.append(j)
+        fresh = np.array(fresh, dtype=int)
 
 
 def _branch_fixed_descent(inst: ProblemInstance, lin: np.ndarray, fw: float,
-                          x0: np.ndarray, anchor: np.ndarray, consider):
-    """Branch-fixing rounds from one start; returns (x, iterations, stable).
+                          x0: np.ndarray, anchor: np.ndarray):
+    """Branch-fixing rounds from a stack of starts ``x0`` (k, H, V); returns
+    (iterations, stable, iterates), each per start.
 
-    Projects and repairs ``x0``, then freezes the branches of the current
-    point, descends the surrogate ``lin . x + fw * fade`` and repairs the
-    result, until the branches stop changing (at most ``MAX_BRANCH_ITERS``
-    rounds).  ``consider`` sees every repaired iterate.
+    Projects and repairs each start, then freezes the branches of its
+    current point, descends the surrogate ``lin . x + fw * fade`` and
+    repairs the result, until its branches stop changing (at most
+    ``MAX_BRANCH_ITERS`` rounds).  The starts still changing branches
+    descend together.  ``iterates[j]`` lists start j's repaired points in
+    order; the last is where it ended.
     """
     project = _Projector(inst)
-    x = _repair_exact(project(x0), inst, lin, anchor)
-    consider(x)
-    iterations = 0
+    iterates = [[_repair_exact(p, inst, lin, anchor)] for p in project(x0)]
+    iterations = np.zeros(len(x0), dtype=int)
+    stable = np.zeros(len(x0), dtype=bool)
+    live = np.arange(len(x0))
     for _ in range(MAX_BRANCH_ITERS):
-        branches = _derive_branches(x, inst)
-        x, iters = _descend(_Surrogate(inst, lin, fw, branches, project), x)
-        iterations += iters
-        x = _repair_exact(x, inst, lin, anchor)
-        consider(x)
-        stable = np.array_equal(_derive_branches(x, inst), branches)
-        if stable:
+        x = np.stack([iterates[j][-1] for j in live])
+        branches = np.stack([_derive_branches(xj, inst) for xj in x])
+        descended, iters = _descend(_Surrogate(inst, lin, fw, branches, project), x)
+        iterations[live] += iters
+        for j, xj, is_hi in zip(live, descended, branches):
+            xj = _repair_exact(xj, inst, lin, anchor)
+            iterates[j].append(xj)
+            stable[j] = np.array_equal(_derive_branches(xj, inst), is_hi)
+        live = live[~stable[live]]
+        if len(live) == 0:
             break
-    return x, iterations, stable
+    return iterations, stable, iterates
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +743,10 @@ def _minimize_fade(inst: ProblemInstance, anchor: np.ndarray) -> np.ndarray:
     """Fade alone on a non-empty feasible instance; ``anchor`` is its
     feasibility point."""
     lin = np.zeros((inst.horizon, inst.n_vehicles))
+    starts = np.stack([_fill_latest(inst), _fill_spread(inst)])
     best_x, best_f = None, np.inf
-    for x0 in (_fill_latest(inst), _fill_spread(inst)):
-        x, _, _ = _branch_fixed_descent(inst, lin, 1.0, x0, anchor, lambda _: None)
+    for start_iterates in _branch_fixed_descent(inst, lin, 1.0, starts, anchor)[2]:
+        x = start_iterates[-1]
         raw = objective_components(x, inst).fade
         if raw < best_f - 1e-15 or (best_x is None):
             best_x, best_f = x, raw
@@ -776,12 +822,11 @@ def solve(inst: ProblemInstance, points: NormalizationPoints | None = None):
             starts.append(lp_corner)
     starts.extend([_fill_latest(inst), _fill_spread(inst)])
 
-    iterations = 0
-    converged = False
-    for x0 in starts:
-        _, iters, stable = _branch_fixed_descent(inst, lin, fw, x0, fc.point, tracker.consider)
-        iterations += iters
-        converged = converged or stable
+    iterations, stable, iterates = _branch_fixed_descent(
+        inst, lin, fw, np.stack(starts), fc.point)
+    for start_iterates in iterates:
+        for x in start_iterates:
+            tracker.consider(x)
 
     _zero_snap_polish(tracker.alloc, inst, tracker)
     polished = _local_move_polish(
@@ -792,8 +837,8 @@ def solve(inst: ProblemInstance, points: NormalizationPoints | None = None):
     violations = build_constraints(inst).audit(tracker.alloc, 1e-6)
     if violations:  # repair guarantees feasibility; failing here is a bug
         raise RuntimeError(f"solver returned an infeasible allocation: {violations}")
-    status = SolveStatus.OPTIMAL_LOCAL if converged else SolveStatus.FEASIBLE
-    return report(status, tracker.alloc, tracker.objective, iterations)
+    status = SolveStatus.OPTIMAL_LOCAL if stable.any() else SolveStatus.FEASIBLE
+    return report(status, tracker.alloc, tracker.objective, int(iterations.sum()))
 
 
 # ---------------------------------------------------------------------------

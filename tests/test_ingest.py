@@ -75,6 +75,16 @@ class TestParseSessions:
         with pytest.raises(MalformedRowError):
             parse_sessions(p)
 
+    @pytest.mark.parametrize("kwh", ["nan", "inf", "-inf"])
+    def test_non_finite_energy_rejected(self, tmp_path, kwh):
+        """A nan request would become a silent charge-to-full departure."""
+        p = write(tmp_path / "s.csv",
+                  "session_id,connection_time,disconnect_time,kwh_requested,space_id\n"
+                  "S1,2021-05-03T08:00:00Z,2021-05-03T16:00:00Z,10,CA-01\n"
+                  f"S2,2021-05-03T09:00:00Z,2021-05-03T16:00:00Z,{kwh},CA-02\n")
+        with pytest.raises(MalformedRowError, match="s.csv:3: .*not finite"):
+            parse_sessions(p)
+
     def test_bad_header_rejected(self, tmp_path):
         p = write(tmp_path / "s.csv", "foo,bar\n1,2\n")
         with pytest.raises(MalformedRowError):
@@ -147,6 +157,15 @@ class TestParsePrices:
         with pytest.raises(ValueError, match="empty-series"):
             parse_prices(p)
 
+    @pytest.mark.parametrize("price", ["nan", "inf"])
+    def test_non_finite_price_rejected(self, tmp_path, price):
+        p = write(tmp_path / "p.csv",
+                  "timestamp,price_usd_per_kwh\n"
+                  "2021-05-03T00:00:00Z,0.10\n"
+                  f"2021-05-03T01:00:00Z,{price}\n")
+        with pytest.raises(MalformedRowError, match="p.csv:3: .*not finite"):
+            parse_prices(p)
+
     def test_unparseable_timestamp(self, tmp_path):
         p = write(tmp_path / "p.csv", "timestamp,price_usd_per_kwh\nsoon,0.1\n")
         with pytest.raises(MalformedRowError):
@@ -188,6 +207,13 @@ class TestRunConfig:
     def test_bad_number_rejected(self, tmp_path):
         p = write(tmp_path / "c.cfg", "dt_minutes = soon\n")
         with pytest.raises(MalformedRowError, match="bad number"):
+            load_config(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_number_rejected(self, tmp_path, value):
+        """nan passes every ``<= 0`` check."""
+        p = write(tmp_path / "c.cfg", f"dt_minutes = 15\nic_max_a = {value}\n")
+        with pytest.raises(MalformedRowError, match="c.cfg:2: .*not a finite number"):
             load_config(p)
 
     def test_fade_overrides(self, tmp_path):

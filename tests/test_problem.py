@@ -82,6 +82,14 @@ class TestTaskAndPrices:
                           prices=lambda t: prices[t])
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_price_rejected(self, bad):
+        prices = {0.0: 0.1, 0.5: bad}
+        with pytest.raises(ValueError, match="prices must be finite"):
+            make_instance([ChargingTask("v", 0.0, 1.0, 0.4, 0.8)],
+                          prices=lambda t: prices[t])
+
+
 class TestBuildInstance:
     def test_edf_column_order(self):
         tasks = [

@@ -8,6 +8,7 @@ import pytest
 from scipy import sparse
 
 from fleetcharge.problem import (
+    COMPONENTS,
     ChargingTask,
     build_constraints,
     compute_normalization_points,
@@ -21,7 +22,11 @@ from fleetcharge.solver import (
     _SWAP_POLISH_ACTIVES,
     OracleError,
     SolveStatus,
+    _avail_coeffs,
+    _branch_fixed_descent,
     _column_parts,
+    _cost_coeffs,
+    _derive_branches,
     _descend,
     _fill_latest,
     _fill_spread,
@@ -31,6 +36,7 @@ from fleetcharge.solver import (
     _Projector,
     _relocation_candidates,
     _repair_exact,
+    _solve_lp,
     _Surrogate,
     _swap_candidates,
     feasibility_check,
@@ -403,7 +409,7 @@ class TestProjection:
             y, inst, top = self._case(rng)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                x = _Projector(inst).windows(y)
+                x = _Projector(inst).windows(y[None])[0]
             ub = np.where(inst.active, inst.i_max, 0.0)
             assert np.all(x >= 0.0) and np.all(x <= ub)
             delivered = (x * inst.durations).sum(axis=0)
@@ -418,7 +424,7 @@ class TestProjection:
     def test_unreachable_floor_is_box_top(self):
         y, inst, _ = self._case(np.random.default_rng(7))
         v = inst.n_vehicles - 1
-        x = _Projector(inst).windows(y)
+        x = _Projector(inst).windows(y[None])[0]
         ub = np.where(inst.active, inst.i_max, 0.0)
         live = inst.durations[:, v] > 0
         assert np.array_equal(x[live, v], ub[live, v])
@@ -502,11 +508,38 @@ class TestProjector:
             for z in (y, 0.5 * y, y):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    x = project(z)
+                    x = project(z[None])[0]
                     assert x.tobytes() == _reference_polytope(z, inst).tobytes()
-                    assert np.array_equal(project.windows(z), _reference_windows(z, inst))
+                    assert np.array_equal(project.windows(z[None])[0], _reference_windows(z, inst))
                 kept.append((x, x.copy()))
         assert all(np.array_equal(x, snapshot) for x, snapshot in kept)
+
+    def test_one_vehicle_stack_sums_columns_pairwise(self):
+        """numpy sums an (H, 1) column pairwise but an (H, k) block row by
+        row.  With the window floor between the two sums of a 16-slot
+        column, a stack of one-vehicle starts still treats each start as
+        the per-start loop does."""
+        task = ChargingTask("v", 0.0, 8.0, 0.2, 0.9)
+        base = make_instance([task], i_max=80.0, soc_xtra_ah=21.0)
+        rng = np.random.default_rng(0)
+        while True:
+            d = rng.uniform(0.05, 0.5, size=(16, 1))
+            y = rng.uniform(0.0, 80.0, size=(16, 1))
+            pairwise = (y * d).sum(axis=0)[0]
+            by_rows = np.concatenate([y * d, y * d], axis=1).sum(axis=0)[0]
+            if pairwise < by_rows:
+                break
+        e_lo = pairwise
+        while not pairwise < e_lo - 1e-12 <= by_rows:
+            e_lo = np.nextafter(e_lo, np.inf)
+        inst = dataclasses.replace(base, durations=d, e_lo=np.array([e_lo]),
+                                   e_hi=np.array([e_lo + 5.0]))
+        stack = np.stack([y, y, 0.5 * y])
+        project = _Projector(inst)
+        for j, z in enumerate(stack):
+            assert project(stack)[j].tobytes() == _reference_polytope(z, inst).tobytes()
+            assert project.windows(stack)[j].tobytes() == _reference_windows(z, inst).tobytes()
+        assert not np.array_equal(project(stack)[0], y)   # the floor moved the column
 
 
 def _woken_cell_model(inst, slope):
@@ -523,13 +556,14 @@ def _woken_cell_model(inst, slope):
         calls.append(1)
         return project(y)
 
-    is_hi = np.zeros((1, 1), dtype=bool)
+    is_hi = np.zeros((1, 1, 1), dtype=bool)
     return _Surrogate(inst, lin, 1.0, is_hi, counted), calls
 
 
 class _Quadratic:
     """Smooth model ``0.5 * a * |x - c|^2`` on the box [0, 100]: a long step
-    overshoots, and the rise shrinks with the step."""
+    overshoots, and the rise shrinks with the step.  Takes one point (H, V)
+    or a stack of them (k, H, V)."""
 
     def __init__(self, a, c):
         self.a, self.c = a, c
@@ -539,10 +573,10 @@ class _Quadratic:
         self.trials[-1] += 1
         return np.clip(y, 0.0, 100.0)
 
-    def value(self, x):
-        return 0.5 * self.a * float(np.sum((x - self.c) ** 2))
+    def value(self, x, rows=None):
+        return 0.5 * self.a * np.sum((x - self.c) ** 2, axis=(-2, -1))
 
-    def gradient(self, x):
+    def gradient(self, x, rows=None):
         self.trials.append(0)
         return self.a * (x - self.c)
 
@@ -556,12 +590,12 @@ class TestLineSearch:
         inst = self._instance()
         model, calls = _woken_cell_model(inst, -1e-5)
         x0 = np.zeros((1, 1))
-        assert model.gradient(x0)[0, 0] == pytest.approx(-1e-5, rel=1e-6)
-        x, iters = _descend(model, x0)
+        assert model.gradient(x0[None], [0])[0, 0, 0] == pytest.approx(-1e-5, rel=1e-6)
+        (x,), (iters,) = _descend(model, x0[None])
         jump_calls, jump = len(calls), solver_module.JUMP_TRIALS
         monkeypatch.setattr(solver_module, "JUMP_TRIALS", 31)  # exit never fires
         full_model, full_calls = _woken_cell_model(inst, -1e-5)
-        x_full, iters_full = _descend(full_model, x0)
+        (x_full,), (iters_full,) = _descend(full_model, x0[None])
         assert len(full_calls) == 1 + 30          # start plus every trial rejected
         assert jump_calls == 1 + jump
         assert iters == iters_full == 1
@@ -572,12 +606,12 @@ class TestLineSearch:
         x0 = np.array([[20.0, 10.0], [5.0, 0.0]])
         model = _Quadratic(10.0, c)
         model.trials.append(0)   # the start's projection
-        x, _ = _descend(model, x0)
+        (x,), _ = _descend(model, x0[None])
         jump = solver_module.JUMP_TRIALS
         monkeypatch.setattr(solver_module, "JUMP_TRIALS", 31)
         full = _Quadratic(10.0, c)
         full.trials.append(0)
-        x_full, _ = _descend(full, x0)
+        (x_full,), _ = _descend(full, x0[None])
         assert model.trials == full.trials and np.array_equal(x, x_full)
         # the first line search rejects more than JUMP_TRIALS overshoots, then accepts
         assert model.trials[1] > jump
@@ -596,14 +630,257 @@ class TestLineSearch:
             assert np.array_equal(model.project(x0 - step * model.gradient(x0)), corner)
         model.trials.clear()
         model.trials.append(0)
-        x, _ = _descend(model, x0)
+        (x,), _ = _descend(model, x0[None])
         monkeypatch.setattr(solver_module, "JUMP_TRIALS", 31)
         full = _Quadratic(1000.0, c)
         full.trials.append(0)
-        x_full, _ = _descend(full, x0)
+        (x_full,), _ = _descend(full, x0[None])
         assert model.trials == full.trials and np.array_equal(x, x_full)
         assert not np.array_equal(x, x0)
         assert model.value(x) < 1e-6 * model.value(x0)
+
+
+class _ReferenceSurrogate:
+    """The per-start surrogate the stacked one replaced, kept as written."""
+
+    def __init__(self, inst, lin, fade_weight, is_hi, project):
+        self.coef = inst.fade_params.branch_coefficients(is_hi)
+        self.inst = inst
+        self.project = project
+        self.lin = lin
+        self.fw = fade_weight
+        self.frac = np.where(inst.active, inst.durations / inst.grid.dt, 0.0)
+        self.half = 0.5 * inst.durations / inst.c_bat
+        self.dc = inst.durations / inst.c_bat
+
+    def _soc_init(self, x):
+        inst = self.inst
+        delta = x * self.dc
+        soc = np.empty_like(delta)
+        soc[0, :] = inst.soc_start
+        if inst.horizon > 1:
+            soc[1:, :] = inst.soc_start[None, :] + np.cumsum(delta, axis=0)[:-1, :]
+        return soc
+
+    def _pieces(self, x):
+        avg = self._soc_init(x) + self.half * x
+        poly = self.coef.evaluate(avg, x)
+        mask = self.inst.active & (x > 0.0) & (poly > 0.0)
+        return avg, poly, mask
+
+    def value(self, x) -> float:
+        avg, poly, mask = self._pieces(x)
+        p = self.inst.fade_params
+        fade = float(np.sum(poly[mask])) + float(np.sum(self.frac * (p.p1 * avg + p.p2)))
+        return float(np.sum(self.lin * x)) + self.fw * fade
+
+    def gradient(self, x) -> np.ndarray:
+        avg, poly, mask = self._pieces(x)
+        p, c = self.inst.fade_params, self.coef
+        own = np.where(
+            mask,
+            (c.p10 + c.p11 * x) * self.half + c.p01 + c.p11 * avg + 2.0 * x * c.p02,
+            0.0,
+        )
+        own = own + self.frac * p.p1 * self.half
+        path_src = np.where(mask, c.p10 + c.p11 * x, 0.0) + self.frac * p.p1
+        suffix = np.flip(np.cumsum(np.flip(path_src, 0), 0), 0) - path_src
+        return self.lin + self.fw * (own + self.dc * suffix)
+
+
+def _reference_descend(model, x0, exits):
+    """The per-start descent the lockstep one replaced, kept as written; it
+    appends (exit, line-search trials) of the call to ``exits``."""
+    x = model.project(x0)
+    f = model.value(x)
+    step = 1.0
+    iters = trials = 0
+    exit_ = "inner-cap"
+    for _ in range(solver_module.MAX_INNER_ITERS):
+        iters += 1
+        g = model.gradient(x)
+        g_inf = np.abs(g).max(initial=0.0)
+        if g_inf <= 0:
+            exit_ = "zero-gradient"
+            break
+        step = min(step * 2.0, 1e8)
+        accepted = False
+        rises, prev, why = [], None, "30-trials"
+        for _bt in range(30):
+            trials += 1
+            cand = model.project(x - step * g)
+            fc = model.value(cand)
+            move = cand - x
+            if fc <= f - 1e-4 * float(np.sum(move * move)) / max(step, 1e-16):
+                dec = f - fc
+                x, f = cand, fc
+                accepted = True
+                break
+            if prev is None or not np.array_equal(cand, prev):
+                rises.append(fc - f)
+                if solver_module._jump(rises):
+                    why = "jump"
+                    break
+            prev = cand
+            step *= 0.5
+            if step < 1e-12:
+                why = "step-floor"
+                break
+        if not accepted:
+            exit_ = why
+            break
+        if dec <= solver_module.TOL_OBJ * max(abs(f), 1.0):
+            exit_ = "decrease"
+            break
+    exits.append((exit_, trials))
+    return x, iters
+
+
+def _reference_branch_loop(inst, lin, fw, x0, anchor):
+    """The per-start branch-fixing loop, kept as written, on the alternating
+    projection loop; returns (x, iterations, stable, iterates, rounds)."""
+    project = lambda y: _reference_polytope(y, inst)  # noqa: E731
+    x = _repair_exact(project(x0), inst, lin, anchor)
+    iterates = [x]
+    iterations = rounds = 0
+    for _ in range(solver_module.MAX_BRANCH_ITERS):
+        rounds += 1
+        branches = _derive_branches(x, inst)
+        x, iters = _reference_descend(
+            _ReferenceSurrogate(inst, lin, fw, branches, project), x, [])
+        iterations += iters
+        x = _repair_exact(x, inst, lin, anchor)
+        iterates.append(x)
+        stable = np.array_equal(_derive_branches(x, inst), branches)
+        if stable:
+            break
+    return x, iterations, stable, iterates, rounds
+
+
+def _descent_inputs(inst):
+    """``solve``'s surrogate weights, its four starts (k, H, V) and the
+    feasibility point of ``inst``."""
+    pts = _points(inst)
+    a = dict(zip(COMPONENTS, inst.weights))
+    scale = {k: pts.spread(k) for k in COMPONENTS}
+    lin = (a["cost"] / scale["cost"]) * _cost_coeffs(inst) \
+        + (a["availability"] / scale["availability"]) * _avail_coeffs(inst)
+    fw = a["fade"] / scale["fade"]
+    starts = [max_power_allocation(inst), _solve_lp(inst, lin),
+              _fill_latest(inst), _fill_spread(inst)]
+    return lin, fw, np.stack(starts), feasibility_check(inst).point
+
+
+def _descent_instance(rng, n, slots, ic_max, soc_low=0.2):
+    tasks = []
+    for v in range(n):
+        soc_start = float(rng.uniform(soc_low, 0.6))
+        tt = int(rng.integers(max(1, slots // 2), slots + 1))
+        tasks.append(ChargingTask(f"v{v}", 0.0, 0.5 * tt, soc_start,
+                                  min(1.0, soc_start + float(rng.uniform(0.1, 0.4)))))
+    prices = {i * 0.5: float(rng.uniform(0.02, 0.3)) for i in range(slots)}
+    return make_instance(tasks, prices=lambda t, p=prices: p[t], ic_max=ic_max,
+                         soc_xtra_ah=21.0, weights=tuple(rng.uniform(0.1, 1.0, size=3)))
+
+
+class _Toy:
+    """Per start j, ``a_j * sum|x - c_j| + 0.5 * q_j * sum (x - c_j)**2 +
+    jump_j * #(x > 0)`` on the box [0, 100], in the stacked model interface."""
+
+    def __init__(self, a, q, c, jump):
+        self.a, self.q, self.c, self.jump = (
+            np.asarray(v, dtype=float)[:, None, None] for v in (a, q, c, jump))
+
+    def project(self, y):
+        return np.clip(y, 0.0, 100.0)
+
+    def value(self, x, rows):
+        a, q, c, jump = self.a[rows], self.q[rows], self.c[rows], self.jump[rows]
+        cells = a * np.abs(x - c) + 0.5 * q * (x - c) ** 2 + jump * (x > 0)
+        return cells.reshape(len(x), -1).sum(axis=1)
+
+    def gradient(self, x, rows):
+        return self.a[rows] * np.sign(x - self.c[rows]) + self.q[rows] * (x - self.c[rows])
+
+
+class _OneStart:
+    """Start ``j`` of a stacked model, in the per-start model interface."""
+
+    def __init__(self, model, j):
+        self.model, self.rows = model, [j]
+
+    def project(self, y):
+        return self.model.project(y[None])[0]
+
+    def value(self, x):
+        return float(self.model.value(x[None], self.rows)[0])
+
+    def gradient(self, x):
+        return self.model.gradient(x[None], self.rows)[0]
+
+
+class TestLockstepDescent:
+    """Each start of a stack follows, bit for bit, the path of the per-start
+    descent, projection and branch loop that the stacked ones replaced."""
+
+    @pytest.mark.parametrize("n, slots, ic_max, seed", [
+        (1, 14, 400.0, 3),     # V = 1 with H > 8: column sums stay pairwise
+        (3, 10, 400.0, 4),     # slack cap
+        (5, 8, 110.0, 5),      # binding cap
+    ])
+    def test_each_start_follows_its_own_path(self, n, slots, ic_max, seed):
+        inst = _descent_instance(np.random.default_rng(seed), n, slots, ic_max)
+        lin, fw, starts, _ = _descent_inputs(inst)
+        branches = np.stack([_derive_branches(x, inst) for x in starts])
+        model = _Surrogate(inst, lin, fw, branches, _Projector(inst))
+        x, iters = _descend(model, starts)
+        exits = []
+        for j, x0 in enumerate(starts):
+            ref = _ReferenceSurrogate(inst, lin, fw, branches[j],
+                                      lambda y: _reference_polytope(y, inst))
+            x_ref, iters_ref = _reference_descend(ref, x0, exits)
+            assert x[j].tobytes() == x_ref.tobytes()
+            assert iters[j] == iters_ref
+            # each start sums its own active cells
+            assert model.value(x[j:j + 1], [j])[0] == ref.value(x_ref)
+        assert len({trials for _, trials in exits}) > 1   # starts stop at different ticks
+        if ic_max < n * inst.i_max:
+            assert np.any(x.sum(axis=2).max(axis=1) >= ic_max - 1e-9)   # the cap binds
+
+    def test_starts_stop_at_different_exits(self):
+        """One stack whose starts end on the decrease, jump and step-floor
+        exits, each at its own tick.  The last start pays jumps on some
+        rejected trials and still descends, so its rises must start afresh
+        at each iteration."""
+        toy = _Toy(a=[0.0, 0.0, 1e3, 0.54], q=[10.0, 1e-6, 0.0, 5.3],
+                   c=[3.0, 1e-3, 1.0, 1.9], jump=[0.0, 1.0, 0.0, 1.6])
+        starts = np.stack([np.full((2, 1), 20.0), np.zeros((2, 1)),
+                           np.array([[2.0], [1.7]]), np.zeros((2, 1))])
+        x, iters = _descend(toy, starts)
+        exits = []
+        for j, x0 in enumerate(starts):
+            x_ref, iters_ref = _reference_descend(_OneStart(toy, j), x0, exits)
+            assert x[j].tobytes() == x_ref.tobytes()
+            assert iters[j] == iters_ref
+        assert [e for e, _ in exits] == ["decrease", "jump", "step-floor", "decrease"]
+        assert len({trials for _, trials in exits}) == 4
+
+    def test_branch_rounds_match_per_start_loop(self):
+        """Low starting SoC puts high currents on the HI branch, so some
+        starts need a second branch round while others are stable after one."""
+        rng = np.random.default_rng(2024)
+        rounds = []
+        for _ in range(4):
+            inst = _descent_instance(rng, 3, 8, 160.0, soc_low=0.01)
+            lin, fw, starts, anchor = _descent_inputs(inst)
+            iterations, stable, iterates = _branch_fixed_descent(inst, lin, fw, starts, anchor)
+            for j, x0 in enumerate(starts):
+                ref = _reference_branch_loop(inst, lin, fw, x0, anchor)
+                assert iterates[j][-1].tobytes() == ref[0].tobytes()
+                assert (iterations[j], stable[j]) == (ref[1], ref[2])
+                assert [a.tobytes() for a in iterates[j]] == [a.tobytes() for a in ref[3]]
+                rounds.append(ref[4])
+        assert 1 in rounds and max(rounds) >= 2
 
 
 def _oracle_sized_instances(seed, count):
