@@ -1,9 +1,12 @@
 """Byte-identity check of fleetcharge's reports and solves.
 
 Runs week ``compare``, overnight ``sweep``, overnight ``simulate --policy
-proposed`` and ``simulate --policy proposed`` on a dense depot day (perfbench's
+proposed``, ``simulate --policy proposed`` on a dense depot day (perfbench's
 generated 40-space log, seed 90210, one day, on a 400 A feeder, so the station
-cap binds) from this checkout's ``src/`` into one directory each.  It prints a
+cap binds) and ``simulate --policy proposed`` on the week with every vehicle
+arriving at SoC 0.1 (low enough for the fade model's HI branch to be selected)
+from this checkout's ``src/`` into one directory each.  Rewritten configs are
+written under ``--out``; ``fixtures/`` is left as it is.  It prints a
 sha256 per report file and, per run, one sha256 over every ``solve`` call's
 allocation bytes, ``repr(objective)``, iterations and status, which the
 reports alone do not show.  ``--out`` must be new or empty, so every digest
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,12 +34,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 DENSE = "dense-day"   # inputs written under --out by perfbench's generator
+LOWSOC = "week-lowsoc"  # week inputs copied under --out, config rewritten
 
 RUNS = {
     "week-compare": ["compare", "week"],
     "overnight-sweep": ["sweep", "overnight"],
     "overnight-proposed": ["simulate", "overnight", "--policy", "proposed"],
     "dense-day-proposed": ["simulate", DENSE, "--policy", "proposed"],
+    "week-lowsoc-proposed": ["simulate", LOWSOC, "--policy", "proposed"],
 }
 
 # Runs the CLI with the scheduler's ``solve`` wrapped, and writes
@@ -66,11 +72,7 @@ import sys
 from pathlib import Path
 from perfbench.workloads import write_depot_inputs
 
-paths = write_depot_inputs(Path(sys.argv[1]), seed=90210, spaces=40, days=1)
-config = paths["config"]
-lines = config.read_text().splitlines(keepends=True)
-config.write_text("".join("ic_max_a = 400\\n" if line.startswith("ic_max_a") else line
-                          for line in lines))
+write_depot_inputs(Path(sys.argv[1]), seed=90210, spaces=40, days=1)
 """
 
 
@@ -82,6 +84,13 @@ def _env() -> dict:
     return env
 
 
+def _set_key(config: Path, key: str, value: str) -> None:
+    """Rewrite the ``key = ...`` line of a config file in place."""
+    lines = config.read_text().splitlines(keepends=True)
+    config.write_text("".join(f"{key} = {value}\n" if line.startswith(key) else line
+                              for line in lines))
+
+
 def _inputs(week: str, out: Path) -> dict:
     folder, stem = FIXTURES, week
     if week == DENSE:
@@ -89,6 +98,12 @@ def _inputs(week: str, out: Path) -> dict:
         if not folder.exists():
             subprocess.run([sys.executable, "-c", _DENSE_INPUTS, str(folder)],
                            check=True, env=_env())
+            _set_key(folder / "config_depot.cfg", "ic_max_a", "400")
+    elif week == LOWSOC:
+        folder, stem = out / LOWSOC, "week"
+        if not folder.exists():
+            shutil.copytree(FIXTURES, folder)
+            _set_key(folder / "config_week.cfg", "default_soc_start", "0.1")
     return {k: folder / f"{k}_{stem}.{ext}"
             for k, ext in (("sessions", "csv"), ("prices", "csv"), ("config", "cfg"))}
 

@@ -3,10 +3,10 @@
 Two fade mechanisms are modelled for an LFP/graphite pack:
 
 * cyclic fade, driven by the charging stress factors (average state of
-  charge, SoC deviation and charge processed) with an Arrhenius temperature
-  factor.  Available in an exact nonlinear form and a piecewise-quadratic
-  approximation whose two coefficient sets are selected by the ratio of
-  charging current to initial SoC.
+  charge, SoC deviation and charge processed).  Available in an exact
+  nonlinear form and a piecewise-quadratic approximation whose two
+  coefficient sets are selected by the ratio of charging current to
+  initial SoC.
 * calendric fade, approximated as an affine function of the average SoC.
 
 All quantities use SoC as a fraction in [0, 1], current in A, charge in Ah
@@ -37,9 +37,6 @@ __all__ = [
     "calendric_fade_approx",
     "fade_fit_report",
 ]
-
-GAS_CONSTANT = 8.314  # J/(mol*K)
-
 
 class InvalidSlotError(ValueError):
     """A charging slot violates its physical preconditions."""
@@ -105,9 +102,6 @@ class FadeModelParams:
     k2: float = 0.61412
     k3: float = 8.3566e-6
     k4: float = -0.70409
-    ea: float = 31500.0          # activation energy, J/mol
-    r_gas: float = GAS_CONSTANT  # J/(mol*K)
-    t_amb: float = 298.15        # ambient temperature, K
     branch_hi: BranchCoefficients = field(default_factory=lambda: BRANCH_HI_DEFAULT)
     branch_lo: BranchCoefficients = field(default_factory=lambda: BRANCH_LO_DEFAULT)
     branch_slope: float = 480.0  # A per unit of initial SoC
@@ -117,12 +111,6 @@ class FadeModelParams:
     def __post_init__(self):
         if self.branch_slope <= 0:
             raise ValueError("branch_slope must be > 0")
-        if self.r_gas <= 0:
-            raise ValueError("gas constant must be > 0")
-        if self.ea < 0:
-            raise ValueError("activation energy must be >= 0")
-        if self.t_amb <= 0:
-            raise ValueError("ambient temperature must be > 0")
 
     def branch_coefficients(self, is_hi: np.ndarray) -> BranchCoefficients:
         """Per-cell coefficient arrays: the HI branch where ``is_hi``, else LO."""
@@ -135,18 +123,12 @@ class FadeModelParams:
 
 @dataclass(frozen=True)
 class SlotCharge:
-    """Constant-current charging conditions over one time slot.
-
-    ``temp`` is the battery temperature during the slot; it defaults to the
-    ambient temperature of the fade parameters in use (no thermal model), in
-    which case the Arrhenius factor is exactly 1.
-    """
+    """Constant-current charging conditions over one time slot."""
 
     soc_init: float      # SoC fraction at slot start
     current: float       # charging current, A
     dt: float            # slot length, h
     c_bat: float         # nominal capacity, Ah
-    temp: float | None = None  # battery temperature, K
 
     SOC_CAP_EPS = 1e-9
 
@@ -164,8 +146,6 @@ class SlotCharge:
             raise InvalidSlotError(
                 "current", f"slot ends above full charge (SoC {soc_end:.6f})"
             )
-        if self.temp is not None and self.temp <= 0.0:
-            raise InvalidSlotError("temp", f"{self.temp} <= 0")
 
 
 @dataclass(frozen=True)
@@ -193,12 +173,6 @@ def stress_factors(slot: SlotCharge) -> StressFactors:
     )
 
 
-def _temperature_factor(temp: float | None, params: FadeModelParams) -> float:
-    if temp is None or temp == params.t_amb:
-        return 1.0
-    return math.exp(-params.ea / params.r_gas * (1.0 / temp - 1.0 / params.t_amb))
-
-
 def cyclic_fade_exact(slot: SlotCharge, params: FadeModelParams) -> float:
     """Exact nonlinear cyclic capacity loss for one slot, in Ah.
 
@@ -211,7 +185,7 @@ def cyclic_fade_exact(slot: SlotCharge, params: FadeModelParams) -> float:
     stress = params.k1 * sf.soc_dev * math.exp(params.k2 * sf.soc_avg) + (
         params.k3 * math.exp(params.k4 * sf.soc_dev)
     )
-    return stress * _temperature_factor(slot.temp, params) * math.sqrt(sf.ah)
+    return stress * math.sqrt(sf.ah)
 
 
 def select_branch(current: float, soc_init: float, params: FadeModelParams) -> Branch:

@@ -257,8 +257,6 @@ _CONFIG_DEFAULTS = {
     "fade_k2": None,
     "fade_k3": None,
     "fade_k4": None,
-    "fade_ea_j_per_mol": None,
-    "fade_t_amb_k": None,
     "fade_p1": None,
     "fade_p2": None,
     "fade_branch_slope": None,
@@ -283,7 +281,6 @@ class RunConfig:
         kwargs = {}
         mapping = {
             "fade_k1": "k1", "fade_k2": "k2", "fade_k3": "k3", "fade_k4": "k4",
-            "fade_ea_j_per_mol": "ea", "fade_t_amb_k": "t_amb",
             "fade_p1": "p1", "fade_p2": "p2", "fade_branch_slope": "branch_slope",
         }
         for key, attr in mapping.items():
@@ -314,8 +311,8 @@ class RunConfig:
         )
 
 
-def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Configuration from an optional ``key = value`` file plus overrides.
+def load_config(path=None) -> RunConfig:
+    """Configuration from an optional ``key = value`` file over the defaults.
 
     Unknown keys are rejected; values are floats except the branch
     coefficient tuples.  Lines starting with ``#`` are comments.
@@ -342,10 +339,6 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                     raise MalformedRowError(path, line_no, f"bad number {val!r}") from exc
                 if not math.isfinite(values[key]):
                     raise MalformedRowError(path, line_no, f"not a finite number {val!r}")
-    for key, val in (overrides or {}).items():
-        if key not in values:
-            raise ValueError(f"unknown config key {key!r}")
-        values[key] = val
     for positive in ("dt_minutes", "voltage_v", "c_bat_ah", "i_max_a",
                      "ic_max_a", "battery_cost_usd"):
         if values[positive] is None or values[positive] <= 0:

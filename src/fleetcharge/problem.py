@@ -137,7 +137,6 @@ class ProblemInstance:
     ic_max: float                # station current limit, A
     voltage: float               # charging voltage, V
     c_bat: float                 # nominal capacity, Ah
-    soc_xtra: float              # extra-charge headroom, Ah
     weights: tuple               # (alpha_cost, alpha_fade, alpha_availability)
     fade_params: FadeModelParams
 
@@ -229,7 +228,6 @@ def build_instance(
         ic_max=ic_max,
         voltage=voltage,
         c_bat=c_bat,
-        soc_xtra=soc_xtra_ah,
         weights=tuple(w),
         fade_params=fade_params,
         durations=durations,

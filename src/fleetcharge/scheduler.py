@@ -54,12 +54,12 @@ class SocOverflowError(RuntimeError):
 class StationLimits:
     """Physical station and pack parameters shared by both policies."""
 
-    dt: float            # slot length, h
-    i_max: float         # per-vehicle current limit, A
-    ic_max: float        # station current limit, A
-    voltage: float       # V
-    c_bat: float         # Ah
-    soc_xtra_ah: float   # extra-charge headroom, Ah
+    dt: float = 0.5             # slot length, h
+    i_max: float = 80.0         # per-vehicle current limit, A
+    ic_max: float = 400.0       # station current limit, A
+    voltage: float = 410.0      # V
+    c_bat: float = 210.0        # Ah
+    soc_xtra_ah: float = 21.0   # extra-charge headroom, Ah
     fade_params: FadeModelParams = field(default_factory=FadeModelParams)
 
 

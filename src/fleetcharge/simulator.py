@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .fade import FadeModelParams
 from .problem import ChargingTask, ProblemInstance
 from .scheduler import (
     Admission,
@@ -73,38 +72,19 @@ def event_sort_key(e: Event) -> tuple:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Station, pack and reporting parameters of one simulated run."""
+class SimConfig(StationLimits):
+    """Station limits plus the reporting parameters of one simulated run."""
 
-    dt: float = 0.5                  # slot length, h
-    voltage: float = 410.0           # V
-    c_bat: float = 210.0             # Ah
-    i_max: float = 80.0              # A per vehicle
-    ic_max: float = 400.0            # A station
-    soc_xtra_ah: float = 21.0        # extra-charge headroom, Ah
     battery_cost_usd: float = 11610.0
     peak_threshold: float = 0.75     # fraction of maximum power
     default_soc_start: float = 0.4
     policy: Policy = field(default_factory=lambda: Policy("proposed"))
-    fade_params: FadeModelParams = field(default_factory=FadeModelParams)
 
     def __post_init__(self):
         if not 0.0 < self.peak_threshold <= 1.0:
             raise ValueError("peak_threshold must be in (0, 1]")
         if self.battery_cost_usd <= 0:
             raise ValueError("battery_cost_usd must be > 0")
-
-    @property
-    def limits(self) -> StationLimits:
-        return StationLimits(
-            dt=self.dt,
-            i_max=self.i_max,
-            ic_max=self.ic_max,
-            voltage=self.voltage,
-            c_bat=self.c_bat,
-            soc_xtra_ah=self.soc_xtra_ah,
-            fade_params=self.fade_params,
-        )
 
 
 @dataclass
@@ -121,8 +101,8 @@ class MetricsReport:
     n_rejected: int = 0
     per_event_peak_period: list = field(default_factory=list)  # h per scheduled plan
 
-    def as_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "total_charging_cost_usd": self.total_charging_cost,
             "total_fade_exact_ah": self.total_fade_exact,
             "total_fade_approx_ah": self.total_fade_approx,
@@ -132,9 +112,6 @@ class MetricsReport:
             "n_rejected": self.n_rejected,
             "per_event_peak_period_h": list(self.per_event_peak_period),
         }
-        if include_timing:
-            out["max_opt_time_ms"] = self.max_opt_time_ms
-        return out
 
 
 @dataclass(frozen=True)
@@ -226,13 +203,11 @@ def _reschedule(
 ) -> _ActiveSchedule:
     policy = config.policy
     if policy.kind == "baseline":
-        alloc, inst = baseline_schedule(state, config.limits, prices_fn)
+        alloc, inst = baseline_schedule(state, config, prices_fn)
         opt_ms = 0.0
     else:
         t0 = _time.perf_counter()
-        alloc, rep, inst = proposed_schedule(
-            state, policy.weights, config.limits, prices_fn
-        )
+        alloc, rep, inst = proposed_schedule(state, policy.weights, config, prices_fn)
         opt_ms = (_time.perf_counter() - t0) * 1000.0
     result.metrics.max_opt_time_ms = max(result.metrics.max_opt_time_ms, opt_ms)
     result.metrics.per_event_peak_period.append(peak_power_period(alloc, config))
@@ -267,7 +242,7 @@ def run(
             if task.vehicle_id in state.vehicles:
                 raise ValueError(f"duplicate arrival for {task.vehicle_id}")
             if config.policy.kind == "proposed":
-                admission: Admission = admit_task(task, state, config.limits)
+                admission: Admission = admit_task(task, state, config)
                 if not admission.accepted:
                     result.metrics.n_rejected += 1
                     result.rejected.append((task, admission.reason))

@@ -514,16 +514,10 @@ def _branch_fixed_descent(inst: ProblemInstance, lin: np.ndarray, fw: float,
 # ---------------------------------------------------------------------------
 
 
-def _lex_prefers(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when ``a`` places charge earlier than ``b`` (tie-breaking order)."""
-    diff = (a - b).ravel()
-    idx = np.nonzero(np.abs(diff) > 1e-12)[0]
-    if len(idx) == 0:
-        return False
-    return diff[idx[0]] > 0
-
-
 class _BestTracker:
+    """Lowest normalized objective seen; a tie (within a relative 1e-12)
+    keeps the point considered first."""
+
     def __init__(self, inst, points, weights):
         self.inst = inst
         self.points = points
@@ -538,9 +532,6 @@ class _BestTracker:
         tol = 1e-12 * max(1.0, abs(obj))
         if obj < self.objective - tol:
             self.alloc, self.objective = x.copy(), obj
-        elif abs(obj - self.objective) <= tol and self.alloc is not None:
-            if _lex_prefers(x, self.alloc):
-                self.alloc, self.objective = x.copy(), obj
 
 
 def _zero_snap_polish(x: np.ndarray, inst: ProblemInstance, tracker: _BestTracker):

@@ -15,6 +15,7 @@ from fleetcharge.ingest import (
     sessions_to_events,
     write_sessions,
 )
+from fleetcharge.scheduler import Policy
 from fleetcharge.simulator import SimConfig
 
 UTC = timezone.utc
@@ -180,12 +181,13 @@ class TestParsePrices:
 class TestRunConfig:
     def test_defaults(self):
         cfg = load_config(None)
-        sim = cfg.sim_config(policy=__import__("fleetcharge").Policy("baseline"))
+        sim = cfg.sim_config(policy=Policy("baseline"))
         assert sim.dt == 0.5
         assert sim.voltage == 410.0
         assert sim.c_bat == 210.0
         assert sim.soc_xtra_ah == pytest.approx(21.0)
         assert sim.battery_cost_usd == 11610.0
+        assert sim == SimConfig(policy=Policy("baseline"))
 
     def test_file_and_units(self, tmp_path):
         p = write(tmp_path / "c.cfg",
@@ -199,8 +201,9 @@ class TestRunConfig:
         assert sim.ic_max == 250.0
         assert sim.soc_xtra_ah == pytest.approx(0.05 * 210.0)
 
-    def test_unknown_key_rejected(self, tmp_path):
-        p = write(tmp_path / "c.cfg", "frequency_hz = 50\n")
+    @pytest.mark.parametrize("key", ["frequency_hz", "fade_ea_j_per_mol", "fade_t_amb_k"])
+    def test_unknown_key_rejected(self, tmp_path, key):
+        p = write(tmp_path / "c.cfg", f"{key} = 50\n")
         with pytest.raises(MalformedRowError, match="unknown key"):
             load_config(p)
 

@@ -22,6 +22,7 @@ from fleetcharge.solver import (
     _SWAP_POLISH_ACTIVES,
     OracleError,
     SolveStatus,
+    _BestTracker,
     _avail_coeffs,
     _branch_fixed_descent,
     _column_parts,
@@ -211,6 +212,26 @@ class TestSolveContracts:
         monkeypatch.setattr(solver_module, "feasibility_check", counted)
         alloc, _ = solve(two_by_three_instance)
         assert alloc is not None and len(calls) == 1
+
+
+class TestBestTracker:
+    def test_tie_keeps_first_point(self):
+        """Two identical vehicles: swapping their columns ties the objective,
+        and the first point considered stays even though the second charges
+        earlier."""
+        tasks = [ChargingTask(v, 0.0, 1.0, 0.5, 0.5 + 20.0 / 210.0) for v in ("A", "B")]
+        inst = make_instance(tasks)
+        first = np.array([[0.0, 40.0], [40.0, 0.0]])
+        second = first[:, ::-1].copy()
+        points = _points(inst)
+        objs = [normalized_objective(objective_components(x, inst), points, inst.weights)
+                for x in (first, second)]
+        assert abs(objs[0] - objs[1]) <= 1e-12 * max(1.0, abs(objs[0]))
+        tracker = _BestTracker(inst, points, inst.weights)
+        tracker.consider(first)
+        tracker.consider(second)
+        np.testing.assert_array_equal(tracker.alloc, first)
+        assert tracker.objective == objs[0]
 
 
 def _loop_lp_triplets(inst):
