@@ -7,13 +7,16 @@ cap binds) and ``simulate --policy proposed`` on the week with every vehicle
 arriving at SoC 0.1 (low enough for the fade model's HI branch to be selected)
 from this checkout's ``src/`` into one directory each.  Rewritten configs are
 written under ``--out``; ``fixtures/`` is left as it is.  It prints a
-sha256 per report file and, per run, one sha256 over every ``solve`` call's
-allocation bytes, ``repr(objective)``, iterations and status, which the
-reports alone do not show.  ``--out`` must be new or empty, so every digest
-comes from this run.  ``timing*.json`` holds wall times and is left out.
-With ``--against DIR`` (the output directory of an earlier run, for example
-one made from another commit) it lists the files and solve digests that
-differ or exist on one side only, and exits 1 if there are any.
+sha256 per report file and, per run, the number of ``solve`` calls.  Each
+call's outcome, which the reports alone do not show, is kept in
+``<run>.solves``, one line per call in call order: a sha256 of the
+allocation bytes, ``repr(objective)``, iterations and status.  ``--out``
+must be new or empty, so every digest comes from this run.
+``timing*.json`` holds wall times and is left out.  With ``--against DIR``
+(the output directory of an earlier run, for example one made from another
+commit) it lists the files that differ or exist on one side only, prints
+per run how many solves differ and the largest relative objective gap
+among them, and exits 1 if anything differs.
 
     python scripts/parity.py --out /tmp/parity-new
     python scripts/parity.py --out /tmp/parity-new --against /tmp/parity-old
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -44,26 +48,27 @@ RUNS = {
     "week-lowsoc-proposed": ["simulate", LOWSOC, "--policy", "proposed"],
 }
 
-# Runs the CLI with the scheduler's ``solve`` wrapped, and writes
-# "<sha256> <solves>" of every call's outcome to the file in argv[1].
+# Runs the CLI with the scheduler's ``solve`` wrapped, and writes one line
+# "<sha256 of the allocation> <objective> <iterations> <status>" per call to
+# the file in argv[1].
 _HASHED_CLI = """
 import hashlib, sys
 import fleetcharge.cli as cli
 import fleetcharge.scheduler as scheduler
 
-digest, solves, inner = hashlib.sha256(), [], scheduler.solve
+lines, inner = [], scheduler.solve
 
 def hashed(*args, **kwargs):
     alloc, rep = inner(*args, **kwargs)
-    solves.append(1)
-    digest.update(b"none" if alloc is None else repr(alloc.shape).encode() + alloc.tobytes())
-    digest.update(f"|{float(rep.objective)!r}|{int(rep.iterations)}|{rep.status}|".encode())
+    data = b"none" if alloc is None else repr(alloc.shape).encode() + alloc.tobytes()
+    lines.append(f"{hashlib.sha256(data).hexdigest()} {float(rep.objective)!r} "
+                 f"{int(rep.iterations)} {rep.status}\\n")
     return alloc, rep
 
 scheduler.solve = hashed
 code = cli.main(sys.argv[2:])
 with open(sys.argv[1], "w") as fh:
-    fh.write(f"{digest.hexdigest()} {len(solves)}\\n")
+    fh.writelines(lines)
 sys.exit(code)
 """
 
@@ -131,14 +136,34 @@ def digests(out: Path) -> dict:
     }
 
 
-def solve_digests(out: Path) -> dict:
-    """Per run, "<sha256> <solves>" over every ``solve`` call, keyed by run name."""
+def solve_lines(out: Path) -> dict:
+    """Per run, the ``solve`` calls' lines in call order, keyed by run name."""
     found = {name: out / f"{name}.solves" for name in RUNS}
-    return {name: path.read_text().strip() for name, path in found.items() if path.exists()}
+    return {name: path.read_text().splitlines() for name, path in found.items()
+            if path.exists()}
 
 
 def _differ(mine: dict, theirs: dict) -> list:
     return sorted(k for k in mine.keys() | theirs.keys() if mine.get(k) != theirs.get(k))
+
+
+def _solve_gap(mine: list, theirs: list) -> tuple:
+    """(solves that differ, largest relative objective gap among them).
+
+    Solves are paired in call order; a solve present on one side only counts
+    as differing, with an infinite gap.
+    """
+    differ = abs(len(mine) - len(theirs))
+    gap = math.inf if differ else 0.0
+    for a, b in zip(mine, theirs):
+        if a == b:
+            continue
+        differ += 1
+        fa, fb = float(a.split()[1]), float(b.split()[1])
+        if fa != fb:  # equal objectives, infinities of infeasible solves too, have no gap
+            rel = abs(fa - fb) / max(abs(fa), abs(fb)) if math.isfinite(fa - fb) else math.inf
+            gap = max(gap, rel)
+    return differ, gap
 
 
 def main(argv=None) -> int:
@@ -152,23 +177,27 @@ def main(argv=None) -> int:
         parser.error(f"--out {out} is not empty")
     for name in RUNS:
         _run(name, out)
-    mine, my_solves = digests(out), solve_digests(out)
+    mine, my_solves = digests(out), solve_lines(out)
     for rel, digest in mine.items():
         print(f"{digest}  {rel}")
-    for name, digest in my_solves.items():
-        print(f"solves {digest}  {name}")
+    for name, lines in my_solves.items():
+        print(f"solves {len(lines)}  {name}")
     if args.against is None:
         return 0
     against = Path(args.against)
-    theirs = digests(against)
+    theirs, their_solves = digests(against), solve_lines(against)
     differ = _differ(mine, theirs)
-    solves_differ = _differ(my_solves, solve_digests(against))
     for rel in differ:
         print(f"differs: {rel}")
-    for name in solves_differ:
-        print(f"solves differ: {name}")
+    solves_differ = 0
+    for name in sorted(my_solves.keys() | their_solves.keys()):
+        n, gap = _solve_gap(my_solves.get(name, []), their_solves.get(name, []))
+        if n:
+            solves_differ += n
+            print(f"solves differ: {name}: {n} of {len(my_solves.get(name, []))}, "
+                  f"largest relative objective gap {gap:.3g}")
     print(f"{len(differ)} of {len(mine.keys() | theirs.keys())} files differ; "
-          f"solve digests differ on {len(solves_differ)} of {len(RUNS)} runs")
+          f"{solves_differ} solves differ")
     return 1 if differ or solves_differ else 0
 
 

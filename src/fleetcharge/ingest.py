@@ -277,22 +277,13 @@ class RunConfig:
         return (v["alpha_cost"], v["alpha_fade"], v["alpha_availability"])
 
     def fade_params(self) -> FadeModelParams:
-        v = self.values
-        kwargs = {}
         mapping = {
             "fade_k1": "k1", "fade_k2": "k2", "fade_k3": "k3", "fade_k4": "k4",
             "fade_p1": "p1", "fade_p2": "p2", "fade_branch_slope": "branch_slope",
+            "fade_branch_hi": "branch_hi", "fade_branch_lo": "branch_lo",
         }
-        for key, attr in mapping.items():
-            if v.get(key) is not None:
-                kwargs[attr] = v[key]
-        for key, attr in (("fade_branch_hi", "branch_hi"), ("fade_branch_lo", "branch_lo")):
-            if v.get(key) is not None:
-                parts = [float(x) for x in str(v[key]).split(",")]
-                if len(parts) != 5:
-                    raise ValueError(f"{key} needs 5 comma-separated coefficients")
-                kwargs[attr] = BranchCoefficients(*parts)
-        return FadeModelParams(**kwargs)
+        return FadeModelParams(**{attr: self.values[key] for key, attr in mapping.items()
+                                  if self.values[key] is not None})
 
     def sim_config(self, policy: Policy) -> SimConfig:
         v = self.values
@@ -314,8 +305,9 @@ class RunConfig:
 def load_config(path=None) -> RunConfig:
     """Configuration from an optional ``key = value`` file over the defaults.
 
-    Unknown keys are rejected; values are floats except the branch
-    coefficient tuples.  Lines starting with ``#`` are comments.
+    Unknown keys are rejected; values are finite floats except the branch
+    coefficient tuples, which are five finite floats separated by commas.
+    Lines starting with ``#`` are comments.
     """
     values = dict(_CONFIG_DEFAULTS)
     if path is not None:
@@ -330,15 +322,20 @@ def load_config(path=None) -> RunConfig:
             key, val = key.strip(), val.strip()
             if key not in values:
                 raise MalformedRowError(path, line_no, f"unknown key {key!r}")
-            if key in ("fade_branch_hi", "fade_branch_lo"):
-                values[key] = val
+            branch = key in ("fade_branch_hi", "fade_branch_lo")
+            try:
+                numbers = [float(x) for x in val.split(",")] if branch else [float(val)]
+            except ValueError as exc:
+                raise MalformedRowError(path, line_no, f"bad number {val!r}") from exc
+            if not all(math.isfinite(x) for x in numbers):
+                raise MalformedRowError(path, line_no, f"not a finite number {val!r}")
+            if not branch:
+                values[key] = numbers[0]
+            elif len(numbers) == 5:
+                values[key] = BranchCoefficients(*numbers)
             else:
-                try:
-                    values[key] = float(val)
-                except ValueError as exc:
-                    raise MalformedRowError(path, line_no, f"bad number {val!r}") from exc
-                if not math.isfinite(values[key]):
-                    raise MalformedRowError(path, line_no, f"not a finite number {val!r}")
+                raise MalformedRowError(path, line_no,
+                                        f"{key} needs 5 comma-separated coefficients")
     for positive in ("dt_minutes", "voltage_v", "c_bat_ah", "i_max_a",
                      "ic_max_a", "battery_cost_usd"):
         if values[positive] is None or values[positive] <= 0:

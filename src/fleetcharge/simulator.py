@@ -241,31 +241,31 @@ def run(
             task = ev.task
             if task.vehicle_id in state.vehicles:
                 raise ValueError(f"duplicate arrival for {task.vehicle_id}")
+            admission: Admission | None = None
             if config.policy.kind == "proposed":
-                admission: Admission = admit_task(task, state, config)
-                if not admission.accepted:
-                    result.metrics.n_rejected += 1
-                    result.rejected.append((task, admission.reason))
-                    schedule = _reschedule(state, config, prices_fn, result)
-                    continue
-            state.vehicles[task.vehicle_id] = VehicleState(
-                task=task, soc_cur=task.soc_start
-            )
+                admission = admit_task(task, state, config)
+            if admission is None or admission.accepted:
+                state.vehicles[task.vehicle_id] = VehicleState(
+                    task=task, soc_cur=task.soc_start
+                )
+            else:
+                result.metrics.n_rejected += 1
+                result.rejected.append((task, admission.reason))
         else:
             vs = state.vehicles.pop(ev.vehicle_id, None)
-            if vs is None:
-                rejected_ids = {t.vehicle_id for t, _ in result.rejected}
-                if ev.vehicle_id in rejected_ids:
-                    continue  # rejected tasks never plugged in
-                raise ValueError(f"unmatched-departure: {ev.vehicle_id}")
-            result.departures.append(
-                DepartureRecord(
-                    vehicle_id=ev.vehicle_id,
-                    soc_at_departure=vs.soc_cur,
-                    soc_dep_required=vs.task.soc_dep,
-                    soc_start=vs.task.soc_start,
+            if vs is not None:
+                result.departures.append(
+                    DepartureRecord(
+                        vehicle_id=ev.vehicle_id,
+                        soc_at_departure=vs.soc_cur,
+                        soc_dep_required=vs.task.soc_dep,
+                        soc_start=vs.task.soc_start,
+                    )
                 )
-            )
+            elif ev.vehicle_id not in {t.vehicle_id for t, _ in result.rejected}:
+                raise ValueError(f"unmatched-departure: {ev.vehicle_id}")
+            # a rejected task never plugged in, but its departure still ends
+            # in a reschedule: _advance may have applied part of a slot
         schedule = _reschedule(state, config, prices_fn, result)
 
     # Tail: drain any vehicles whose departure events were missing.

@@ -6,7 +6,7 @@ depends on the decision variables themselves.  The solver fixes the branch
 assignment, descends the resulting smooth surrogate with projected gradient
 steps from several deterministic feasible starts, re-derives branches from
 the solution and repeats until the assignment is stable, keeping the best
-feasible iterate measured by the true objective.
+start's final repaired point measured by the true objective.
 
 Linear single-objective subproblems (cost, availability, and plain
 feasibility) are solved exactly as LPs.  A brute-force grid oracle over
@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .fade import Branch, BranchCoefficients
+from .fade import BranchCoefficients
 from .problem import (
     COMPONENTS,
     NORMALIZATION_EPS,
@@ -82,7 +82,6 @@ class SolveReport:
     breakdown: ObjectiveBreakdown | None
     wall_time_ms: float
     iterations: int
-    branch_assignment: np.ndarray | None  # (H, V) of Branch
     status: str
 
 
@@ -141,8 +140,6 @@ def feasibility_check(inst: ProblemInstance) -> FeasibilityResult:
     cs = build_constraints(inst)
     if not cs.feasible_by_construction:
         return FeasibilityResult(False, reason="vehicle-capacity")
-    if inst.n_vehicles == 0 or inst.horizon == 0:
-        return FeasibilityResult(True, point=inst.empty_allocation())
     x = _solve_lp(inst, np.zeros((inst.horizon, inst.n_vehicles)))
     if x is None:
         return FeasibilityResult(False, reason="station-capacity")
@@ -480,33 +477,31 @@ def _descend(model: _Surrogate, x0: np.ndarray):
 def _branch_fixed_descent(inst: ProblemInstance, lin: np.ndarray, fw: float,
                           x0: np.ndarray, anchor: np.ndarray):
     """Branch-fixing rounds from a stack of starts ``x0`` (k, H, V); returns
-    (iterations, stable, iterates), each per start.
+    (iterations, stable, x), each per start, ``x`` (k, H, V) holding each
+    start's final repaired point.
 
     Projects and repairs each start, then freezes the branches of its
     current point, descends the surrogate ``lin . x + fw * fade`` and
     repairs the result, until its branches stop changing (at most
     ``MAX_BRANCH_ITERS`` rounds).  The starts still changing branches
-    descend together.  ``iterates[j]`` lists start j's repaired points in
-    order; the last is where it ended.
+    descend together.
     """
     project = _Projector(inst)
-    iterates = [[_repair_exact(p, inst, lin, anchor)] for p in project(x0)]
+    x = np.stack([_repair_exact(p, inst, lin, anchor) for p in project(x0)])
     iterations = np.zeros(len(x0), dtype=int)
     stable = np.zeros(len(x0), dtype=bool)
     live = np.arange(len(x0))
     for _ in range(MAX_BRANCH_ITERS):
-        x = np.stack([iterates[j][-1] for j in live])
-        branches = np.stack([_derive_branches(xj, inst) for xj in x])
-        descended, iters = _descend(_Surrogate(inst, lin, fw, branches, project), x)
+        branches = np.stack([_derive_branches(xj, inst) for xj in x[live]])
+        descended, iters = _descend(_Surrogate(inst, lin, fw, branches, project), x[live])
         iterations[live] += iters
         for j, xj, is_hi in zip(live, descended, branches):
-            xj = _repair_exact(xj, inst, lin, anchor)
-            iterates[j].append(xj)
-            stable[j] = np.array_equal(_derive_branches(xj, inst), is_hi)
+            x[j] = _repair_exact(xj, inst, lin, anchor)
+            stable[j] = np.array_equal(_derive_branches(x[j], inst), is_hi)
         live = live[~stable[live]]
         if len(live) == 0:
             break
-    return iterations, stable, iterates
+    return iterations, stable, x
 
 
 # ---------------------------------------------------------------------------
@@ -515,22 +510,17 @@ def _branch_fixed_descent(inst: ProblemInstance, lin: np.ndarray, fw: float,
 
 
 class _BestTracker:
-    """Lowest normalized objective seen; a tie (within a relative 1e-12)
-    keeps the point considered first."""
+    """Lowest ``score(x)`` seen; a tie (within a relative 1e-12) keeps the
+    point considered first."""
 
-    def __init__(self, inst, points, weights):
-        self.inst = inst
-        self.points = points
-        self.weights = weights
+    def __init__(self, score):
+        self.score = score
         self.alloc = None
         self.objective = np.inf
 
     def consider(self, x: np.ndarray):
-        obj = normalized_objective(
-            objective_components(x, self.inst), self.points, self.weights
-        )
-        tol = 1e-12 * max(1.0, abs(obj))
-        if obj < self.objective - tol:
+        obj = self.score(x)
+        if obj < self.objective - 1e-12 * max(1.0, abs(obj)):
             self.alloc, self.objective = x.copy(), obj
 
 
@@ -735,62 +725,41 @@ def _minimize_fade(inst: ProblemInstance, anchor: np.ndarray) -> np.ndarray:
     feasibility point."""
     lin = np.zeros((inst.horizon, inst.n_vehicles))
     starts = np.stack([_fill_latest(inst), _fill_spread(inst)])
-    best_x, best_f = None, np.inf
-    for start_iterates in _branch_fixed_descent(inst, lin, 1.0, starts, anchor)[2]:
-        x = start_iterates[-1]
-        raw = objective_components(x, inst).fade
-        if raw < best_f - 1e-15 or (best_x is None):
-            best_x, best_f = x, raw
-    return _local_move_polish(best_x, inst, lambda parts: parts[:, 1])
+    tracker = _BestTracker(lambda x: objective_components(x, inst).fade)
+    for x in _branch_fixed_descent(inst, lin, 1.0, starts, anchor)[2]:
+        tracker.consider(x)
+    return _local_move_polish(tracker.alloc, inst, lambda parts: parts[:, 1])
 
 
-def solve(inst: ProblemInstance, points: NormalizationPoints | None = None):
+def solve(inst: ProblemInstance):
     """Minimize the normalized weighted objective; returns (allocation, report).
 
     Deterministic for identical inputs.  The allocation is None exactly when
     the instance is infeasible.  Branch-fixed descent starts from the
     maximum-power allocation, the exact LP corner of the linear objective
     part (when it has one), and the latest and spread fills; zero-snap and
-    local-move polish then refine the best repaired iterate.
+    local-move polish then refine the best start's final repaired point.
     """
     t0 = time.perf_counter()
 
     def report(status, alloc=None, objective=np.inf, iterations=0):
         wall = (time.perf_counter() - t0) * 1000.0
-        if alloc is None:
-            return None, SolveReport(
-                objective=objective, breakdown=None, wall_time_ms=wall,
-                iterations=iterations, branch_assignment=None, status=status,
-            )
-        is_hi = _derive_branches(alloc, inst)
-        branches = np.where(is_hi, Branch.HI, Branch.LO)
-        return alloc, SolveReport(
-            objective=objective,
-            breakdown=objective_components(alloc, inst),
-            wall_time_ms=wall,
-            iterations=iterations,
-            branch_assignment=branches,
-            status=status,
-        )
+        breakdown = None if alloc is None else objective_components(alloc, inst)
+        return alloc, SolveReport(objective=objective, breakdown=breakdown,
+                                  wall_time_ms=wall, iterations=iterations, status=status)
 
     if inst.horizon == 0 or inst.n_vehicles == 0:
-        alloc = inst.empty_allocation()
-        points = points or NormalizationPoints(
-            utopia={k: 0.0 for k in COMPONENTS}, nadir={k: 0.0 for k in COMPONENTS}
-        )
-        obj = normalized_objective(objective_components(alloc, inst), points, inst.weights)
-        return report(SolveStatus.OPTIMAL_LOCAL, alloc, obj)
+        return report(SolveStatus.OPTIMAL_LOCAL, inst.empty_allocation(), 0.0)
 
     fc = feasibility_check(inst)
     if not fc.feasible:
         return report(SolveStatus.INFEASIBLE)
-    if points is None:
-        # The fade payoff reuses this solve's feasibility LP.
-        points = compute_normalization_points(
-            inst,
-            lambda i, component: _minimize_fade(i, fc.point) if component == "fade"
-            else single_objective_minimizer(i, component),
-        )
+    # The fade payoff reuses this solve's feasibility LP.
+    points = compute_normalization_points(
+        inst,
+        lambda i, component: _minimize_fade(i, fc.point) if component == "fade"
+        else single_objective_minimizer(i, component),
+    )
 
     # Fold normalization scales into the surrogate coefficients; degenerate
     # components drop out, mirroring normalized_objective.
@@ -803,7 +772,8 @@ def solve(inst: ProblemInstance, points: NormalizationPoints | None = None):
         lin = lin + (a["availability"] / scale["availability"]) * _avail_coeffs(inst)
     fw = a["fade"] / scale["fade"] if scale["fade"] >= NORMALIZATION_EPS else 0.0
 
-    tracker = _BestTracker(inst, points, inst.weights)
+    tracker = _BestTracker(lambda x: normalized_objective(
+        objective_components(x, inst), points, inst.weights))
     starts = [max_power_allocation(inst)]
     if np.any(lin != 0.0):
         # Exact corner of the linear objective part; descent only refines
@@ -813,11 +783,10 @@ def solve(inst: ProblemInstance, points: NormalizationPoints | None = None):
             starts.append(lp_corner)
     starts.extend([_fill_latest(inst), _fill_spread(inst)])
 
-    iterations, stable, iterates = _branch_fixed_descent(
+    iterations, stable, finals = _branch_fixed_descent(
         inst, lin, fw, np.stack(starts), fc.point)
-    for start_iterates in iterates:
-        for x in start_iterates:
-            tracker.consider(x)
+    for x in finals:
+        tracker.consider(x)
 
     _zero_snap_polish(tracker.alloc, inst, tracker)
     polished = _local_move_polish(

@@ -228,6 +228,19 @@ class TestRunConfig:
         assert params.branch_lo.p00 == 1e-6
         assert params.branch_hi.p00 == 4.169e-6  # untouched default
 
+    @pytest.mark.parametrize("key", ["fade_branch_hi", "fade_branch_lo"])
+    @pytest.mark.parametrize("value, message", [
+        ("nan,0,0,0,0", "not a finite number"),
+        ("1e-6,inf,0,0,0", "not a finite number"),
+        ("1e-6,-1e-5,1e-6", "needs 5 comma-separated coefficients"),
+        ("1e-6,-1e-5,high,6e-7,-2e-10", "bad number"),
+    ])
+    def test_bad_branch_tuple_rejected(self, tmp_path, key, value, message):
+        """Branch tuples are checked when the file is read, with its line."""
+        p = write(tmp_path / "c.cfg", f"fade_k1 = 2e-4\n{key} = {value}\n")
+        with pytest.raises(MalformedRowError, match=f"c.cfg:2: .*{message}"):
+            load_config(p)
+
     def test_weights(self, tmp_path):
         p = write(tmp_path / "c.cfg", "alpha_cost = 0.6\nalpha_availability = 0.1\n")
         assert load_config(p).weights == (0.6, 1.0, 0.1)

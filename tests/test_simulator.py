@@ -1,8 +1,11 @@
 """Event-driven replay tests: metric operations, golden run, invariants."""
 
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
+from fleetcharge.ingest import SessionRecord, sessions_to_events
 from fleetcharge.problem import ChargingTask
 from fleetcharge.scheduler import Policy
 from fleetcharge.simulator import (
@@ -208,6 +211,52 @@ class TestRunInvariants:
             by_time.setdefault(round(e.time_h, 9), 0.0)
             by_time[round(e.time_h, 9)] += e.current_a
         assert max(by_time.values()) <= cfg.ic_max + 1e-6
+
+
+def rejection_log(cfg):
+    """Five sessions on 2021-05-03 (id, connect, disconnect, kWh) on which
+    the proposed policy rejects one arrival; the rejected vehicle departs
+    inside an hour slot while the others charge."""
+    specs = [
+        ("S3", "02:55", "12:46", 33.45),
+        ("S2", "04:28", "05:12", 5.88),
+        ("S1", "05:53", "12:04", 50.02),
+        ("S0", "08:18", "11:12", 29.16),
+        ("S4", "09:10", "09:54", 28.51),
+    ]
+
+    def at(hhmm):
+        h, m = map(int, hhmm.split(":"))
+        return datetime(2021, 5, 3, h, m, tzinfo=timezone.utc)
+
+    records = [SessionRecord(sid, at(c), at(d), kwh, f"P{sid}") for sid, c, d, kwh in specs]
+    return sessions_to_events(records, cfg)[0]
+
+
+class TestRejection:
+    def test_rejected_departure_inside_a_slot(self):
+        """Every event ends in a reschedule, the rejected departure too: no
+        slot is applied twice, so each vehicle's ledger rows are disjoint in
+        time and every departure lands in its SoC band."""
+        cfg = SimConfig(dt=1.0, ic_max=80.0, policy=Policy("proposed"))
+        events = rejection_log(cfg)
+        res = run(events, lambda t: 0.05, cfg)
+        assert res.metrics.n_rejected == 1 and len(res.rejected) == 1
+        rejected = res.rejected[0][0].vehicle_id
+        assert sorted(d.vehicle_id for d in res.departures) == sorted(
+            {"S0", "S1", "S2", "S3", "S4"} - {rejected})
+        assert len(res.metrics.per_event_peak_period) == len(events)
+        rows = {}
+        for e in res.ledger:
+            rows.setdefault(e.vehicle_id, []).append((e.time_h, e.time_h + e.duration_h))
+        assert rejected not in rows
+        for spans in rows.values():
+            spans.sort()
+            assert all(end <= nxt + 1e-9 for (_, end), (nxt, _) in zip(spans, spans[1:]))
+        band = cfg.soc_xtra_ah / cfg.c_bat
+        for d in res.departures:
+            assert d.soc_dep_required - 1e-6 <= d.soc_at_departure
+            assert d.soc_at_departure <= d.soc_dep_required + band + 1e-6
 
 
 class TestEventValidation:

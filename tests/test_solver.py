@@ -126,7 +126,7 @@ class TestSolveDirections:
         alloc, rep = solve(inst)
         assert alloc is None
         assert rep.status == SolveStatus.INFEASIBLE
-        assert rep.branch_assignment is None
+        assert rep.breakdown is None
 
 
 class TestSolveContracts:
@@ -180,7 +180,7 @@ class TestSolveContracts:
         np.testing.assert_array_equal(warm[:, 0], [80.0, 80.0, 50.0, 0.0])  # 105 Ah: full
         assert build_constraints(inst).audit(warm, 1e-9) == []
         pts = _points(inst)
-        alloc, rep = solve(inst, points=pts)
+        alloc, rep = solve(inst)
         warm_obj = normalized_objective(objective_components(warm, inst), pts, inst.weights)
         assert rep.objective <= warm_obj + 1e-12
 
@@ -196,10 +196,6 @@ class TestSolveContracts:
             _, rep = solve(inst)
             costs.append(rep.breakdown.cost)
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
-
-    def test_branch_assignment_shape(self, two_by_three_instance):
-        alloc, rep = solve(two_by_three_instance)
-        assert rep.branch_assignment.shape == alloc.shape
 
     def test_one_feasibility_lp_per_solve(self, two_by_three_instance, monkeypatch):
         """The fade payoff reuses the feasibility result ``solve`` holds."""
@@ -227,11 +223,47 @@ class TestBestTracker:
         objs = [normalized_objective(objective_components(x, inst), points, inst.weights)
                 for x in (first, second)]
         assert abs(objs[0] - objs[1]) <= 1e-12 * max(1.0, abs(objs[0]))
-        tracker = _BestTracker(inst, points, inst.weights)
+        tracker = _BestTracker(lambda x: normalized_objective(
+            objective_components(x, inst), points, inst.weights))
         tracker.consider(first)
         tracker.consider(second)
         np.testing.assert_array_equal(tracker.alloc, first)
         assert tracker.objective == objs[0]
+
+    def test_tie_is_relative_and_keeps_first(self):
+        """The one rule of every caller (``solve`` on the normalized
+        objective, the fade payoff on raw fade): a score within a relative
+        1e-12 of the held one keeps the held point, a lower one replaces it."""
+        tracker = _BestTracker(lambda x: float(x[0, 0]))
+        for score, kept in ((0.5, 0.5), (0.5 - 5e-13, 0.5), (0.5 - 2e-12, 0.5 - 2e-12),
+                            (4e6, 0.5 - 2e-12)):
+            tracker.consider(np.array([[score]]))
+            assert tracker.alloc[0, 0] == kept
+        big = _BestTracker(lambda x: float(x[0, 0]))
+        for score in (4e6, 4e6 * (1.0 - 5e-13)):
+            big.consider(np.array([[score]]))
+        assert big.alloc[0, 0] == 4e6
+
+
+class TestRepairExact:
+    def test_exhausted_top_up_falls_back_to_anchor(self):
+        """A and B share slot 0 on an 80 A station with no headroom.  With A
+        at 80 A there, B's floor has no room left, so the repair returns a
+        copy of the anchor and leaves the anchor as it was.  B departs first,
+        so it is column 0."""
+        tasks = [ChargingTask("A", 0.0, 1.0, 0.4, 0.6), ChargingTask("B", 0.0, 0.5, 0.4, 0.5)]
+        inst = make_instance(tasks, i_max=80.0, ic_max=80.0, c_bat=200.0, soc_xtra_ah=0.0)
+        np.testing.assert_allclose(inst.e_lo, [20.0, 40.0])
+        np.testing.assert_allclose(inst.e_hi, inst.e_lo)
+        np.testing.assert_array_equal(inst.active, [[True, True], [False, True]])
+        anchor = feasibility_check(inst).point
+        kept = anchor.copy()
+        x = np.array([[0.0, 80.0], [0.0, 0.0]])
+        got = _repair_exact(x, inst, np.zeros_like(x), anchor)
+        assert got is not anchor
+        np.testing.assert_array_equal(got, kept)
+        np.testing.assert_array_equal(anchor, kept)
+        assert build_constraints(inst).audit(got, 1e-9) == []
 
 
 def _loop_lp_triplets(inst):
@@ -355,7 +387,7 @@ class TestOracle:
             if not feasibility_check(inst).feasible:
                 continue
             pts = _points(inst)
-            alloc, rep = solve(inst, points=pts)
+            alloc, rep = solve(inst)
             _, oracle_obj = oracle_grid_search(inst, levels=8, points=pts)
             scale = max(abs(oracle_obj), 1e-9)
             assert rep.objective <= oracle_obj + 0.02 * scale
@@ -759,10 +791,9 @@ def _reference_descend(model, x0, exits):
 
 def _reference_branch_loop(inst, lin, fw, x0, anchor):
     """The per-start branch-fixing loop, kept as written, on the alternating
-    projection loop; returns (x, iterations, stable, iterates, rounds)."""
+    projection loop; returns (x, iterations, stable, rounds)."""
     project = lambda y: _reference_polytope(y, inst)  # noqa: E731
     x = _repair_exact(project(x0), inst, lin, anchor)
-    iterates = [x]
     iterations = rounds = 0
     for _ in range(solver_module.MAX_BRANCH_ITERS):
         rounds += 1
@@ -771,11 +802,10 @@ def _reference_branch_loop(inst, lin, fw, x0, anchor):
             _ReferenceSurrogate(inst, lin, fw, branches, project), x, [])
         iterations += iters
         x = _repair_exact(x, inst, lin, anchor)
-        iterates.append(x)
         stable = np.array_equal(_derive_branches(x, inst), branches)
         if stable:
             break
-    return x, iterations, stable, iterates, rounds
+    return x, iterations, stable, rounds
 
 
 def _descent_inputs(inst):
@@ -894,13 +924,13 @@ class TestLockstepDescent:
         for _ in range(4):
             inst = _descent_instance(rng, 3, 8, 160.0, soc_low=0.01)
             lin, fw, starts, anchor = _descent_inputs(inst)
-            iterations, stable, iterates = _branch_fixed_descent(inst, lin, fw, starts, anchor)
+            iterations, stable, x = _branch_fixed_descent(inst, lin, fw, starts, anchor)
+            assert x.shape == starts.shape
             for j, x0 in enumerate(starts):
                 ref = _reference_branch_loop(inst, lin, fw, x0, anchor)
-                assert iterates[j][-1].tobytes() == ref[0].tobytes()
+                assert x[j].tobytes() == ref[0].tobytes()
                 assert (iterations[j], stable[j]) == (ref[1], ref[2])
-                assert [a.tobytes() for a in iterates[j]] == [a.tobytes() for a in ref[3]]
-                rounds.append(ref[4])
+                rounds.append(ref[3])
         assert 1 in rounds and max(rounds) >= 2
 
 
