@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,6 +42,8 @@ def _parse_weights(raw: str) -> tuple:
     if len(parts) != 3:
         raise ValueError(f"weights must be three comma-separated numbers, got {raw!r}")
     w = tuple(float(p) for p in parts)
+    if not all(math.isfinite(x) for x in w):
+        raise ValueError(f"weights must be finite, got {raw!r}")
     if any(x < 0 for x in w) or not any(x > 0 for x in w):
         raise ValueError("weights must be nonnegative and not all zero")
     return w
@@ -199,7 +202,7 @@ def cmd_validate_fade(args) -> int:
     report = fade_fit_report(
         params,
         n=args.grid_n,
-        i_max=args.grid_imax if args.grid_imax else cfg.values["i_max_a"],
+        i_max=args.grid_imax if args.grid_imax is not None else cfg.values["i_max_a"],
         dt=cfg.values["dt_minutes"] / 60.0,
         c_bat=cfg.values["c_bat_ah"],
     )

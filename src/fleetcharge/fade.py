@@ -278,6 +278,10 @@ def fade_fit_report(
     a branch cannot define (no grid points, or constant exact values for
     R^2) is None.
     """
+    if n < 0:
+        raise ValueError(f"grid size must be >= 0, got {n}")
+    if not (math.isfinite(i_max) and i_max > 0):
+        raise ValueError(f"grid current limit must be finite and > 0, got {i_max}")
     soc_grid = np.linspace(0.0, 1.0, n)
     current_grid = np.linspace(0.0, i_max, n + 1)[1:]
     exact, approx, is_hi = _surfaces(params, soc_grid, current_grid, dt, c_bat)

@@ -186,6 +186,8 @@ def build_instance(
     if soc_xtra_ah < 0:
         raise ValueError("extra-charge headroom must be >= 0")
     w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if w.shape != (3,) or np.any(w < 0) or not np.any(w > 0):
         raise ValueError("weights must be three nonnegative values, not all zero")
 

@@ -9,8 +9,10 @@ the solution and repeats until the assignment is stable, keeping the best
 start's final repaired point measured by the true objective.
 
 Linear single-objective subproblems (cost, availability, and plain
-feasibility) are solved exactly as LPs.  A brute-force grid oracle over
-tiny instances provides an independent check of solution quality.
+feasibility) are solved exactly as LPs on one HiGHS model per instance
+(dual simplex, Huangfu & Hall 2018), built once and re-solved cold for each
+cost vector.  A brute-force grid oracle over tiny instances provides an
+independent check of solution quality.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .fade import BranchCoefficients
 from .problem import (
@@ -108,18 +110,58 @@ def _lp_matrices(inst: ProblemInstance):
     return a_ub, b, np.column_stack([np.zeros(size), ub])
 
 
-def _solve_lp(inst: ProblemInstance, c: np.ndarray) -> np.ndarray | None:
-    """Minimize a linear objective over the polytope; None if infeasible."""
-    if inst.horizon == 0 or inst.n_vehicles == 0:
-        return inst.empty_allocation()
-    a_ub, b_ub, bounds = _lp_matrices(inst)
-    res = linprog(c.ravel(), A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    x = res.x.reshape(inst.horizon, inst.n_vehicles)
-    x = np.clip(x, 0.0, None)
-    x[~inst.active] = 0.0
-    return x
+class _LinearProgram:
+    """The instance's schedule polytope as one HiGHS model, built once.
+
+    Calling it with a cost array (H, V) minimizes that linear objective over
+    the polytope and returns the allocation, or None unless HiGHS reports
+    the optimum.  The options are those of ``linprog(method="highs")``:
+    presolve on, dual simplex, no output.  Every call clears the previous
+    solve's basis and solution first, so each LP starts cold and returns
+    the vertex a fresh model would.
+    """
+
+    def __init__(self, inst: ProblemInstance):
+        self.inst = inst
+        self.size = inst.horizon * inst.n_vehicles
+        if self.size == 0:
+            return
+        a_ub, b_ub, bounds = _lp_matrices(inst)
+        a = a_ub.tocsc()
+        lp = highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = self.size
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(b_ub)
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = a.indptr
+        lp.a_matrix_.index_ = a.indices
+        lp.a_matrix_.value_ = a.data
+        lp.col_cost_ = np.zeros(self.size)
+        lp.col_lower_, lp.col_upper_ = bounds.T.copy()
+        lp.row_lower_ = np.full(len(b_ub), -highs.kHighsInf)
+        lp.row_upper_ = b_ub
+        options = highs.HighsOptions()
+        options.presolve = "on"
+        options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        options.output_flag = False
+        options.log_to_console = False
+        self.model = highs._Highs()
+        self.model.passOptions(options)
+        self.model.passModel(lp)
+        self.cols = np.arange(self.size, dtype=np.int32)
+
+    def __call__(self, c: np.ndarray) -> np.ndarray | None:
+        inst = self.inst
+        if self.size == 0:
+            return inst.empty_allocation()
+        self.model.changeColsCost(self.size, self.cols, np.ravel(c).astype(float))
+        self.model.clearSolver()
+        self.model.run()
+        if self.model.getModelStatus() != highs.HighsModelStatus.kOptimal:
+            return None
+        x = np.array(self.model.getSolution().col_value).reshape(inst.horizon, inst.n_vehicles)
+        x = np.clip(x, 0.0, None)
+        x[~inst.active] = 0.0
+        return x
 
 
 def _cost_coeffs(inst: ProblemInstance) -> np.ndarray:
@@ -137,10 +179,15 @@ def feasibility_check(inst: ProblemInstance) -> FeasibilityResult:
     when some vehicle alone cannot receive its required charge, and as
     station-capacity otherwise.
     """
-    cs = build_constraints(inst)
-    if not cs.feasible_by_construction:
+    return _feasibility(_LinearProgram(inst))
+
+
+def _feasibility(lp: _LinearProgram) -> FeasibilityResult:
+    """:func:`feasibility_check` on the instance's LP model."""
+    inst = lp.inst
+    if not build_constraints(inst).feasible_by_construction:
         return FeasibilityResult(False, reason="vehicle-capacity")
-    x = _solve_lp(inst, np.zeros((inst.horizon, inst.n_vehicles)))
+    x = lp(np.zeros((inst.horizon, inst.n_vehicles)))
     if x is None:
         return FeasibilityResult(False, reason="station-capacity")
     return FeasibilityResult(True, point=x)
@@ -702,17 +749,23 @@ def _local_move_polish(x, inst: ProblemInstance, score):
 
 def single_objective_minimizer(inst: ProblemInstance, component: str) -> np.ndarray:
     """Minimize one raw objective component alone over the polytope."""
+    lp = _LinearProgram(inst)
+    if component != "fade":
+        return _minimize_linear(lp, component)
+    if inst.horizon == 0 or inst.n_vehicles == 0:
+        return inst.empty_allocation()
+    fc = _feasibility(lp)
+    if not fc.feasible:
+        raise ValueError("infeasible-instance")
+    return _minimize_fade(inst, fc.point)
+
+
+def _minimize_linear(lp: _LinearProgram, component: str) -> np.ndarray:
+    """The cost or availability payoff point on the instance's LP model."""
     if component == "cost":
-        x = _solve_lp(inst, _cost_coeffs(inst))
+        x = lp(_cost_coeffs(lp.inst))
     elif component == "availability":
-        x = _solve_lp(inst, _avail_coeffs(inst))
-    elif component == "fade":
-        if inst.horizon == 0 or inst.n_vehicles == 0:
-            return inst.empty_allocation()
-        fc = feasibility_check(inst)
-        if not fc.feasible:
-            raise ValueError("infeasible-instance")
-        return _minimize_fade(inst, fc.point)
+        x = lp(_avail_coeffs(lp.inst))
     else:
         raise ValueError(f"unknown objective component {component!r}")
     if x is None:
@@ -751,14 +804,16 @@ def solve(inst: ProblemInstance):
     if inst.horizon == 0 or inst.n_vehicles == 0:
         return report(SolveStatus.OPTIMAL_LOCAL, inst.empty_allocation(), 0.0)
 
-    fc = feasibility_check(inst)
+    # One LP model serves the feasibility point, the linear payoff points
+    # and the LP corner; the fade payoff reuses the feasibility point.
+    lp = _LinearProgram(inst)
+    fc = _feasibility(lp)
     if not fc.feasible:
         return report(SolveStatus.INFEASIBLE)
-    # The fade payoff reuses this solve's feasibility LP.
     points = compute_normalization_points(
         inst,
         lambda i, component: _minimize_fade(i, fc.point) if component == "fade"
-        else single_objective_minimizer(i, component),
+        else _minimize_linear(lp, component),
     )
 
     # Fold normalization scales into the surrogate coefficients; degenerate
@@ -778,7 +833,7 @@ def solve(inst: ProblemInstance):
     if np.any(lin != 0.0):
         # Exact corner of the linear objective part; descent only refines
         # the fade trade-off from there.
-        lp_corner = _solve_lp(inst, lin)
+        lp_corner = lp(lin)
         if lp_corner is not None:
             starts.append(lp_corner)
     starts.extend([_fill_latest(inst), _fill_spread(inst)])

@@ -71,6 +71,13 @@ class TestSimulate:
         assert rc == 1
         assert "weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["nan,1,1", "1,inf,1", "1,1,-inf"])
+    def test_non_finite_weights_rejected(self, workdir, capsys, raw):
+        rc = main(["simulate", "--policy", "proposed", "--weights", raw]
+                  + io_args(workdir, workdir / "out"))
+        assert rc == 1
+        assert f"weights must be finite, got {raw!r}" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, workdir):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--policy", "sideways"] + io_args(workdir, workdir / "o"))
@@ -147,6 +154,18 @@ class TestValidateFade:
         rc = main(["validate-fade", "--grid-n", "40", "--grid-imax", "60"])
         assert rc == 0
         assert "40x40" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("imax", ["0", "-5", "nan", "inf"])
+    def test_bad_grid_current_rejected(self, capsys, imax):
+        """An explicit zero is not replaced by the config's limit; no
+        non-positive or non-finite limit yields a report."""
+        assert main(["validate-fade", "--grid-imax", imax]) == 1
+        err = capsys.readouterr().err
+        assert "grid current limit must be finite and > 0" in err
+
+    def test_negative_grid_size_rejected(self, capsys):
+        assert main(["validate-fade", "--grid-n", "-1"]) == 1
+        assert "grid size must be >= 0, got -1" in capsys.readouterr().err
 
     def test_tiny_grid_is_strict_json(self, tmp_path, capsys):
         """A 2x2 grid leaves the low-current branch empty: exit 0, null

@@ -192,6 +192,17 @@ class TestApproximationQuality:
         assert report["hi"]["r_squared"] is None
         assert report["hi"]["rmse_ah"] == report["hi"]["max_abs_err_ah"] > 0.0
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(i_max=0.0), "grid current limit"),
+        (dict(i_max=-5.0), "grid current limit"),
+        (dict(i_max=float("nan")), "grid current limit"),
+        (dict(i_max=float("inf")), "grid current limit"),
+        (dict(n=-1), "grid size"),
+    ])
+    def test_bad_grid_rejected(self, fade_params, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            fade_fit_report(fade_params, **kwargs)
+
     def test_zero_current_agreement(self, fade_params):
         slot = SlotCharge(0.7, 0.0, 0.5, 210.0)
         assert cyclic_fade_exact(slot, fade_params) == 0.0

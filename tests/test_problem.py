@@ -91,6 +91,11 @@ class TestTaskAndPrices:
 
 
 class TestBuildInstance:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            make_instance([ChargingTask("v", 0.0, 1.0, 0.4, 0.8)], weights=(bad, 1.0, 1.0))
+
     def test_edf_column_order(self):
         tasks = [
             ChargingTask("late", 0.0, 3.0, 0.4, 0.8),

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import linprog
 
 from fleetcharge.problem import (
     COMPONENTS,
@@ -31,13 +32,13 @@ from fleetcharge.solver import (
     _descend,
     _fill_latest,
     _fill_spread,
+    _LinearProgram,
     _local_move_polish,
     _lp_matrices,
     _normalized_score,
     _Projector,
     _relocation_candidates,
     _repair_exact,
-    _solve_lp,
     _Surrogate,
     _swap_candidates,
     feasibility_check,
@@ -198,16 +199,24 @@ class TestSolveContracts:
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
     def test_one_feasibility_lp_per_solve(self, two_by_three_instance, monkeypatch):
-        """The fade payoff reuses the feasibility result ``solve`` holds."""
-        calls = []
+        """``solve`` builds one LP model for its instance and solves one
+        zero-cost (feasibility) LP on it: the fade payoff reuses that point."""
+        models, costs = [], []
 
-        def counted(inst):
-            calls.append(inst)
-            return feasibility_check(inst)
+        class Counted(_LinearProgram):
+            def __init__(self, inst):
+                models.append(inst)
+                super().__init__(inst)
 
-        monkeypatch.setattr(solver_module, "feasibility_check", counted)
+            def __call__(self, c):
+                costs.append(np.array(c, dtype=float))
+                return super().__call__(c)
+
+        monkeypatch.setattr(solver_module, "_LinearProgram", Counted)
         alloc, _ = solve(two_by_three_instance)
-        assert alloc is not None and len(calls) == 1
+        assert alloc is not None
+        assert len(models) == 1 and models[0] is two_by_three_instance
+        assert sum(not c.any() for c in costs) == 1 and len(costs) >= 3
 
 
 class TestBestTracker:
@@ -317,6 +326,67 @@ class TestLpMatrices:
             np.testing.assert_array_equal(
                 bounds[:, 1], np.where(inst.active, inst.i_max, 0.0).ravel()
             )
+
+
+def _linprog_reference(inst, c):
+    """The LP through ``scipy.optimize.linprog(method="highs")``, with the
+    model's clip and inactive-cell zeroing; None unless it succeeds."""
+    if inst.horizon == 0 or inst.n_vehicles == 0:
+        return inst.empty_allocation()
+    a_ub, b_ub, bounds = _lp_matrices(inst)
+    res = linprog(np.ravel(c), A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not res.success:
+        return None
+    x = np.clip(res.x.reshape(inst.horizon, inst.n_vehicles), 0.0, None)
+    x[~inst.active] = 0.0
+    return x
+
+
+class TestLinearProgram:
+    """One HiGHS model per instance returns what a fresh ``linprog`` call
+    returns, byte for byte, for every cost in any order."""
+
+    @staticmethod
+    def _instances():
+        rng = np.random.default_rng(23)
+        for k in range(12):
+            n = int(rng.integers(1, 5))
+            # partial last slots, and a vehicle leaving at the start (no slots)
+            tasks = [ChargingTask(f"v{v}", 0.0, float(rng.uniform(1.0, 4.0)), s,
+                                  s + float(rng.uniform(0.05, 0.25)))
+                     for v, s in enumerate(rng.uniform(0.3, 0.6, n))]
+            tasks += [ChargingTask("idle", 0.0, 0.0, 0.5, 0.5)] * (k % 2)
+            # a slack cap, or one that binds
+            ic_max = 80.0 * len(tasks) if k % 3 == 0 else float(rng.uniform(80.0, 100.0))
+            prices = rng.uniform(0.02, 0.3, 8)
+            yield make_instance(tasks, prices=lambda t, p=prices: p[int(round(t / 0.5))],
+                                ic_max=ic_max, soc_xtra_ah=15.0)
+        # Two vehicles that each need 150 Ah in two hours on an 80 A feeder:
+        # feasible alone, infeasible together.
+        yield make_instance([ChargingTask(v, 0.0, 2.0, 0.0, 150.0 / 210.0) for v in "AB"],
+                            ic_max=80.0)
+        yield make_instance([])
+
+    def test_equals_linprog_byte_for_byte(self):
+        rng = np.random.default_rng(5)
+        infeasible = binding = 0
+        for inst in self._instances():
+            shape = (inst.horizon, inst.n_vehicles)
+            zero = np.zeros(shape)
+            costs = [zero, _cost_coeffs(inst), zero, _avail_coeffs(inst),
+                     rng.normal(size=shape), _cost_coeffs(inst) + _avail_coeffs(inst) / 50.0,
+                     zero]
+            lp = _LinearProgram(inst)
+            for c in costs:
+                got, ref = lp(c), _linprog_reference(inst, c)
+                assert (got is None) == (ref is None)
+                if ref is None:
+                    infeasible += 1
+                    continue
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+                binding += bool(np.any(got.sum(axis=1) >= inst.ic_max - 1e-9))
+        assert infeasible == 7  # every cost on the infeasible instance
+        assert binding >= 10    # LPs whose optimum sits on the station cap
 
 
 class TestOracle:
@@ -817,7 +887,7 @@ def _descent_inputs(inst):
     lin = (a["cost"] / scale["cost"]) * _cost_coeffs(inst) \
         + (a["availability"] / scale["availability"]) * _avail_coeffs(inst)
     fw = a["fade"] / scale["fade"]
-    starts = [max_power_allocation(inst), _solve_lp(inst, lin),
+    starts = [max_power_allocation(inst), _LinearProgram(inst)(lin),
               _fill_latest(inst), _fill_spread(inst)]
     return lin, fw, np.stack(starts), feasibility_check(inst).point
 
