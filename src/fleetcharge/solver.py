@@ -606,65 +606,58 @@ _SWAP_POLISH_ACTIVES = 30  # pairwise exchanges: budget on active cells
 _POLISH_BATCH_CELLS = 1 << 12  # candidate cells scored at once: bounds memory
 
 
-def _relocation_candidates(x, inst, col_sum, v):
-    """Feasible single-slot relocations of vehicle v's charge, as new columns."""
-    tt = int(inst.grid.tt[v])
-    for i in np.nonzero(x[:tt, v] > 0.0)[0]:
-        ah = x[i, v] * inst.durations[i, v]
-        for j in range(tt):
-            if j == i:
-                continue
-            d_j = inst.durations[j, v]
-            if d_j <= 0:
-                continue
-            amps = ah / d_j
-            room = min(inst.i_max - x[j, v], inst.ic_max - col_sum[j])
-            if amps > room + 1e-12:
-                continue
-            cand = x[:, v].copy()
-            cand[j] += amps
-            cand[i] = 0.0
-            yield cand
+def _neighbourhood(x, inst):
+    """One pass's moves: relocations, then (on few active cells) exchanges.
 
+    A relocation moves one active cell's charge (in Ah) to another slot of
+    its vehicle, within box and station headroom.  An exchange trades the
+    slots of two vehicles' active cells ``(i, u)`` and ``(j, v)``; it is
+    needed when a relocation is blocked by the station cap and only becomes
+    feasible once the other vehicle vacates the target slot.
 
-def _swap_candidates(x, inst, col_sum):
-    """Pairwise exchanges: two vehicles trade the slots of one charge block.
-
-    Needed when a single relocation is blocked by the station cap and only
-    becomes feasible once the other vehicle vacates the target slot.
-    Yields ``(u, v, column_u, column_v)``.
+    Returns one entry per candidate column, ``(owners, gain, amps, zero)``:
+    the owner vehicle, the slot that gains charge, the amps it gains and
+    the slot zeroed; and ``bounds`` (moves + 1), the offsets of each move's
+    columns.  Relocations are one column each, ordered by vehicle, source
+    slot, then target slot; exchanges are two, u's then v's, ordered by
+    ``(i, u)``, then ``(j, v)``, each cell by vehicle, then slot.
     """
-    n = inst.n_vehicles
-    cells = [
-        (i, v)
-        for v in range(n)
-        for i in np.nonzero(x[: int(inst.grid.tt[v]), v] > 0.0)[0]
-    ]
-    for i, u in cells:
-        for j, v in cells:
-            if u == v or i == j:
-                continue
-            if j >= inst.grid.tt[u] or i >= inst.grid.tt[v]:
-                continue
-            d_ju, d_iv = inst.durations[j, u], inst.durations[i, v]
-            if d_ju <= 0 or d_iv <= 0:
-                continue
-            amps_u = x[i, u] * inst.durations[i, u] / d_ju
-            amps_v = x[j, v] * inst.durations[j, v] / d_iv
-            if x[j, u] + amps_u > inst.i_max + 1e-12:
-                continue
-            if x[i, v] + amps_v > inst.i_max + 1e-12:
-                continue
-            if col_sum[j] - x[j, v] + amps_u > inst.ic_max + 1e-12:
-                continue
-            if col_sum[i] - x[i, u] + amps_v > inst.ic_max + 1e-12:
-                continue
-            cand_u, cand_v = x[:, u].copy(), x[:, v].copy()
-            cand_u[j] += amps_u
-            cand_u[i] -= x[i, u]
-            cand_v[i] += amps_v
-            cand_v[j] -= x[j, v]
-            yield u, v, cand_u, cand_v
+    tt, d, target = inst.grid.tt, inst.durations, np.arange(inst.horizon)
+    col_sum = x.sum(axis=1)
+    # Active cells by vehicle, then slot; row k of a (cells, H) array is
+    # cell k's vehicle at every target slot.
+    veh, slot = np.nonzero((x.T > 0.0) & (target < tt[:, None]))
+    x_to, d_to = x.T[veh], d.T[veh]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amps = (x[slot, veh] * d[slot, veh])[:, None] / d_to
+    usable = (target < tt[veh, None]) & (d_to > 0)
+    room = np.minimum(inst.i_max - x, inst.ic_max - col_sum[:, None]).T[veh]
+    c, j = np.nonzero(usable & (slot[:, None] != target) & ~(amps > room + 1e-12))
+    moves = [(veh[c], j, amps[c, j], slot[c])]
+    if int((x > 0).sum()) <= _SWAP_POLISH_ACTIVES:
+        # into[a, b]: cell a's charge fits into cell b's slot on a's vehicle
+        # once b's vehicle vacates it.
+        amps_in = amps[:, slot]
+        free = col_sum[slot] - x[slot, veh]
+        into = ((usable & ~(x_to + amps > inst.i_max + 1e-12))[:, slot]
+                & ~(free + amps_in > inst.ic_max + 1e-12))
+        a, b = np.nonzero(into & into.T & (veh[:, None] != veh) & (slot[:, None] != slot))
+        pairs = ((veh[a], veh[b]), (slot[b], slot[a]), (amps_in[a, b], amps_in[b, a]),
+                 (slot[a], slot[b]))
+        moves.append([np.stack(pair, axis=1).ravel() for pair in pairs])
+    columns = [np.concatenate(col) for col in zip(*moves)]
+    bounds = np.concatenate([np.arange(len(c)), np.arange(len(c), len(columns[0]) + 1, 2)])
+    return columns, bounds
+
+
+def _move_columns(x, owners, gain, amps, zero):
+    """The (H, K) candidate columns: each owner's column of ``x`` with
+    ``amps`` added at its gain slot and its zeroed slot set to 0."""
+    cols = x.take(owners, axis=1)  # C order: the scores' column sums depend on it
+    k = np.arange(len(owners))
+    cols[gain, k] += amps
+    cols[zero, k] = 0.0
+    return cols
 
 
 def _column_parts(cols: np.ndarray, vs: np.ndarray, inst: ProblemInstance) -> np.ndarray:
@@ -691,12 +684,12 @@ def _normalized_score(points: NormalizationPoints, weights: tuple):
     return score
 
 
-def _score_moves(moves, parts, inst: ProblemInstance, score) -> np.ndarray:
-    """Objective of each move ``(vehicles, columns)`` applied to the allocation
-    whose per-vehicle rows of raw components are ``parts`` (V, 3)."""
-    vs = np.array([v for owners, _ in moves for v in owners])
-    new = _column_parts(np.column_stack([c for _, cols in moves for c in cols]), vs, inst)
-    starts = np.cumsum([0] + [len(owners) for owners, _ in moves[:-1]])
+def _score_moves(cols, vs, starts, parts, inst: ProblemInstance, score) -> np.ndarray:
+    """Objective of each move applied to the allocation whose per-vehicle
+    rows of raw components are ``parts`` (V, 3).  The moves' columns are
+    ``cols`` (H, K) of vehicles ``vs``; move m's first column is
+    ``starts[m]``."""
+    new = _column_parts(cols, vs, inst)
     return score(parts.sum(axis=0) + np.add.reduceat(new - parts[vs], starts, axis=0))
 
 
@@ -711,9 +704,14 @@ def _local_move_polish(x, inst: ProblemInstance, score):
 
     ``score`` maps (K, 3) rows of raw (cost, fade, availability) to (K,)
     objective values.  A move changes one column (relocation) or two
-    (swap), so candidates are scored in batches from the changed columns
-    alone; the first candidate in enumeration order that beats the running
-    best by 1e-12 and is not beaten in turn wins the pass.
+    (swap), so candidates are scored in batches of moves from the changed
+    columns alone; the first candidate in enumeration order that beats the
+    running best by 1e-12 and is not beaten in turn wins the pass.  A batch
+    holds ``_POLISH_BATCH_CELLS // H`` moves, and its columns are built only
+    when it is scored, which bounds memory.  The batch boundaries are part
+    of the result: numpy sums a lone column pairwise but a block of columns
+    row by row, so a candidate's score can differ by ulps with its batch
+    mates, and moving the boundaries could decide a near tie differently.
     """
     h, n = inst.horizon, inst.n_vehicles
     cells = h * n
@@ -725,24 +723,20 @@ def _local_move_polish(x, inst: ProblemInstance, score):
     best = score(parts.sum(axis=0, keepdims=True))[0]
     batch_size = max(1, _POLISH_BATCH_CELLS // h)
     for _ in range(6):
-        col_sum = x.sum(axis=1)
-        moves = itertools.chain(
-            (((v,), (cand,))
-             for v in range(n)
-             for cand in _relocation_candidates(x, inst, col_sum, v)),
-            (((u, v), (cu, cv))
-             for u, v, cu, cv in _swap_candidates(x, inst, col_sum))
-            if int((x > 0).sum()) <= _SWAP_POLISH_ACTIVES else (),
-        )
+        (owners, gain, amps, zero), bounds = _neighbourhood(x, inst)
         move = None
-        while batch := list(itertools.islice(moves, batch_size)):
-            for k, obj in enumerate(_score_moves(batch, parts, inst, score).tolist()):
+        for first in range(0, len(bounds) - 1, batch_size):
+            starts = bounds[first:first + batch_size + 1]
+            c = slice(starts[0], starts[-1])
+            cols = _move_columns(x, owners[c], gain[c], amps[c], zero[c])
+            objs = _score_moves(cols, owners[c], starts[:-1] - starts[0], parts, inst, score)
+            for k, obj in enumerate(objs.tolist()):
                 if obj < best - 1e-12:
-                    best, move = obj, batch[k]
+                    best, move = obj, first + k
         if move is None:
             break
-        for v, col in zip(*move):
-            x[:, v] = col
+        c = slice(bounds[move], bounds[move + 1])
+        x[:, owners[c]] = _move_columns(x, owners[c], gain[c], amps[c], zero[c])
         parts = _column_parts(x, every, inst)
     return x
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -35,12 +37,13 @@ from fleetcharge.solver import (
     _LinearProgram,
     _local_move_polish,
     _lp_matrices,
+    _move_columns,
+    _neighbourhood,
     _normalized_score,
+    _score_moves,
     _Projector,
-    _relocation_candidates,
     _repair_exact,
     _Surrogate,
-    _swap_candidates,
     feasibility_check,
     oracle_grid_search,
     single_objective_minimizer,
@@ -1032,6 +1035,77 @@ def _oracle_sized_instances(seed, count):
     return found
 
 
+def _relocation_candidates(x, inst, col_sum, v):
+    """Feasible single-slot relocations of vehicle v's charge, as new columns."""
+    tt = int(inst.grid.tt[v])
+    for i in np.nonzero(x[:tt, v] > 0.0)[0]:
+        ah = x[i, v] * inst.durations[i, v]
+        for j in range(tt):
+            if j == i:
+                continue
+            d_j = inst.durations[j, v]
+            if d_j <= 0:
+                continue
+            amps = ah / d_j
+            room = min(inst.i_max - x[j, v], inst.ic_max - col_sum[j])
+            if amps > room + 1e-12:
+                continue
+            cand = x[:, v].copy()
+            cand[j] += amps
+            cand[i] = 0.0
+            yield cand
+
+
+def _swap_candidates(x, inst, col_sum):
+    """Pairwise exchanges: two vehicles trade the slots of one charge block.
+
+    Needed when a single relocation is blocked by the station cap and only
+    becomes feasible once the other vehicle vacates the target slot.
+    Yields ``(u, v, column_u, column_v)``.
+    """
+    n = inst.n_vehicles
+    cells = [
+        (i, v)
+        for v in range(n)
+        for i in np.nonzero(x[: int(inst.grid.tt[v]), v] > 0.0)[0]
+    ]
+    for i, u in cells:
+        for j, v in cells:
+            if u == v or i == j:
+                continue
+            if j >= inst.grid.tt[u] or i >= inst.grid.tt[v]:
+                continue
+            d_ju, d_iv = inst.durations[j, u], inst.durations[i, v]
+            if d_ju <= 0 or d_iv <= 0:
+                continue
+            amps_u = x[i, u] * inst.durations[i, u] / d_ju
+            amps_v = x[j, v] * inst.durations[j, v] / d_iv
+            if x[j, u] + amps_u > inst.i_max + 1e-12:
+                continue
+            if x[i, v] + amps_v > inst.i_max + 1e-12:
+                continue
+            if col_sum[j] - x[j, v] + amps_u > inst.ic_max + 1e-12:
+                continue
+            if col_sum[i] - x[i, u] + amps_v > inst.ic_max + 1e-12:
+                continue
+            cand_u, cand_v = x[:, u].copy(), x[:, v].copy()
+            cand_u[j] += amps_u
+            cand_u[i] -= x[i, u]
+            cand_v[i] += amps_v
+            cand_v[j] -= x[j, v]
+            yield u, v, cand_u, cand_v
+
+
+def _scalar_moves(x, inst):
+    """One pass's moves ``(vehicles, columns)`` from the scalar enumeration."""
+    col_sum = x.sum(axis=1)
+    moves = [((v,), (col,)) for v in range(inst.n_vehicles)
+             for col in _relocation_candidates(x, inst, col_sum, v)]
+    if int((x > 0).sum()) <= _SWAP_POLISH_ACTIVES:
+        moves += [((u, v), (cu, cv)) for u, v, cu, cv in _swap_candidates(x, inst, col_sum)]
+    return moves
+
+
 def _reference_polish(x, inst, objective_fn):
     """Local-move polish scoring every candidate as a full allocation."""
     if inst.horizon * inst.n_vehicles > _MOVE_POLISH_CELLS or x.size == 0:
@@ -1039,20 +1113,11 @@ def _reference_polish(x, inst, objective_fn):
     x = x.copy()
     best = objective_fn(x)
     for _ in range(6):
-        col_sum = x.sum(axis=1)
-        candidates = []
-        for v in range(inst.n_vehicles):
-            for col in _relocation_candidates(x, inst, col_sum, v):
-                cand = x.copy()
-                cand[:, v] = col
-                candidates.append(cand)
-        if int((x > 0).sum()) <= _SWAP_POLISH_ACTIVES:
-            for u, v, col_u, col_v in _swap_candidates(x, inst, col_sum):
-                cand = x.copy()
-                cand[:, u], cand[:, v] = col_u, col_v
-                candidates.append(cand)
         move = None
-        for cand in candidates:
+        for vs, cols in _scalar_moves(x, inst):
+            cand = x.copy()
+            for v, col in zip(vs, cols):
+                cand[:, v] = col
             obj = objective_fn(cand)
             if obj < best - 1e-12:
                 best, move = obj, cand
@@ -1075,12 +1140,21 @@ class TestColumnBatchedPolish:
                 parts.sum(axis=0), [ref.cost, ref.fade, ref.availability], rtol=1e-12
             )
 
-    @pytest.mark.parametrize("batch_cells", [None, 1])
+    @pytest.mark.parametrize("batch_cells", [None, 1, 7])
     def test_same_moves_as_full_allocation_scoring(self, batch_cells, monkeypatch):
-        """Also with one candidate per batch, so the running best carries
-        across batches."""
+        """Also with one move per batch, so the running best carries across
+        batches, and with 1 to 3 moves per batch, so batches split a pass's
+        relocations and swaps and some hold both."""
         if batch_cells is not None:
             monkeypatch.setattr(solver_module, "_POLISH_BATCH_CELLS", batch_cells)
+        kinds, inner = set(), solver_module._score_moves
+
+        def recorded(cols, vs, starts, *rest):
+            # move widths: 1 for a relocation, 2 for a swap
+            kinds.add(frozenset(np.diff(np.append(starts, len(vs))).tolist()))
+            return inner(cols, vs, starts, *rest)
+
+        monkeypatch.setattr(solver_module, "_score_moves", recorded)
         moved = 0
         for inst, point in _oracle_sized_instances(20210509, 12):
             pts = _points(inst)
@@ -1097,3 +1171,155 @@ class TestColumnBatchedPolish:
                     assert np.array_equal(got, _reference_polish(x0, inst, full))
                     moved += not np.array_equal(got, x0)
         assert moved >= 20
+        mixed = frozenset({1, 2})
+        assert (mixed in kinds) == (batch_cells != 1)
+        if batch_cells == 7:
+            assert {frozenset({1}), frozenset({2})} <= kinds
+
+    def test_scored_columns_stay_within_the_batch_bound(self, monkeypatch):
+        """One vehicle on 160 slots has 25,440 relocations per pass; no
+        scoring call may see more than two columns per move of a batch."""
+        inst = make_instance([ChargingTask("v", 0.0, 80.0, 0.2, 0.8)])
+        h = inst.horizon
+        seen, inner = [], solver_module._column_parts
+
+        def counted(cols, vs, inst):
+            seen.append(cols.shape[1])
+            return inner(cols, vs, inst)
+
+        monkeypatch.setattr(solver_module, "_column_parts", counted)
+        # No move beats a constant score, so exactly one pass is scored.
+        _local_move_polish(_fill_spread(inst), inst, lambda parts: np.zeros(len(parts)))
+        assert (h, inst.n_vehicles) == (160, 1)
+        assert sum(seen[1:]) == h * (h - 1)
+        assert max(seen) <= 2 * max(1, solver_module._POLISH_BATCH_CELLS // h)
+
+
+class TestNeighbourhood:
+    @staticmethod
+    def _cases():
+        """Allocations on seeded instances: slack and binding caps, partial
+        last slots, a vehicle with no slots, all-zero columns, currents on a
+        coarse grid (so headroom ties the moved current exactly), currents
+        within ulps of a threshold, and 30 or 31 active cells around the
+        swap budget."""
+        rng = np.random.default_rng(31)
+        for k in range(16):
+            n = int(rng.integers(1, 5))
+            tasks = [ChargingTask(f"v{v}", 0.0, float(rng.uniform(0.4, 2.6)), 0.4, 0.6)
+                     for v in range(n)]
+            tasks += [ChargingTask("idle", 0.0, 0.0, 0.5, 0.5)] * (k % 2)
+            ic_max = 80.0 * len(tasks) if k % 3 == 0 else float(rng.choice([90.0, 100.0]))
+            inst = make_instance(tasks, ic_max=ic_max)
+            shape = (inst.horizon, inst.n_vehicles)
+            x = rng.uniform(0.0, inst.i_max, size=shape)
+            if k % 4 == 1:
+                x = np.round(x / 10.0) * 10.0
+            x[rng.random(shape) < 0.3] = 0.0
+            x[:, rng.random(inst.n_vehicles) < 0.25] = 0.0
+            yield inst, np.where(inst.active, x, 0.0)
+        # Currents that pair up to within a few ulps of the box and cap
+        # thresholds (80 A + 1e-12), so the tolerance decides some moves.
+        for ic_max in (400.0, 80.0) * 4:
+            inst = make_instance([ChargingTask(v, 0.0, 3.0, 0.3, 0.6) for v in "AB"],
+                                 ic_max=ic_max)
+            x = rng.choice(rng.uniform(20.0, 60.0, size=2), size=(6, 2))
+            jitter = rng.integers(-3, 4, size=x.shape) * np.spacing(80.0)
+            near = rng.random(x.shape) < 0.5
+            x[near] = (80.0 + 1e-12 - rng.permutation(x.ravel())[: near.sum()]) + jitter[near]
+            yield inst, x
+        tasks = [ChargingTask(f"v{v}", 0.0, 4.2, 0.3, 0.6) for v in range(4)]
+        for ic_max in (400.0, 150.0):
+            inst = make_instance(tasks, ic_max=ic_max)
+            for actives in (_SWAP_POLISH_ACTIVES, _SWAP_POLISH_ACTIVES + 1):
+                x = np.zeros((inst.horizon, inst.n_vehicles))
+                cells = rng.permutation(x.size)[:actives]
+                x.flat[cells] = rng.uniform(1.0, 60.0, size=actives)
+                yield inst, x
+
+    def test_equals_scalar_enumeration(self):
+        swaps = relocations = 0
+        gate = []
+        for inst, x in self._cases():
+            (owners, gain, amps, zero), bounds = _neighbourhood(x, inst)
+            cols = _move_columns(x, owners, gain, amps, zero)
+            ref = _scalar_moves(x, inst)
+            assert len(bounds) == len(ref) + 1 and bounds[-1] == len(owners)
+            for m, (vs, ref_cols) in enumerate(ref):
+                c = slice(bounds[m], bounds[m + 1])
+                assert owners[c].tolist() == list(vs)
+                assert cols[:, c].T.tobytes() == np.stack(ref_cols).tobytes()
+            width = np.diff(bounds)
+            relocations += int((width == 1).sum())
+            swaps += int((width == 2).sum())
+            if int((x > 0).sum()) in (_SWAP_POLISH_ACTIVES, _SWAP_POLISH_ACTIVES + 1):
+                gate.append((int((x > 0).sum()), bool((width == 2).any())))
+        assert relocations >= 500 and swaps >= 500
+        assert sorted(set(gate)) == [(_SWAP_POLISH_ACTIVES, True),
+                                     (_SWAP_POLISH_ACTIVES + 1, False)]
+
+    def test_batch_scores_equal_column_stacked_scores(self):
+        """Each batch scores bit for bit as the scalar enumeration's columns,
+        column-stacked, do: numpy's sums depend on the block's layout."""
+        compared = 0
+        for inst, x in self._cases():
+            (owners, gain, amps, zero), bounds = _neighbourhood(x, inst)
+            ref = _scalar_moves(x, inst)
+            parts = _column_parts(x, np.arange(inst.n_vehicles), inst)
+            size = max(1, solver_module._POLISH_BATCH_CELLS // inst.horizon)
+            for first in range(0, len(ref), size):
+                batch = ref[first:first + size]
+                vs = np.array([v for move_vs, _ in batch for v in move_vs])
+                new = _column_parts(np.column_stack([c for _, cols in batch for c in cols]),
+                                    vs, inst)
+                starts = np.cumsum([0] + [len(move_vs) for move_vs, _ in batch[:-1]])
+                want = parts.sum(axis=0) + np.add.reduceat(new - parts[vs], starts, axis=0)
+                s = bounds[first:first + size + 1]
+                c = slice(s[0], s[-1])
+                got = _score_moves(_move_columns(x, owners[c], gain[c], amps[c], zero[c]),
+                                   owners[c], s[:-1] - s[0], parts, inst, lambda p: p)
+                assert got.tobytes() == want.tobytes()
+                compared += len(batch)
+        assert compared >= 1000
+
+
+@st.composite
+def _polish_inputs(draw):
+    """A small feasible instance, a cap that binds or not, and a repaired
+    start on it."""
+    n = draw(st.integers(1, 3))
+    tasks = [ChargingTask(f"v{v}", 0.0, draw(st.floats(0.3, 2.5)),
+                          s := draw(st.floats(0.2, 0.6)), s + draw(st.floats(0.02, 0.25)))
+             for v in range(n)]
+    prices = draw(st.lists(st.floats(0.02, 0.3), min_size=5, max_size=5))
+    inst = make_instance(tasks, prices=lambda t: prices[int(round(t / 0.5))],
+                         ic_max=draw(st.sampled_from([80.0, 120.0, 400.0])),
+                         soc_xtra_ah=draw(st.sampled_from([0.0, 15.0])),
+                         weights=tuple(draw(st.floats(0.1, 1.0)) for _ in range(3)))
+    fc = feasibility_check(inst)
+    assume(fc.feasible)
+    start = draw(st.sampled_from([max_power_allocation, _fill_latest, _fill_spread]))(inst)
+    return inst, _repair_exact(start, inst, np.zeros_like(start), fc.point)
+
+
+class TestPolishProperties:
+    @given(case=_polish_inputs(), fade_only=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_never_hurts(self, case, fade_only):
+        """The plan stays feasible, scores no higher than its input under
+        the polish's own whole-allocation score, and repeats exactly."""
+        inst, x0 = case
+        audit = build_constraints(inst).audit
+        assume(audit(x0, 1e-9) == [])
+        score = (lambda parts: parts[:, 1]) if fade_only else _normalized_score(
+            _points(inst), inst.weights)
+
+        def whole(x):
+            return score(_column_parts(x, np.arange(inst.n_vehicles), inst)
+                         .sum(axis=0, keepdims=True))[0]
+
+        got = _local_move_polish(x0, inst, score)
+        assert audit(got, 1e-9) == []
+        assert whole(got) <= whole(x0)
+        assert got.tobytes() == _local_move_polish(x0, inst, score).tobytes()
+
