@@ -18,10 +18,23 @@ commit) it lists the files that differ or exist on one side only, prints
 per run how many solves differ and the largest relative objective gap
 among them, and exits 1 if anything differs.
 
+With ``--objective`` every ``solve`` call's instance, payoff points and
+result are also pickled to ``<run>.pkl``.  Together with ``--against``, this
+checkout then re-solves each of the other run's instances, scores both plans
+under shared payoff points (per component the lower utopia and the higher
+nadir of the two sides) and prints per run the summed objective, how many
+re-solves are better, worse or equal (within a relative 1e-12), the worst
+regression, audit failures and the summed and max solve time; a worse
+re-solve or a failed audit also exits 1.  This judges a change meant to
+move plans, where byte identity cannot.  The pickles are loaded, so pass
+``--against`` only a directory this script wrote.
+
     python scripts/parity.py --out /tmp/parity-new
     python scripts/parity.py --out /tmp/parity-new --against /tmp/parity-old
+    python scripts/parity.py --objective --out /tmp/obj-new --against /tmp/obj-old
 
-Standard library only; the dense day's inputs come from perfbench's generator.
+Standard library plus, for ``--objective``, the package; the dense day's
+inputs come from perfbench's generator.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ import argparse
 import hashlib
 import math
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -50,25 +64,38 @@ RUNS = {
 
 # Runs the CLI with the scheduler's ``solve`` wrapped, and writes one line
 # "<sha256 of the allocation> <objective> <iterations> <status>" per call to
-# the file in argv[1].
+# the file in argv[1].  Unless argv[2] is empty, it also pickles one
+# (instance, payoff points, allocation, report) tuple per call to that file;
+# the points are None where ``solve`` computed none.
 _HASHED_CLI = """
-import hashlib, sys
+import hashlib, pickle, sys
 import fleetcharge.cli as cli
 import fleetcharge.scheduler as scheduler
+import fleetcharge.solver as solver
 
-lines, inner = [], scheduler.solve
+lines, records, inner, points = [], [], scheduler.solve, {}
+inner_points = solver.compute_normalization_points
 
-def hashed(*args, **kwargs):
-    alloc, rep = inner(*args, **kwargs)
+def recorded_points(*args, **kwargs):
+    points["last"] = inner_points(*args, **kwargs)
+    return points["last"]
+
+def hashed(inst):
+    alloc, rep = inner(inst)
     data = b"none" if alloc is None else repr(alloc.shape).encode() + alloc.tobytes()
     lines.append(f"{hashlib.sha256(data).hexdigest()} {float(rep.objective)!r} "
                  f"{int(rep.iterations)} {rep.status}\\n")
+    records.append((inst, points.pop("last", None), alloc, rep))
     return alloc, rep
 
 scheduler.solve = hashed
-code = cli.main(sys.argv[2:])
+solver.compute_normalization_points = recorded_points
+code = cli.main(sys.argv[3:])
 with open(sys.argv[1], "w") as fh:
     fh.writelines(lines)
+if sys.argv[2]:
+    with open(sys.argv[2], "wb") as fh:
+        pickle.dump(records, fh)
 sys.exit(code)
 """
 
@@ -113,11 +140,12 @@ def _inputs(week: str, out: Path) -> dict:
             for k, ext in (("sessions", "csv"), ("prices", "csv"), ("config", "cfg"))}
 
 
-def _run(name: str, out: Path) -> None:
+def _run(name: str, out: Path, objective: bool) -> None:
     command, week, *extra = RUNS[name]
     inputs = _inputs(week, out)
     argv = [
-        sys.executable, "-c", _HASHED_CLI, str(out / f"{name}.solves"), command,
+        sys.executable, "-c", _HASHED_CLI, str(out / f"{name}.solves"),
+        str(out / f"{name}.pkl") if objective else "", command,
         "--sessions", str(inputs["sessions"]),
         "--prices", str(inputs["prices"]),
         "--config", str(inputs["config"]),
@@ -166,17 +194,112 @@ def _solve_gap(mine: list, theirs: list) -> tuple:
     return differ, gap
 
 
+def _resolve_all(records: list) -> list:
+    """This checkout's (points, allocation, report) for each record's instance."""
+    from fleetcharge import solver
+
+    seen, inner = [], solver.compute_normalization_points
+
+    def recorded_points(*args):
+        seen.append(inner(*args))
+        return seen[-1]
+
+    solver.compute_normalization_points = recorded_points
+    try:
+        out = []
+        for inst, *_ in records:
+            seen.clear()
+            alloc, rep = solver.solve(inst)
+            out.append((seen[-1] if seen else None, alloc, rep))
+        return out
+    finally:
+        solver.compute_normalization_points = inner
+
+
+def _score(inst, points, alloc) -> float:
+    """Normalized objective of ``alloc`` under ``points``; inf for no plan."""
+    from fleetcharge.problem import normalized_objective, objective_components
+
+    if alloc is None:
+        return math.inf
+    if alloc.size == 0:
+        return 0.0
+    return float(normalized_objective(objective_components(alloc, inst), points, inst.weights))
+
+
+def _shared(a, b):
+    """Per component the lower utopia and the higher nadir of two points."""
+    from fleetcharge.problem import COMPONENTS, NormalizationPoints
+
+    if a is None or b is None:
+        return a or b
+    return NormalizationPoints(utopia={k: min(a.utopia[k], b.utopia[k]) for k in COMPONENTS},
+                               nadir={k: max(a.nadir[k], b.nadir[k]) for k in COMPONENTS})
+
+
+def compare_objectives(name: str, records: list) -> bool:
+    """Re-solve one run's pickled ``solve`` calls with this checkout and print
+    their comparison; True unless a re-solve is worse or a plan fails the
+    audit."""
+    from fleetcharge.problem import build_constraints
+
+    def audit_fails(inst, alloc):
+        return alloc is not None and bool(build_constraints(inst).audit(alloc, 1e-6))
+
+    resolved = _resolve_all(records)
+    better = worse = equal = audits_theirs = audits_mine = 0
+    total_theirs = total_mine = 0.0
+    worst = None  # (rise, relative rise, solve number)
+    for k, ((inst, their_pts, their_x, _), (my_pts, my_x, _)) in enumerate(
+            zip(records, resolved), start=1):
+        points = _shared(their_pts, my_pts)
+        theirs, mine = _score(inst, points, their_x), _score(inst, points, my_x)
+        if math.isfinite(theirs) and math.isfinite(mine):
+            total_theirs += theirs
+            total_mine += mine
+        if mine == theirs or abs(mine - theirs) <= 1e-12 * max(1.0, abs(theirs)):
+            equal += 1
+        elif mine < theirs:
+            better += 1
+        else:
+            worse += 1
+            rise = mine - theirs
+            if worst is None or rise > worst[0]:
+                worst = (rise, rise / max(abs(theirs), 1e-300), k)
+        audits_theirs += audit_fails(inst, their_x)
+        audits_mine += audit_fails(inst, my_x)
+    times = [[rep.wall_time_ms / 1000.0 for *_, rep in side] for side in (records, resolved)]
+    change = 100.0 * (total_mine - total_theirs) / max(abs(total_theirs), 1e-300)
+    worst_text = ("none" if worst is None
+                  else f"+{worst[0]:.6g} ({100.0 * worst[1]:+.4g}%) at solve {worst[2]}")
+    print(f"objective {name}: {len(records)} solves; summed {total_theirs:.9g} -> "
+          f"{total_mine:.9g} ({change:+.4f}%); better {better}, worse {worse}, equal {equal}; "
+          f"worst regression {worst_text}; audit failures {audits_theirs} -> {audits_mine}; "
+          f"solve time summed {sum(times[0]):.3f} -> {sum(times[1]):.3f} s, "
+          f"max {max(times[0], default=0.0):.3f} -> {max(times[1], default=0.0):.3f} s")
+    return worse == 0 and audits_mine == 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="directory for the reports")
     parser.add_argument("--against", default=None,
                         help="output directory of an earlier run to compare with")
+    parser.add_argument("--objective", action="store_true",
+                        help="pickle every solve call; with --against, re-solve the other "
+                             "run's instances and compare objectives under shared points")
     args = parser.parse_args(argv)
     out = Path(args.out)
     if out.exists() and any(out.iterdir()):
         parser.error(f"--out {out} is not empty")
+    frozen = {}
+    if args.objective and args.against is not None:
+        frozen = {name: Path(args.against) / f"{name}.pkl" for name in RUNS}
+        missing = [str(path) for path in frozen.values() if not path.exists()]
+        if missing:
+            parser.error(f"no pickled solves (run it with --objective): {', '.join(missing)}")
     for name in RUNS:
-        _run(name, out)
+        _run(name, out, args.objective)
     mine, my_solves = digests(out), solve_lines(out)
     for rel, digest in mine.items():
         print(f"{digest}  {rel}")
@@ -198,7 +321,12 @@ def main(argv=None) -> int:
                   f"largest relative objective gap {gap:.3g}")
     print(f"{len(differ)} of {len(mine.keys() | theirs.keys())} files differ; "
           f"{solves_differ} solves differ")
-    return 1 if differ or solves_differ else 0
+    no_worse = True
+    sys.path.insert(0, str(ROOT / "src"))  # this checkout's package, to unpickle and re-solve
+    for name, path in frozen.items():
+        with open(path, "rb") as fh:
+            no_worse &= compare_objectives(name, pickle.load(fh))
+    return 1 if differ or solves_differ or not no_worse else 0
 
 
 if __name__ == "__main__":

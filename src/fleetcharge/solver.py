@@ -8,11 +8,12 @@ steps from several deterministic feasible starts, re-derives branches from
 the solution and repeats until the assignment is stable, keeping the best
 start's final repaired point measured by the true objective.
 
-Linear single-objective subproblems (cost, availability, and plain
-feasibility) are solved exactly as LPs on one HiGHS model per instance
-(dual simplex, Huangfu & Hall 2018), built once and re-solved cold for each
-cost vector.  A brute-force grid oracle over tiny instances provides an
-independent check of solution quality.
+Linear single-objective subproblems (cost and availability) are solved
+exactly as LPs on one HiGHS model per instance (dual simplex, Huangfu & Hall
+2018), built once and passed afresh with each cost vector.  The cost LP
+doubles as the feasibility verdict, and its vertex anchors every repair.  A
+brute-force grid oracle over tiny instances provides an independent check of
+solution quality.
 """
 
 from __future__ import annotations
@@ -116,9 +117,11 @@ class _LinearProgram:
     Calling it with a cost array (H, V) minimizes that linear objective over
     the polytope and returns the allocation, or None unless HiGHS reports
     the optimum.  The options are those of ``linprog(method="highs")``:
-    presolve on, dual simplex, no output.  Every call clears the previous
-    solve's basis and solution first, so each LP starts cold and returns
-    the vertex a fresh model would.
+    presolve on, dual simplex, no output.  Every call passes the model
+    afresh with its cost, so each LP starts cold and returns the vertex a
+    fresh model would, whatever was solved before.  Changing the cost in
+    place and clearing the solver is not enough: HiGHS keeps state that can
+    move a later LP's optimal vertex.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -135,7 +138,6 @@ class _LinearProgram:
         lp.a_matrix_.start_ = a.indptr
         lp.a_matrix_.index_ = a.indices
         lp.a_matrix_.value_ = a.data
-        lp.col_cost_ = np.zeros(self.size)
         lp.col_lower_, lp.col_upper_ = bounds.T.copy()
         lp.row_lower_ = np.full(len(b_ub), -highs.kHighsInf)
         lp.row_upper_ = b_ub
@@ -144,17 +146,16 @@ class _LinearProgram:
         options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
         options.output_flag = False
         options.log_to_console = False
+        self.lp = lp
         self.model = highs._Highs()
         self.model.passOptions(options)
-        self.model.passModel(lp)
-        self.cols = np.arange(self.size, dtype=np.int32)
 
     def __call__(self, c: np.ndarray) -> np.ndarray | None:
         inst = self.inst
         if self.size == 0:
             return inst.empty_allocation()
-        self.model.changeColsCost(self.size, self.cols, np.ravel(c).astype(float))
-        self.model.clearSolver()
+        self.lp.col_cost_ = np.ravel(c).astype(float)
+        self.model.passModel(self.lp)
         self.model.run()
         if self.model.getModelStatus() != highs.HighsModelStatus.kOptimal:
             return None
@@ -179,15 +180,9 @@ def feasibility_check(inst: ProblemInstance) -> FeasibilityResult:
     when some vehicle alone cannot receive its required charge, and as
     station-capacity otherwise.
     """
-    return _feasibility(_LinearProgram(inst))
-
-
-def _feasibility(lp: _LinearProgram) -> FeasibilityResult:
-    """:func:`feasibility_check` on the instance's LP model."""
-    inst = lp.inst
     if not build_constraints(inst).feasible_by_construction:
         return FeasibilityResult(False, reason="vehicle-capacity")
-    x = lp(np.zeros((inst.horizon, inst.n_vehicles)))
+    x = _LinearProgram(inst)(inst.empty_allocation())
     if x is None:
         return FeasibilityResult(False, reason="station-capacity")
     return FeasibilityResult(True, point=x)
@@ -748,10 +743,7 @@ def single_objective_minimizer(inst: ProblemInstance, component: str) -> np.ndar
         return _minimize_linear(lp, component)
     if inst.horizon == 0 or inst.n_vehicles == 0:
         return inst.empty_allocation()
-    fc = _feasibility(lp)
-    if not fc.feasible:
-        raise ValueError("infeasible-instance")
-    return _minimize_fade(inst, fc.point)
+    return _minimize_fade(inst, _minimize_linear(lp, "cost"))
 
 
 def _minimize_linear(lp: _LinearProgram, component: str) -> np.ndarray:
@@ -768,8 +760,8 @@ def _minimize_linear(lp: _LinearProgram, component: str) -> np.ndarray:
 
 
 def _minimize_fade(inst: ProblemInstance, anchor: np.ndarray) -> np.ndarray:
-    """Fade alone on a non-empty feasible instance; ``anchor`` is its
-    feasibility point."""
+    """Fade alone on a non-empty feasible instance; ``anchor`` is a point of
+    its polytope, the cost payoff vertex."""
     lin = np.zeros((inst.horizon, inst.n_vehicles))
     starts = np.stack([_fill_latest(inst), _fill_spread(inst)])
     tracker = _BestTracker(lambda x: objective_components(x, inst).fade)
@@ -798,15 +790,17 @@ def solve(inst: ProblemInstance):
     if inst.horizon == 0 or inst.n_vehicles == 0:
         return report(SolveStatus.OPTIMAL_LOCAL, inst.empty_allocation(), 0.0)
 
-    # One LP model serves the feasibility point, the linear payoff points
-    # and the LP corner; the fade payoff reuses the feasibility point.
+    # One LP model serves the linear payoff points and the LP corner.  The
+    # cost LP is the feasibility verdict, and its vertex the repair anchor.
+    constraints = build_constraints(inst)
     lp = _LinearProgram(inst)
-    fc = _feasibility(lp)
-    if not fc.feasible:
+    anchor = lp(_cost_coeffs(inst)) if constraints.feasible_by_construction else None
+    if anchor is None:
         return report(SolveStatus.INFEASIBLE)
     points = compute_normalization_points(
         inst,
-        lambda i, component: _minimize_fade(i, fc.point) if component == "fade"
+        lambda i, component: anchor if component == "cost"
+        else _minimize_fade(i, anchor) if component == "fade"
         else _minimize_linear(lp, component),
     )
 
@@ -833,7 +827,7 @@ def solve(inst: ProblemInstance):
     starts.extend([_fill_latest(inst), _fill_spread(inst)])
 
     iterations, stable, finals = _branch_fixed_descent(
-        inst, lin, fw, np.stack(starts), fc.point)
+        inst, lin, fw, np.stack(starts), anchor)
     for x in finals:
         tracker.consider(x)
 
@@ -843,7 +837,7 @@ def solve(inst: ProblemInstance):
     )
     tracker.consider(polished)
 
-    violations = build_constraints(inst).audit(tracker.alloc, 1e-6)
+    violations = constraints.audit(tracker.alloc, 1e-6)
     if violations:  # repair guarantees feasibility; failing here is a bug
         raise RuntimeError(f"solver returned an infeasible allocation: {violations}")
     status = SolveStatus.OPTIMAL_LOCAL if stable.any() else SolveStatus.FEASIBLE

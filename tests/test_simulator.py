@@ -4,6 +4,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fleetcharge.ingest import SessionRecord, sessions_to_events
 from fleetcharge.problem import ChargingTask
@@ -257,6 +259,68 @@ class TestRejection:
         for d in res.departures:
             assert d.soc_dep_required - 1e-6 <= d.soc_at_departure
             assert d.soc_at_departure <= d.soc_dep_required + band + 1e-6
+
+
+@st.composite
+def session_logs(draw):
+    """A small random log: 2-4 sessions whose arrivals and stays fall on the
+    minute, so events land inside slots, on 30- or 60-minute slots and a
+    feeder of one, one and a half or five chargers (80, 120 or 400 A)."""
+    specs = []
+    for k in range(draw(st.integers(2, 4))):
+        arrive = draw(st.integers(0, 6 * 60)) / 60.0
+        stay = draw(st.integers(10, 6 * 60)) / 60.0
+        soc = draw(st.sampled_from([0.1, 0.4, 0.7]))
+        need = draw(st.floats(0.0, 0.6))
+        specs.append((f"R{k}", arrive, arrive + stay, soc, min(1.0, soc + need)))
+    return (specs, draw(st.sampled_from([80.0, 120.0, 400.0])),
+            draw(st.sampled_from([0.5, 1.0])), draw(st.sampled_from([0.0, 21.0])))
+
+
+def log_events(specs):
+    events = []
+    for vid, t0, t1, s0, s1 in specs:
+        events.append(Event(time_h=t0, kind="arrival", task=ChargingTask(vid, t0, t1, s0, s1)))
+        events.append(Event(time_h=t1, kind="departure", vehicle_id=vid))
+    return events
+
+
+class TestRandomLogInvariants:
+    @settings(max_examples=12, deadline=None)
+    @given(session_logs())
+    # Two long stays that overlap on one 80 A charger: the second arrival
+    # is rejected, the other charges at the cap.
+    @example(([("R0", 0.0, 2.0, 0.1, 0.7), ("R1", 0.5, 2.5, 0.1, 0.6),
+               ("R2", 1.25, 3.0, 0.4, 0.45)], 80.0, 0.5, 0.0))
+    def test_proposed_replay_invariants(self, log):
+        """Under the proposed policy, on any log: the ledger's energy is each
+        vehicle's SoC change times the pack size, a vehicle's ledger rows
+        are disjoint in time, the station cap holds at every instant,
+        serviced departures land in their SoC band and a second run is
+        identical.  No reschedule finds an admitted fleet infeasible."""
+        specs, ic_max, dt, xtra = log
+        cfg = config("proposed", dt=dt, ic_max=ic_max, soc_xtra_ah=xtra)
+        res = run(log_events(specs), day_prices, cfg)
+        rows = {}
+        for e in res.ledger:
+            rows.setdefault(e.vehicle_id, []).append(e)
+        for d in res.departures:
+            energy = sum(e.energy_ah for e in rows.get(d.vehicle_id, []))
+            assert energy == pytest.approx((d.soc_at_departure - d.soc_start) * cfg.c_bat,
+                                           abs=1e-6)
+            assert d.soc_dep_required - 1e-6 <= d.soc_at_departure
+            assert d.soc_at_departure <= d.soc_dep_required + xtra / cfg.c_bat + 1e-6
+        for own in rows.values():
+            spans = sorted((e.time_h, e.time_h + e.duration_h) for e in own)
+            assert all(end <= nxt + 1e-9 for (_, end), (nxt, _) in zip(spans, spans[1:]))
+        for t in {e.time_h for e in res.ledger}:
+            load = sum(e.current_a for e in res.ledger
+                       if e.time_h <= t < e.time_h + e.duration_h)
+            assert load <= ic_max + 1e-6
+        again = run(log_events(specs), day_prices, cfg)
+        assert again.ledger == res.ledger
+        assert again.departures == res.departures and again.rejected == res.rejected
+        assert again.metrics.as_dict() == res.metrics.as_dict()
 
 
 class TestEventValidation:

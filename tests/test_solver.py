@@ -201,9 +201,10 @@ class TestSolveContracts:
             costs.append(rep.breakdown.cost)
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
-    def test_one_feasibility_lp_per_solve(self, two_by_three_instance, monkeypatch):
-        """``solve`` builds one LP model for its instance and solves one
-        zero-cost (feasibility) LP on it: the fade payoff reuses that point."""
+    @staticmethod
+    def _count_lps(monkeypatch):
+        """Record the instance of every LP model ``solve`` builds and every
+        cost it solves; returns (instances, costs)."""
         models, costs = [], []
 
         class Counted(_LinearProgram):
@@ -216,10 +217,43 @@ class TestSolveContracts:
                 return super().__call__(c)
 
         monkeypatch.setattr(solver_module, "_LinearProgram", Counted)
-        alloc, _ = solve(two_by_three_instance)
-        assert alloc is not None
-        assert len(models) == 1 and models[0] is two_by_three_instance
-        assert sum(not c.any() for c in costs) == 1 and len(costs) >= 3
+        return models, costs
+
+    def test_one_feasibility_lp_per_solve(self, monkeypatch):
+        """``solve`` builds one LP model for its instance, and its cost LP is
+        its one feasibility LP: the LPs solved are exactly cost, availability
+        and, when the linear objective part is non-zero, the LP corner.  No
+        zero-cost LP is solved and no cost vector twice."""
+        models, costs = self._count_lps(monkeypatch)
+        task = ChargingTask("v", 0.0, 2.0, 0.5, 0.9)
+        prices = {i * 0.5: p for i, p in enumerate([0.3, 0.1, 0.2, 0.05])}
+        mixed = make_instance([task], prices=lambda t: prices[t], soc_xtra_ah=21.0)
+        fade_only = dataclasses.replace(mixed, weights=(0.0, 1.0, 0.0))
+        for inst, n_lps in ((mixed, 3), (fade_only, 2)):
+            models.clear()
+            costs.clear()
+            alloc, _ = solve(inst)
+            assert alloc is not None
+            assert len(models) == 1 and models[0] is inst
+            assert len(costs) == n_lps and all(c.any() for c in costs)
+            np.testing.assert_array_equal(costs[0], _cost_coeffs(inst))
+            np.testing.assert_array_equal(costs[1], _avail_coeffs(inst))
+            assert len({c.tobytes() for c in costs}) == n_lps
+
+    def test_station_capacity_infeasible_returns_none(self, monkeypatch):
+        """Two vehicles that each need 150 Ah in two hours on an 80 A feeder
+        pass the counting bound; the cost LP, the only LP solved, finds
+        them infeasible together."""
+        inst = make_instance([ChargingTask(v, 0.0, 2.0, 0.0, 150.0 / 210.0) for v in "AB"],
+                             ic_max=80.0)
+        assert build_constraints(inst).feasible_by_construction
+        _, costs = self._count_lps(monkeypatch)
+        alloc, rep = solve(inst)
+        assert alloc is None
+        assert rep.status == SolveStatus.INFEASIBLE
+        assert rep.breakdown is None
+        assert len(costs) == 1
+        np.testing.assert_array_equal(costs[0], _cost_coeffs(inst))
 
 
 class TestBestTracker:
@@ -346,8 +380,10 @@ def _linprog_reference(inst, c):
 
 
 class TestLinearProgram:
-    """One HiGHS model per instance returns what a fresh ``linprog`` call
-    returns, byte for byte, for every cost in any order."""
+    """One HiGHS model per instance returns, byte for byte, what a fresh
+    ``linprog`` call returns for the call orders of
+    :meth:`test_equals_linprog_byte_for_byte`, and what a fresh model
+    returns for the orders of :meth:`test_call_order_keeps_fresh_vertices`."""
 
     @staticmethod
     def _instances():
@@ -390,6 +426,43 @@ class TestLinearProgram:
                 binding += bool(np.any(got.sum(axis=1) >= inst.ic_max - 1e-9))
         assert infeasible == 7  # every cost on the infeasible instance
         assert binding >= 10    # LPs whose optimum sits on the station cap
+
+    @staticmethod
+    def _sweep_instance():
+        """Solve 140 of the overnight ``sweep``: four vehicles on one 80 A
+        charger.  A model that changed its cost in place and cleared its
+        solver returned another optimal vertex for the availability LP after
+        the cost LP than a fresh model does."""
+        t_s = 76.04083333333334
+        tasks = [
+            ChargingTask("N012", 71.91055555555556, 83.4161111111111,
+                         0.6147502903600464, 0.6147502903600465),
+            ChargingTask("N013", 73.1686111111111, 85.07, 0.44819460575558173,
+                         0.6171893147502904),
+            ChargingTask("N014", 74.62638888888888, 87.39694444444444, 0.4,
+                         0.6054587688734031),
+            ChargingTask("N015", 76.04083333333334, 87.67805555555556, 0.4,
+                         0.6005807200929152),
+        ]
+        prices = [0.05523, 0.05508, 0.05489, 0.04017, 0.04006, 0.02595, 0.02589, 0.02587,
+                  0.05483, 0.05501, 0.05518, 0.05527]
+        return make_instance(tasks, prices=lambda t: prices[round(t - t_s)], t_s=t_s,
+                             dt=1.0, ic_max=80.0, soc_xtra_ah=0.0, weights=(0.1, 0.3, 0.6))
+
+    def test_call_order_keeps_fresh_vertices(self):
+        """Costs that start non-zero, cost then availability and cost, zero,
+        availability: every LP returns a fresh model's result."""
+        sweep = self._sweep_instance()
+        np.testing.assert_array_equal(sweep.grid.tt, [8, 10, 12, 12])
+        for inst in [*self._instances(), sweep]:
+            zero = inst.empty_allocation()
+            cost, avail = _cost_coeffs(inst), _avail_coeffs(inst)
+            for order in ((cost, avail), (cost, zero, avail)):
+                lp = _LinearProgram(inst)
+                for c in order:
+                    got, ref = lp(c), _LinearProgram(inst)(c)
+                    assert (got is None) == (ref is None)
+                    assert ref is None or got.tobytes() == ref.tobytes()
 
 
 class TestOracle:
@@ -882,17 +955,17 @@ def _reference_branch_loop(inst, lin, fw, x0, anchor):
 
 
 def _descent_inputs(inst):
-    """``solve``'s surrogate weights, its four starts (k, H, V) and the
-    feasibility point of ``inst``."""
+    """``solve``'s surrogate weights, its four starts (k, H, V) and its
+    repair anchor, the cost vertex of ``inst``."""
     pts = _points(inst)
     a = dict(zip(COMPONENTS, inst.weights))
     scale = {k: pts.spread(k) for k in COMPONENTS}
     lin = (a["cost"] / scale["cost"]) * _cost_coeffs(inst) \
         + (a["availability"] / scale["availability"]) * _avail_coeffs(inst)
     fw = a["fade"] / scale["fade"]
-    starts = [max_power_allocation(inst), _LinearProgram(inst)(lin),
-              _fill_latest(inst), _fill_spread(inst)]
-    return lin, fw, np.stack(starts), feasibility_check(inst).point
+    lp = _LinearProgram(inst)
+    starts = [max_power_allocation(inst), lp(lin), _fill_latest(inst), _fill_spread(inst)]
+    return lin, fw, np.stack(starts), lp(_cost_coeffs(inst))
 
 
 def _descent_instance(rng, n, slots, ic_max, soc_low=0.2):
