@@ -66,30 +66,23 @@ RUNS = {
 # "<sha256 of the allocation> <objective> <iterations> <status>" per call to
 # the file in argv[1].  Unless argv[2] is empty, it also pickles one
 # (instance, payoff points, allocation, report) tuple per call to that file;
-# the points are None where ``solve`` computed none.
+# the points are the report's, None where ``solve`` computed none.
 _HASHED_CLI = """
 import hashlib, pickle, sys
 import fleetcharge.cli as cli
 import fleetcharge.scheduler as scheduler
-import fleetcharge.solver as solver
 
-lines, records, inner, points = [], [], scheduler.solve, {}
-inner_points = solver.compute_normalization_points
-
-def recorded_points(*args, **kwargs):
-    points["last"] = inner_points(*args, **kwargs)
-    return points["last"]
+lines, records, inner = [], [], scheduler.solve
 
 def hashed(inst):
     alloc, rep = inner(inst)
     data = b"none" if alloc is None else repr(alloc.shape).encode() + alloc.tobytes()
     lines.append(f"{hashlib.sha256(data).hexdigest()} {float(rep.objective)!r} "
                  f"{int(rep.iterations)} {rep.status}\\n")
-    records.append((inst, points.pop("last", None), alloc, rep))
+    records.append((inst, rep.points, alloc, rep))
     return alloc, rep
 
 scheduler.solve = hashed
-solver.compute_normalization_points = recorded_points
 code = cli.main(sys.argv[3:])
 with open(sys.argv[1], "w") as fh:
     fh.writelines(lines)
@@ -196,24 +189,13 @@ def _solve_gap(mine: list, theirs: list) -> tuple:
 
 def _resolve_all(records: list) -> list:
     """This checkout's (points, allocation, report) for each record's instance."""
-    from fleetcharge import solver
+    from fleetcharge.solver import solve
 
-    seen, inner = [], solver.compute_normalization_points
-
-    def recorded_points(*args):
-        seen.append(inner(*args))
-        return seen[-1]
-
-    solver.compute_normalization_points = recorded_points
-    try:
-        out = []
-        for inst, *_ in records:
-            seen.clear()
-            alloc, rep = solver.solve(inst)
-            out.append((seen[-1] if seen else None, alloc, rep))
-        return out
-    finally:
-        solver.compute_normalization_points = inner
+    out = []
+    for inst, *_ in records:
+        alloc, rep = solve(inst)
+        out.append((rep.points, alloc, rep))
+    return out
 
 
 def _score(inst, points, alloc) -> float:

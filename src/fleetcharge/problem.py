@@ -126,6 +126,12 @@ class NormalizationPoints:
     def spread(self, name: str) -> float:
         return self.nadir[name] - self.utopia[name]
 
+    def weight_per_spread(self, weights: tuple) -> dict:
+        """Each component's weight over its spread, 0.0 where the spread is
+        below ``NORMALIZATION_EPS`` (the component drops out)."""
+        return {k: alpha / self.spread(k) if self.spread(k) >= NORMALIZATION_EPS else 0.0
+                for alpha, k in zip(weights, COMPONENTS)}
+
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -295,8 +301,7 @@ def soc_before_slots(alloc: np.ndarray, inst: ProblemInstance,
     delta = alloc * inst.durations[:, v] / inst.c_bat
     soc = np.empty_like(delta)
     soc[0, :] = inst.soc_start[v]
-    if inst.horizon > 1:
-        soc[1:, :] = inst.soc_start[v][None, :] + np.cumsum(delta, axis=0)[:-1, :]
+    soc[1:, :] = inst.soc_start[v][None, :] + np.cumsum(delta, axis=0)[:-1, :]
     return soc
 
 

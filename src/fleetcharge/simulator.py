@@ -137,7 +137,7 @@ def peak_power_period(alloc: np.ndarray, config: SimConfig) -> float:
     """
     if alloc.size == 0:
         return 0.0
-    peaking = alloc * config.voltage > config.peak_threshold * config.i_max * config.voltage
+    peaking = alloc > config.peak_threshold * config.i_max
     return float(np.sum(peaking)) * config.dt
 
 

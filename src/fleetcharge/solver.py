@@ -10,9 +10,9 @@ start's final repaired point measured by the true objective.
 
 Linear single-objective subproblems (cost and availability) are solved
 exactly as LPs on one HiGHS model per instance (dual simplex, Huangfu & Hall
-2018), built once and passed afresh with each cost vector.  The cost LP
-doubles as the feasibility verdict, and its vertex anchors every repair.  A
-brute-force grid oracle over tiny instances provides an independent check of
+2018), built once and passed afresh with each cost vector.  The cost LP is
+every entry point's feasibility verdict, and its vertex anchors every repair.
+A brute-force grid oracle over tiny instances provides an independent check of
 solution quality.
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -29,7 +30,7 @@ from scipy.optimize._highspy import _core as highs
 from .fade import BranchCoefficients
 from .problem import (
     COMPONENTS,
-    NORMALIZATION_EPS,
+    ConstraintSet,
     NormalizationPoints,
     ObjectiveBreakdown,
     ProblemInstance,
@@ -86,6 +87,7 @@ class SolveReport:
     wall_time_ms: float
     iterations: int
     status: str
+    points: NormalizationPoints | None  # the payoff points used; None when empty or infeasible
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +175,25 @@ def _avail_coeffs(inst: ProblemInstance) -> np.ndarray:
     return -inst.avail_w * inst.voltage
 
 
-def feasibility_check(inst: ProblemInstance) -> FeasibilityResult:
-    """Linear feasibility of the current limits and energy windows.
-
-    Weights play no role; infeasibility is classified as vehicle-capacity
-    when some vehicle alone cannot receive its required charge, and as
-    station-capacity otherwise.
-    """
-    if not build_constraints(inst).feasible_by_construction:
+def _verdict(constraints: ConstraintSet, lp: _LinearProgram) -> FeasibilityResult:
+    """The one feasibility verdict: the counting bound, then the cost LP."""
+    if not constraints.feasible_by_construction:
         return FeasibilityResult(False, reason="vehicle-capacity")
-    x = _LinearProgram(inst)(inst.empty_allocation())
+    x = lp(_cost_coeffs(lp.inst))
     if x is None:
         return FeasibilityResult(False, reason="station-capacity")
     return FeasibilityResult(True, point=x)
+
+
+def feasibility_check(inst: ProblemInstance) -> FeasibilityResult:
+    """Linear feasibility of the current limits and energy windows.
+
+    Infeasibility is classified as vehicle-capacity when some vehicle alone
+    cannot receive its required charge, and as station-capacity otherwise.
+    The point is the cost vertex :func:`solve` anchors on (all-zero costs
+    at zero prices).
+    """
+    return _verdict(build_constraints(inst), _LinearProgram(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +239,6 @@ def _repair_exact(
     back to ``anchor`` if the top-up runs out of capacity.
     """
     h, n = inst.horizon, inst.n_vehicles
-    if h == 0 or n == 0:
-        return inst.empty_allocation()
     ub = np.where(inst.active, inst.i_max, 0.0)
     x = np.clip(x, 0.0, ub)
 
@@ -303,7 +309,7 @@ class _Projector:
         bend = self.d_rows * self.d_rows
         self.bends = np.concatenate([bend, -bend], axis=1)
         self.ic_max = inst.ic_max
-        self.n = max(inst.n_vehicles, 1)
+        self.n = inst.n_vehicles
 
     def windows(self, y: np.ndarray) -> np.ndarray:
         """Euclidean projection of each column onto box + energy window.
@@ -400,8 +406,7 @@ class _Surrogate:
         delta = x * self.dc
         soc = np.empty_like(delta)
         soc[:, 0, :] = inst.soc_start
-        if inst.horizon > 1:
-            soc[:, 1:, :] = inst.soc_start + np.cumsum(delta, axis=1)[:, :-1, :]
+        soc[:, 1:, :] = inst.soc_start + np.cumsum(delta, axis=1)[:, :-1, :]
         return soc
 
     def _pieces(self, x, rows):
@@ -436,8 +441,6 @@ class _Surrogate:
 
 def _derive_branches(x: np.ndarray, inst: ProblemInstance) -> np.ndarray:
     """Branch membership of every cell from the allocation's SoC trajectory."""
-    if inst.horizon == 0 or inst.n_vehicles == 0:
-        return np.zeros((inst.horizon, inst.n_vehicles), dtype=bool)
     soc_init = soc_before_slots(x, inst)
     return x >= inst.fade_params.branch_slope * soc_init
 
@@ -660,13 +663,19 @@ def _column_parts(cols: np.ndarray, vs: np.ndarray, inst: ProblemInstance) -> np
 
     Column k of ``cols`` (H, K) is an allocation of vehicle ``vs[k]``.  The
     objective separates by vehicle, so the rows of a full allocation's
-    columns sum to its :func:`objective_components`.
+    columns sum to its :func:`objective_components`.  Each column sums slot
+    by slot as in a block (numpy would sum a lone one pairwise), so its row
+    does not depend on the columns scored with it.
     """
+
+    def slot_sums(a):
+        return np.cumsum(a, axis=0)[-1] if a.shape[1] == 1 else a.sum(axis=0)
+
     d = inst.durations[:, vs]
-    cost = (inst.wep[:, None] * (cols * d * inst.voltage / 1000.0)).sum(axis=0)
+    cost = slot_sums(inst.wep[:, None] * (cols * d * inst.voltage / 1000.0))
     cyclic, calendric = fade_terms(cols, inst, vs)
-    availability = -(inst.avail_w[:, vs] * cols * inst.voltage).sum(axis=0)
-    return np.column_stack([cost, cyclic.sum(axis=0) + calendric.sum(axis=0), availability])
+    availability = -slot_sums(inst.avail_w[:, vs] * cols * inst.voltage)
+    return np.column_stack([cost, slot_sums(cyclic) + slot_sums(calendric), availability])
 
 
 def _normalized_score(points: NormalizationPoints, weights: tuple):
@@ -703,14 +712,11 @@ def _local_move_polish(x, inst: ProblemInstance, score):
     columns alone; the first candidate in enumeration order that beats the
     running best by 1e-12 and is not beaten in turn wins the pass.  A batch
     holds ``_POLISH_BATCH_CELLS // H`` moves, and its columns are built only
-    when it is scored, which bounds memory.  The batch boundaries are part
-    of the result: numpy sums a lone column pairwise but a block of columns
-    row by row, so a candidate's score can differ by ulps with its batch
-    mates, and moving the boundaries could decide a near tie differently.
+    when it is scored, which bounds memory.
     """
     h, n = inst.horizon, inst.n_vehicles
     cells = h * n
-    if cells > _MOVE_POLISH_CELLS or cells == 0:
+    if cells > _MOVE_POLISH_CELLS:
         return x
     x = x.copy()
     every = np.arange(n)
@@ -738,22 +744,28 @@ def _local_move_polish(x, inst: ProblemInstance, score):
 
 def single_objective_minimizer(inst: ProblemInstance, component: str) -> np.ndarray:
     """Minimize one raw objective component alone over the polytope."""
-    lp = _LinearProgram(inst)
-    if component != "fade":
-        return _minimize_linear(lp, component)
+    if component not in COMPONENTS:
+        raise ValueError(f"unknown objective component {component!r}")
     if inst.horizon == 0 or inst.n_vehicles == 0:
         return inst.empty_allocation()
-    return _minimize_fade(inst, _minimize_linear(lp, "cost"))
+    lp = _LinearProgram(inst)
+    verdict = _verdict(build_constraints(inst), lp)
+    if not verdict.feasible:
+        raise ValueError("infeasible-instance")
+    return _payoff_point(lp, verdict.point, inst, component)
 
 
-def _minimize_linear(lp: _LinearProgram, component: str) -> np.ndarray:
-    """The cost or availability payoff point on the instance's LP model."""
+def _payoff_point(lp: _LinearProgram, vertex: np.ndarray, inst: ProblemInstance,
+                  component: str) -> np.ndarray:
+    """One component's payoff point on a non-empty feasible instance with LP
+    model ``lp`` and cost vertex ``vertex``: cost is the vertex, availability
+    the availability LP on the same model, and fade :func:`_minimize_fade`
+    anchored on the vertex."""
     if component == "cost":
-        x = lp(_cost_coeffs(lp.inst))
-    elif component == "availability":
-        x = lp(_avail_coeffs(lp.inst))
-    else:
-        raise ValueError(f"unknown objective component {component!r}")
+        return vertex
+    if component == "fade":
+        return _minimize_fade(inst, vertex)
+    x = lp(_avail_coeffs(inst))
     if x is None:
         raise ValueError("infeasible-instance")
     return x
@@ -781,39 +793,28 @@ def solve(inst: ProblemInstance):
     """
     t0 = time.perf_counter()
 
-    def report(status, alloc=None, objective=np.inf, iterations=0):
+    def report(status, alloc=None, objective=np.inf, iterations=0, points=None):
         wall = (time.perf_counter() - t0) * 1000.0
         breakdown = None if alloc is None else objective_components(alloc, inst)
-        return alloc, SolveReport(objective=objective, breakdown=breakdown,
-                                  wall_time_ms=wall, iterations=iterations, status=status)
+        return alloc, SolveReport(objective, breakdown, wall, iterations, status, points)
 
     if inst.horizon == 0 or inst.n_vehicles == 0:
         return report(SolveStatus.OPTIMAL_LOCAL, inst.empty_allocation(), 0.0)
 
-    # One LP model serves the linear payoff points and the LP corner.  The
-    # cost LP is the feasibility verdict, and its vertex the repair anchor.
+    # One LP model serves the verdict, the linear payoff points and the LP
+    # corner; the cost vertex is the repair anchor.
     constraints = build_constraints(inst)
     lp = _LinearProgram(inst)
-    anchor = lp(_cost_coeffs(inst)) if constraints.feasible_by_construction else None
-    if anchor is None:
+    verdict = _verdict(constraints, lp)
+    if not verdict.feasible:
         return report(SolveStatus.INFEASIBLE)
-    points = compute_normalization_points(
-        inst,
-        lambda i, component: anchor if component == "cost"
-        else _minimize_fade(i, anchor) if component == "fade"
-        else _minimize_linear(lp, component),
-    )
+    anchor = verdict.point
+    points = compute_normalization_points(inst, partial(_payoff_point, lp, anchor))
 
-    # Fold normalization scales into the surrogate coefficients; degenerate
-    # components drop out, mirroring normalized_objective.
-    a = dict(zip(COMPONENTS, inst.weights))
-    scale = {k: points.spread(k) for k in COMPONENTS}
-    lin = np.zeros((inst.horizon, inst.n_vehicles))
-    if scale["cost"] >= NORMALIZATION_EPS:
-        lin = lin + (a["cost"] / scale["cost"]) * _cost_coeffs(inst)
-    if scale["availability"] >= NORMALIZATION_EPS:
-        lin = lin + (a["availability"] / scale["availability"]) * _avail_coeffs(inst)
-    fw = a["fade"] / scale["fade"] if scale["fade"] >= NORMALIZATION_EPS else 0.0
+    # The surrogate's coefficients; degenerate components drop out.
+    scale = points.weight_per_spread(inst.weights)
+    lin = scale["cost"] * _cost_coeffs(inst) + scale["availability"] * _avail_coeffs(inst)
+    fw = scale["fade"]
 
     tracker = _BestTracker(lambda x: normalized_objective(
         objective_components(x, inst), points, inst.weights))
@@ -841,7 +842,7 @@ def solve(inst: ProblemInstance):
     if violations:  # repair guarantees feasibility; failing here is a bug
         raise RuntimeError(f"solver returned an infeasible allocation: {violations}")
     status = SolveStatus.OPTIMAL_LOCAL if stable.any() else SolveStatus.FEASIBLE
-    return report(status, tracker.alloc, tracker.objective, int(iterations.sum()))
+    return report(status, tracker.alloc, tracker.objective, int(iterations.sum()), points)
 
 
 # ---------------------------------------------------------------------------
@@ -878,11 +879,8 @@ def _combo_contributions(inst: ProblemInstance, v: int, combos: np.ndarray,
     """Per-combination share of the normalized objective for one vehicle."""
     p = inst.fade_params
     tt = combos.shape[1]
-    n_c = combos.shape[0]
-    cost = np.zeros(n_c)
-    fade = np.zeros(n_c)
-    avail = np.zeros(n_c)
-    soc = np.full(n_c, inst.soc_start[v])
+    cost, fade, avail = np.zeros((3, len(combos)))
+    soc = np.full(len(combos), inst.soc_start[v])
     for i in range(tt):
         x = combos[:, i]
         d = inst.durations[i, v]
@@ -924,15 +922,10 @@ def oracle_grid_search(
             f"instance-too-large: {inst.horizon}x{inst.n_vehicles} decision cells"
         )
     if inst.n_vehicles == 0 or inst.horizon == 0:
-        alloc = inst.empty_allocation()
-        return alloc, 0.0
+        return inst.empty_allocation(), 0.0
     if points is None:
         points = compute_normalization_points(inst, single_objective_minimizer)
-    a = dict(zip(COMPONENTS, inst.weights))
-    scaled = {
-        k: (a[k] / points.spread(k) if points.spread(k) >= NORMALIZATION_EPS else 0.0)
-        for k in COMPONENTS
-    }
+    scaled = points.weight_per_spread(inst.weights)
 
     per_vehicle = []
     for v in range(inst.n_vehicles):

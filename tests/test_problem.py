@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fleetcharge.fade import SlotCharge, cyclic_fade_approx
 from fleetcharge.problem import (
     COMPONENTS,
+    NORMALIZATION_EPS,
     ChargingTask,
     NormalizationPoints,
     ObjectiveBreakdown,
@@ -280,6 +281,23 @@ class TestNormalization:
             cost=scale * bd.cost + shift, fade=bd.fade, availability=bd.availability
         )
         assert normalized_objective(bd2, pts2, (1.0, 2.0, 0.5)) == pytest.approx(ref)
+
+    def test_weight_per_spread(self):
+        """Weight over spread, 0.0 below the guard: the spread 1e-9 is at
+        the guard and 5e-10 below it."""
+        pts = NormalizationPoints(
+            utopia={"cost": 2.0, "fade": 0.0, "availability": 0.0},
+            nadir={"cost": 6.0, "fade": 5e-10, "availability": NORMALIZATION_EPS},
+        )
+        assert pts.weight_per_spread((2.0, 3.0, 0.5)) == {
+            "cost": 0.5, "fade": 0.0, "availability": 0.5 / NORMALIZATION_EPS}
+        assert pts.weight_per_spread((0.0, 1.0, 0.0)) == {
+            "cost": 0.0, "fade": 0.0, "availability": 0.0}
+        pts = self._points()
+        bd = ObjectiveBreakdown(cost=4.4, fade=0.022, availability=-321.0)
+        scale = pts.weight_per_spread((1.0, 2.0, 0.5))
+        folded = sum(scale[k] * (bd.component(k) - pts.utopia[k]) for k in COMPONENTS)
+        assert folded == pytest.approx(normalized_objective(bd, pts, (1.0, 2.0, 0.5)))
 
     def test_nadir_below_utopia_rejected(self):
         with pytest.raises(ValueError):

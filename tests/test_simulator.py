@@ -84,6 +84,14 @@ class TestMetricOps:
         alloc = np.full((4, 1), 0.75 * cfg.i_max)
         assert peak_power_period(alloc, cfg) == 0.0
 
+    def test_peak_rule_is_the_ledgers(self):
+        """A current one ulp above ``peak_threshold * i_max`` counts, as it
+        does in the ledger's realized peak hours; one at it does not."""
+        cfg = config(peak_threshold=0.51)
+        at = cfg.peak_threshold * cfg.i_max
+        alloc = np.array([[np.nextafter(at, np.inf)], [at]])
+        assert peak_power_period(alloc, cfg) == cfg.dt
+
     def test_full_power_schedule(self):
         cfg = config()
         alloc = np.full((6, 2), cfg.i_max)

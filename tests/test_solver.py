@@ -12,6 +12,7 @@ from scipy.optimize import linprog
 
 from fleetcharge.problem import (
     COMPONENTS,
+    NORMALIZATION_EPS,
     ChargingTask,
     build_constraints,
     compute_normalization_points,
@@ -19,6 +20,7 @@ from fleetcharge.problem import (
     normalized_objective,
     objective_components,
 )
+from fleetcharge.scheduler import ZERO_PRICES
 import fleetcharge.solver as solver_module
 from fleetcharge.solver import (
     _MOVE_POLISH_CELLS,
@@ -91,6 +93,24 @@ class TestFeasibilityCheck:
         res = feasibility_check(two_by_three_instance)
         assert res.feasible
         assert build_constraints(two_by_three_instance).audit(res.point, 1e-6) == []
+
+    def test_point_is_the_cost_vertex(self, two_by_three_instance):
+        """The point is the cost LP's vertex, the one ``solve`` anchors on."""
+        inst = two_by_three_instance
+        want = _LinearProgram(inst)(_cost_coeffs(inst))
+        assert feasibility_check(inst).point.tobytes() == want.tobytes()
+
+    def test_zero_prices_solve_the_zero_cost_lp(self):
+        """At zero prices, as in admission, every cost entry is +0.0, so the
+        verdict solves the zero-cost LP byte for byte: same verdict, same
+        vertex."""
+        for inst in TestLinearProgram._instances():
+            inst = dataclasses.replace(inst, wep=np.array([ZERO_PRICES(t) for t in inst.wep]))
+            zero = inst.empty_allocation()
+            assert _cost_coeffs(inst).tobytes() == zero.tobytes()
+            got, ref = feasibility_check(inst), _LinearProgram(inst)(zero)
+            assert got.feasible == (ref is not None)
+            assert ref is None or got.point.tobytes() == ref.tobytes()
 
 
 class TestSolveDirections:
@@ -239,6 +259,24 @@ class TestSolveContracts:
             np.testing.assert_array_equal(costs[0], _cost_coeffs(inst))
             np.testing.assert_array_equal(costs[1], _avail_coeffs(inst))
             assert len({c.tobytes() for c in costs}) == n_lps
+
+    def test_report_points_are_the_payoff_table(self):
+        """``solve`` reports the payoff points it used: exactly the table of
+        :func:`single_objective_minimizer`, degenerate spreads included, and
+        None on an empty or infeasible instance."""
+        rng = np.random.default_rng(3)
+        zero_need = make_instance([ChargingTask("v", 0.0, 2.0, 0.9, 0.5)])
+        degenerate = 0
+        for inst in [*(self._random_instance(rng) for _ in range(6)), zero_need]:
+            _, rep = solve(inst)
+            assert rep.points == _points(inst)
+            degenerate += any(rep.points.spread(k) < NORMALIZATION_EPS for k in COMPONENTS)
+        assert degenerate >= 1
+        infeasible = make_instance(
+            [ChargingTask("v", 0.0, 2.0, 0.2, 0.8)], i_max=50.0, ic_max=50.0, c_bat=200.0
+        )
+        assert solve(make_instance([]))[1].points is None
+        assert solve(infeasible)[1].points is None
 
     def test_station_capacity_infeasible_returns_none(self, monkeypatch):
         """Two vehicles that each need 150 Ah in two hours on an 80 A feeder
@@ -1330,6 +1368,35 @@ class TestNeighbourhood:
         assert relocations >= 500 and swaps >= 500
         assert sorted(set(gate)) == [(_SWAP_POLISH_ACTIVES, True),
                                      (_SWAP_POLISH_ACTIVES + 1, False)]
+
+    def test_move_scores_do_not_depend_on_batch_mates(self):
+        """Every move of a pass scores alone as it does inside one batch
+        holding the whole pass, bit for bit.  The horizons reach 8 slots and
+        more, where numpy would sum a lone column pairwise."""
+        rng = np.random.default_rng(47)
+        compared = lone = 0
+        for k in range(12):
+            tasks = [ChargingTask(f"v{v}", 0.0, float(rng.uniform(4.0, 13.0)), 0.3, 0.6)
+                     for v in range(1 + k % 3)]
+            prices = rng.uniform(0.02, 0.3, 27)
+            inst = make_instance(tasks, prices=lambda t, p=prices: p[int(round(t / 0.5))],
+                                 ic_max=float(rng.choice([100.0, 400.0])))
+            shape = (inst.horizon, inst.n_vehicles)
+            x = np.where(inst.active, rng.uniform(0.0, inst.i_max, size=shape), 0.0)
+            x[rng.random(shape) < 0.4] = 0.0
+            (owners, gain, amps, zero), bounds = _neighbourhood(x, inst)
+            parts = _column_parts(x, np.arange(inst.n_vehicles), inst)
+            whole = _score_moves(_move_columns(x, owners, gain, amps, zero), owners,
+                                 bounds[:-1], parts, inst, lambda p: p)
+            for m in range(len(bounds) - 1):
+                c = slice(bounds[m], bounds[m + 1])
+                alone = _score_moves(_move_columns(x, owners[c], gain[c], amps[c], zero[c]),
+                                     owners[c], np.zeros(1, dtype=int), parts, inst,
+                                     lambda p: p)
+                assert alone.tobytes() == whole[m:m + 1].tobytes()
+                lone += c.stop - c.start == 1
+            compared += len(bounds) - 1
+        assert compared >= 2500 and lone < compared
 
     def test_batch_scores_equal_column_stacked_scores(self):
         """Each batch scores bit for bit as the scalar enumeration's columns,
