@@ -465,13 +465,22 @@ def _descend(model: _Surrogate, x0: np.ndarray):
     backtracking line search along the projection arc; returns (x,
     iterations), one of each per start.
 
-    The starts advance in lockstep, one line-search trial per live start per
-    tick, and each keeps its own step, rises and exits, so it follows the
-    path it would follow alone.  A line search rejects its iteration after
-    30 trials or once the rejected rises ``fc - f`` of distinct candidates
-    stop shrinking with the step (:func:`_jump`).  A start ends on a zero
-    gradient, a rejected iteration, a decrease within ``TOL_OBJ`` or its
-    ``MAX_INNER_ITERS``-th iteration.
+    The starts advance in lockstep and each keeps its own step, rises and
+    exits, so it follows the path it would follow alone.  A line search
+    rejects its iteration after 30 trials or once the rejected rises
+    ``fc - f`` of distinct candidates stop shrinking with the step
+    (:func:`_jump`).  A start ends on a zero gradient, a rejected iteration,
+    a decrease within ``TOL_OBJ`` or its ``MAX_INNER_ITERS``-th iteration.
+
+    Each tick projects and scores, in one stacked call, a live start's next
+    trials ``s, s/2, s/4, ...``: as many as its previous line search took,
+    plus one (two for its first).  Its trials are then consumed in order
+    by the sequential rule, and those after the one that ends the search
+    are dropped.  Every live start gets one trial; extra trials fill the
+    tick in start order up to ``_SPECULATIVE_CELLS`` cells, which bounds
+    the element work a dropped trial wastes on big instances.  A stack row
+    is treated exactly as alone and halving a step is exact, so the
+    speculation changes the number of calls, never the path.
     """
     x = model.project(x0)
     k = len(x)
@@ -480,6 +489,7 @@ def _descend(model: _Surrogate, x0: np.ndarray):
     step = np.ones(k)
     iters = np.zeros(k, dtype=int)
     trials, rises, prev = [0] * k, [[] for _ in range(k)], [None] * k
+    took = [1] * k   # trials of each start's last line search
     live, fresh = [], np.arange(k)   # fresh: starts that begin an iteration
     while True:
         if len(fresh):
@@ -493,17 +503,33 @@ def _descend(model: _Surrogate, x0: np.ndarray):
             live += fresh.tolist()
         if not live:
             return x, iters
-        rows = np.array(live)
-        cand = model.project(x[rows] - step[rows, None, None] * g[rows])
-        fc = model.value(cand, rows)
-        move = cand - x[rows]
-        sq = (move * move).reshape(len(rows), -1).sum(axis=1)
-        accepted = fc <= f[rows] - 1e-4 * sq / np.maximum(step[rows], 1e-16)
-        live, fresh = [], []
-        for i, j in enumerate(rows.tolist()):
+        # Each live start's next trials, up to the cap; a trial past the
+        # step floor or the 30th is never consumed, so it is not projected.
+        spare = max(_SPECULATIVE_CELLS // x[0].size - len(live), 0)
+        rows, steps = [], []
+        for j in live:
+            s, depth = step[j], min(took[j] + 1, 30 - trials[j])
+            rows.append(j)
+            steps.append(s)
+            while spare and depth > 1 and s * 0.5 >= 1e-12:
+                s, depth, spare = s * 0.5, depth - 1, spare - 1
+                rows.append(j)
+                steps.append(s)
+        idx, steps = np.array(rows), np.array(steps)
+        cand = model.project(x[idx] - steps[:, None, None] * g[idx])
+        fc = model.value(cand, idx)
+        move = cand - x[idx]
+        sq = (move * move).reshape(len(idx), -1).sum(axis=1)
+        accepted = fc <= f[idx] - 1e-4 * sq / np.maximum(steps, 1e-16)
+        fresh, ended = [], set()   # ended: starts whose search ended this tick
+        for i, j in enumerate(rows):
+            if j in ended:
+                continue   # a trial after the one that ended j's search
+            ended.add(j)
             if accepted[i]:
                 dec = f[j] - fc[i]
                 x[j], f[j] = cand[i], fc[i]
+                took[j] = trials[j] + 1
                 if not (dec <= TOL_OBJ * max(abs(f[j]), 1.0) or iters[j] == MAX_INNER_ITERS):
                     fresh.append(j)
                 continue
@@ -515,7 +541,8 @@ def _descend(model: _Surrogate, x0: np.ndarray):
             step[j] *= 0.5
             trials[j] += 1
             if not (step[j] < 1e-12 or trials[j] == 30):
-                live.append(j)
+                ended.discard(j)
+        live = [j for j in live if j not in ended]
         fresh = np.array(fresh, dtype=int)
 
 
@@ -602,6 +629,7 @@ def _zero_snap_polish(x: np.ndarray, inst: ProblemInstance, tracker: _BestTracke
 _MOVE_POLISH_CELLS = 160  # skip the local search on big instances
 _SWAP_POLISH_ACTIVES = 30  # pairwise exchanges: budget on active cells
 _POLISH_BATCH_CELLS = 1 << 12  # candidate cells scored at once: bounds memory
+_SPECULATIVE_CELLS = 1 << 11  # line-search trial cells projected per descent tick
 
 
 def _neighbourhood(x, inst):

@@ -824,35 +824,56 @@ class TestLineSearch:
         return dataclasses.replace(make_instance([task]), e_hi=np.array([21.0]))
 
     def test_stops_at_activation_jump(self, monkeypatch):
+        """The descent projects trials ahead of need, so its projector calls
+        are not its trials; the trials it consumes are counted instead.
+        Every halved step wakes the cell to a new point, so each consumed
+        trial passes one rise to ``_jump``."""
         inst = self._instance()
-        model, calls = _woken_cell_model(inst, -1e-5)
         x0 = np.zeros((1, 1))
+        model, _ = _woken_cell_model(inst, -1e-5)
         assert model.gradient(x0[None], [0])[0, 0, 0] == pytest.approx(-1e-5, rel=1e-6)
-        (x,), (iters,) = _descend(model, x0[None])
-        jump_calls, jump = len(calls), solver_module.JUMP_TRIALS
+        jump = solver_module._jump
+
+        def consumed_trials():
+            model, _ = _woken_cell_model(inst, -1e-5)
+            rises = []
+            with monkeypatch.context() as m:
+                m.setattr(solver_module, "_jump", lambda r: rises.append(r[-1]) or jump(r))
+                (x,), (iters,) = _descend(model, x0[None])
+            ref, _ = _woken_cell_model(inst, -1e-5)
+            exits = []
+            x_ref, iters_ref = _reference_descend(_OneStart(ref, 0), x0, exits)
+            assert x.tobytes() == x_ref.tobytes() and np.all(x == 0.0)
+            assert iters == iters_ref == 1
+            return len(rises), exits
+
+        jump_trials = solver_module.JUMP_TRIALS
+        assert consumed_trials() == (jump_trials, [("jump", jump_trials)])
         monkeypatch.setattr(solver_module, "JUMP_TRIALS", 31)  # exit never fires
-        full_model, full_calls = _woken_cell_model(inst, -1e-5)
-        (x_full,), (iters_full,) = _descend(full_model, x0[None])
-        assert len(full_calls) == 1 + 30          # start plus every trial rejected
-        assert jump_calls == 1 + jump
-        assert iters == iters_full == 1
-        assert np.array_equal(x, x_full) and np.all(x == 0.0)
+        assert consumed_trials() == (30, [("30-trials", 30)])   # every trial rejected
 
     def test_smooth_rise_backtracks_to_accept(self, monkeypatch):
+        """The per-start reference projects each consumed trial once, so its
+        count is the trials the descent consumed along the same path."""
         c = np.array([[3.0, 40.0], [0.0, 7.5]])
         x0 = np.array([[20.0, 10.0], [5.0, 0.0]])
-        model = _Quadratic(10.0, c)
-        model.trials.append(0)   # the start's projection
-        (x,), _ = _descend(model, x0[None])
-        jump = solver_module.JUMP_TRIALS
-        monkeypatch.setattr(solver_module, "JUMP_TRIALS", 31)
-        full = _Quadratic(10.0, c)
-        full.trials.append(0)
-        (x_full,), _ = _descend(full, x0[None])
-        assert model.trials == full.trials and np.array_equal(x, x_full)
+
+        def descend():
+            model = _Quadratic(10.0, c)
+            model.trials.append(0)   # the start's projection
+            return _descend(model, x0[None])
+
+        (x,), (iters,) = descend()
+        ref = _Quadratic(10.0, c)
+        ref.trials.append(0)
+        x_ref, iters_ref = _reference_descend(ref, x0, [])
+        assert x.tobytes() == x_ref.tobytes() and iters == iters_ref
         # the first line search rejects more than JUMP_TRIALS overshoots, then accepts
-        assert model.trials[1] > jump
-        assert model.value(x) < 1e-6 * model.value(x0)
+        assert ref.trials[1] > solver_module.JUMP_TRIALS
+        monkeypatch.setattr(solver_module, "JUMP_TRIALS", 31)
+        (x_full,), _ = descend()
+        assert np.array_equal(x, x_full)
+        assert ref.value(x) < 1e-6 * ref.value(x0)
 
     def test_saturated_steps_are_not_a_jump(self, monkeypatch):
         """Long steps that the box clips to one corner give equal rises; they
@@ -1099,6 +1120,46 @@ class TestLockstepDescent:
             assert iters[j] == iters_ref
         assert [e for e, _ in exits] == ["decrease", "jump", "step-floor", "decrease"]
         assert len({trials for _, trials in exits}) == 4
+
+    @pytest.mark.parametrize("cells", [0, 1 << 30])
+    def test_speculation_bound_changes_calls_not_paths(self, cells, monkeypatch):
+        """With no room for speculative trials every call holds one row per
+        live start; with room unbounded some call holds more.  Both follow
+        the per-start paths bit for bit."""
+        monkeypatch.setattr(solver_module, "_SPECULATIVE_CELLS", cells)
+        inst = _descent_instance(np.random.default_rng(5), 5, 8, 110.0)   # binding cap
+        lin, fw, starts, _ = _descent_inputs(inst)
+        branches = np.stack([_derive_branches(x, inst) for x in starts])
+        project = _Projector(inst)
+        model = _Surrogate(inst, lin, fw, branches, project)
+        projected, live = [], []   # per call: rows, and starts among them
+        value = model.value
+
+        def counted_project(y):
+            projected.append(len(y))
+            return project(y)
+
+        def counted_value(xs, rows):
+            live.append(len(set(np.asarray(rows).tolist())))
+            return value(xs, rows)
+
+        model.project, model.value = counted_project, counted_value
+        x, iters = _descend(model, starts)
+        exits = []
+        for j, x0 in enumerate(starts):
+            ref = _ReferenceSurrogate(inst, lin, fw, branches[j],
+                                      lambda y: _reference_polytope(y, inst))
+            x_ref, iters_ref = _reference_descend(ref, x0, exits)
+            assert x[j].tobytes() == x_ref.tobytes()
+            assert iters[j] == iters_ref
+        # some line search takes more than one trial
+        assert any(trials > it for (_, trials), it in zip(exits, iters))
+        assert len(projected) == len(live)
+        calls = list(zip(projected, live))[1:]   # the first call projects the starts
+        if cells == 0:
+            assert all(rows == n for rows, n in calls)
+        else:
+            assert any(rows > n for rows, n in calls)
 
     def test_branch_rounds_match_per_start_loop(self):
         """Low starting SoC puts high currents on the HI branch, so some
