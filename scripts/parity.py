@@ -24,7 +24,9 @@ checkout then re-solves each of the other run's instances, scores both plans
 under shared payoff points (per component the lower utopia and the higher
 nadir of the two sides) and prints per run the summed objective, how many
 re-solves are better, worse or equal (within a relative 1e-12), the worst
-regression, audit failures and the summed and max solve time; a worse
+regression, how many re-solved plans differ from the frozen ones and the
+largest absolute current difference among them (so an ulp-level change
+reads as one), audit failures and the summed and max solve time; a worse
 re-solve or a failed audit also exits 1.  This judges a change meant to
 move plans, where byte identity cannot.  The pickles are loaded, so pass
 ``--against`` only a directory this script wrote.
@@ -187,6 +189,16 @@ def _solve_gap(mine: list, theirs: list) -> tuple:
     return differ, gap
 
 
+def _plan_gap(theirs, mine) -> float:
+    """Largest absolute current difference of two plans, in A: 0.0 when they
+    are equal, inf when one side has no plan or the shapes differ."""
+    if theirs is None or mine is None:
+        return 0.0 if theirs is mine else math.inf
+    if theirs.shape != mine.shape:
+        return math.inf
+    return float(abs(mine - theirs).max(initial=0.0))
+
+
 def _resolve_all(records: list) -> list:
     """This checkout's (points, allocation, report) for each record's instance."""
     from fleetcharge.solver import solve
@@ -229,8 +241,8 @@ def compare_objectives(name: str, records: list) -> bool:
         return alloc is not None and bool(build_constraints(inst).audit(alloc, 1e-6))
 
     resolved = _resolve_all(records)
-    better = worse = equal = audits_theirs = audits_mine = 0
-    total_theirs = total_mine = 0.0
+    better = worse = equal = audits_theirs = audits_mine = moved = 0
+    total_theirs = total_mine = largest = 0.0
     worst = None  # (rise, relative rise, solve number)
     for k, ((inst, their_pts, their_x, _), (my_pts, my_x, _)) in enumerate(
             zip(records, resolved), start=1):
@@ -248,6 +260,10 @@ def compare_objectives(name: str, records: list) -> bool:
             rise = mine - theirs
             if worst is None or rise > worst[0]:
                 worst = (rise, rise / max(abs(theirs), 1e-300), k)
+        gap = _plan_gap(their_x, my_x)
+        if gap:
+            moved += 1
+            largest = max(largest, gap)
         audits_theirs += audit_fails(inst, their_x)
         audits_mine += audit_fails(inst, my_x)
     times = [[rep.wall_time_ms / 1000.0 for *_, rep in side] for side in (records, resolved)]
@@ -256,7 +272,8 @@ def compare_objectives(name: str, records: list) -> bool:
                   else f"+{worst[0]:.6g} ({100.0 * worst[1]:+.4g}%) at solve {worst[2]}")
     print(f"objective {name}: {len(records)} solves; summed {total_theirs:.9g} -> "
           f"{total_mine:.9g} ({change:+.4f}%); better {better}, worse {worse}, equal {equal}; "
-          f"worst regression {worst_text}; audit failures {audits_theirs} -> {audits_mine}; "
+          f"worst regression {worst_text}; plans differ {moved}, largest current "
+          f"difference {largest:.3g} A; audit failures {audits_theirs} -> {audits_mine}; "
           f"solve time summed {sum(times[0]):.3f} -> {sum(times[1]):.3f} s, "
           f"max {max(times[0], default=0.0):.3f} -> {max(times[1], default=0.0):.3f} s")
     return worse == 0 and audits_mine == 0

@@ -1,7 +1,6 @@
 """Charge-scheduling optimizer and discrete-event simulator for EV fleets."""
 
 from .fade import (
-    Branch,
     BranchCoefficients,
     FadeModelParams,
     SlotCharge,
@@ -10,7 +9,6 @@ from .fade import (
     cyclic_fade_approx,
     cyclic_fade_exact,
     fade_fit_report,
-    select_branch,
     stress_factors,
 )
 from .problem import (

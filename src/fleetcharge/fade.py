@@ -16,14 +16,12 @@ across threads.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "Branch",
     "BranchCoefficients",
     "FadeModelParams",
     "SlotCharge",
@@ -31,7 +29,6 @@ __all__ = [
     "InvalidSlotError",
     "stress_factors",
     "cyclic_fade_exact",
-    "select_branch",
     "cyclic_fade_approx",
     "cyclic_fade_surface",
     "calendric_fade_approx",
@@ -44,13 +41,6 @@ class InvalidSlotError(ValueError):
     def __init__(self, field_name: str, message: str):
         self.field_name = field_name
         super().__init__(f"invalid-slot [{field_name}]: {message}")
-
-
-class Branch(enum.Enum):
-    """Domain piece of the quadratic cyclic-fade approximation."""
-
-    HI = "hi"  # current >= branch_slope * soc_init
-    LO = "lo"  # current <  branch_slope * soc_init
 
 
 @dataclass(frozen=True)
@@ -111,6 +101,12 @@ class FadeModelParams:
     def __post_init__(self):
         if self.branch_slope <= 0:
             raise ValueError("branch_slope must be > 0")
+
+    def is_hi(self, current, soc_init):
+        """The branch rule, for scalars or arrays: a slot charges on the HI
+        quadratic iff its current is at least ``branch_slope`` times its
+        initial SoC, else on the LO one."""
+        return current >= self.branch_slope * soc_init
 
     def branch_coefficients(self, is_hi: np.ndarray) -> BranchCoefficients:
         """Per-cell coefficient arrays: the HI branch where ``is_hi``, else LO."""
@@ -188,13 +184,6 @@ def cyclic_fade_exact(slot: SlotCharge, params: FadeModelParams) -> float:
     return stress * math.sqrt(sf.ah)
 
 
-def select_branch(current: float, soc_init: float, params: FadeModelParams) -> Branch:
-    """Pick the approximation branch: HI iff current >= slope * soc_init."""
-    if current >= params.branch_slope * soc_init:
-        return Branch.HI
-    return Branch.LO
-
-
 def cyclic_fade_approx(slot: SlotCharge, params: FadeModelParams) -> float:
     """Piecewise-quadratic cyclic capacity loss for one slot, in Ah.
 
@@ -205,8 +194,8 @@ def cyclic_fade_approx(slot: SlotCharge, params: FadeModelParams) -> float:
     sf = stress_factors(slot)
     if slot.current == 0.0:
         return 0.0
-    branch = select_branch(slot.current, slot.soc_init, params)
-    coeffs = params.branch_hi if branch is Branch.HI else params.branch_lo
+    hi = params.is_hi(slot.current, slot.soc_init)
+    coeffs = params.branch_hi if hi else params.branch_lo
     return max(0.0, coeffs.evaluate(sf.soc_avg, slot.current))
 
 
@@ -218,7 +207,7 @@ def cyclic_fade_surface(soc_init, current, dt, c_bat, params: FadeModelParams):
     slots from a feasible schedule or a masked grid.
     """
     soc_avg = soc_init + 0.5 * current * dt / c_bat
-    is_hi = current >= params.branch_slope * soc_init
+    is_hi = params.is_hi(current, soc_init)
     cyclic = np.maximum(params.branch_coefficients(is_hi).evaluate(soc_avg, current), 0.0)
     cyclic[current == 0.0] = 0.0
     return cyclic, soc_avg, is_hi

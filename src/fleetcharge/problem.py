@@ -292,16 +292,20 @@ def max_power_allocation(inst: ProblemInstance) -> np.ndarray:
 
 def soc_before_slots(alloc: np.ndarray, inst: ProblemInstance,
                      vehicles: np.ndarray | None = None) -> np.ndarray:
-    """SoC of each vehicle at the start of each slot, (H, V).
+    """SoC of each vehicle at the start of each slot, shaped like ``alloc``:
+    (H, V), or a stack (..., H, V) of allocations, each of which gets the
+    values it would get alone.
 
-    With ``vehicles`` (K,), ``alloc`` is (H, K) and its column k belongs to
-    vehicle ``vehicles[k]``.
+    With ``vehicles`` (K,), ``alloc`` is (..., H, K) and its column k belongs
+    to vehicle ``vehicles[k]``.
     """
-    v = slice(None) if vehicles is None else vehicles
-    delta = alloc * inst.durations[:, v] / inst.c_bat
+    d, start = inst.durations, inst.soc_start
+    if vehicles is not None:
+        d, start = d[:, vehicles], start[vehicles]
+    delta = alloc * (d / inst.c_bat)
     soc = np.empty_like(delta)
-    soc[0, :] = inst.soc_start[v]
-    soc[1:, :] = inst.soc_start[v][None, :] + np.cumsum(delta, axis=0)[:-1, :]
+    soc[..., 0, :] = start
+    soc[..., 1:, :] = start + np.cumsum(delta, axis=-2)[..., :-1, :]
     return soc
 
 

@@ -401,17 +401,9 @@ class _Surrogate:
         self.half = 0.5 * inst.durations / inst.c_bat
         self.dc = inst.durations / inst.c_bat
 
-    def _soc_init(self, x):
-        inst = self.inst
-        delta = x * self.dc
-        soc = np.empty_like(delta)
-        soc[:, 0, :] = inst.soc_start
-        soc[:, 1:, :] = inst.soc_start + np.cumsum(delta, axis=1)[:, :-1, :]
-        return soc
-
     def _pieces(self, x, rows):
         c = BranchCoefficients(*self.coef[:, rows])
-        avg = self._soc_init(x) + self.half * x
+        avg = soc_before_slots(x, self.inst) + self.half * x
         poly = c.evaluate(avg, x)
         mask = self.inst.active & (x > 0.0) & (poly > 0.0)
         return c, avg, poly, mask
@@ -440,9 +432,9 @@ class _Surrogate:
 
 
 def _derive_branches(x: np.ndarray, inst: ProblemInstance) -> np.ndarray:
-    """Branch membership of every cell from the allocation's SoC trajectory."""
-    soc_init = soc_before_slots(x, inst)
-    return x >= inst.fade_params.branch_slope * soc_init
+    """Branch membership of every cell of an allocation (H, V), or of a
+    stack (k, H, V) of them, from its SoC trajectory."""
+    return inst.fade_params.is_hi(x, soc_before_slots(x, inst))
 
 
 def _jump(rises: list) -> bool:
@@ -556,20 +548,22 @@ def _branch_fixed_descent(inst: ProblemInstance, lin: np.ndarray, fw: float,
     current point, descends the surrogate ``lin . x + fw * fade`` and
     repairs the result, until its branches stop changing (at most
     ``MAX_BRANCH_ITERS`` rounds).  The starts still changing branches
-    descend together.
+    descend together, and the branches a round's check derives are the
+    next round's.
     """
     project = _Projector(inst)
     x = np.stack([_repair_exact(p, inst, lin, anchor) for p in project(x0)])
+    branches = _derive_branches(x, inst)
     iterations = np.zeros(len(x0), dtype=int)
     stable = np.zeros(len(x0), dtype=bool)
     live = np.arange(len(x0))
     for _ in range(MAX_BRANCH_ITERS):
-        branches = np.stack([_derive_branches(xj, inst) for xj in x[live]])
-        descended, iters = _descend(_Surrogate(inst, lin, fw, branches, project), x[live])
+        descended, iters = _descend(_Surrogate(inst, lin, fw, branches[live], project), x[live])
         iterations[live] += iters
-        for j, xj, is_hi in zip(live, descended, branches):
-            x[j] = _repair_exact(xj, inst, lin, anchor)
-            stable[j] = np.array_equal(_derive_branches(x[j], inst), is_hi)
+        x[live] = [_repair_exact(xj, inst, lin, anchor) for xj in descended]
+        derived = _derive_branches(x[live], inst)
+        stable[live] = (derived == branches[live]).all(axis=(1, 2))
+        branches[live] = derived
         live = live[~stable[live]]
         if len(live) == 0:
             break
@@ -693,7 +687,11 @@ def _column_parts(cols: np.ndarray, vs: np.ndarray, inst: ProblemInstance) -> np
     objective separates by vehicle, so the rows of a full allocation's
     columns sum to its :func:`objective_components`.  Each column sums slot
     by slot as in a block (numpy would sum a lone one pairwise), so its row
-    does not depend on the columns scored with it.
+    does not depend on the columns scored with it.  Only a lone column takes
+    the ``np.cumsum``: on blocks it gives the block sum's bits (3,000 random
+    blocks) but is slower, 5.9 against 3.1 us at 20 x 12 and 24.2 against
+    4.5 us at 40 x 100 on a 2-vCPU Xeon host, and the polish scores many
+    blocks.
     """
 
     def slot_sums(a):

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetcharge.fade import (
-    Branch,
     FadeModelParams,
     InvalidSlotError,
     SlotCharge,
@@ -21,7 +20,6 @@ from fleetcharge.fade import (
     cyclic_fade_approx,
     cyclic_fade_exact,
     fade_fit_report,
-    select_branch,
     stress_factors,
 )
 
@@ -103,14 +101,27 @@ class TestCyclicFadeExact:
 
 
 class TestSelectBranch:
+    """The branch rule, :meth:`FadeModelParams.is_hi`."""
+
     def test_below_line(self, fade_params):
-        assert select_branch(100.0, 0.5, fade_params) is Branch.LO  # 100 < 240
+        assert fade_params.is_hi(100.0, 0.5) is False  # 100 < 240
 
     def test_boundary_is_high(self, fade_params):
-        assert select_branch(240.0, 0.5, fade_params) is Branch.HI  # inclusive
+        assert fade_params.is_hi(240.0, 0.5) is True  # inclusive
 
     def test_above_line(self, fade_params):
-        assert select_branch(200.0, 0.1, fade_params) is Branch.HI  # 200 >= 48
+        assert fade_params.is_hi(200.0, 0.1) is True  # 200 >= 48
+
+    def test_array_matches_scalar_rule(self, fade_params):
+        """Every cell of an array call, the boundary cells among them, gets
+        the scalar call's branch."""
+        rng = np.random.default_rng(7)
+        soc = np.concatenate([rng.uniform(0.0, 1.0, 40), [0.5, 0.1, 0.0, 0.25]])
+        current = np.concatenate([rng.uniform(0.0, 480.0, 40), [240.0, 48.0, 0.0, 120.0]])
+        grid = fade_params.is_hi(current[:, None], soc[None, :])
+        assert grid.shape == (44, 44) and grid.any() and not grid.all()
+        assert grid.tolist() == [[fade_params.is_hi(float(c), float(s)) for s in soc]
+                                 for c in current]
 
 
 class TestCyclicFadeApprox:

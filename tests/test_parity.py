@@ -1,0 +1,91 @@
+"""Unit tests of the report and solve comparisons in ``scripts/parity.py``."""
+
+import importlib.util
+import math
+
+import numpy as np
+
+from fleetcharge.problem import COMPONENTS, NormalizationPoints
+
+from conftest import ROOT
+
+_spec = importlib.util.spec_from_file_location("parity", ROOT / "scripts" / "parity.py")
+parity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(parity)
+
+
+def _line(digest, objective, iterations=3, status="optimal-local"):
+    return f"{digest} {objective!r} {iterations} {status}"
+
+
+class TestDiffer:
+    def test_changed_and_one_sided_keys_sorted(self):
+        mine = {"b/x.json": "1", "a/y.txt": "2", "same": "3"}
+        theirs = {"b/x.json": "9", "c/z.txt": "4", "same": "3"}
+        assert parity._differ(mine, theirs) == ["a/y.txt", "b/x.json", "c/z.txt"]
+
+    def test_equal_sides(self):
+        assert parity._differ({"k": "v"}, {"k": "v"}) == []
+
+
+class TestSolveGap:
+    def test_identical_runs(self):
+        lines = [_line("aa", 1.5), _line("bb", 2.0)]
+        assert parity._solve_gap(lines, list(lines)) == (0, 0.0)
+
+    def test_largest_relative_objective_gap(self):
+        mine = [_line("aa", 2.0), _line("bb", 4.0), _line("cc", 1.0)]
+        theirs = [_line("aa", 2.0), _line("b2", 5.0), _line("c2", 1.1)]
+        differ, gap = parity._solve_gap(mine, theirs)
+        assert differ == 2
+        assert gap == 1.0 / 5.0   # the larger of 1/5 and 0.1/1.1
+
+    def test_plan_moves_with_equal_objective(self):
+        """A differing line counts even when its objective has no gap, as
+        do two infeasible solves' infinities."""
+        mine = [_line("aa", 2.0), _line("n1", math.inf, 0, "infeasible")]
+        theirs = [_line("a2", 2.0), _line("n2", math.inf, 0, "infeasible")]
+        assert parity._solve_gap(mine, theirs) == (2, 0.0)
+
+    def test_one_side_infeasible(self):
+        differ, gap = parity._solve_gap([_line("aa", 2.0)], [_line("n", math.inf)])
+        assert (differ, gap) == (1, math.inf)
+
+    def test_solve_on_one_side_only(self):
+        lines = [_line("aa", 2.0)]
+        assert parity._solve_gap(lines + [_line("bb", 3.0)], lines) == (1, math.inf)
+
+
+class TestShared:
+    def test_lower_utopia_and_higher_nadir_per_component(self):
+        a = NormalizationPoints(utopia=dict(zip(COMPONENTS, (1.0, 5.0, -3.0))),
+                                nadir=dict(zip(COMPONENTS, (9.0, 6.0, 0.0))))
+        b = NormalizationPoints(utopia=dict(zip(COMPONENTS, (2.0, 4.0, -4.0))),
+                                nadir=dict(zip(COMPONENTS, (8.0, 7.0, 1.0))))
+        got = parity._shared(a, b)
+        assert got.utopia == dict(zip(COMPONENTS, (1.0, 4.0, -4.0)))
+        assert got.nadir == dict(zip(COMPONENTS, (9.0, 7.0, 1.0)))
+        assert parity._shared(b, a) == got
+
+    def test_one_side_without_points(self):
+        a = NormalizationPoints(utopia=dict.fromkeys(COMPONENTS, 0.0),
+                                nadir=dict.fromkeys(COMPONENTS, 1.0))
+        assert parity._shared(a, None) is a
+        assert parity._shared(None, a) is a
+        assert parity._shared(None, None) is None
+
+
+class TestPlanGap:
+    def test_largest_absolute_current_difference(self):
+        theirs = np.array([[10.0, 0.0], [5.0, 80.0]])
+        mine = theirs + np.array([[0.0, 2e-13], [-6e-13, 0.0]])
+        assert parity._plan_gap(theirs, mine) == abs(mine[1, 0] - theirs[1, 0])
+        assert parity._plan_gap(theirs, theirs.copy()) == 0.0
+
+    def test_missing_or_misshapen_plan(self):
+        plan = np.zeros((2, 3))
+        assert parity._plan_gap(None, None) == 0.0
+        assert parity._plan_gap(plan, None) == math.inf
+        assert parity._plan_gap(None, plan) == math.inf
+        assert parity._plan_gap(plan, np.zeros((3, 2))) == math.inf
+        assert parity._plan_gap(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0

@@ -19,6 +19,7 @@ from fleetcharge.problem import (
     max_power_allocation,
     normalized_objective,
     objective_components,
+    soc_before_slots,
 )
 from fleetcharge.scheduler import ZERO_PRICES
 import fleetcharge.solver as solver_module
@@ -1177,6 +1178,52 @@ class TestLockstepDescent:
                 assert (iterations[j], stable[j]) == (ref[1], ref[2])
                 rounds.append(ref[3])
         assert 1 in rounds and max(rounds) >= 2
+
+
+def _partial_slot_instance(rng, n, slots):
+    """``n`` vehicles that each leave inside a slot, so every last slot is
+    partial; low starting SoC, so both fade branches occur."""
+    tasks = []
+    for v in range(n):
+        soc_start = float(rng.uniform(0.01, 0.6))
+        t_dep = 0.5 * int(rng.integers(1, slots)) + float(rng.uniform(0.05, 0.45))
+        tasks.append(ChargingTask(f"v{v}", 0.0, t_dep, soc_start, min(1.0, soc_start + 0.1)))
+    inst = make_instance(tasks, ic_max=n * 80.0)
+    last = inst.grid.tt - 1
+    assert np.all(inst.durations[last, np.arange(n)] < inst.grid.dt)
+    return inst
+
+
+class TestOneSocTrajectory:
+    """``soc_before_slots`` is the one SoC trajectory: each allocation of a
+    stack gets its own call's values, rounded as the per-start surrogate
+    rounded them, and the branch rule reads it for a whole stack at once."""
+
+    @staticmethod
+    def _stack(rng, inst, k=5):
+        shape = (k, inst.horizon, inst.n_vehicles)
+        return rng.uniform(0.0, inst.i_max, size=shape) * inst.active
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_stack_matches_each_start_and_reference_surrogate(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = _partial_slot_instance(rng, 4, 9)
+        x = self._stack(rng, inst)
+        stacked = soc_before_slots(x, inst)
+        ref = _ReferenceSurrogate(inst, 0.0, 1.0, np.zeros(x.shape[1:], dtype=bool), None)
+        for j, xj in enumerate(x):
+            assert stacked[j].tobytes() == soc_before_slots(xj, inst).tobytes()
+            assert stacked[j].tobytes() == ref._soc_init(xj).tobytes()
+        vs = np.array([2, 0, 2, 3])   # columns mapped to vehicles, one repeated
+        assert soc_before_slots(x[..., vs], inst, vs).tobytes() == stacked[..., vs].tobytes()
+
+    def test_derive_branches_on_a_stack(self):
+        rng = np.random.default_rng(2024)
+        inst = _partial_slot_instance(rng, 4, 9)
+        x = self._stack(rng, inst)
+        branches = _derive_branches(x, inst)
+        assert branches.any() and not branches[inst.active[None] & (x > 0)].all()
+        assert np.array_equal(branches, np.stack([_derive_branches(xj, inst) for xj in x]))
 
 
 def _oracle_sized_instances(seed, count):
