@@ -167,10 +167,11 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    # The events and prices do not depend on the weights: parse them once.
+    events, prices_fn, _ = _load_inputs(args, cfg, Policy("proposed"))
     rows = []
     for weights in triples:
-        policy = Policy("proposed", weights=weights)
-        events, prices_fn, sim_config = _load_inputs(args, cfg, policy)
+        sim_config = cfg.sim_config(Policy("proposed", weights=weights))
         result = run(events, prices_fn, sim_config)
         rows.append((weights, result.metrics.as_dict()))
 

@@ -34,7 +34,6 @@ __all__ = [
     "VehicleState",
     "FleetState",
     "Admission",
-    "SlotLedger",
     "LedgerEntry",
     "SocOverflowError",
     "baseline_schedule",
@@ -194,24 +193,19 @@ class LedgerEntry:
     fade_approx_ah: float  # quadratic cyclic + calendric
 
 
-@dataclass(frozen=True)
-class SlotLedger:
-    slot_index: int
-    entries: tuple
-
-
 def apply_slot(
     state: FleetState,
     alloc: np.ndarray,
     slot_index: int,
     inst: ProblemInstance,
     duration: float | None = None,
-) -> SlotLedger:
+) -> tuple[LedgerEntry, ...]:
     """Advance the fleet through one slot of a schedule.
 
-    Mutates the state in place (SoC recursion, clock) and returns the slot
-    ledger.  ``duration`` truncates the slot when an event falls inside it;
-    each vehicle is charged for its own presence within that window.
+    Mutates the state in place (SoC recursion, clock) and returns one
+    :class:`LedgerEntry` per plugged vehicle present in the slot.
+    ``duration`` truncates the slot when an event falls inside it; each
+    vehicle is charged for its own presence within that window.
     Calendric fade is pro-rated by the fraction of a full slot realized.
     """
     if not 0 <= slot_index < inst.horizon:
@@ -262,4 +256,4 @@ def apply_slot(
         )
         vs.soc_cur = min(soc_new, 1.0)
     state.now = slot_t + window
-    return SlotLedger(slot_index=slot_index, entries=tuple(entries))
+    return tuple(entries)

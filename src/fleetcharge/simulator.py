@@ -1,12 +1,11 @@
 """Event-driven replay of a charging-session log.
 
-Arrivals and departures drive the simulation: at every event the fleet
-state is brought up to the event time by advancing whole slots of the
-active schedule (plus the partial remainder when the event falls inside a
-slot), the event is applied, and a fresh schedule anchored at the event
-time is generated with the active policy.  Realized charging is accounted
-per slot and vehicle in a ledger, from which the performance metrics are
-accumulated.
+Arrivals and departures drive the simulation: every event is applied and
+then answered with a fresh schedule anchored at the event time, generated
+with the active policy.  So each plan is walked once, from its anchor to
+the next event: its whole slots that end by then, and the part of the slot
+that holds the event.  Realized charging is accounted per slot and vehicle
+in a ledger, from which the performance metrics are accumulated.
 """
 
 from __future__ import annotations
@@ -147,51 +146,37 @@ def value_loss(fade_ah: float, config: SimConfig) -> float:
     return config.battery_cost_usd * fade_ah / config.c_bat
 
 
-@dataclass
-class _ActiveSchedule:
-    inst: ProblemInstance
-    alloc: np.ndarray
-    consumed: int = 0  # whole slots already applied
-
-
 def _advance(
     state: FleetState,
-    schedule: _ActiveSchedule | None,
+    schedule: tuple[ProblemInstance, np.ndarray] | None,
     until: float,
     result: RunResult,
     config: SimConfig,
 ):
-    """Advance the fleet from state.now to ``until`` along the active schedule."""
-    if until <= state.now + 1e-12:
-        state.now = max(state.now, until)
-        return
-    if schedule is None or schedule.inst.n_vehicles == 0:
-        state.now = until
-        return
-    inst, alloc = schedule.inst, schedule.alloc
-    while state.now < until - 1e-12:
-        i = schedule.consumed
-        if i >= inst.horizon:
-            state.now = until
-            return
-        slot_end = inst.grid.slot_start(i) + inst.grid.dt
-        window = min(slot_end, until) - state.now
-        duration = None if slot_end <= until + 1e-12 else window
-        ledger = apply_slot(state, alloc, i, inst, duration=duration)
+    """Walk the schedule anchored at ``state.now`` up to ``until``, the next
+    event, and move the clock there.
+
+    A slot applies whole when it ends by ``until``; the slot that holds the
+    event applies up to it, measured from the clock :func:`apply_slot` left.
+    """
+    if until > state.now + 1e-12:
+        inst, alloc = schedule
         peak_amps = config.peak_threshold * config.i_max
-        for e in ledger.entries:
-            result.ledger.append(e)
-            result.metrics.total_charging_cost += e.cost_usd
-            result.metrics.total_fade_exact += e.fade_exact_ah
-            result.metrics.total_fade_approx += e.fade_approx_ah
-            if e.current_a > ACTIVE_CURRENT_EPS:
-                result.metrics.total_charging_time += e.duration_h
-            if e.current_a > peak_amps:
-                result.metrics.total_peak_power_period += e.duration_h
-        if duration is None:
-            schedule.consumed += 1
-        else:
-            return  # partial slot: the event re-anchors the grid
+        for i in range(inst.horizon):
+            slot_end = inst.grid.slot_start(i) + inst.grid.dt
+            duration = None if slot_end <= until else until - state.now
+            for e in apply_slot(state, alloc, i, inst, duration=duration):
+                result.ledger.append(e)
+                result.metrics.total_charging_cost += e.cost_usd
+                result.metrics.total_fade_exact += e.fade_exact_ah
+                result.metrics.total_fade_approx += e.fade_approx_ah
+                if e.current_a > ACTIVE_CURRENT_EPS:
+                    result.metrics.total_charging_time += e.duration_h
+                if e.current_a > peak_amps:
+                    result.metrics.total_peak_power_period += e.duration_h
+            if slot_end >= until:
+                break
+    state.now = until
 
 
 def _reschedule(
@@ -199,7 +184,7 @@ def _reschedule(
     config: SimConfig,
     prices_fn: Callable[[float], float],
     result: RunResult,
-) -> _ActiveSchedule:
+) -> tuple[ProblemInstance, np.ndarray]:
     policy = config.policy
     if policy.kind == "baseline":
         alloc, inst = baseline_schedule(state, config, prices_fn)
@@ -209,7 +194,7 @@ def _reschedule(
         opt_ms = rep.wall_time_ms
     result.metrics.max_opt_time_ms = max(result.metrics.max_opt_time_ms, opt_ms)
     result.metrics.per_event_peak_period.append(peak_power_period(alloc, config))
-    return _ActiveSchedule(inst=inst, alloc=alloc)
+    return inst, alloc
 
 
 def run(
@@ -231,10 +216,9 @@ def run(
         return result
 
     state = FleetState(now=events[0].time_h)
-    schedule: _ActiveSchedule | None = None
+    schedule = None  # the first event is at state.now: nothing to walk
     for ev in events:
         _advance(state, schedule, ev.time_h, result, config)
-        state.now = ev.time_h
         if ev.kind == "arrival":
             task = ev.task
             if task.vehicle_id in state.vehicles:
@@ -269,9 +253,7 @@ def run(
     # Tail: drain any vehicles whose departure events were missing.
     if state.vehicles:
         last_dep = max(vs.task.t_dep for vs in state.vehicles.values())
-        if last_dep > state.now + 1e-12:
-            _advance(state, schedule, last_dep, result, config)
-            state.now = last_dep
+        _advance(state, schedule, last_dep, result, config)
 
     result.metrics.total_value_loss = value_loss(
         result.metrics.total_fade_exact, config

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from fleetcharge import cli
 from fleetcharge.cli import main
+from fleetcharge.ingest import parse_sessions
 
 SESSIONS = """\
 session_id,connection_time,disconnect_time,kwh_requested,space_id
@@ -131,13 +133,18 @@ class TestSweep:
         assert len(rows) == 4  # header + three triples
         assert rows[1].startswith("0.6,0.3,0.1")
 
-    def test_explicit_triples(self, workdir):
+    def test_explicit_triples(self, workdir, monkeypatch):
+        """Only the policy changes per triple: the sessions are parsed once."""
+        parses = []
+        monkeypatch.setattr(cli, "parse_sessions",
+                            lambda path: parses.append(path) or parse_sessions(path))
         out = workdir / "sw2"
         rc = main(["sweep", "--weights", "1,0,0", "--weights", "0,0,1"]
                   + io_args(workdir, out))
         assert rc == 0
         rows = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 3
+        assert len(parses) == 1
 
 
 class TestValidateFade:

@@ -160,8 +160,8 @@ class TestApplySlot:
         state, inst = self._single()
         ledger = apply_slot(state, np.zeros((inst.horizon, 1)), 0, inst)
         assert state.vehicles["v"].soc_cur == 0.5
-        assert ledger.entries[0].cost_usd == 0.0
-        assert ledger.entries[0].current_a == 0.0
+        assert ledger[0].cost_usd == 0.0
+        assert ledger[0].current_a == 0.0
 
     def test_soc_recursion(self):
         task = ChargingTask("v", 0.0, 4.0, 0.5, 0.9)
@@ -181,7 +181,7 @@ class TestApplySlot:
         ledger = apply_slot(state, alloc, 0, inst)
         slot = SlotCharge(0.5, 30.0, 0.5, 200.0)
         cal = calendric_fade_approx(stress_factors(slot).soc_avg, params)
-        entry = ledger.entries[0]
+        entry = ledger[0]
         assert entry.fade_exact_ah == pytest.approx(
             cyclic_fade_exact(slot, params) + cal, rel=1e-12
         )
@@ -196,14 +196,14 @@ class TestApplySlot:
         soc_before = state.vehicles["v"].soc_cur
         ledger = apply_slot(state, alloc, 0, inst)
         delta = state.vehicles["v"].soc_cur - soc_before
-        assert delta == pytest.approx(ledger.entries[0].energy_ah / 200.0, rel=1e-12)
+        assert delta == pytest.approx(ledger[0].energy_ah / 200.0, rel=1e-12)
 
     def test_partial_duration(self):
         state, inst = self._single()
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = 40.0
         ledger = apply_slot(state, alloc, 0, inst, duration=0.25)
-        assert ledger.entries[0].energy_ah == pytest.approx(10.0)
+        assert ledger[0].energy_ah == pytest.approx(10.0)
         assert state.now == pytest.approx(0.25)
 
     def test_soc_overflow_raises(self):

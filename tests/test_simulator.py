@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from fleetcharge.ingest import SessionRecord, sessions_to_events
 from fleetcharge.problem import ChargingTask
-from fleetcharge.scheduler import Policy
+from fleetcharge.scheduler import FleetState, Policy, VehicleState, baseline_schedule
 from fleetcharge.simulator import (
     Event,
+    MetricsReport,
+    RunResult,
     SimConfig,
+    _advance,
     peak_power_period,
     run,
     value_loss,
@@ -300,6 +303,12 @@ class TestRandomLogInvariants:
     # is rejected, the other charges at the cap.
     @example(([("R0", 0.0, 2.0, 0.1, 0.7), ("R1", 0.5, 2.5, 0.1, 0.6),
                ("R2", 1.25, 3.0, 0.4, 0.45)], 80.0, 0.5, 0.0))
+    # R2 departs at 9.899999999999999 h, one ulp before the end of R0's slot
+    # [9.4, 9.9): that slot applies up to the departure, not whole, so R0's
+    # next plan does not overlap it (a whole slot read 160 A on 80 A).
+    @example(([("R0", 3.9166666666666665, 9.916666666666666, 0.1, 0.6),
+               ("R1", 0.9, 6.9, 0.1, 0.1),
+               ("R2", 4.283333333333333, 9.899999999999999, 0.1, 0.1)], 80.0, 0.5, 0.0))
     def test_proposed_replay_invariants(self, log):
         """Under the proposed policy, on any log: the ledger's energy is each
         vehicle's SoC change times the pack size, a vehicle's ledger rows
@@ -329,6 +338,35 @@ class TestRandomLogInvariants:
         assert again.ledger == res.ledger
         assert again.departures == res.departures and again.rejected == res.rejected
         assert again.metrics.as_dict() == res.metrics.as_dict()
+
+
+class TestAdvance:
+    def _walk(self, until):
+        """One vehicle's baseline plan anchored at 9.4 h on 30-minute slots,
+        walked to ``until``."""
+        cfg = config()
+        state = FleetState(now=9.4)
+        task = ChargingTask("v", 9.0, 12.0, 0.1, 0.9)
+        state.vehicles["v"] = VehicleState(task=task, soc_cur=0.1)
+        alloc, inst = baseline_schedule(state, cfg, day_prices)
+        result = RunResult(metrics=MetricsReport(), ledger=[], departures=[], rejected=[])
+        _advance(state, (inst, alloc), until, result, cfg)
+        return state, inst, result.ledger
+
+    def test_event_an_ulp_before_a_slot_end_cuts_that_slot(self):
+        until = 9.899999999999999
+        state, inst, ledger = self._walk(until)
+        assert inst.grid.slot_start(0) + inst.grid.dt > until
+        assert len(ledger) == 1
+        assert ledger[0].time_h + ledger[0].duration_h <= until
+        assert state.now == until
+
+    def test_event_on_a_slot_end_applies_the_slot_whole(self):
+        until = 9.4 + 0.5
+        state, inst, ledger = self._walk(until)
+        assert inst.grid.slot_start(0) + inst.grid.dt == until
+        assert [(e.time_h, e.duration_h) for e in ledger] == [(9.4, 0.5)]
+        assert state.now == until
 
 
 class TestEventValidation:
