@@ -14,9 +14,12 @@ allocation bytes, ``repr(objective)``, iterations and status.  ``--out``
 must be new or empty, so every digest comes from this run.
 ``timing*.json`` holds wall times and is left out.  With ``--against DIR``
 (the output directory of an earlier run, for example one made from another
-commit) it lists the files that differ or exist on one side only, prints
-per run how many solves differ and the largest relative objective gap
-among them, and exits 1 if anything differs.
+commit) it lists the files that differ or exist on one side only, with, for
+a file on both sides, how many of its values differ (JSON values, CSV
+cells, words of other files) and the largest relative difference among
+them, so an ulp-level change reads as one; it prints per run how many
+solves differ and the largest relative objective gap among them, and exits
+1 if anything differs.
 
 With ``--objective`` every ``solve`` call's instance, payoff points and
 result are also pickled to ``<run>.pkl``.  Together with ``--against``, this
@@ -42,7 +45,10 @@ inputs come from perfbench's generator.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
+import json
 import math
 import os
 import pickle
@@ -170,6 +176,54 @@ def _differ(mine: dict, theirs: dict) -> list:
     return sorted(k for k in mine.keys() | theirs.keys() if mine.get(k) != theirs.get(k))
 
 
+def _relative(a, b) -> float:
+    """Relative difference of two values read as numbers: 0.0 when equal
+    (infinities too), inf when either is not a number or the difference is
+    not finite."""
+    try:
+        fa, fb = float(a), float(b)
+    except (TypeError, ValueError):
+        return math.inf
+    if fa == fb:
+        return 0.0
+    return abs(fa - fb) / max(abs(fa), abs(fb)) if math.isfinite(fa - fb) else math.inf
+
+
+def _values(path: Path) -> dict:
+    """A report's values keyed by position: a JSON file's leaves by key path,
+    a CSV file's cells by (row, column), another file's whitespace-separated
+    words by (line, word)."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        out = {}
+
+        def walk(node, key):
+            if isinstance(node, (dict, list)):
+                for k, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+                    walk(child, key + (k,))
+            else:
+                out[key] = node
+
+        walk(json.loads(text), ())
+        return out
+    rows = (csv.reader(io.StringIO(text)) if path.suffix == ".csv"
+            else (line.split() for line in text.splitlines()))
+    return {(i, j): cell for i, row in enumerate(rows) for j, cell in enumerate(row)}
+
+
+def _value_gap(mine: dict, theirs: dict) -> tuple:
+    """(values that differ, largest relative difference among them) of two
+    files' :func:`_values`; a value on one side only, or one that is not a
+    number, differs with an infinite gap."""
+    differ, gap = 0, 0.0
+    for key in mine.keys() | theirs.keys():
+        a, b = mine.get(key), theirs.get(key)
+        if a != b:
+            differ += 1
+            gap = max(gap, _relative(a, b))
+    return differ, gap
+
+
 def _solve_gap(mine: list, theirs: list) -> tuple:
     """(solves that differ, largest relative objective gap among them).
 
@@ -182,10 +236,7 @@ def _solve_gap(mine: list, theirs: list) -> tuple:
         if a == b:
             continue
         differ += 1
-        fa, fb = float(a.split()[1]), float(b.split()[1])
-        if fa != fb:  # equal objectives, infinities of infeasible solves too, have no gap
-            rel = abs(fa - fb) / max(abs(fa), abs(fb)) if math.isfinite(fa - fb) else math.inf
-            gap = max(gap, rel)
+        gap = max(gap, _relative(a.split()[1], b.split()[1]))
     return differ, gap
 
 
@@ -310,7 +361,11 @@ def main(argv=None) -> int:
     theirs, their_solves = digests(against), solve_lines(against)
     differ = _differ(mine, theirs)
     for rel in differ:
-        print(f"differs: {rel}")
+        detail = ""
+        if rel in mine and rel in theirs:
+            n, gap = _value_gap(_values(out / rel), _values(against / rel))
+            detail = f": {n} values differ, largest relative difference {gap:.3g}"
+        print(f"differs: {rel}{detail}")
     solves_differ = 0
     for name in sorted(my_solves.keys() | their_solves.keys()):
         n, gap = _solve_gap(my_solves.get(name, []), their_solves.get(name, []))

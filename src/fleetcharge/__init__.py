@@ -3,13 +3,10 @@
 from .fade import (
     BranchCoefficients,
     FadeModelParams,
-    SlotCharge,
-    StressFactors,
     calendric_fade_approx,
     cyclic_fade_approx,
     cyclic_fade_exact,
     fade_fit_report,
-    stress_factors,
 )
 from .problem import (
     ChargingTask,

@@ -198,14 +198,13 @@ def _fixed6(value: float | None) -> str:
 
 
 def cmd_validate_fade(args) -> int:
-    cfg = load_config(args.config)
-    params = cfg.fade_params()
+    limits = load_config(args.config).sim_config(Policy("proposed"))
     report = fade_fit_report(
-        params,
+        limits.fade_params,
         n=args.grid_n,
-        i_max=args.grid_imax if args.grid_imax is not None else cfg.values["i_max_a"],
-        dt=cfg.values["dt_minutes"] / 60.0,
-        c_bat=cfg.values["c_bat_ah"],
+        i_max=args.grid_imax if args.grid_imax is not None else limits.i_max,
+        dt=limits.dt,
+        c_bat=limits.c_bat,
     )
     text = (
         f"fade approximation fit over {report['grid_n']}x{report['grid_n']} grid "

@@ -10,8 +10,9 @@ Two fade mechanisms are modelled for an LFP/graphite pack:
 * calendric fade, approximated as an affine function of the average SoC.
 
 All quantities use SoC as a fraction in [0, 1], current in A, charge in Ah
-and time in hours.  Every function here is pure; values are safe to share
-across threads.
+and time in hours.  Each model is one kernel over scalars or arrays of
+slots, shared by the ledger, the optimizer's evaluator and the fit report.
+Every function here is pure; values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -24,13 +25,9 @@ import numpy as np
 __all__ = [
     "BranchCoefficients",
     "FadeModelParams",
-    "SlotCharge",
-    "StressFactors",
     "InvalidSlotError",
-    "stress_factors",
     "cyclic_fade_exact",
     "cyclic_fade_approx",
-    "cyclic_fade_surface",
     "calendric_fade_approx",
     "fade_fit_report",
 ]
@@ -117,105 +114,46 @@ class FadeModelParams:
         )
 
 
-@dataclass(frozen=True)
-class SlotCharge:
-    """Constant-current charging conditions over one time slot."""
+def cyclic_fade_exact(soc_init, current, dt, c_bat, params: FadeModelParams):
+    """Exact nonlinear cyclic capacity loss, in Ah, of slots given as
+    scalars or broadcastable arrays.
 
-    soc_init: float      # SoC fraction at slot start
-    current: float       # charging current, A
-    dt: float            # slot length, h
-    c_bat: float         # nominal capacity, Ah
-
-    SOC_CAP_EPS = 1e-9
-
-    def validate(self):
-        if not 0.0 <= self.soc_init <= 1.0:
-            raise InvalidSlotError("soc_init", f"{self.soc_init} not in [0, 1]")
-        if self.current < 0.0:
-            raise InvalidSlotError("current", f"{self.current} < 0")
-        if self.dt <= 0.0:
-            raise InvalidSlotError("dt", f"{self.dt} <= 0")
-        if self.c_bat <= 0.0:
-            raise InvalidSlotError("c_bat", f"{self.c_bat} <= 0")
-        soc_end = self.soc_init + self.current * self.dt / self.c_bat
-        if soc_end > 1.0 + self.SOC_CAP_EPS:
-            raise InvalidSlotError(
-                "current", f"slot ends above full charge (SoC {soc_end:.6f})"
-            )
-
-
-@dataclass(frozen=True)
-class StressFactors:
-    """Charging stress factors of one slot."""
-
-    soc_avg: float  # average SoC over the slot, fraction
-    soc_dev: float  # SoC deviation over the slot, fraction
-    ah: float       # charge processed, Ah
-
-
-def stress_factors(slot: SlotCharge) -> StressFactors:
-    """Average SoC, SoC deviation and charge processed for a slot.
-
-    With constant current the SoC rises linearly, so the average sits half
-    a slot's charge above the initial SoC and the deviation equals that
-    same half-charge fraction.
+    With constant current the SoC rises linearly, so the average SoC sits
+    half a slot's charge above the initial SoC and the SoC deviation equals
+    that same half-charge fraction; the charge processed is ``current *
+    dt``.  Zero at zero current (the square-root charge factor vanishes).
+    No slot validation: callers check their slots.
     """
-    slot.validate()
-    half_frac = 0.5 * slot.current * slot.dt / slot.c_bat
-    return StressFactors(
-        soc_avg=slot.soc_init + half_frac,
-        soc_dev=half_frac,
-        ah=slot.current * slot.dt,
-    )
+    dev = 0.5 * current * dt / c_bat
+    avg = soc_init + dev
+    exact = (
+        params.k1 * dev * np.exp(params.k2 * avg)
+        + params.k3 * np.exp(params.k4 * dev)
+    ) * np.sqrt(current * dt)
+    return np.where(current == 0.0, 0.0, exact)
 
 
-def cyclic_fade_exact(slot: SlotCharge, params: FadeModelParams) -> float:
-    """Exact nonlinear cyclic capacity loss for one slot, in Ah.
-
-    Identically zero at zero current (the trailing square-root charge factor
-    vanishes).
-    """
-    sf = stress_factors(slot)
-    if slot.current == 0.0:
-        return 0.0
-    stress = params.k1 * sf.soc_dev * math.exp(params.k2 * sf.soc_avg) + (
-        params.k3 * math.exp(params.k4 * sf.soc_dev)
-    )
-    return stress * math.sqrt(sf.ah)
-
-
-def cyclic_fade_approx(slot: SlotCharge, params: FadeModelParams) -> float:
-    """Piecewise-quadratic cyclic capacity loss for one slot, in Ah.
-
-    Forced to zero at zero current for consistency with the exact model,
-    and clamped at zero elsewhere (the quadratic can dip negative at low
-    currents and high SoC).
-    """
-    sf = stress_factors(slot)
-    if slot.current == 0.0:
-        return 0.0
-    hi = params.is_hi(slot.current, slot.soc_init)
-    coeffs = params.branch_hi if hi else params.branch_lo
-    return max(0.0, coeffs.evaluate(sf.soc_avg, slot.current))
-
-
-def cyclic_fade_surface(soc_init, current, dt, c_bat, params: FadeModelParams):
-    """Vectorised :func:`cyclic_fade_approx` over arrays of slots.
+def cyclic_fade_approx(soc_init, current, dt, c_bat, params: FadeModelParams):
+    """Piecewise-quadratic cyclic capacity loss of slots given as scalars or
+    broadcastable arrays.
 
     Returns ``(cyclic, soc_avg, is_hi)``, each shaped like the broadcast of
-    ``soc_init``, ``current`` and ``dt``.  No slot validation: callers pass
-    slots from a feasible schedule or a masked grid.
+    ``soc_init``, ``current`` and ``dt``: the loss in Ah, the slot's average
+    SoC and its branch.  The loss is forced to zero at zero current, for
+    consistency with the exact model, and clamped at zero elsewhere (the
+    quadratic can dip negative at low currents and high SoC).  No slot
+    validation: callers check their slots.
     """
     soc_avg = soc_init + 0.5 * current * dt / c_bat
     is_hi = params.is_hi(current, soc_init)
     cyclic = np.maximum(params.branch_coefficients(is_hi).evaluate(soc_avg, current), 0.0)
-    cyclic[current == 0.0] = 0.0
-    return cyclic, soc_avg, is_hi
+    return np.where(current == 0.0, 0.0, cyclic), soc_avg, is_hi
 
 
-def calendric_fade_approx(soc_avg: float, params: FadeModelParams) -> float:
-    """Affine calendric capacity loss for one slot, in Ah."""
-    if not 0.0 <= soc_avg <= 1.0:
+def calendric_fade_approx(soc_avg, params: FadeModelParams):
+    """Affine calendric capacity loss per slot, in Ah, of a scalar or array
+    average SoC; every value must lie in [0, 1]."""
+    if not np.logical_and(0.0 <= soc_avg, soc_avg <= 1.0).all():
         raise InvalidSlotError("soc_avg", f"{soc_avg} not in [0, 1]")
     return params.p1 * soc_avg + params.p2
 
@@ -241,14 +179,8 @@ def _surfaces(
     feasible = soc + cur * dt / c_bat <= 1.0 + 1e-12
     soc, cur = soc[feasible], cur[feasible]
 
-    approx, avg, is_hi = cyclic_fade_surface(soc, cur, dt, c_bat, params)
-    dev = 0.5 * cur * dt / c_bat
-    exact = (
-        params.k1 * dev * np.exp(params.k2 * avg)
-        + params.k3 * np.exp(params.k4 * dev)
-    ) * np.sqrt(cur * dt)
-    exact = np.where(cur == 0.0, 0.0, exact)
-    return exact, approx, is_hi
+    approx, _, is_hi = cyclic_fade_approx(soc, cur, dt, c_bat, params)
+    return cyclic_fade_exact(soc, cur, dt, c_bat, params), approx, is_hi
 
 
 def fade_fit_report(

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fade import FadeModelParams, cyclic_fade_surface
+from .fade import FadeModelParams, cyclic_fade_approx
 
 __all__ = [
     "COMPONENTS",
@@ -313,16 +313,17 @@ def fade_terms(alloc: np.ndarray, inst: ProblemInstance,
                vehicles: np.ndarray | None = None):
     """Vectorised per-slot cyclic and calendric fade, each (H, V) in Ah.
 
-    Matches the scalar slot operations exactly: the quadratic is clamped at
-    zero, forced to zero at zero current, and branch selection uses the
-    slot's initial SoC.  Calendric loss for a fractional final slot is
-    scaled by the fraction of the grid step actually spent plugged.
+    The cyclic part is :func:`cyclic_fade_approx`, the kernel the simulator's
+    ledger records: the quadratic is clamped at zero, forced to zero at zero
+    current, and branch selection uses the slot's initial SoC.  Calendric
+    loss for a fractional final slot is scaled by the fraction of the grid
+    step actually spent plugged.
     ``vehicles`` maps columns to vehicles as in :func:`soc_before_slots`.
     """
     v = slice(None) if vehicles is None else vehicles
     p = inst.fade_params
     durations, active = inst.durations[:, v], inst.active[:, v]
-    cyclic, avg, _ = cyclic_fade_surface(
+    cyclic, avg, _ = cyclic_fade_approx(
         soc_before_slots(alloc, inst, vehicles), alloc, durations, inst.c_bat, p
     )
     cyclic[~active] = 0.0

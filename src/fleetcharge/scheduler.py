@@ -20,7 +20,7 @@ import numpy as np
 
 from .fade import (
     FadeModelParams,
-    SlotCharge,
+    InvalidSlotError,
     calendric_fade_approx,
     cyclic_fade_approx,
     cyclic_fade_exact,
@@ -203,57 +203,62 @@ def apply_slot(
     """Advance the fleet through one slot of a schedule.
 
     Mutates the state in place (SoC recursion, clock) and returns one
-    :class:`LedgerEntry` per plugged vehicle present in the slot.
-    ``duration`` truncates the slot when an event falls inside it; each
-    vehicle is charged for its own presence within that window.
-    Calendric fade is pro-rated by the fraction of a full slot realized.
+    :class:`LedgerEntry` per plugged vehicle present in the slot, in
+    vehicle order.  ``duration`` truncates the slot when an event falls
+    inside it; each vehicle is charged for its own presence within that
+    window.  Calendric fade is pro-rated by the fraction of a full slot
+    realized.  The slot's vehicles are checked together before any state
+    changes, and each fade kernel runs once over all of them.
     """
     if not 0 <= slot_index < inst.horizon:
         raise IndexError(f"slot {slot_index} outside allocation horizon {inst.horizon}")
     window = inst.grid.dt if duration is None else duration
     if window <= 0:
         raise ValueError("slot duration must be > 0")
+    d = np.minimum(window, inst.durations[slot_index])
+    cols = [v for v, task in enumerate(inst.tasks)
+            if task.vehicle_id in state.vehicles and d[v] > 0]
+    ids = [inst.tasks[v].vehicle_id for v in cols]
+    soc = np.array([state.vehicles[vid].soc_cur for vid in ids])
+    d, amps = d[cols], alloc[slot_index, cols]
+    ah = amps * d
+    soc_new = soc + ah / inst.c_bat
+    for name, bad, value in (("current", amps < 0.0, amps),
+                             ("soc_init", ~((0.0 <= soc) & (soc <= 1.0)), soc)):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise InvalidSlotError(name, f"vehicle {ids[k]}: {value[k]} out of range")
+    over = soc_new > 1.0 + 1e-9
+    if over.any():
+        k = int(np.argmax(over))
+        raise SocOverflowError(f"vehicle {ids[k]} would reach SoC {soc_new[k]:.9f}")
+
     params = inst.fade_params
-    entries = []
+    exact = cyclic_fade_exact(soc, amps, d, inst.c_bat, params)
+    approx, soc_avg, _ = cyclic_fade_approx(soc, amps, d, inst.c_bat, params)
+    cal = (d / inst.grid.dt) * calendric_fade_approx(np.minimum(soc_avg, 1.0), params)
     slot_t = inst.grid.slot_start(slot_index)
-    for v, task in enumerate(inst.tasks):
-        vs = state.vehicles.get(task.vehicle_id)
-        if vs is None:
-            continue
-        d = min(window, inst.durations[slot_index, v])
-        if d <= 0:
-            continue
-        amps = float(alloc[slot_index, v])
-        ah = amps * d
-        soc_new = vs.soc_cur + ah / inst.c_bat
-        if soc_new > 1.0 + 1e-9:
-            raise SocOverflowError(
-                f"vehicle {task.vehicle_id} would reach SoC {soc_new:.9f}"
-            )
-        slot = SlotCharge(
-            soc_init=vs.soc_cur, current=amps, dt=d, c_bat=inst.c_bat
-        )
-        soc_avg = vs.soc_cur + 0.5 * ah / inst.c_bat
-        cal = (d / inst.grid.dt) * calendric_fade_approx(min(soc_avg, 1.0), params)
-        exact = cyclic_fade_exact(slot, params) + cal
-        approx = cyclic_fade_approx(slot, params) + cal
-        kwh = ah * inst.voltage / 1000.0
-        price = float(inst.wep[slot_index])
+    price = float(inst.wep[slot_index])
+    entries = []
+    for vid, dv, a, q, s, ex, ap in zip(ids, d.tolist(), amps.tolist(), ah.tolist(),
+                                        soc_new.tolist(), (exact + cal).tolist(),
+                                        (approx + cal).tolist()):
+        kwh = q * inst.voltage / 1000.0
         entries.append(
             LedgerEntry(
                 time_h=slot_t,
-                vehicle_id=task.vehicle_id,
-                duration_h=d,
-                current_a=amps,
-                power_kw=amps * inst.voltage / 1000.0,
+                vehicle_id=vid,
+                duration_h=dv,
+                current_a=a,
+                power_kw=a * inst.voltage / 1000.0,
                 price_usd_per_kwh=price,
                 cost_usd=kwh * price,
-                energy_ah=ah,
-                soc=min(soc_new, 1.0),
-                fade_exact_ah=exact,
-                fade_approx_ah=approx,
+                energy_ah=q,
+                soc=min(s, 1.0),
+                fade_exact_ah=ex,
+                fade_approx_ah=ap,
             )
         )
-        vs.soc_cur = min(soc_new, 1.0)
+        state.vehicles[vid].soc_cur = min(s, 1.0)
     state.now = slot_t + window
     return tuple(entries)

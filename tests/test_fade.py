@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 from fleetcharge.fade import (
     FadeModelParams,
     InvalidSlotError,
-    SlotCharge,
     calendric_fade_approx,
     cyclic_fade_approx,
     cyclic_fade_exact,
     fade_fit_report,
-    stress_factors,
 )
 
 # Frozen reference values (independent scalar evaluation).
@@ -31,23 +29,45 @@ CAL_HALF = 0.00012091
 CAL_FULL = 0.00018826
 
 
+def reference_exact(soc, current, dt, c_bat, p):
+    """Exact cyclic fade of one slot, transcribed in plain ``math``."""
+    if current == 0.0:
+        return 0.0
+    dev = 0.5 * current * dt / c_bat
+    avg = soc + dev
+    return (p.k1 * dev * math.exp(p.k2 * avg) + p.k3 * math.exp(p.k4 * dev)) * math.sqrt(
+        current * dt)
+
+
+def reference_approx(soc, current, dt, c_bat, p):
+    """Piecewise-quadratic cyclic fade of one slot, transcribed in plain
+    Python: zero at zero current, HI iff the current is at least
+    ``branch_slope`` times the initial SoC, clamped at zero."""
+    if current == 0.0:
+        return 0.0
+    c = p.branch_hi if current >= p.branch_slope * soc else p.branch_lo
+    avg = soc + 0.5 * current * dt / c_bat
+    return max(0.0, c.p00 + c.p10 * avg + c.p01 * current + c.p11 * avg * current
+               + c.p02 * current * current)
+
+
 class TestStressFactors:
+    """The slot's average SoC, which :func:`cyclic_fade_approx` returns, and
+    both kernels against the plain-``math`` reference."""
+
     def test_zero_current(self, fade_params):
-        sf = stress_factors(SlotCharge(0.5, 0.0, 0.25, 200.0))
-        assert (sf.soc_avg, sf.soc_dev, sf.ah) == (0.5, 0.0, 0.0)
+        cyclic, soc_avg, _ = cyclic_fade_approx(0.5, 0.0, 0.25, 200.0, fade_params)
+        assert (cyclic, soc_avg) == (0.0, 0.5)
+        assert cyclic_fade_exact(0.5, 0.0, 0.25, 200.0, fade_params) == 0.0
 
     def test_direct_substitution(self, fade_params):
         # charge processed equals 0.2 of capacity
-        sf = stress_factors(SlotCharge(0.2, 40.0, 1.0, 200.0))
-        assert sf.soc_avg == pytest.approx(0.3)
-        assert sf.soc_dev == pytest.approx(0.1)
-        assert sf.ah == pytest.approx(40.0)
+        _, soc_avg, _ = cyclic_fade_approx(0.2, 40.0, 1.0, 200.0, fade_params)
+        assert soc_avg == pytest.approx(0.3)
 
-    def test_half_charge_fraction(self):
-        sf = stress_factors(SlotCharge(0.0, 40.0, 0.5, 200.0))
-        assert sf.soc_avg == pytest.approx(0.05)
-        assert sf.soc_dev == pytest.approx(0.05)
-        assert sf.ah == pytest.approx(20.0)
+    def test_half_charge_fraction(self, fade_params):
+        _, soc_avg, _ = cyclic_fade_approx(0.0, 40.0, 0.5, 200.0, fade_params)
+        assert soc_avg == pytest.approx(0.05)
 
     @given(
         soc=st.floats(0.0, 0.5),
@@ -56,47 +76,57 @@ class TestStressFactors:
     )
     @settings(max_examples=60, deadline=None)
     def test_linear_in_current(self, soc, current, dt):
-        """Doubling the current doubles deviation, charge, and the rise of
-        the average above the initial SoC."""
-        c_bat = 210.0
-        a = stress_factors(SlotCharge(soc, current, dt, c_bat))
-        b = stress_factors(SlotCharge(soc, 2.0 * current, dt, c_bat))
-        assert b.soc_dev == pytest.approx(2.0 * a.soc_dev)
-        assert b.ah == pytest.approx(2.0 * a.ah)
-        assert b.soc_avg - soc == pytest.approx(2.0 * (a.soc_avg - soc))
+        """Doubling the current doubles the rise of the average above the
+        initial SoC."""
+        params, c_bat = FadeModelParams(), 210.0
+        _, a, _ = cyclic_fade_approx(soc, current, dt, c_bat, params)
+        _, b, _ = cyclic_fade_approx(soc, 2.0 * current, dt, c_bat, params)
+        assert b - soc == pytest.approx(2.0 * (a - soc))
 
-    @pytest.mark.parametrize(
-        "kwargs,field",
-        [
-            (dict(soc_init=-0.1, current=10, dt=0.5, c_bat=200), "soc_init"),
-            (dict(soc_init=0.5, current=-1, dt=0.5, c_bat=200), "current"),
-            (dict(soc_init=0.5, current=10, dt=0.0, c_bat=200), "dt"),
-            (dict(soc_init=0.5, current=10, dt=0.5, c_bat=0.0), "c_bat"),
-            (dict(soc_init=0.99, current=80, dt=1.0, c_bat=200), "current"),
-        ],
-    )
-    def test_invalid_slot_reports_field(self, kwargs, field):
-        with pytest.raises(InvalidSlotError) as err:
-            stress_factors(SlotCharge(**kwargs))
-        assert err.value.field_name == field
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_array_equals_scalar_and_reference(self, seed, n):
+        """On random slots, with both branches, zero current and the clamp
+        at zero among them, every cell of an array call equals the scalar
+        call on that cell, and both equal the reference: the exact model
+        within 1e-15 relative (numpy's and ``math``'s ``exp`` may differ by
+        an ulp), the quadratic bit for bit."""
+        params, c_bat = FadeModelParams(), 210.0
+        rng = np.random.default_rng(seed)
+        dt = rng.choice([0.5, 0.25, 1.0 / 12.0, 0.01], n)
+        soc = rng.uniform(0.0, 1.0, n)
+        room = (1.0 - soc) * c_bat / dt
+        current = rng.uniform(0.0, 1.0, n) * np.minimum(room, 300.0)
+        current[rng.random(n) < 0.2] = 0.0
+        # appended cells: HI, LO, zero current, and a clamped (negative) quadratic
+        soc = np.concatenate([soc, [0.05, 0.6, 0.3, 0.95]])
+        current = np.concatenate([current, [60.0, 40.0, 0.0, 0.2]])
+        dt = np.concatenate([dt, [0.5, 0.5, 0.5, 0.5]])
+
+        exact = cyclic_fade_exact(soc, current, dt, c_bat, params)
+        approx, soc_avg, is_hi = cyclic_fade_approx(soc, current, dt, c_bat, params)
+        assert is_hi.any() and (~is_hi).any()
+        assert np.any((current > 0.0) & (approx == 0.0))
+        for k, (s, i, d) in enumerate(zip(soc.tolist(), current.tolist(), dt.tolist())):
+            one = cyclic_fade_approx(s, i, d, c_bat, params)
+            assert (float(one[0]), one[1], one[2]) == (approx[k], soc_avg[k], is_hi[k])
+            assert float(cyclic_fade_exact(s, i, d, c_bat, params)) == exact[k]
+            assert approx[k] == reference_approx(s, i, d, c_bat, params)
+            assert math.isclose(exact[k], reference_exact(s, i, d, c_bat, params),
+                                rel_tol=1e-15, abs_tol=0.0)
 
 
 class TestCyclicFadeExact:
     def test_zero_current_is_zero(self, fade_params):
-        assert cyclic_fade_exact(SlotCharge(0.6, 0.0, 0.5, 210.0), fade_params) == 0.0
+        assert cyclic_fade_exact(0.6, 0.0, 0.5, 210.0, fade_params) == 0.0
 
     def test_ambient_temperature_form(self, fade_params):
         """The stress terms times the square-root charge factor."""
-        slot = SlotCharge(0.4, 50.0, 0.5, 210.0)
-        sf = stress_factors(slot)
-        expected = (
-            fade_params.k1 * sf.soc_dev * math.exp(fade_params.k2 * sf.soc_avg)
-            + fade_params.k3 * math.exp(fade_params.k4 * sf.soc_dev)
-        ) * math.sqrt(sf.ah)
-        assert cyclic_fade_exact(slot, fade_params) == pytest.approx(expected, rel=1e-12)
+        assert cyclic_fade_exact(0.4, 50.0, 0.5, 210.0, fade_params) == pytest.approx(
+            reference_exact(0.4, 50.0, 0.5, 210.0, fade_params), rel=1e-12)
 
     def test_frozen_value(self, fade_params):
-        got = cyclic_fade_exact(SlotCharge(0.3, 60.0, 0.25, 210.0), fade_params)
+        got = cyclic_fade_exact(0.3, 60.0, 0.25, 210.0, fade_params)
         assert got == pytest.approx(EXACT_03_60, rel=1e-12)
 
 
@@ -126,14 +156,16 @@ class TestSelectBranch:
 
 class TestCyclicFadeApprox:
     def test_zero_current_forced_zero(self, fade_params):
-        assert cyclic_fade_approx(SlotCharge(0.3, 0.0, 0.5, 210.0), fade_params) == 0.0
+        assert cyclic_fade_approx(0.3, 0.0, 0.5, 210.0, fade_params)[0] == 0.0
 
     def test_low_branch_frozen(self, fade_params):
-        got = cyclic_fade_approx(SlotCharge(0.5, 100.0, 1.0 / 12.0, 210.0), fade_params)
+        got, _, is_hi = cyclic_fade_approx(0.5, 100.0, 1.0 / 12.0, 210.0, fade_params)
+        assert not is_hi
         assert got == pytest.approx(APPROX_LO_05_100, rel=1e-12)
 
     def test_high_branch_frozen(self, fade_params):
-        got = cyclic_fade_approx(SlotCharge(0.1, 200.0, 1.0 / 12.0, 210.0), fade_params)
+        got, _, is_hi = cyclic_fade_approx(0.1, 200.0, 1.0 / 12.0, 210.0, fade_params)
+        assert is_hi
         assert got == pytest.approx(APPROX_HI_01_200, rel=1e-12)
 
     @given(soc=st.floats(0.0, 1.0), frac=st.floats(0.001, 1.0))
@@ -143,8 +175,7 @@ class TestCyclicFadeApprox:
         current = frac * min(80.0, (1.0 - soc) * 210.0 / 0.5)
         if current <= 0:
             return
-        slot = SlotCharge(soc, current, 0.5, 210.0)
-        assert cyclic_fade_approx(slot, params) >= 0.0
+        assert cyclic_fade_approx(soc, current, 0.5, 210.0, params)[0] >= 0.0
 
 
 class TestCalendricFadeApprox:
@@ -160,6 +191,13 @@ class TestCalendricFadeApprox:
     def test_out_of_range(self, fade_params):
         with pytest.raises(InvalidSlotError):
             calendric_fade_approx(1.2, fade_params)
+        with pytest.raises(InvalidSlotError):
+            calendric_fade_approx(np.array([0.5, -0.1]), fade_params)
+
+    def test_array_equals_scalar(self, fade_params):
+        soc_avg = np.linspace(0.0, 1.0, 11)
+        assert calendric_fade_approx(soc_avg, fade_params).tolist() == [
+            calendric_fade_approx(a, fade_params) for a in soc_avg.tolist()]
 
     @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -177,10 +215,9 @@ class TestCalendricFadeApprox:
         current = frac * min(80.0, (1.0 - soc) * 210.0 / 0.5)
         if current <= 0:
             return
-        slot = SlotCharge(soc, current, 0.5, 210.0)
-        sf = stress_factors(slot)
-        assert calendric_fade_approx(sf.soc_avg, params) > 0.0
-        assert cyclic_fade_approx(slot, params) >= 0.0
+        cyclic, soc_avg, _ = cyclic_fade_approx(soc, current, 0.5, 210.0, params)
+        assert calendric_fade_approx(soc_avg, params) > 0.0
+        assert cyclic >= 0.0
 
 
 class TestApproximationQuality:
@@ -215,9 +252,8 @@ class TestApproximationQuality:
             fade_fit_report(fade_params, **kwargs)
 
     def test_zero_current_agreement(self, fade_params):
-        slot = SlotCharge(0.7, 0.0, 0.5, 210.0)
-        assert cyclic_fade_exact(slot, fade_params) == 0.0
-        assert cyclic_fade_approx(slot, fade_params) == 0.0
+        assert cyclic_fade_exact(0.7, 0.0, 0.5, 210.0, fade_params) == 0.0
+        assert cyclic_fade_approx(0.7, 0.0, 0.5, 210.0, fade_params)[0] == 0.0
 
 
 class TestParamsValidation:

@@ -56,6 +56,46 @@ class TestSolveGap:
         assert parity._solve_gap(lines + [_line("bb", 3.0)], lines) == (1, math.inf)
 
 
+class TestValues:
+    def test_json_leaves_by_key_path(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"a": {"b": [1.5, "x"]}, "c": null, "d": []}')
+        assert parity._values(path) == {("a", "b", 0): 1.5, ("a", "b", 1): "x", ("c",): None}
+
+    def test_csv_cells_and_text_words_by_position(self, tmp_path):
+        table, text = tmp_path / "l.csv", tmp_path / "r.txt"
+        table.write_text('t,soc\n0.5,"0.25"\n')
+        text.write_text("cost 1.5 $\n\nfade  2\n")
+        assert parity._values(table) == {(0, 0): "t", (0, 1): "soc",
+                                         (1, 0): "0.5", (1, 1): "0.25"}
+        assert parity._values(text) == {(0, 0): "cost", (0, 1): "1.5", (0, 2): "$",
+                                        (2, 0): "fade", (2, 1): "2"}
+
+
+class TestValueGap:
+    def test_ulp_move_reads_as_one(self):
+        """A last-digit change counts once, with a gap of about one ulp."""
+        a = 0.1 + 0.2
+        b = math.nextafter(a, 1.0)
+        mine = {(1, 0): "x", (1, 1): repr(b), (1, 2): "2.0"}
+        theirs = {(1, 0): "x", (1, 1): repr(a), (1, 2): "2.0"}
+        differ, gap = parity._value_gap(mine, theirs)
+        assert differ == 1
+        assert gap == (b - a) / b and gap < 2.3e-16
+
+    def test_largest_relative_difference(self):
+        mine = {("a",): 1.0, ("b",): 4.0, ("c",): "1"}
+        theirs = {("a",): 1.1, ("b",): 5.0, ("c",): "1.0"}
+        differ, gap = parity._value_gap(mine, theirs)
+        assert differ == 3          # "1" and "1.0" differ as text, with no gap
+        assert gap == 1.0 / 5.0
+
+    def test_text_or_one_sided_value_has_infinite_gap(self):
+        assert parity._value_gap({("k",): "on"}, {("k",): "off"}) == (1, math.inf)
+        assert parity._value_gap({("k",): 1.0}, {}) == (1, math.inf)
+        assert parity._value_gap({("k",): 1.0}, {("k",): 1.0}) == (0, 0.0)
+
+
 class TestShared:
     def test_lower_utopia_and_higher_nadir_per_component(self):
         a = NormalizationPoints(utopia=dict(zip(COMPONENTS, (1.0, 5.0, -3.0))),

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetcharge.fade import SlotCharge, cyclic_fade_approx
 from fleetcharge.problem import (
     COMPONENTS,
     NORMALIZATION_EPS,
@@ -20,6 +19,7 @@ from fleetcharge.problem import (
     normalized_objective,
     objective_components,
 )
+from fleetcharge.scheduler import FleetState, VehicleState, apply_slot
 from fleetcharge.solver import single_objective_minimizer
 
 from conftest import make_instance
@@ -96,6 +96,13 @@ class TestBuildInstance:
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(ValueError, match="weights must be finite"):
             make_instance([ChargingTask("v", 0.0, 1.0, 0.4, 0.8)], weights=(bad, 1.0, 1.0))
+
+    @pytest.mark.parametrize("field", ["dt", "c_bat", "voltage"])
+    def test_nonpositive_slot_length_and_pack_rejected(self, field):
+        """The guard every ledger slot relies on for a positive length and
+        pack size: ``apply_slot`` does not check them again."""
+        with pytest.raises(ValueError, match="must be > 0"):
+            make_instance([ChargingTask("v", 0.0, 1.0, 0.4, 0.8)], **{field: 0.0})
 
     def test_edf_column_order(self):
         tasks = [
@@ -184,8 +191,9 @@ class TestObjectiveComponents:
 class TestFadeTerms:
     def test_cyclic_equals_scalar_kernel(self):
         """The fade the optimizer minimizes is the fade the ledger records:
-        on a one-slot instance every cell equals the scalar slot value
-        exactly, across both branches, zero current and the clamp at zero."""
+        on a one-slot instance every ledger row's approximate fade equals
+        its cell's cyclic plus calendric term bit for bit, across both
+        branches, zero current and the clamp at zero."""
         socs = np.linspace(0.0, 0.8, 9)
         rng = np.random.default_rng(11)
         currents = np.concatenate([[0.0, 0.37, 1.13], rng.uniform(0.0, 80.0, 38)])
@@ -194,17 +202,16 @@ class TestFadeTerms:
         tasks = [ChargingTask(vid, 0.0, 0.5, s, 1.0) for vid, (s, _) in cells.items()]
         inst = make_instance(tasks, ic_max=80.0 * len(tasks))
         alloc = np.array([[cells[t.vehicle_id][1] for t in inst.tasks]])
-        cyclic, _ = fade_terms(alloc, inst)
+        cyclic, calendric = fade_terms(alloc, inst)
 
-        scalar = np.array([
-            cyclic_fade_approx(SlotCharge(*cells[t.vehicle_id], 0.5, 210.0),
-                               inst.fade_params)
-            for t in inst.tasks
-        ])
-        assert np.array_equal(cyclic[0], scalar)
+        state = FleetState(now=0.0, vehicles={t.vehicle_id: VehicleState(t, t.soc_start)
+                                              for t in inst.tasks})
+        rows = apply_slot(state, alloc, 0, inst)
+        assert [e.vehicle_id for e in rows] == [t.vehicle_id for t in inst.tasks]
+        assert [e.fade_approx_ah for e in rows] == (cyclic[0] + calendric[0]).tolist()
         is_hi = alloc[0] >= inst.fade_params.branch_slope * inst.soc_start
         assert is_hi.any() and (~is_hi).any()
-        assert np.any((alloc[0] > 0) & (scalar == 0.0))  # clamped cells
+        assert np.any((alloc[0] > 0) & (cyclic[0] == 0.0))  # clamped cells
 
 
 class TestConstraintAudit:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fleetcharge.fade import FadeModelParams, SlotCharge, calendric_fade_approx, \
-    cyclic_fade_approx, cyclic_fade_exact, stress_factors
+from fleetcharge.fade import FadeModelParams, InvalidSlotError, calendric_fade_approx, \
+    cyclic_fade_approx, cyclic_fade_exact
 from fleetcharge.problem import ChargingTask
 from fleetcharge.scheduler import (
     FleetState,
@@ -179,15 +179,75 @@ class TestApplySlot:
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = 30.0
         ledger = apply_slot(state, alloc, 0, inst)
-        slot = SlotCharge(0.5, 30.0, 0.5, 200.0)
-        cal = calendric_fade_approx(stress_factors(slot).soc_avg, params)
+        approx, soc_avg, _ = cyclic_fade_approx(0.5, 30.0, 0.5, 200.0, params)
+        cal = calendric_fade_approx(soc_avg, params)
         entry = ledger[0]
         assert entry.fade_exact_ah == pytest.approx(
-            cyclic_fade_exact(slot, params) + cal, rel=1e-12
+            float(cyclic_fade_exact(0.5, 30.0, 0.5, 200.0, params)) + cal, rel=1e-12
         )
-        assert entry.fade_approx_ah == pytest.approx(
-            cyclic_fade_approx(slot, params) + cal, rel=1e-12
-        )
+        assert entry.fade_approx_ah == pytest.approx(float(approx) + cal, rel=1e-12)
+
+    def test_slot_rows_equal_each_vehicle_alone(self):
+        """Applying a slot to its vehicles together gives each row, and each
+        SoC, that applying it to that vehicle alone gives: an absent vehicle
+        has no row, one leaves inside the window, one idles at zero current
+        and one charges on the HI branch."""
+        socs = {"gone": 0.4, "short": 0.5, "idle": 0.6, "hi": 0.05, "lo": 0.5}
+        tasks = {vid: ChargingTask(vid, 0.0, 0.25 if vid == "short" else 4.0, soc, 0.9)
+                 for vid, soc in socs.items()}
+        state = fleet(0.0, *((tasks[vid], soc) for vid, soc in socs.items()))
+        _, inst = baseline_schedule(state, limits(dt=0.5, ic_max=400.0), lambda t: 0.2)
+        amps = {"gone": 20.0, "short": 40.0, "idle": 0.0, "hi": 50.0, "lo": 30.0}
+        alloc = np.zeros((inst.horizon, len(inst.tasks)))
+        alloc[0] = [amps[t.vehicle_id] for t in inst.tasks]
+        assert inst.fade_params.is_hi(amps["hi"], socs["hi"])
+        assert not inst.fade_params.is_hi(amps["lo"], socs["lo"])
+        del state.vehicles["gone"]
+
+        rows = apply_slot(state, alloc, 0, inst, duration=0.4)
+        order = [t.vehicle_id for t in inst.tasks if t.vehicle_id != "gone"]
+        assert [e.vehicle_id for e in rows] == order
+        assert state.now == 0.4
+        by_id = {e.vehicle_id: e for e in rows}
+        assert by_id["short"].duration_h == 0.25 and by_id["hi"].duration_h == 0.4
+        for vid in order:
+            alone = fleet(0.0, (tasks[vid], socs[vid]))
+            assert apply_slot(alone, alloc, 0, inst, duration=0.4) == (by_id[vid],)
+            assert alone.vehicles[vid].soc_cur == state.vehicles[vid].soc_cur
+
+    def test_overflow_leaves_state_unchanged(self):
+        """The slot's vehicles are checked before any is charged: when the
+        second would overflow, the first keeps its SoC and the clock stays."""
+        first = ChargingTask("first", 0.0, 2.0, 0.5, 0.9)
+        second = ChargingTask("second", 0.0, 4.0, 0.99, 1.0)
+        state = fleet(0.0, (first, 0.5), (second, 0.99))
+        _, inst = baseline_schedule(state, limits(dt=0.5), lambda t: 0.2)
+        assert [t.vehicle_id for t in inst.tasks] == ["first", "second"]
+        alloc = np.zeros((inst.horizon, 2))
+        alloc[0] = [50.0, 50.0]
+        with pytest.raises(SocOverflowError, match="vehicle second"):
+            apply_slot(state, alloc, 0, inst)
+        assert state.now == 0.0
+        assert (state.vehicles["first"].soc_cur, state.vehicles["second"].soc_cur) == (0.5, 0.99)
+
+    @pytest.mark.parametrize("soc, amps, error, field", [
+        (-0.1, 10.0, InvalidSlotError, "soc_init"),
+        (1.2, 0.0, InvalidSlotError, "soc_init"),
+        (0.5, -1.0, InvalidSlotError, "current"),
+        (0.99, 50.0, SocOverflowError, None),
+    ], ids=["soc_init-below", "soc_init-above", "current", "overflow"])
+    def test_invalid_slot_reports_field(self, soc, amps, error, field):
+        """A slot its vehicle cannot charge raises, naming the field and the
+        vehicle, and changes nothing."""
+        state, inst = self._single()
+        state.vehicles["v"].soc_cur = soc
+        alloc = np.zeros((inst.horizon, 1))
+        alloc[0, 0] = amps
+        with pytest.raises(error, match="vehicle v") as err:
+            apply_slot(state, alloc, 0, inst)
+        if field is not None:
+            assert err.value.field_name == field
+        assert (state.now, state.vehicles["v"].soc_cur) == (0.0, soc)
 
     def test_charge_conservation(self):
         state, inst = self._single()
