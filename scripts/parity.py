@@ -3,9 +3,12 @@
 Runs week ``compare``, overnight ``sweep``, overnight ``simulate --policy
 proposed``, ``simulate --policy proposed`` on a dense depot day (perfbench's
 generated 40-space log, seed 90210, one day, on a 400 A feeder, so the station
-cap binds) and ``simulate --policy proposed`` on the week with every vehicle
+cap binds), ``simulate --policy proposed`` on the week with every vehicle
 arriving at SoC 0.1 (low enough for the fade model's HI branch to be selected)
-from this checkout's ``src/`` into one directory each.  Rewritten configs are
+and ``simulate --policy baseline`` on a depot week (the same generator and
+seed, seven days, its 1200 A config unchanged: the only run whose max-power
+plans hold many vehicles and bind the cap; it makes no solves) from this
+checkout's ``src/`` into one directory each.  Rewritten configs are
 written under ``--out``; ``fixtures/`` is left as it is.  It prints a
 sha256 per report file and, per run, the number of ``solve`` calls.  Each
 call's outcome, which the reports alone do not show, is kept in
@@ -60,6 +63,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 DENSE = "dense-day"   # inputs written under --out by perfbench's generator
+DEPOT = "depot-week"  # likewise, seven days, config as generated
+DEPOT_DAYS = {DENSE: 1, DEPOT: 7}
 LOWSOC = "week-lowsoc"  # week inputs copied under --out, config rewritten
 
 RUNS = {
@@ -68,6 +73,7 @@ RUNS = {
     "overnight-proposed": ["simulate", "overnight", "--policy", "proposed"],
     "dense-day-proposed": ["simulate", DENSE, "--policy", "proposed"],
     "week-lowsoc-proposed": ["simulate", LOWSOC, "--policy", "proposed"],
+    "depot-baseline": ["simulate", DEPOT, "--policy", "baseline"],
 }
 
 # Runs the CLI with the scheduler's ``solve`` wrapped, and writes one line
@@ -100,12 +106,12 @@ if sys.argv[2]:
 sys.exit(code)
 """
 
-_DENSE_INPUTS = """
+_DEPOT_INPUTS = """
 import sys
 from pathlib import Path
 from perfbench.workloads import write_depot_inputs
 
-write_depot_inputs(Path(sys.argv[1]), seed=90210, spaces=40, days=1)
+write_depot_inputs(Path(sys.argv[1]), seed=90210, spaces=40, days=int(sys.argv[2]))
 """
 
 
@@ -126,12 +132,13 @@ def _set_key(config: Path, key: str, value: str) -> None:
 
 def _inputs(week: str, out: Path) -> dict:
     folder, stem = FIXTURES, week
-    if week == DENSE:
-        folder, stem = out / DENSE, "depot"
+    if week in DEPOT_DAYS:
+        folder, stem = out / week, "depot"
         if not folder.exists():
-            subprocess.run([sys.executable, "-c", _DENSE_INPUTS, str(folder)],
-                           check=True, env=_env())
-            _set_key(folder / "config_depot.cfg", "ic_max_a", "400")
+            subprocess.run([sys.executable, "-c", _DEPOT_INPUTS, str(folder),
+                            str(DEPOT_DAYS[week])], check=True, env=_env())
+            if week == DENSE:
+                _set_key(folder / "config_depot.cfg", "ic_max_a", "400")
     elif week == LOWSOC:
         folder, stem = out / LOWSOC, "week"
         if not folder.exists():

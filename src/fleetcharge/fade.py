@@ -45,8 +45,9 @@ class BranchCoefficients:
     """Quadratic surface coefficients (p00, p10, p01, p11, p02).
 
     The fields are floats for one branch, or per-cell arrays when branches
-    are mixed (see :meth:`FadeModelParams.branch_coefficients`); either way
-    :meth:`evaluate` is the one place the quadratic is spelled out.
+    are mixed (``BranchCoefficients(*params.branch_coefficients(is_hi))``);
+    either way :meth:`evaluate` is the one place the quadratic is spelled
+    out.
     """
 
     p00: float
@@ -105,13 +106,19 @@ class FadeModelParams:
         initial SoC, else on the LO one."""
         return current >= self.branch_slope * soc_init
 
-    def branch_coefficients(self, is_hi: np.ndarray) -> BranchCoefficients:
-        """Per-cell coefficient arrays: the HI branch where ``is_hi``, else LO."""
-        hi, lo = self.branch_hi, self.branch_lo
-        return BranchCoefficients(
-            *(np.where(is_hi, getattr(hi, f), getattr(lo, f))
-              for f in ("p00", "p10", "p01", "p11", "p02"))
-        )
+    def branch_coefficients(self, is_hi) -> np.ndarray:
+        """Per-cell coefficients stacked in field order, shaped (5, *shape
+        of ``is_hi``): the HI branch where ``is_hi``, else LO."""
+        hi, lo = np.array([[c.p00, c.p10, c.p01, c.p11, c.p02]
+                           for c in (self.branch_hi, self.branch_lo)]
+                          ).reshape((2, 5) + (1,) * np.ndim(is_hi))
+        return np.where(is_hi, hi, lo)
+
+    def calendric(self, soc_avg):
+        """Affine calendric loss ``p1 * soc_avg + p2`` per slot, in Ah, of a
+        scalar or array average SoC, unchecked (see
+        :func:`calendric_fade_approx`)."""
+        return self.p1 * soc_avg + self.p2
 
 
 def cyclic_fade_exact(soc_init, current, dt, c_bat, params: FadeModelParams):
@@ -146,7 +153,8 @@ def cyclic_fade_approx(soc_init, current, dt, c_bat, params: FadeModelParams):
     """
     soc_avg = soc_init + 0.5 * current * dt / c_bat
     is_hi = params.is_hi(current, soc_init)
-    cyclic = np.maximum(params.branch_coefficients(is_hi).evaluate(soc_avg, current), 0.0)
+    coef = BranchCoefficients(*params.branch_coefficients(is_hi))
+    cyclic = np.maximum(coef.evaluate(soc_avg, current), 0.0)
     return np.where(current == 0.0, 0.0, cyclic), soc_avg, is_hi
 
 
@@ -155,7 +163,7 @@ def calendric_fade_approx(soc_avg, params: FadeModelParams):
     average SoC; every value must lie in [0, 1]."""
     if not np.logical_and(0.0 <= soc_avg, soc_avg <= 1.0).all():
         raise InvalidSlotError("soc_avg", f"{soc_avg} not in [0, 1]")
-    return params.p1 * soc_avg + params.p2
+    return params.calendric(soc_avg)
 
 
 # ---------------------------------------------------------------------------

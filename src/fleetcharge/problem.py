@@ -16,7 +16,6 @@ computed on the time the vehicle is actually present.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -66,24 +65,40 @@ class ChargingTask:
             raise ValueError(f"task {self.vehicle_id}: soc_dep {self.soc_dep} not in [0, 1]")
 
 
-def charging_period(t_dep: float, t_s: float, dt: float) -> int:
+def charging_period(t_dep, t_s: float, dt: float):
     """Number of slots from the optimization start to a departure time.
 
     Ceiling of the remaining duration over the slot length; zero when the
-    departure coincides with the start.
+    departure coincides with the start.  A scalar departure gives an int, an
+    array of departures an int array of the same shape; a non-finite count
+    raises as ``int`` does.
     """
     if dt <= 0:
         raise ValueError("slot length must be > 0")
-    if t_dep < t_s:
+    t_dep = np.asarray(t_dep, dtype=float)
+    if (t_dep < t_s).any():
         raise ValueError("negative-duration: departure precedes optimization start")
-    return max(0, math.ceil((t_dep - t_s) / dt - 1e-9))
+    periods = np.maximum(np.ceil((t_dep - t_s) / dt - 1e-9), 0.0)
+    if periods.ndim == 0:
+        return int(periods)
+    finite = np.isfinite(periods)
+    if not finite.all():
+        int(periods[~finite][0])  # raises, as the scalar call would
+    return periods.astype(int)
 
 
-def availability_weights(tt_v: int) -> np.ndarray:
-    """Strictly decreasing slot weights 1/(i + tt_v) for i in [0, tt_v)."""
-    if tt_v < 1:
+def availability_weights(tt_v) -> np.ndarray:
+    """Strictly decreasing slot weights 1/(i + tt_v) for i in [0, tt_v).
+
+    An array of slot counts (V,) gives one column per count, shaped
+    (max(tt_v), V), zero past its count: a zero count is a zero column.
+    """
+    tt_v = np.asarray(tt_v)
+    if tt_v.ndim == 0 and tt_v < 1:
         raise ValueError("empty-period: charging period has no slots")
-    return 1.0 / (np.arange(tt_v) + tt_v)
+    i = np.arange(tt_v.max(initial=0)).reshape((-1,) + (1,) * tt_v.ndim)
+    slots = i + tt_v
+    return np.divide(1.0, slots, out=np.zeros(slots.shape), where=i < tt_v)
 
 
 @dataclass(frozen=True)
@@ -198,22 +213,18 @@ def build_instance(
         raise ValueError("weights must be three nonnegative values, not all zero")
 
     ordered = tuple(sorted(tasks, key=lambda t: (t.t_dep, t.vehicle_id)))
-    tt = np.array([charging_period(t.t_dep, t_s, dt) for t in ordered], dtype=int)
-    horizon = int(tt.max()) if len(tt) else 0
+    t_dep = np.array([t.t_dep for t in ordered], dtype=float)
+    tt = charging_period(t_dep, t_s, dt)
+    horizon = int(tt.max(initial=0))
     grid = SlotGrid(t_s=t_s, dt=dt, tt=tt, horizon=horizon)
 
-    n = len(ordered)
-    durations = np.zeros((horizon, n))
-    active = np.zeros((horizon, n), dtype=bool)
-    avail_w = np.zeros((horizon, n))
-    for v, task in enumerate(ordered):
-        if tt[v] == 0:
-            continue
-        active[: tt[v], v] = True
-        durations[: tt[v], v] = dt
-        rem = (task.t_dep - t_s) - (tt[v] - 1) * dt
-        durations[tt[v] - 1, v] = min(dt, max(rem, 0.0))
-        avail_w[: tt[v], v] = availability_weights(int(tt[v]))
+    # Every slot before a vehicle's last lasts dt; the last lasts what is
+    # left of its stay.
+    slot = np.arange(horizon)[:, None]
+    active = slot < tt
+    last = np.minimum(dt, np.maximum((t_dep - t_s) - (tt - 1) * dt, 0.0))
+    durations = np.where(active, np.where(slot == tt - 1, last, dt), 0.0)
+    avail_w = availability_weights(tt)
 
     soc_start = np.array([t.soc_start for t in ordered])
     need = np.array([max(0.0, t.soc_dep - t.soc_start) * c_bat for t in ordered])
@@ -256,33 +267,27 @@ def max_power_allocation(inst: ProblemInstance) -> np.ndarray:
     windows are not enforced.
     """
     alloc = inst.empty_allocation()
-    for v, task in enumerate(inst.tasks):
-        tt = int(inst.grid.tt[v])
-        if tt == 0:
-            continue
-        n_slots = charging_period(
-            (1.0 - task.soc_start) * inst.c_bat / inst.i_max, 0.0, inst.grid.dt
-        )
-        n_slots = min(n_slots, tt)
-        remaining_ah = (1.0 - task.soc_start) * inst.c_bat
-        for i in range(n_slots):
-            d = inst.durations[i, v]
-            if d <= 0 or remaining_ah <= 0:
-                break
-            amps = min(inst.i_max, remaining_ah / d)
-            alloc[i, v] = amps
-            remaining_ah -= amps * d
+    remaining_ah = (1.0 - inst.soc_start) * inst.c_bat
+    n_slots = np.minimum(
+        charging_period(remaining_ah / inst.i_max, 0.0, inst.grid.dt), inst.grid.tt
+    )
+    # A vehicle charges from slot 0 until its first slot that is past its
+    # count, has no length or finds it full.
+    charging = np.ones(inst.n_vehicles, dtype=bool)
+    for i, d in enumerate(inst.durations):
+        charging &= (i < n_slots) & (d > 0) & (remaining_ah > 0)
+        if not charging.any():
+            break
+        amps = alloc[i]  # stays zero where not charging, keeping that remainder
+        np.divide(remaining_ah, d, out=amps, where=charging)
+        np.minimum(inst.i_max, amps, out=amps)
+        remaining_ah -= amps * d
     # Station cap: columns are already in earliest-departure order, so a
-    # cumulative-headroom pass curtails later-departing vehicles first.
-    for i in range(inst.horizon):
-        row = alloc[i, :]
-        used = np.cumsum(row)
-        over = used - inst.ic_max
-        if over[-1] <= 0:
-            continue
-        headroom = inst.ic_max - (used - row)
-        alloc[i, :] = np.clip(np.minimum(row, headroom), 0.0, None)
-    return alloc
+    # cumulative-headroom pass curtails later-departing vehicles first.  Only
+    # slots whose total passes the cap are touched.
+    used = np.cumsum(alloc, axis=1)
+    capped = np.clip(np.minimum(alloc, inst.ic_max - (used - alloc)), 0.0, None)
+    return np.where(used[:, -1:] > inst.ic_max, capped, alloc)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +334,7 @@ def fade_terms(alloc: np.ndarray, inst: ProblemInstance,
     cyclic[~active] = 0.0
 
     frac = np.where(active, durations / inst.grid.dt, 0.0)
-    calendric = frac * (p.p1 * avg + p.p2)
-    return cyclic, calendric
+    return cyclic, frac * p.calendric(avg)
 
 
 def objective_components(alloc: np.ndarray, inst: ProblemInstance) -> ObjectiveBreakdown:
@@ -438,13 +442,13 @@ def build_constraints(inst: ProblemInstance) -> ConstraintSet:
     """
     reason = None
     capacity = inst.i_max * inst.durations.sum(axis=0)
-    for v in range(inst.n_vehicles):
-        if inst.e_lo[v] > capacity[v] + 1e-9:
-            reason = (
-                f"vehicle-capacity: {inst.tasks[v].vehicle_id} needs "
-                f"{inst.e_lo[v]:.3f} Ah but can receive at most {capacity[v]:.3f} Ah"
-            )
-            break
+    short = np.flatnonzero(inst.e_lo > capacity + 1e-9)
+    if len(short):
+        v = short[0]
+        reason = (
+            f"vehicle-capacity: {inst.tasks[v].vehicle_id} needs "
+            f"{inst.e_lo[v]:.3f} Ah but can receive at most {capacity[v]:.3f} Ah"
+        )
     return ConstraintSet(inst=inst, infeasible_reason=reason)
 
 

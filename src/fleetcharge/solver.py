@@ -391,8 +391,7 @@ class _Surrogate:
 
     def __init__(self, inst: ProblemInstance, lin: np.ndarray, fade_weight: float,
                  is_hi: np.ndarray, project: _Projector):
-        c = inst.fade_params.branch_coefficients(is_hi)
-        self.coef = np.stack([c.p00, c.p10, c.p01, c.p11, c.p02])  # (5, k, H, V)
+        self.coef = inst.fade_params.branch_coefficients(is_hi)  # (5, k, H, V)
         self.inst = inst
         self.project = project
         self.lin = lin
@@ -414,7 +413,7 @@ class _Surrogate:
         flat = (len(x), -1)
         # Each start sums its own active cells, as it would alone.
         active = np.array([np.sum(pj[mj]) for pj, mj in zip(poly, mask)])
-        fade = active + (self.frac * (p.p1 * avg + p.p2)).reshape(flat).sum(axis=1)
+        fade = active + (self.frac * p.calendric(avg)).reshape(flat).sum(axis=1)
         return (self.lin * x).reshape(flat).sum(axis=1) + self.fw * fade
 
     def gradient(self, x, rows) -> np.ndarray:

@@ -5,6 +5,7 @@ transcription of the formulas (plain math, no package imports) and pasted
 here; see the module-level constants.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -178,6 +179,21 @@ class TestCyclicFadeApprox:
         assert cyclic_fade_approx(soc, current, 0.5, 210.0, params)[0] >= 0.0
 
 
+class TestBranchCoefficients:
+    def test_stack_selects_each_field_per_cell(self):
+        """One stacked array (5, *shape): field f of the HI branch where the
+        cell is HI, else of LO, as five separate selections give."""
+        params = FadeModelParams()
+        is_hi = np.random.default_rng(5).random((3, 4, 6)) < 0.5
+        stack = params.branch_coefficients(is_hi)
+        assert stack.shape == (5, 3, 4, 6)
+        for f, got in zip(("p00", "p10", "p01", "p11", "p02"), stack):
+            want = np.where(is_hi, getattr(params.branch_hi, f), getattr(params.branch_lo, f))
+            assert got.tobytes() == want.tobytes()
+        assert params.branch_coefficients(True).tolist() == list(
+            dataclasses.astuple(params.branch_hi))
+
+
 class TestCalendricFadeApprox:
     def test_intercept_exact(self, fade_params):
         assert calendric_fade_approx(0.0, fade_params) == 5.356e-05
@@ -198,6 +214,14 @@ class TestCalendricFadeApprox:
         soc_avg = np.linspace(0.0, 1.0, 11)
         assert calendric_fade_approx(soc_avg, fade_params).tolist() == [
             calendric_fade_approx(a, fade_params) for a in soc_avg.tolist()]
+
+    def test_affine_form_is_unchecked(self, fade_params):
+        """``FadeModelParams.calendric`` is the affine form the kernel checks
+        and returns; it takes an average SoC outside [0, 1] as it is."""
+        soc_avg = np.array([0.0, 0.37, 1.0])
+        assert fade_params.calendric(soc_avg).tobytes() == \
+            calendric_fade_approx(soc_avg, fade_params).tobytes()
+        assert fade_params.calendric(1.2) == fade_params.p1 * 1.2 + fade_params.p2
 
     @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)

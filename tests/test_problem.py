@@ -1,5 +1,8 @@
 """Problem-assembly tests: grids, windows, objective values, normalization."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from fleetcharge.problem import (
     charging_period,
     compute_normalization_points,
     fade_terms,
+    max_power_allocation,
     normalized_objective,
     objective_components,
 )
@@ -45,6 +49,30 @@ class TestChargingPeriod:
     def test_negative_duration(self):
         with pytest.raises(ValueError, match="negative-duration"):
             charging_period(1.0, 2.0, 0.5)
+        with pytest.raises(ValueError, match="negative-duration"):
+            charging_period(np.array([3.0, 1.0]), 2.0, 0.5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_array_equals_scalar_calls(self, seed):
+        """Element by element, an array of departures gets the counts its
+        scalar calls get, on and within 1e-9 slots of slot boundaries too."""
+        rng = np.random.default_rng(seed)
+        t_s, dt = rng.uniform(0.0, 100.0), rng.choice([0.1, 0.25, 1 / 3, 0.5, 0.75])
+        t_dep = _departures(rng, t_s, dt, 200)
+        periods = charging_period(t_dep, t_s, dt)
+        assert periods.dtype == np.dtype(int) and periods.shape == t_dep.shape
+        assert periods.tolist() == [charging_period(t, t_s, dt) for t in t_dep.tolist()]
+        assert type(charging_period(float(t_dep[0]), t_s, dt)) is int
+        grid = charging_period(t_dep.reshape(10, 20), t_s, dt)
+        assert grid.tolist() == periods.reshape(10, 20).tolist()
+
+    @pytest.mark.parametrize("bad, error", [(math.nan, ValueError), (math.inf, OverflowError)])
+    def test_non_finite_departure_raises_as_int_does(self, bad, error):
+        with pytest.raises(error) as scalar:
+            charging_period(bad, 0.0, 0.5)
+        with pytest.raises(error) as array:
+            charging_period(np.array([1.0, bad, 2.0]), 0.0, 0.5)
+        assert str(array.value) == str(scalar.value)
 
 
 class TestAvailabilityWeights:
@@ -67,6 +95,19 @@ class TestAvailabilityWeights:
         w = availability_weights(tt)
         assert len(w) == tt
         assert np.all(np.diff(w) < 0) or tt == 1
+
+    def test_array_columns_equal_scalar_calls(self):
+        """A column per count, equal bit for bit to its scalar call and zero
+        past it; a zero count gives a zero column, with no divide warning."""
+        tt = np.array([3, 0, 1, 28, 7, 0, 28, 12])
+        w = availability_weights(tt)
+        assert w.shape == (28, len(tt))
+        for v, n in enumerate(tt.tolist()):
+            if n:
+                assert w[:n, v].tobytes() == availability_weights(n).tobytes()
+            assert not w[n:, v].any()
+        assert availability_weights(np.array([0, 0])).shape == (0, 2)
+        assert availability_weights(np.array(5)).tobytes() == availability_weights(5).tobytes()
 
 
 class TestTaskAndPrices:
@@ -145,6 +186,179 @@ class TestBuildInstance:
         cs = build_constraints(inst)
         assert not cs.feasible_by_construction
         assert "vehicle-capacity" in cs.infeasible_reason
+
+    def test_first_short_vehicle_named(self):
+        """The counting bound names the first vehicle, in column order,
+        whose need exceeds what its current limit can deliver."""
+        inst = make_instance([
+            ChargingTask("ok", 0.0, 3.0, 0.5, 0.6),
+            ChargingTask("late", 0.0, 1.5, 0.1, 0.9),
+            ChargingTask("early", 0.0, 1.0, 0.2, 0.9),
+        ], i_max=50.0, ic_max=150.0, c_bat=200.0)
+        assert build_constraints(inst).infeasible_reason == (
+            "vehicle-capacity: early needs 140.000 Ah but can receive at most 50.000 Ah")
+
+
+def _departures(rng, t_s, dt, n):
+    """``n`` departures from ``t_s`` over at most 28 slots: at the start, on a
+    slot boundary, within or just beyond 1e-9 slots of one, or anywhere."""
+    k = rng.integers(1, 29, n)
+    near = rng.choice([-1.5, -0.9, -0.3, 0.3, 0.9, 1.5], n) * 1e-9
+    kind = rng.integers(0, 4, n)
+    return np.select(
+        [kind == 0, kind == 1, kind == 2],
+        [np.full(n, t_s), t_s + k * dt, t_s + (k + near) * dt],
+        t_s + rng.uniform(0.0, 28.0, n) * dt,
+    )
+
+
+def _fleet(seed, n):
+    """A seeded fleet of ``n`` vehicles, some full, some needing nothing,
+    and its slot grid ``(tasks, t_s, dt)``; from 40 vehicles on, one departs
+    at the start and one after 28 slots."""
+    rng = np.random.default_rng(seed)
+    t_s, dt = rng.uniform(0.0, 100.0), float(rng.choice([0.25, 1 / 3, 0.5, 0.75]))
+    t_dep = _departures(rng, t_s, dt, n)
+    if n >= 40:
+        t_dep[:2] = t_s, t_s + 28 * dt
+    soc = rng.choice([0.0, 1.0, 0.3, 0.55], n)
+    soc = np.where(rng.random(n) < 0.5, soc, rng.uniform(0.0, 1.0, n))
+    soc_dep = np.where(rng.random(n) < 0.2, 0.5 * soc, rng.uniform(soc, 1.0))
+    tasks = [ChargingTask(f"v{v:02d}", t_s - 1.0, float(t_dep[v]), float(soc[v]),
+                          float(soc_dep[v])) for v in range(n)]
+    return tasks, t_s, dt
+
+
+def _reference_build(tasks, t_s, dt, prices_fn, c_bat, soc_xtra_ah):
+    """The per-vehicle assembly the fleet-wide one replaced, kept as written
+    (with ``charging_period`` and ``availability_weights`` inlined)."""
+    ordered = tuple(sorted(tasks, key=lambda t: (t.t_dep, t.vehicle_id)))
+    tt = np.array([max(0, math.ceil((t.t_dep - t_s) / dt - 1e-9)) for t in ordered],
+                  dtype=int)
+    horizon = int(tt.max()) if len(tt) else 0
+    n = len(ordered)
+    durations = np.zeros((horizon, n))
+    active = np.zeros((horizon, n), dtype=bool)
+    avail_w = np.zeros((horizon, n))
+    for v, task in enumerate(ordered):
+        if tt[v] == 0:
+            continue
+        active[: tt[v], v] = True
+        durations[: tt[v], v] = dt
+        rem = (task.t_dep - t_s) - (tt[v] - 1) * dt
+        durations[tt[v] - 1, v] = min(dt, max(rem, 0.0))
+        avail_w[: tt[v], v] = 1.0 / (np.arange(tt[v]) + tt[v])
+    soc_start = np.array([t.soc_start for t in ordered])
+    need = np.array([max(0.0, t.soc_dep - t.soc_start) * c_bat for t in ordered])
+    e_hi = np.where(need > 0.0, np.minimum(need + soc_xtra_ah, (1.0 - soc_start) * c_bat), 0.0)
+    wep = np.array([prices_fn(t_s + i * dt) for i in range(horizon)])
+    return {"tt": tt, "durations": durations, "active": active, "avail_w": avail_w,
+            "e_lo": need.copy(), "e_hi": e_hi, "wep": wep}
+
+
+def _reference_max_power(inst):
+    """:func:`max_power_allocation` as a loop over vehicles, kept as written
+    (with ``charging_period`` inlined)."""
+    alloc = inst.empty_allocation()
+    for v, task in enumerate(inst.tasks):
+        tt = int(inst.grid.tt[v])
+        if tt == 0:
+            continue
+        n_slots = max(0, math.ceil(
+            (1.0 - task.soc_start) * inst.c_bat / inst.i_max / inst.grid.dt - 1e-9))
+        n_slots = min(n_slots, tt)
+        remaining_ah = (1.0 - task.soc_start) * inst.c_bat
+        for i in range(n_slots):
+            d = inst.durations[i, v]
+            if d <= 0 or remaining_ah <= 0:
+                break
+            amps = min(inst.i_max, remaining_ah / d)
+            alloc[i, v] = amps
+            remaining_ah -= amps * d
+    for i in range(inst.horizon):
+        row = alloc[i, :]
+        used = np.cumsum(row)
+        over = used - inst.ic_max
+        if over[-1] <= 0:
+            continue
+        headroom = inst.ic_max - (used - row)
+        alloc[i, :] = np.clip(np.minimum(row, headroom), 0.0, None)
+    return alloc
+
+
+def _step_prices(t):
+    return 0.05 + 0.01 * (math.floor(t * 7.0) % 5)
+
+
+class TestFleetWideAssembly:
+    """``build_instance`` and ``max_power_allocation`` give, bit for bit,
+    what their per-vehicle loops gave."""
+
+    @pytest.mark.parametrize("seed, n", [(s, 40) for s in range(12)]
+                             + [(s, n) for s, n in ((12, 1), (13, 2), (14, 5), (15, 0))])
+    def test_build_instance_equals_reference(self, seed, n):
+        tasks, t_s, dt = _fleet(seed, n)
+        inst = make_instance(tasks, prices=_step_prices, t_s=t_s, dt=dt, soc_xtra_ah=21.0)
+        ref = _reference_build(tasks, t_s, dt, _step_prices, inst.c_bat, 21.0)
+        got = {"tt": inst.grid.tt, "durations": inst.durations, "active": inst.active,
+               "avail_w": inst.avail_w, "e_lo": inst.e_lo, "e_hi": inst.e_hi, "wep": inst.wep}
+        for name, want in ref.items():
+            assert got[name].dtype == want.dtype, name
+            assert got[name].shape == want.shape, name
+            assert got[name].tobytes() == want.tobytes(), name
+        assert inst.horizon == len(ref["wep"])
+        if n == 40:
+            assert (ref["tt"] == 0).any() and (ref["tt"] == 28).any()
+            partial = ref["durations"][ref["tt"][ref["tt"] > 0] - 1, np.flatnonzero(ref["tt"])]
+            assert (partial < dt).any() and (partial == dt).any()
+
+    @pytest.mark.parametrize("ic_max", [160.0, 400.0, 1200.0, 3200.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_max_power_equals_reference(self, seed, ic_max):
+        tasks, t_s, dt = _fleet(100 + seed, 40)
+        inst = make_instance(tasks, t_s=t_s, dt=dt, ic_max=ic_max)
+        want = _reference_max_power(inst)
+        assert max_power_allocation(inst).tobytes() == want.tobytes()
+        binds = want.sum(axis=1).max() >= ic_max - 1e-6
+        assert binds == (ic_max < 3200.0)
+
+    def test_slot_at_the_cap_left_as_is(self):
+        """Only a slot whose running sum passes the cap is curtailed: one that
+        reaches it exactly keeps its currents, which a headroom pass would
+        move by an ulp (7.140000000000006 -> 7.140000000000001 A here)."""
+        tasks = [ChargingTask(f"v{k}", 0.0, 1.0 + k, soc, 1.0)
+                 for k, soc in enumerate((0.803, 0.963, 0.983))]
+        loose = max_power_allocation(make_instance(tasks, ic_max=240.0))
+        cap = float(np.cumsum(loose[0])[-1])
+        inst = make_instance(tasks, ic_max=cap)
+        alloc = max_power_allocation(inst)
+        assert alloc.tobytes() == _reference_max_power(inst).tobytes()
+        assert alloc[0].tobytes() == loose[0].tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_max_power_with_zero_length_slots(self, seed):
+        """A slot of zero length stops a vehicle's charging, at its last slot
+        or before it."""
+        tasks, t_s, dt = _fleet(200 + seed, 40)
+        inst = make_instance(tasks, t_s=t_s, dt=dt, ic_max=800.0)
+        rng = np.random.default_rng(seed)
+        durations = inst.durations.copy()
+        tt = inst.grid.tt
+        cut = np.flatnonzero(tt > 0)
+        durations[tt[cut] - 1, cut] = 0.0
+        early = cut[rng.random(len(cut)) < 0.3]
+        durations[rng.integers(0, tt[early]), early] = 0.0
+        inst = dataclasses.replace(inst, durations=durations)
+        want = _reference_max_power(inst)
+        assert max_power_allocation(inst).tobytes() == want.tobytes()
+
+    def test_full_fleet_and_empty_fleet(self):
+        full = [ChargingTask(f"f{v}", 0.0, 2.0 + v, 1.0, 1.0) for v in range(3)]
+        inst = make_instance(full)
+        assert max_power_allocation(inst).tobytes() == np.zeros((8, 3)).tobytes()
+        empty = make_instance([])
+        assert max_power_allocation(empty).shape == (0, 0)
+        assert build_constraints(empty).infeasible_reason is None
 
 
 class TestObjectiveComponents:

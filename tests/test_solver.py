@@ -21,6 +21,7 @@ from fleetcharge.problem import (
     objective_components,
     soc_before_slots,
 )
+from fleetcharge.fade import BranchCoefficients
 from fleetcharge.scheduler import ZERO_PRICES
 import fleetcharge.solver as solver_module
 from fleetcharge.solver import (
@@ -903,7 +904,7 @@ class _ReferenceSurrogate:
     """The per-start surrogate the stacked one replaced, kept as written."""
 
     def __init__(self, inst, lin, fade_weight, is_hi, project):
-        self.coef = inst.fade_params.branch_coefficients(is_hi)
+        self.coef = BranchCoefficients(*inst.fade_params.branch_coefficients(is_hi))
         self.inst = inst
         self.project = project
         self.lin = lin
