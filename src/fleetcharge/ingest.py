@@ -193,14 +193,15 @@ class PriceCurve:
         """Price lookup keyed by hours since ``epoch``, sampled at slot starts.
 
         The price in force at an instant is the latest record at or before
-        it; the first record extends backward.
+        it; the first record extends backward.  Records are keyed by their
+        offset from ``epoch``, so an instant is ``timedelta(hours=t_h)``,
+        rounded to the microsecond as datetime arithmetic is.
         """
-        times = [r.timestamp for r in self.records]
+        offsets = [r.timestamp - epoch for r in self.records]
         prices = [r.price for r in self.records]
 
         def fn(t_h: float) -> float:
-            ts = epoch + timedelta(hours=t_h)
-            idx = bisect.bisect_right(times, ts) - 1
+            idx = bisect.bisect_right(offsets, timedelta(hours=t_h)) - 1
             return prices[max(idx, 0)]
 
         return fn

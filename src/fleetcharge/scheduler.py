@@ -14,7 +14,8 @@ a linear feasibility solve succeeds for the whole resulting fleet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import repeat
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,6 +77,8 @@ class Policy:
 class VehicleState:
     task: ChargingTask
     soc_cur: float
+    # the last task FleetState.current_tasks re-anchored for this vehicle
+    anchored: ChargingTask | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -86,19 +89,24 @@ class FleetState:
     vehicles: dict = field(default_factory=dict)  # vehicle_id -> VehicleState
 
     def current_tasks(self) -> list:
-        """Tasks re-anchored at the current state (start SoC = current SoC)."""
+        """Tasks re-anchored at the current state (start SoC = current SoC).
+
+        A vehicle's last re-anchored task is reused while its start SoC and
+        its departure, clamped to the clock, equal the current values.
+        """
         out = []
         for vs in self.vehicles.values():
-            t = vs.task
-            out.append(
-                ChargingTask(
+            t, a = vs.task, vs.anchored
+            t_dep = max(t.t_dep, self.now)
+            if a is None or a.soc_start != vs.soc_cur or a.t_dep != t_dep:
+                a = vs.anchored = ChargingTask(
                     vehicle_id=t.vehicle_id,
                     t_arr=t.t_arr,
-                    t_dep=max(t.t_dep, self.now),
+                    t_dep=t_dep,
                     soc_start=vs.soc_cur,
                     soc_dep=t.soc_dep,
                 )
-            )
+            out.append(a)
         return out
 
 
@@ -176,8 +184,7 @@ def admit_task(task: ChargingTask, state: FleetState, limits: StationLimits) -> 
     return Admission(accepted=False, reason=result.reason)
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     """Realized charging of one vehicle over one (possibly partial) slot."""
 
     time_h: float
@@ -208,7 +215,8 @@ def apply_slot(
     inside it; each vehicle is charged for its own presence within that
     window.  Calendric fade is pro-rated by the fraction of a full slot
     realized.  The slot's vehicles are checked together before any state
-    changes, and each fade kernel runs once over all of them.
+    changes; each fade kernel runs once over all of them, and each row field
+    is a column computed over all of them.
     """
     if not 0 <= slot_index < inst.horizon:
         raise IndexError(f"slot {slot_index} outside allocation horizon {inst.horizon}")
@@ -216,10 +224,11 @@ def apply_slot(
     if window <= 0:
         raise ValueError("slot duration must be > 0")
     d = np.minimum(window, inst.durations[slot_index])
-    cols = [v for v, task in enumerate(inst.tasks)
-            if task.vehicle_id in state.vehicles and d[v] > 0]
-    ids = [inst.tasks[v].vehicle_id for v in cols]
-    soc = np.array([state.vehicles[vid].soc_cur for vid in ids])
+    tasks, vehicles = inst.tasks, state.vehicles
+    cols = [v for v in np.flatnonzero(d > 0).tolist() if tasks[v].vehicle_id in vehicles]
+    ids = [tasks[v].vehicle_id for v in cols]
+    present = [vehicles[vid] for vid in ids]
+    soc = np.array([vs.soc_cur for vs in present])
     d, amps = d[cols], alloc[slot_index, cols]
     ah = amps * d
     soc_new = soc + ah / inst.c_bat
@@ -239,26 +248,14 @@ def apply_slot(
     cal = (d / inst.grid.dt) * calendric_fade_approx(np.minimum(soc_avg, 1.0), params)
     slot_t = inst.grid.slot_start(slot_index)
     price = float(inst.wep[slot_index])
-    entries = []
-    for vid, dv, a, q, s, ex, ap in zip(ids, d.tolist(), amps.tolist(), ah.tolist(),
-                                        soc_new.tolist(), (exact + cal).tolist(),
-                                        (approx + cal).tolist()):
-        kwh = q * inst.voltage / 1000.0
-        entries.append(
-            LedgerEntry(
-                time_h=slot_t,
-                vehicle_id=vid,
-                duration_h=dv,
-                current_a=a,
-                power_kw=a * inst.voltage / 1000.0,
-                price_usd_per_kwh=price,
-                cost_usd=kwh * price,
-                energy_ah=q,
-                soc=min(s, 1.0),
-                fade_exact_ah=ex,
-                fade_approx_ah=ap,
-            )
-        )
-        state.vehicles[vid].soc_cur = min(s, 1.0)
+    kwh = ah * inst.voltage / 1000.0
+    soc_out = np.minimum(soc_new, 1.0).tolist()
+    entries = tuple(map(
+        LedgerEntry, repeat(slot_t), ids, d.tolist(), amps.tolist(),
+        (amps * inst.voltage / 1000.0).tolist(), repeat(price), (kwh * price).tolist(),
+        ah.tolist(), soc_out, (exact + cal).tolist(), (approx + cal).tolist(),
+    ))
+    for vs, s in zip(present, soc_out):
+        vs.soc_cur = s
     state.now = slot_t + window
-    return tuple(entries)
+    return entries

@@ -158,22 +158,26 @@ def _advance(
 
     A slot applies whole when it ends by ``until``; the slot that holds the
     event applies up to it, measured from the clock :func:`apply_slot` left.
+    Each metric total adds the rows one at a time, in ledger order: a
+    pairwise or compensated sum would change its bits.
     """
     if until > state.now + 1e-12:
         inst, alloc = schedule
         peak_amps = config.peak_threshold * config.i_max
+        m = result.metrics
         for i in range(inst.horizon):
             slot_end = inst.grid.slot_start(i) + inst.grid.dt
             duration = None if slot_end <= until else until - state.now
-            for e in apply_slot(state, alloc, i, inst, duration=duration):
-                result.ledger.append(e)
-                result.metrics.total_charging_cost += e.cost_usd
-                result.metrics.total_fade_exact += e.fade_exact_ah
-                result.metrics.total_fade_approx += e.fade_approx_ah
+            rows = apply_slot(state, alloc, i, inst, duration=duration)
+            result.ledger.extend(rows)
+            for e in rows:
+                m.total_charging_cost += e.cost_usd
+                m.total_fade_exact += e.fade_exact_ah
+                m.total_fade_approx += e.fade_approx_ah
                 if e.current_a > ACTIVE_CURRENT_EPS:
-                    result.metrics.total_charging_time += e.duration_h
+                    m.total_charging_time += e.duration_h
                 if e.current_a > peak_amps:
-                    result.metrics.total_peak_power_period += e.duration_h
+                    m.total_peak_power_period += e.duration_h
             if slot_end >= until:
                 break
     state.now = until

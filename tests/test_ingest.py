@@ -146,6 +146,20 @@ class TestParsePrices:
         assert firsts == [0.10] * 12
         assert fn(1.0) == 0.20
 
+    def test_instant_rounds_to_the_microsecond(self, tmp_path):
+        """An instant is ``timedelta(hours=t_h)``, rounded to the microsecond
+        as datetime arithmetic is: the last float below one hour is 01:00,
+        where comparing float hours would keep the earlier price."""
+        p = write(tmp_path / "p.csv",
+                  "timestamp,price_usd_per_kwh\n"
+                  "2021-05-03T00:00:00Z,0.10\n"
+                  "2021-05-03T01:00:00Z,0.20\n")
+        fn = parse_prices(p).as_fn(datetime(2021, 5, 3, tzinfo=UTC))
+        t_h = 0.9999999999999999
+        assert t_h < 1.0
+        assert fn(t_h) == 0.20
+        assert fn(1.0 - 1e-9) == 0.10  # 3.6 us before the step
+
     def test_extends_both_directions(self, tmp_path):
         p = write(tmp_path / "p.csv",
                   "timestamp,price_usd_per_kwh\n2021-05-03T12:00:00Z,0.25\n")

@@ -215,6 +215,41 @@ class TestApplySlot:
             assert apply_slot(alone, alloc, 0, inst, duration=0.4) == (by_id[vid],)
             assert alone.vehicles[vid].soc_cur == state.vehicles[vid].soc_cur
 
+    def test_row_columns_equal_scalar_expressions(self):
+        """Each row field, computed as a column over the slot's vehicles,
+        has the bits of the per-vehicle scalar expression, a vehicle pushed
+        just past full included: the CSV ledger prints too few digits to see
+        a one-ulp change."""
+        socs = {"lo": 0.5, "hi": 0.05, "idle": 0.6, "full": 0.9, "short": 0.3}
+        tasks = {vid: ChargingTask(vid, 0.0, 0.25 if vid == "short" else 4.0, soc, 1.0)
+                 for vid, soc in socs.items()}
+        state = fleet(0.0, *((tasks[vid], soc) for vid, soc in socs.items()))
+        _, inst = baseline_schedule(state, limits(dt=0.5, ic_max=400.0, voltage=410.0),
+                                    lambda t: 0.137)
+        amps = {"lo": 31.7, "hi": 50.0, "idle": 0.0, "full": 50.0000001, "short": 41.3}
+        alloc = np.zeros((inst.horizon, len(inst.tasks)))
+        alloc[0] = [amps[t.vehicle_id] for t in inst.tasks]
+        window = 0.4
+        assert 1.0 < socs["full"] + amps["full"] * window / 200.0 <= 1.0 + 1e-9
+
+        rows = apply_slot(state, alloc, 0, inst, duration=window)
+        price = float(inst.wep[0])
+        assert len(rows) == len(inst.tasks)
+        for v, e in enumerate(rows):
+            vid = inst.tasks[v].vehicle_id
+            a = amps[vid]
+            d = min(window, float(inst.durations[0, v]))
+            q = a * d
+            kwh = q * 410.0 / 1000.0
+            # the fade columns are checked against the slot models above
+            expected = (0.0, vid, d, a, a * 410.0 / 1000.0, price, kwh * price, q,
+                        min(socs[vid] + q / 200.0, 1.0), e.fade_exact_ah, e.fade_approx_ah)
+            assert [x.hex() if isinstance(x, float) else x for x in e] == \
+                [x.hex() if isinstance(x, float) else x for x in expected]
+            assert state.vehicles[vid].soc_cur == e.soc
+        assert {e.vehicle_id: e.soc for e in rows}["full"] == 1.0
+        assert {e.vehicle_id: e.duration_h for e in rows}["short"] == 0.25
+
     def test_overflow_leaves_state_unchanged(self):
         """The slot's vehicles are checked before any is charged: when the
         second would overflow, the first keeps its SoC and the clock stays."""
@@ -283,3 +318,35 @@ class TestFleetState:
         (re_task,) = state.current_tasks()
         assert re_task.soc_start == 0.6
         assert re_task.t_dep == 3.0
+        state.vehicles["v"].soc_cur = 0.7
+        (re_task,) = state.current_tasks()
+        assert re_task.soc_start == 0.7
+
+    def test_current_tasks_reused_only_while_unchanged(self):
+        """A re-anchored task equals one built afresh after a vehicle
+        charges and after the clock passes its departure, and an idle
+        vehicle's task is the same object from one event to the next."""
+        def fresh(state):
+            return [ChargingTask(vs.task.vehicle_id, vs.task.t_arr,
+                                 max(vs.task.t_dep, state.now), vs.soc_cur,
+                                 vs.task.soc_dep)
+                    for vs in state.vehicles.values()]
+
+        charging = ChargingTask("charging", 0.0, 4.0, 0.5, 0.9)
+        idle = ChargingTask("idle", 0.0, 4.0, 1.0, 1.0)
+        overdue = ChargingTask("overdue", 0.0, 0.75, 0.6, 0.6)
+        state = fleet(0.0, (charging, 0.5), (idle, 1.0), (overdue, 0.6))
+        _, inst = baseline_schedule(state, limits(dt=0.5))
+        alloc = np.zeros((inst.horizon, len(inst.tasks)))
+        alloc[:, [t.vehicle_id for t in inst.tasks].index("charging")] = 40.0
+
+        before = state.current_tasks()
+        assert before == fresh(state)
+        for i in range(2):  # the clock passes overdue's departure at 0.75
+            apply_slot(state, alloc, i, inst)
+            after = state.current_tasks()
+            assert after == fresh(state)
+            changed = {a.vehicle_id for a, b in zip(after, before) if a is not b}
+            assert changed == ({"charging"} if i == 0 else {"charging", "overdue"})
+            before = after
+        assert (after[0].soc_start, after[2].t_dep) == (0.7, 1.0)
