@@ -23,7 +23,7 @@ from .ingest import (
     parse_sessions,
     sessions_to_events,
 )
-from .scheduler import Policy
+from .scheduler import ZERO_PRICES, Policy
 from .simulator import RunResult, run
 
 METRIC_ROWS = [
@@ -60,7 +60,7 @@ def _load_inputs(args, cfg: RunConfig, policy: Policy):
     sim_config = cfg.sim_config(policy)
     events, epoch = sessions_to_events(records, sim_config)
     curve = parse_prices(prices_path)
-    prices_fn = curve.as_fn(epoch) if epoch is not None else (lambda t: 0.0)
+    prices_fn = curve.as_fn(epoch) if epoch is not None else ZERO_PRICES
     return events, prices_fn, sim_config
 
 

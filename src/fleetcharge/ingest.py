@@ -14,7 +14,6 @@ backward.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import hashlib
 import io
@@ -22,6 +21,8 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .fade import BranchCoefficients, FadeModelParams
 from .problem import ChargingTask
@@ -192,17 +193,32 @@ class PriceCurve:
     def as_fn(self, epoch: datetime):
         """Price lookup keyed by hours since ``epoch``, sampled at slot starts.
 
-        The price in force at an instant is the latest record at or before
-        it; the first record extends backward.  Records are keyed by their
-        offset from ``epoch``, so an instant is ``timedelta(hours=t_h)``,
-        rounded to the microsecond as datetime arithmetic is.
+        The returned function maps an array of instants to an array of
+        prices.  The price in force at an instant is the latest record at or
+        before it; the first record extends backward.  Records are keyed by
+        their offset from ``epoch`` in microseconds, and an instant is
+        rounded to the microsecond as ``timedelta(hours=t_h)`` rounds it:
+        whole hours exactly, the fraction times 3.6e9 split into whole and
+        leftover microseconds, and the leftover rounded to nearest with a
+        tie going to the even total.
         """
-        offsets = [r.timestamp - epoch for r in self.records]
-        prices = [r.price for r in self.records]
+        offsets_us = np.array([(r.timestamp - epoch) // timedelta(microseconds=1)
+                               for r in self.records], dtype=np.int64)
+        prices = np.array([r.price for r in self.records])
 
-        def fn(t_h: float) -> float:
-            idx = bisect.bisect_right(offsets, timedelta(hours=t_h)) - 1
-            return prices[max(idx, 0)]
+        def fn(t_h):
+            t_h = np.asarray(t_h, dtype=float)
+            if not (np.abs(t_h) < 2.0**31).all():
+                raise ValueError("instants must be finite hours within +-2**31")
+            frac_h, whole_h = np.modf(t_h)
+            leftover, whole_us = np.modf(frac_h * 3.6e9)
+            us = whole_h.astype(np.int64) * 3_600_000_000 + whole_us.astype(np.int64)
+            # rint sends every leftover but a tie, +-0.5, to the nearest
+            # microsecond; a tie goes to the even total.
+            step = np.where(np.abs(leftover) == 0.5, np.sign(leftover) * (us & 1),
+                            np.rint(leftover))
+            idx = offsets_us.searchsorted(us + step.astype(np.int64), side="right") - 1
+            return prices[np.maximum(idx, 0)]
 
         return fn
 

@@ -186,7 +186,7 @@ def build_instance(
     tasks: Sequence[ChargingTask],
     t_s: float,
     dt: float,
-    prices_fn: Callable[[float], float],
+    prices_fn: Callable[[np.ndarray], np.ndarray],
     i_max: float,
     ic_max: float,
     voltage: float,
@@ -197,8 +197,8 @@ def build_instance(
 ) -> ProblemInstance:
     """Assemble a frozen instance from fleet state.
 
-    ``prices_fn`` maps an absolute time in hours to the price in force at
-    that instant; it is sampled once at each slot start.
+    ``prices_fn`` maps an array of absolute times in hours to the prices
+    in force at those instants; it is called once, with every slot start.
     """
     if not 0.0 < i_max <= ic_max:
         raise ValueError("require 0 < i_max <= ic_max")
@@ -235,7 +235,9 @@ def build_instance(
         0.0,
     )
 
-    wep = np.array([prices_fn(t_s + i * dt) for i in range(horizon)])
+    wep = np.asarray(prices_fn(t_s + np.arange(horizon) * dt), dtype=float)
+    if wep.shape != (horizon,):
+        raise ValueError("prices_fn must return one price per slot start")
     if not np.all(np.isfinite(wep)):
         raise ValueError("prices must be finite")
     if np.any(wep < 0):

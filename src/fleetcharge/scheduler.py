@@ -43,7 +43,7 @@ __all__ = [
     "apply_slot",
 ]
 
-ZERO_PRICES = lambda t: 0.0  # noqa: E731  (feasibility and baseline ignore prices)
+ZERO_PRICES = np.zeros_like  # feasibility and baseline ignore prices
 
 
 class SocOverflowError(RuntimeError):
@@ -114,7 +114,7 @@ def _instance_from_state(
     state: FleetState,
     limits: StationLimits,
     weights: tuple,
-    prices_fn: Callable[[float], float],
+    prices_fn: Callable[[np.ndarray], np.ndarray],
     extra_task: ChargingTask | None = None,
 ) -> ProblemInstance:
     tasks = state.current_tasks()
@@ -138,7 +138,7 @@ def _instance_from_state(
 def baseline_schedule(
     state: FleetState,
     limits: StationLimits,
-    prices_fn: Callable[[float], float] = ZERO_PRICES,
+    prices_fn: Callable[[np.ndarray], np.ndarray] = ZERO_PRICES,
 ):
     """Business-as-usual schedule, :func:`max_power_allocation`; returns
     (allocation, instance)."""
@@ -150,7 +150,7 @@ def proposed_schedule(
     state: FleetState,
     weights: tuple,
     limits: StationLimits,
-    prices_fn: Callable[[float], float],
+    prices_fn: Callable[[np.ndarray], np.ndarray],
 ):
     """Optimized schedule; returns (allocation, solve report, instance).
 

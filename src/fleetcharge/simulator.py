@@ -186,7 +186,7 @@ def _advance(
 def _reschedule(
     state: FleetState,
     config: SimConfig,
-    prices_fn: Callable[[float], float],
+    prices_fn: Callable[[np.ndarray], np.ndarray],
     result: RunResult,
 ) -> tuple[ProblemInstance, np.ndarray]:
     policy = config.policy
@@ -203,7 +203,7 @@ def _reschedule(
 
 def run(
     events: list,
-    prices_fn: Callable[[float], float],
+    prices_fn: Callable[[np.ndarray], np.ndarray],
     config: SimConfig,
 ) -> RunResult:
     """Replay an event list under one policy and accumulate metrics.

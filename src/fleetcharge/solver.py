@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize._highspy import _core as highs
 
 from .fade import BranchCoefficients
 from .problem import (
@@ -97,6 +95,8 @@ class SolveReport:
 
 def _lp_matrices(inst: ProblemInstance):
     """Sparse A_ub, b_ub and variable bounds of the schedule polytope."""
+    from scipy import sparse
+
     h, n = inst.horizon, inst.n_vehicles
     size = h * n
     ub = np.where(inst.active, inst.i_max, 0.0).ravel()
@@ -123,10 +123,14 @@ class _LinearProgram:
     afresh with its cost, so each LP starts cold and returns the vertex a
     fresh model would, whatever was solved before.  Changing the cost in
     place and clearing the solver is not enough: HiGHS keeps state that can
-    move a later LP's optimal vertex.
+    move a later LP's optimal vertex.  scipy's HiGHS binding is imported
+    here rather than with the package, so a run that builds no LP (the
+    baseline replay) never loads it.
     """
 
     def __init__(self, inst: ProblemInstance):
+        from scipy.optimize._highspy import _core as highs
+
         self.inst = inst
         self.size = inst.horizon * inst.n_vehicles
         if self.size == 0:
@@ -153,6 +157,8 @@ class _LinearProgram:
         self.model.passOptions(options)
 
     def __call__(self, c: np.ndarray) -> np.ndarray | None:
+        from scipy.optimize._highspy import _core as highs
+
         inst = self.inst
         if self.size == 0:
             return inst.empty_allocation()

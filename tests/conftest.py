@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fleetcharge.fade import FadeModelParams
@@ -28,6 +29,13 @@ def fixture_paths():
     }
 
 
+def price_fn(prices):
+    """A price function over arrays of instants, as ``build_instance`` and
+    the simulator call it, from a flat price or a per-instant callable."""
+    one = prices if callable(prices) else (lambda t: prices)
+    return lambda t_h: np.array([one(t) for t in t_h.tolist()], dtype=float)
+
+
 def make_instance(
     tasks,
     prices=0.10,
@@ -41,13 +49,12 @@ def make_instance(
     weights=(1.0, 1.0, 1.0),
     params=None,
 ):
-    """Small-instance builder with scalar or callable prices."""
-    prices_fn = prices if callable(prices) else (lambda t, p=prices: p)
+    """Small-instance builder with a flat price or a per-instant callable."""
     return build_instance(
         tasks,
         t_s=t_s,
         dt=dt,
-        prices_fn=prices_fn,
+        prices_fn=price_fn(prices),
         i_max=i_max,
         ic_max=ic_max,
         voltage=voltage,

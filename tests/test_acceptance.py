@@ -26,7 +26,7 @@ from fleetcharge.scheduler import (
 from fleetcharge.simulator import run
 from fleetcharge.solver import feasibility_check, oracle_grid_search, solve
 
-from conftest import make_instance
+from conftest import make_instance, price_fn
 
 
 def verdict(num, ok, detail):
@@ -203,8 +203,8 @@ def test_criterion_6_deferred_charging():
     task = ChargingTask("v", 0.0, 10.0, 0.4, 0.75)
     state = FleetState(now=0.0)
     state.vehicles["v"] = VehicleState(task=task, soc_cur=0.4)
-    base_alloc, _ = baseline_schedule(state, limits, lambda t: 0.1)
-    prop_alloc, _, _ = proposed_schedule(state, (0.0, 1.0, 0.0), limits, lambda t: 0.1)
+    base_alloc, _ = baseline_schedule(state, limits, price_fn(0.1))
+    prop_alloc, _, _ = proposed_schedule(state, (0.0, 1.0, 0.0), limits, price_fn(0.1))
 
     def mean_slot(a):
         w = a.sum(axis=1)

@@ -1,6 +1,9 @@
 """Command-line driver tests on a small two-session log."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,8 @@ import pytest
 from fleetcharge import cli
 from fleetcharge.cli import main
 from fleetcharge.ingest import parse_sessions
+
+from conftest import ROOT
 
 SESSIONS = """\
 session_id,connection_time,disconnect_time,kwh_requested,space_id
@@ -189,3 +194,42 @@ class TestValidateFade:
         assert report["hi"]["n_points"] == 2
         assert "R^2 = n/a over 0 points" in (out / "fade_validation.txt").read_text()
         assert "n/a" in capsys.readouterr().out
+
+
+_LP_STACK_PROBE = """
+import sys
+
+import fleetcharge
+import fleetcharge.cli
+
+week, out = sys.argv[1], sys.argv[2]
+rc = fleetcharge.cli.main(["simulate", "--policy", "baseline",
+                           "--sessions", f"{week}/sessions_week.csv",
+                           "--prices", f"{week}/prices_week.csv",
+                           "--config", f"{week}/config_week.cfg", "--out", out])
+print(rc, "scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
+
+from fleetcharge.fade import FadeModelParams
+from fleetcharge.problem import ChargingTask, build_instance
+from fleetcharge.scheduler import ZERO_PRICES
+from fleetcharge.solver import feasibility_check
+
+inst = build_instance([ChargingTask("A", 0.0, 4.0, 0.4, 0.8)], t_s=0.0, dt=0.5,
+                      prices_fn=ZERO_PRICES, i_max=80.0, ic_max=400.0, voltage=410.0,
+                      c_bat=210.0, soc_xtra_ah=0.0, weights=(1.0, 1.0, 1.0),
+                      fade_params=FadeModelParams())
+print(feasibility_check(inst).feasible, "scipy.optimize" in sys.modules)
+"""
+
+
+def test_baseline_replay_never_loads_the_lp_stack(tmp_path):
+    """Importing the package and its CLI and replaying the week under the
+    baseline load neither ``scipy.optimize`` nor ``scipy.sparse``; the first
+    LP does.  A fresh interpreter, so no other test has imported scipy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LP_STACK_PROBE, str(ROOT / "fixtures"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert done.stdout.splitlines()[-2:] == ["0 False False", "True True"]

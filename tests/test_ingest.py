@@ -1,7 +1,9 @@
 """Ingest tests: session/price parsing, config loading, round trips."""
 
-from datetime import datetime, timezone
+import bisect
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from fleetcharge.ingest import (
@@ -159,6 +161,60 @@ class TestParsePrices:
         assert t_h < 1.0
         assert fn(t_h) == 0.20
         assert fn(1.0 - 1e-9) == 0.10  # 3.6 us before the step
+
+    def test_array_lookup_follows_the_timedelta_rule(self):
+        """One call over an array of instants gives, for each, the record a
+        ``bisect`` over ``timedelta`` offsets picks: on uniform hours, on
+        instants whose microsecond count is an exact half (both parities,
+        both signs) amid records one microsecond apart, within two ulps of
+        every record and before the first."""
+        rng = np.random.default_rng(20)
+        hour_us = 3_600_000_000
+        epoch = datetime(2021, 5, 3, 7, 13, 5, 250001, tzinfo=UTC)
+        # Ties are exact only where the fraction of an hour times 3.6e9 rounds
+        # to a half: near zero, or late in an hour whose ulp is small.
+        bases = [-100, -7 * hour_us - 2_900_000_000, -hour_us - 3_000_000_000,
+                 2 * hour_us + 3_100_000_000, 6 * hour_us + 2_500_000_000,
+                 300 * hour_us + 3_300_000_000]
+        blocks = [base + np.arange(200) for base in bases]
+        us = np.unique(np.concatenate([rng.integers(-10 * hour_us, 800 * hour_us, 300),
+                                       *blocks]))
+        records = tuple(PriceRecord(epoch + timedelta(microseconds=int(u)), 0.001 * k)
+                        for k, u in enumerate(us))
+        offsets = [r.timestamp - epoch for r in records]
+
+        def reference(t_h):
+            idx = bisect.bisect_right(offsets, timedelta(hours=t_h)) - 1
+            return records[max(idx, 0)].price
+
+        def ulps_around(t_h, n):
+            out = [t_h]
+            for direction in (np.inf, -np.inf):
+                b = t_h
+                for _ in range(n):
+                    b = np.nextafter(b, direction)
+                    out.append(b)
+            return np.concatenate(out)
+
+        near = ulps_around((np.concatenate(blocks) + 0.5) / 3.6e9, 40)
+        leftover = np.modf(np.modf(near)[0] * 3.6e9)[0]
+        halves = near[np.abs(leftover) == 0.5]
+        truncated = np.trunc(halves * 3.6e9).astype(np.int64)
+        assert len(halves) > 400 and np.any(halves < -1.0) and np.any(halves > 300.0)
+        assert np.any(truncated % 2 == 0) and np.any(truncated % 2 == 1)
+        bounds = np.array([o / timedelta(hours=1) for o in offsets])
+        t_h = np.concatenate([rng.uniform(-50.0, 800.0, 100_000), halves,
+                              ulps_around(bounds, 2), np.linspace(-1e4, bounds[0], 50)])
+        got = PriceCurve(records=records).as_fn(epoch)(t_h)
+        want = np.array([reference(t) for t in t_h.tolist()])
+        assert got.shape == t_h.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("t_h", [np.nan, np.inf, -2.0**31])
+    def test_instant_out_of_range_rejected(self, t_h):
+        curve = PriceCurve(records=(PriceRecord(datetime(2021, 5, 3, tzinfo=UTC), 0.1),))
+        with pytest.raises(ValueError, match="instants"):
+            curve.as_fn(datetime(2021, 5, 3, tzinfo=UTC))(np.array([0.0, t_h]))
 
     def test_extends_both_directions(self, tmp_path):
         p = write(tmp_path / "p.csv",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetcharge.fade import FadeModelParams
 from fleetcharge.problem import (
     COMPONENTS,
     NORMALIZATION_EPS,
@@ -16,6 +17,7 @@ from fleetcharge.problem import (
     ObjectiveBreakdown,
     availability_weights,
     build_constraints,
+    build_instance,
     charging_period,
     compute_normalization_points,
     fade_terms,
@@ -130,6 +132,15 @@ class TestTaskAndPrices:
         with pytest.raises(ValueError, match="prices must be finite"):
             make_instance([ChargingTask("v", 0.0, 1.0, 0.4, 0.8)],
                           prices=lambda t: prices[t])
+
+    def test_one_price_per_slot_start_required(self):
+        """The price function takes the array of slot starts; one returning
+        a single number is rejected, not broadcast."""
+        with pytest.raises(ValueError, match="one price per slot start"):
+            build_instance([ChargingTask("v", 0.0, 1.0, 0.4, 0.8)], t_s=0.0, dt=0.5,
+                           prices_fn=lambda t: 0.1, i_max=80.0, ic_max=400.0,
+                           voltage=410.0, c_bat=210.0, soc_xtra_ah=0.0,
+                           weights=(1.0, 1.0, 1.0), fade_params=FadeModelParams())
 
 
 class TestBuildInstance:

@@ -17,6 +17,8 @@ from fleetcharge.scheduler import (
     proposed_schedule,
 )
 
+from conftest import price_fn
+
 
 def limits(**over):
     base = dict(dt=1.0, i_max=50.0, ic_max=100.0, voltage=400.0, c_bat=200.0,
@@ -115,7 +117,7 @@ class TestAdmission:
             )
             if admit_task(task, state, lm).accepted:
                 state.vehicles[task.vehicle_id] = VehicleState(task, task.soc_start)
-        alloc, rep, inst = proposed_schedule(state, (1, 1, 1), lm, lambda t: 0.1)
+        alloc, rep, inst = proposed_schedule(state, (1, 1, 1), lm, price_fn(0.1))
         assert alloc is not None
         assert rep.status != "infeasible"
 
@@ -123,14 +125,14 @@ class TestAdmission:
 class TestProposedSchedule:
     def test_empty_state(self):
         alloc, rep, inst = proposed_schedule(
-            FleetState(now=0.0), (1, 1, 1), limits(), lambda t: 0.1
+            FleetState(now=0.0), (1, 1, 1), limits(), price_fn(0.1)
         )
         assert alloc.shape == (0, 0)
 
     def test_availability_weights_load_earliest(self):
         task = ChargingTask("v", 0.0, 4.0, 0.5, 0.75)
         state = fleet(0.0, (task, 0.5))
-        alloc, _, _ = proposed_schedule(state, (0, 0, 1), limits(), lambda t: 0.1)
+        alloc, _, _ = proposed_schedule(state, (0, 0, 1), limits(), price_fn(0.1))
         assert alloc[0, 0] == pytest.approx(50.0)
 
     def test_fade_weights_defer_charge(self):
@@ -140,7 +142,7 @@ class TestProposedSchedule:
         state = fleet(0.0, (task, 0.4))
         lm = limits()
         base_alloc, _ = baseline_schedule(state, lm)
-        prop_alloc, _, _ = proposed_schedule(state, (0, 1, 0), lm, lambda t: 0.1)
+        prop_alloc, _, _ = proposed_schedule(state, (0, 1, 0), lm, price_fn(0.1))
 
         def mean_slot(a):
             weights = a.sum(axis=1)
@@ -153,7 +155,7 @@ class TestApplySlot:
     def _single(self, soc=0.5, t_dep=4.0):
         task = ChargingTask("v", 0.0, t_dep, soc, 0.9)
         state = fleet(0.0, (task, soc))
-        _, inst = baseline_schedule(state, limits(dt=0.5), lambda t: 0.2)
+        _, inst = baseline_schedule(state, limits(dt=0.5), price_fn(0.2))
         return state, inst
 
     def test_idle_slot(self):
@@ -196,7 +198,7 @@ class TestApplySlot:
         tasks = {vid: ChargingTask(vid, 0.0, 0.25 if vid == "short" else 4.0, soc, 0.9)
                  for vid, soc in socs.items()}
         state = fleet(0.0, *((tasks[vid], soc) for vid, soc in socs.items()))
-        _, inst = baseline_schedule(state, limits(dt=0.5, ic_max=400.0), lambda t: 0.2)
+        _, inst = baseline_schedule(state, limits(dt=0.5, ic_max=400.0), price_fn(0.2))
         amps = {"gone": 20.0, "short": 40.0, "idle": 0.0, "hi": 50.0, "lo": 30.0}
         alloc = np.zeros((inst.horizon, len(inst.tasks)))
         alloc[0] = [amps[t.vehicle_id] for t in inst.tasks]
@@ -225,7 +227,7 @@ class TestApplySlot:
                  for vid, soc in socs.items()}
         state = fleet(0.0, *((tasks[vid], soc) for vid, soc in socs.items()))
         _, inst = baseline_schedule(state, limits(dt=0.5, ic_max=400.0, voltage=410.0),
-                                    lambda t: 0.137)
+                                    price_fn(0.137))
         amps = {"lo": 31.7, "hi": 50.0, "idle": 0.0, "full": 50.0000001, "short": 41.3}
         alloc = np.zeros((inst.horizon, len(inst.tasks)))
         alloc[0] = [amps[t.vehicle_id] for t in inst.tasks]
@@ -256,7 +258,7 @@ class TestApplySlot:
         first = ChargingTask("first", 0.0, 2.0, 0.5, 0.9)
         second = ChargingTask("second", 0.0, 4.0, 0.99, 1.0)
         state = fleet(0.0, (first, 0.5), (second, 0.99))
-        _, inst = baseline_schedule(state, limits(dt=0.5), lambda t: 0.2)
+        _, inst = baseline_schedule(state, limits(dt=0.5), price_fn(0.2))
         assert [t.vehicle_id for t in inst.tasks] == ["first", "second"]
         alloc = np.zeros((inst.horizon, 2))
         alloc[0] = [50.0, 50.0]

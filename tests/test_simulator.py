@@ -21,6 +21,8 @@ from fleetcharge.simulator import (
     value_loss,
 )
 
+from conftest import price_fn
+
 # Golden totals for the three-session mini fixture below, frozen from the
 # first run after hand-auditing the opening ledger rows (the first
 # baseline row is 80 A for 0.5 h at $0.030/kWh: 16.4 kWh -> $0.492).
@@ -40,7 +42,7 @@ GOLDEN_PROPOSED = dict(
 )
 
 
-def day_prices(t):
+def day_price(t):
     h = t % 24
     if h < 6:
         return 0.030
@@ -53,6 +55,9 @@ def day_prices(t):
     if h < 21:
         return 0.125
     return 0.055
+
+
+day_prices = price_fn(day_price)
 
 
 def mini_events():
@@ -129,7 +134,7 @@ class TestRunBasics:
             Event(time_h=6.0, kind="departure", vehicle_id="v"),
         ]
         cfg = config("baseline")
-        res = run(events, lambda t: 0.1, cfg)
+        res = run(events, price_fn(0.1), cfg)
         energy_kwh = (1.0 - 0.4) * 210.0 * 410.0 / 1000.0
         assert res.metrics.total_charging_cost == pytest.approx(0.1 * energy_kwh)
         # 126 Ah at 80 A on half-hour slots: 3 full slots and one partial
@@ -253,7 +258,7 @@ class TestRejection:
         time and every departure lands in its SoC band."""
         cfg = SimConfig(dt=1.0, ic_max=80.0, policy=Policy("proposed"))
         events = rejection_log(cfg)
-        res = run(events, lambda t: 0.05, cfg)
+        res = run(events, price_fn(0.05), cfg)
         assert res.metrics.n_rejected == 1 and len(res.rejected) == 1
         rejected = res.rejected[0][0].vehicle_id
         assert sorted(d.vehicle_id for d in res.departures) == sorted(

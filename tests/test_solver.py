@@ -107,7 +107,7 @@ class TestFeasibilityCheck:
         verdict solves the zero-cost LP byte for byte: same verdict, same
         vertex."""
         for inst in TestLinearProgram._instances():
-            inst = dataclasses.replace(inst, wep=np.array([ZERO_PRICES(t) for t in inst.wep]))
+            inst = dataclasses.replace(inst, wep=ZERO_PRICES(inst.wep))
             zero = inst.empty_allocation()
             assert _cost_coeffs(inst).tobytes() == zero.tobytes()
             got, ref = feasibility_check(inst), _LinearProgram(inst)(zero)
