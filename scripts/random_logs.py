@@ -66,7 +66,7 @@ def replay(log: tuple, kind: str):
     for vid, t0, t1, s0, s1 in specs:
         events.append(Event(time_h=t0, kind="arrival", task=ChargingTask(vid, t0, t1, s0, s1)))
         events.append(Event(time_h=t1, kind="departure", vehicle_id=vid))
-    return run(events, day_prices, cfg)
+    return run(events, lambda t_h: [day_prices(t) for t in t_h.tolist()], cfg)
 
 
 def overlaps(ledger) -> bool:

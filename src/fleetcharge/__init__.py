@@ -44,7 +44,6 @@ from .simulator import (
 from .solver import (
     SolveReport,
     feasibility_check,
-    oracle_grid_search,
     single_objective_minimizer,
     solve,
 )

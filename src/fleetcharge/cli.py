@@ -231,10 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, prices=True):
+    def add_io(p):
         p.add_argument("--sessions", required=True, help="session CSV file")
-        if prices:
-            p.add_argument("--prices", required=True, help="price CSV file")
+        p.add_argument("--prices", required=True, help="price CSV file")
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--out", required=True, help="output directory")
 

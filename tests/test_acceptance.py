@@ -24,9 +24,10 @@ from fleetcharge.scheduler import (
     proposed_schedule,
 )
 from fleetcharge.simulator import run
-from fleetcharge.solver import feasibility_check, oracle_grid_search, solve
+from fleetcharge.solver import feasibility_check, solve
 
 from conftest import make_instance, price_fn
+from oracles import oracle_grid_search
 
 
 def verdict(num, ok, detail):

@@ -27,7 +27,6 @@ import fleetcharge.solver as solver_module
 from fleetcharge.solver import (
     _MOVE_POLISH_CELLS,
     _SWAP_POLISH_ACTIVES,
-    OracleError,
     SolveStatus,
     _BestTracker,
     _avail_coeffs,
@@ -49,12 +48,12 @@ from fleetcharge.solver import (
     _repair_exact,
     _Surrogate,
     feasibility_check,
-    oracle_grid_search,
     single_objective_minimizer,
     solve,
 )
 
 from conftest import make_instance
+from oracles import OracleError, oracle_grid_search
 
 
 def _points(inst):
