@@ -95,10 +95,17 @@ class FadeModelParams:
     branch_slope: float = 480.0  # A per unit of initial SoC
     p1: float = 0.0001347        # calendric slope, Ah per unit SoC
     p2: float = 0.00005356       # calendric intercept, Ah
+    # (2, 5): the HI then the LO branch's coefficients in field order,
+    # built from the two branches once; read-only
+    branch_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.branch_slope <= 0:
             raise ValueError("branch_slope must be > 0")
+        table = np.array([[c.p00, c.p10, c.p01, c.p11, c.p02]
+                          for c in (self.branch_hi, self.branch_lo)])
+        table.flags.writeable = False
+        object.__setattr__(self, "branch_table", table)
 
     def is_hi(self, current, soc_init):
         """The branch rule, for scalars or arrays: a slot charges on the HI
@@ -109,9 +116,7 @@ class FadeModelParams:
     def branch_coefficients(self, is_hi) -> np.ndarray:
         """Per-cell coefficients stacked in field order, shaped (5, *shape
         of ``is_hi``): the HI branch where ``is_hi``, else LO."""
-        hi, lo = np.array([[c.p00, c.p10, c.p01, c.p11, c.p02]
-                           for c in (self.branch_hi, self.branch_lo)]
-                          ).reshape((2, 5) + (1,) * np.ndim(is_hi))
+        hi, lo = self.branch_table.reshape((2, 5) + (1,) * np.ndim(is_hi))
         return np.where(is_hi, hi, lo)
 
     def calendric(self, soc_avg):

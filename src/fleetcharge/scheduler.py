@@ -13,8 +13,10 @@ a linear feasibility solve succeeds for the whole resulting fleet.
 
 from __future__ import annotations
 
+import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,6 +38,8 @@ __all__ = [
     "FleetState",
     "Admission",
     "LedgerEntry",
+    "SlotColumns",
+    "Ledger",
     "SocOverflowError",
     "baseline_schedule",
     "proposed_schedule",
@@ -200,23 +204,86 @@ class LedgerEntry(NamedTuple):
     fade_approx_ah: float  # quadratic cyclic + calendric
 
 
+class SlotColumns(NamedTuple):
+    """The rows of one applied slot as columns, in vehicle order: the
+    vehicle ids, and per numeric :class:`LedgerEntry` field (same names,
+    same order) a float64 array."""
+
+    time_h: np.ndarray
+    vehicle_id: list
+    duration_h: np.ndarray
+    current_a: np.ndarray
+    power_kw: np.ndarray
+    price_usd_per_kwh: np.ndarray
+    cost_usd: np.ndarray
+    energy_ah: np.ndarray
+    soc: np.ndarray
+    fade_exact_ah: np.ndarray
+    fade_approx_ah: np.ndarray
+
+
+class Ledger(Sequence):
+    """Time-ordered :class:`LedgerEntry` rows, stored as columns.
+
+    Each numeric field is one ``array("d")`` and the vehicle ids one list,
+    so a replay keeps no Python object per row for the garbage collector to
+    walk.  It has a ``len``, and its rows are read by indexing, iteration
+    and ``==`` against any sequence of rows, each built as it is read.
+    """
+
+    __slots__ = ("_ids", "_floats")
+
+    def __init__(self):
+        self._ids: list = []
+        self._floats = tuple(array("d") for _ in range(len(LedgerEntry._fields) - 1))
+
+    def append(self, slot: SlotColumns):
+        """Append one slot's rows after the rows held, in the slot's order."""
+        time_h, ids, *rest = slot
+        self._ids.extend(ids)
+        for store, col in zip(self._floats, (time_h, *rest)):
+            store.frombytes(np.asarray(col, dtype=np.float64).tobytes())
+
+    def _columns(self) -> tuple:
+        time_h, *rest = self._floats
+        return (time_h, self._ids, *rest)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i) -> LedgerEntry:
+        i = operator.index(i)  # one row: slices are not supported
+        return LedgerEntry._make(c[i] for c in self._columns())
+
+    def __iter__(self):
+        return map(LedgerEntry, *self._columns())
+
+    def __eq__(self, other):
+        try:
+            n = len(other)
+        except TypeError:
+            return NotImplemented
+        return n == len(self) and all(map(operator.eq, self, other))
+
+
 def apply_slot(
     state: FleetState,
     alloc: np.ndarray,
     slot_index: int,
     inst: ProblemInstance,
     duration: float | None = None,
-) -> tuple[LedgerEntry, ...]:
+) -> SlotColumns:
     """Advance the fleet through one slot of a schedule.
 
-    Mutates the state in place (SoC recursion, clock) and returns one
-    :class:`LedgerEntry` per plugged vehicle present in the slot, in
-    vehicle order.  ``duration`` truncates the slot when an event falls
-    inside it; each vehicle is charged for its own presence within that
-    window.  Calendric fade is pro-rated by the fraction of a full slot
-    realized.  The slot's vehicles are checked together before any state
-    changes; each fade kernel runs once over all of them, and each row field
-    is a column computed over all of them.
+    Mutates the state in place (SoC recursion, clock) and returns the rows
+    of the plugged vehicles present in the slot, in vehicle order, as
+    :class:`SlotColumns` (a :class:`Ledger` reads them back as
+    :class:`LedgerEntry` rows).  ``duration`` truncates the slot when an
+    event falls inside it; each vehicle is charged for its own presence
+    within that window.  Calendric fade is pro-rated by the fraction of a
+    full slot realized.  The slot's vehicles are checked together before
+    any state changes; each fade kernel runs once over all of them, and
+    each column is computed over all of them.
     """
     if not 0 <= slot_index < inst.horizon:
         raise IndexError(f"slot {slot_index} outside allocation horizon {inst.horizon}")
@@ -249,13 +316,12 @@ def apply_slot(
     slot_t = inst.grid.slot_start(slot_index)
     price = float(inst.wep[slot_index])
     kwh = ah * inst.voltage / 1000.0
-    soc_out = np.minimum(soc_new, 1.0).tolist()
-    entries = tuple(map(
-        LedgerEntry, repeat(slot_t), ids, d.tolist(), amps.tolist(),
-        (amps * inst.voltage / 1000.0).tolist(), repeat(price), (kwh * price).tolist(),
-        ah.tolist(), soc_out, (exact + cal).tolist(), (approx + cal).tolist(),
-    ))
-    for vs, s in zip(present, soc_out):
+    soc_out = np.minimum(soc_new, 1.0)
+    for vs, s in zip(present, soc_out.tolist()):
         vs.soc_cur = s
     state.now = slot_t + window
-    return entries
+    n = len(ids)
+    return SlotColumns(
+        np.full(n, slot_t), ids, d, amps, amps * inst.voltage / 1000.0,
+        np.full(n, price), kwh * price, ah, soc_out, exact + cal, approx + cal,
+    )

@@ -5,12 +5,16 @@ then answered with a fresh schedule anchored at the event time, generated
 with the active policy.  So each plan is walked once, from its anchor to
 the next event: its whole slots that end by then, and the part of the slot
 that holds the event.  Realized charging is accounted per slot and vehicle
-in a ledger, from which the performance metrics are accumulated.
+in a :class:`~fleetcharge.scheduler.Ledger`, which keeps its rows as float
+columns and builds a row only when one is read; the performance metrics are
+accumulated from each slot's columns as it is appended.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -19,6 +23,7 @@ from .problem import ChargingTask, ProblemInstance
 from .scheduler import (
     Admission,
     FleetState,
+    Ledger,
     Policy,
     StationLimits,
     VehicleState,
@@ -123,7 +128,7 @@ class DepartureRecord:
 @dataclass
 class RunResult:
     metrics: MetricsReport
-    ledger: list                      # LedgerEntry, time-ordered
+    ledger: Ledger
     departures: list                  # DepartureRecord
     rejected: list                    # (ChargingTask, reason)
 
@@ -146,6 +151,12 @@ def value_loss(fade_ah: float, config: SimConfig) -> float:
     return config.battery_cost_usd * fade_ah / config.c_bat
 
 
+def _add_in_order(total: float, column: np.ndarray) -> float:
+    """``total`` plus each value of ``column`` one at a time, in order: a
+    pairwise or compensated sum would change its bits."""
+    return reduce(add, column.tolist(), total)
+
+
 def _advance(
     state: FleetState,
     schedule: tuple[ProblemInstance, np.ndarray] | None,
@@ -158,8 +169,7 @@ def _advance(
 
     A slot applies whole when it ends by ``until``; the slot that holds the
     event applies up to it, measured from the clock :func:`apply_slot` left.
-    Each metric total adds the rows one at a time, in ledger order: a
-    pairwise or compensated sum would change its bits.
+    Each metric total adds the slot's columns in row order.
     """
     if until > state.now + 1e-12:
         inst, alloc = schedule
@@ -168,16 +178,16 @@ def _advance(
         for i in range(inst.horizon):
             slot_end = inst.grid.slot_start(i) + inst.grid.dt
             duration = None if slot_end <= until else until - state.now
-            rows = apply_slot(state, alloc, i, inst, duration=duration)
-            result.ledger.extend(rows)
-            for e in rows:
-                m.total_charging_cost += e.cost_usd
-                m.total_fade_exact += e.fade_exact_ah
-                m.total_fade_approx += e.fade_approx_ah
-                if e.current_a > ACTIVE_CURRENT_EPS:
-                    m.total_charging_time += e.duration_h
-                if e.current_a > peak_amps:
-                    m.total_peak_power_period += e.duration_h
+            slot = apply_slot(state, alloc, i, inst, duration=duration)
+            result.ledger.append(slot)
+            amps, hours = slot.current_a, slot.duration_h
+            m.total_charging_cost = _add_in_order(m.total_charging_cost, slot.cost_usd)
+            m.total_fade_exact = _add_in_order(m.total_fade_exact, slot.fade_exact_ah)
+            m.total_fade_approx = _add_in_order(m.total_fade_approx, slot.fade_approx_ah)
+            m.total_charging_time = _add_in_order(
+                m.total_charging_time, hours[amps > ACTIVE_CURRENT_EPS])
+            m.total_peak_power_period = _add_in_order(
+                m.total_peak_power_period, hours[amps > peak_amps])
             if slot_end >= until:
                 break
     state.now = until
@@ -214,7 +224,7 @@ def run(
     """
     events = sorted(events, key=event_sort_key)
     result = RunResult(
-        metrics=MetricsReport(), ledger=[], departures=[], rejected=[]
+        metrics=MetricsReport(), ledger=Ledger(), departures=[], rejected=[]
     )
     if not events:
         return result

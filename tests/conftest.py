@@ -7,6 +7,7 @@ import pytest
 
 from fleetcharge.fade import FadeModelParams
 from fleetcharge.problem import ChargingTask, build_instance
+from fleetcharge.scheduler import Ledger, apply_slot
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -34,6 +35,14 @@ def price_fn(prices):
     the simulator call it, from a flat price or a per-instant callable."""
     one = prices if callable(prices) else (lambda t: prices)
     return lambda t_h: np.array([one(t) for t in t_h.tolist()], dtype=float)
+
+
+def slot_rows(*args, **kwargs) -> Ledger:
+    """The rows of one :func:`apply_slot` call, read back through a
+    :class:`Ledger`; takes ``apply_slot``'s arguments."""
+    ledger = Ledger()
+    ledger.append(apply_slot(*args, **kwargs))
+    return ledger
 
 
 def make_instance(

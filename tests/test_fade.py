@@ -193,6 +193,25 @@ class TestBranchCoefficients:
         assert params.branch_coefficients(True).tolist() == list(
             dataclasses.astuple(params.branch_hi))
 
+    def test_table_is_the_spelled_out_coefficients(self):
+        """The table built with the params holds the HI then the LO
+        coefficients; a scalar and an array branch select from it, and it
+        takes no part in ``repr``, equality or hashing."""
+        hi = [4.169e-6, -9.871e-5, 1.63e-6, 2.661e-6, -5.757e-9]
+        lo = [6.886e-6, -1.075e-5, 1.361e-6, 6.348e-7, -1.902e-10]
+        params = FadeModelParams()
+        assert params.branch_table.tolist() == [hi, lo]
+        assert params.branch_coefficients(True).tolist() == hi
+        assert params.branch_coefficients(np.bool_(False)).tolist() == lo
+        is_hi = np.array([True, False, False, True])
+        assert params.branch_coefficients(is_hi).tolist() == [[h, l, l, h]
+                                                              for h, l in zip(hi, lo)]
+        swapped = FadeModelParams(branch_hi=params.branch_lo, branch_lo=params.branch_hi)
+        assert swapped.branch_table.tolist() == [lo, hi]
+        other = FadeModelParams()
+        assert other == params and hash(other) == hash(params)
+        assert swapped != params and "branch_table" not in repr(params)
+
 
 class TestCalendricFadeApprox:
     def test_intercept_exact(self, fade_params):

@@ -3,12 +3,15 @@
 ``perfbench/tracer.py`` replaces each ``(module, attribute)`` of its
 ``LAYERS`` with a timing wrapper, and ``perfbench/workloads.py``'s
 ``RescheduleProbe`` patches the policy functions the simulator calls and the
-CLI's simulator entry point and event digest.  A name dropped or renamed
-here would break the benchmark only when it runs.
+CLI's simulator entry point and event digest, and its ``depot-baseline``
+workload reads the rows of each run's ledger.  A name dropped or renamed, or
+a result shape changed, here would break the benchmark only when it runs.
 """
 
 import importlib
 import importlib.util
+import math
+import sys
 
 import pytest
 
@@ -17,6 +20,10 @@ from conftest import ROOT
 _spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
+_spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = workloads  # its dataclasses look their module up
+_spec.loader.exec_module(workloads)
 
 # The attributes RescheduleProbe.install patches.
 PROBED = [
@@ -37,3 +44,14 @@ def test_traced_layer_resolves(name, module, attr):
 @pytest.mark.parametrize("module, attr", PROBED, ids=[f"{m}.{a}" for m, a in PROBED])
 def test_probed_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_depot_ledger_rows_add_up(tmp_path):
+    """The ledger check of ``DepotBaseline.run_pass``: the run's ledger
+    iterates rows with a ``cost_usd`` that add up to the reported total."""
+    depot = workloads.DepotBaseline()
+    sim_config, events, prices_fn = depot.ingest(depot.prepare(ROOT, tmp_path, 1, tiny=True))
+    result = workloads.fc_simulator.run(events, prices_fn, sim_config)
+    ledger_cost = sum(e.cost_usd for e in result.ledger)
+    assert len(result.ledger) > 0 and ledger_cost > 0.0
+    assert math.isclose(ledger_cost, result.metrics.total_charging_cost, rel_tol=1e-9)

@@ -25,10 +25,10 @@ from fleetcharge.problem import (
     normalized_objective,
     objective_components,
 )
-from fleetcharge.scheduler import FleetState, VehicleState, apply_slot
+from fleetcharge.scheduler import FleetState, VehicleState
 from fleetcharge.solver import single_objective_minimizer
 
-from conftest import make_instance
+from conftest import make_instance, slot_rows
 
 # Frozen reference (independent summation over the 2x3 instance in conftest,
 # allocation below): cost in $, fade in Ah, availability in weighted W.
@@ -431,7 +431,7 @@ class TestFadeTerms:
 
         state = FleetState(now=0.0, vehicles={t.vehicle_id: VehicleState(t, t.soc_start)
                                               for t in inst.tasks})
-        rows = apply_slot(state, alloc, 0, inst)
+        rows = slot_rows(state, alloc, 0, inst)
         assert [e.vehicle_id for e in rows] == [t.vehicle_id for t in inst.tasks]
         assert [e.fade_approx_ah for e in rows] == (cyclic[0] + calendric[0]).tolist()
         is_hi = alloc[0] >= inst.fade_params.branch_slope * inst.soc_start

@@ -8,6 +8,9 @@ from fleetcharge.fade import FadeModelParams, InvalidSlotError, calendric_fade_a
 from fleetcharge.problem import ChargingTask
 from fleetcharge.scheduler import (
     FleetState,
+    Ledger,
+    LedgerEntry,
+    SlotColumns,
     SocOverflowError,
     StationLimits,
     VehicleState,
@@ -17,7 +20,7 @@ from fleetcharge.scheduler import (
     proposed_schedule,
 )
 
-from conftest import price_fn
+from conftest import price_fn, slot_rows
 
 
 def limits(**over):
@@ -160,7 +163,7 @@ class TestApplySlot:
 
     def test_idle_slot(self):
         state, inst = self._single()
-        ledger = apply_slot(state, np.zeros((inst.horizon, 1)), 0, inst)
+        ledger = slot_rows(state, np.zeros((inst.horizon, 1)), 0, inst)
         assert state.vehicles["v"].soc_cur == 0.5
         assert ledger[0].cost_usd == 0.0
         assert ledger[0].current_a == 0.0
@@ -180,7 +183,7 @@ class TestApplySlot:
         state, inst = self._single()
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = 30.0
-        ledger = apply_slot(state, alloc, 0, inst)
+        ledger = slot_rows(state, alloc, 0, inst)
         approx, soc_avg, _ = cyclic_fade_approx(0.5, 30.0, 0.5, 200.0, params)
         cal = calendric_fade_approx(soc_avg, params)
         entry = ledger[0]
@@ -206,7 +209,7 @@ class TestApplySlot:
         assert not inst.fade_params.is_hi(amps["lo"], socs["lo"])
         del state.vehicles["gone"]
 
-        rows = apply_slot(state, alloc, 0, inst, duration=0.4)
+        rows = slot_rows(state, alloc, 0, inst, duration=0.4)
         order = [t.vehicle_id for t in inst.tasks if t.vehicle_id != "gone"]
         assert [e.vehicle_id for e in rows] == order
         assert state.now == 0.4
@@ -214,7 +217,7 @@ class TestApplySlot:
         assert by_id["short"].duration_h == 0.25 and by_id["hi"].duration_h == 0.4
         for vid in order:
             alone = fleet(0.0, (tasks[vid], socs[vid]))
-            assert apply_slot(alone, alloc, 0, inst, duration=0.4) == (by_id[vid],)
+            assert slot_rows(alone, alloc, 0, inst, duration=0.4) == (by_id[vid],)
             assert alone.vehicles[vid].soc_cur == state.vehicles[vid].soc_cur
 
     def test_row_columns_equal_scalar_expressions(self):
@@ -234,7 +237,7 @@ class TestApplySlot:
         window = 0.4
         assert 1.0 < socs["full"] + amps["full"] * window / 200.0 <= 1.0 + 1e-9
 
-        rows = apply_slot(state, alloc, 0, inst, duration=window)
+        rows = slot_rows(state, alloc, 0, inst, duration=window)
         price = float(inst.wep[0])
         assert len(rows) == len(inst.tasks)
         for v, e in enumerate(rows):
@@ -291,7 +294,7 @@ class TestApplySlot:
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = 25.0
         soc_before = state.vehicles["v"].soc_cur
-        ledger = apply_slot(state, alloc, 0, inst)
+        ledger = slot_rows(state, alloc, 0, inst)
         delta = state.vehicles["v"].soc_cur - soc_before
         assert delta == pytest.approx(ledger[0].energy_ah / 200.0, rel=1e-12)
 
@@ -299,7 +302,7 @@ class TestApplySlot:
         state, inst = self._single()
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = 40.0
-        ledger = apply_slot(state, alloc, 0, inst, duration=0.25)
+        ledger = slot_rows(state, alloc, 0, inst, duration=0.25)
         assert ledger[0].energy_ah == pytest.approx(10.0)
         assert state.now == pytest.approx(0.25)
 
@@ -309,6 +312,56 @@ class TestApplySlot:
         alloc[0, 0] = 50.0  # 25 Ah on a 200 Ah pack: +0.125 SoC
         with pytest.raises(SocOverflowError):
             apply_slot(state, alloc, 0, inst)
+
+
+def slot_columns(rows):
+    """Hand-built rows as the columns ``apply_slot`` returns."""
+    cols = list(zip(*rows))
+    return SlotColumns(*(list(c) if name == "vehicle_id" else np.array(c)
+                         for name, c in zip(SlotColumns._fields, cols)))
+
+
+class TestLedger:
+    ROWS = [
+        LedgerEntry(9.5, "a", 0.5, 80.0, 32.8, 0.03, 0.492, 40.0, 0.6, 1.5e-3, 1.25e-3),
+        LedgerEntry(9.5, "b", 0.25, 0.0, 0.0, 0.03, 0.0, 0.0, 1.0, 6.0e-5, 6.0e-5),
+        LedgerEntry(10.0, "a", 0.1, 12.5, 5.125, 0.125, 0.0640625, 1.25, 0.61, 2e-4, 1e-4),
+    ]
+
+    def test_columns_match_the_row_type(self):
+        assert SlotColumns._fields == LedgerEntry._fields
+
+    def test_rows_read_back_equal_hand_built_rows(self):
+        """Each row read from the columns is the hand-built row, with
+        Python floats, also from an integer current column."""
+        ledger = Ledger()
+        ledger.append(slot_columns(self.ROWS[:2])._replace(current_a=np.array([80, 0])))
+        assert list(ledger) == self.ROWS[:2]
+        for row in ledger:
+            assert type(row) is LedgerEntry
+            assert [type(x) for x in row] == [float, str] + [float] * 9
+
+    def test_sequence_protocol_and_row_order(self):
+        """Appended slots read back in append order by ``len``, indexing,
+        iteration and ``==`` against rows held in any sequence."""
+        ledger = Ledger()
+        assert len(ledger) == 0 and ledger == [] and list(ledger) == []
+        ledger.append(slot_columns(self.ROWS[:2]))
+        ledger.append(slot_columns(self.ROWS[2:]))
+        assert len(ledger) == 3
+        assert [ledger[i] for i in range(3)] == self.ROWS
+        assert ledger[-1] == self.ROWS[-1]
+        with pytest.raises(IndexError):
+            ledger[3]
+        with pytest.raises(TypeError):
+            ledger[0:2]
+        assert list(ledger) == self.ROWS and list(reversed(ledger)) == self.ROWS[::-1]
+        assert ledger == self.ROWS and ledger == tuple(self.ROWS) and self.ROWS == ledger
+        assert ledger != self.ROWS[:2] and ledger != self.ROWS[::-1]
+        again = Ledger()
+        again.append(slot_columns(self.ROWS))
+        assert again == ledger
+        assert ledger != 3
 
 
 class TestFleetState:

@@ -1,5 +1,7 @@
 """Event-driven replay tests: metric operations, golden run, invariants."""
 
+import gc
+import types
 from datetime import datetime, timezone
 
 import numpy as np
@@ -9,8 +11,16 @@ from hypothesis import strategies as st
 
 from fleetcharge.ingest import SessionRecord, sessions_to_events
 from fleetcharge.problem import ChargingTask
-from fleetcharge.scheduler import FleetState, Policy, VehicleState, baseline_schedule
+from fleetcharge.scheduler import (
+    FleetState,
+    Ledger,
+    LedgerEntry,
+    Policy,
+    VehicleState,
+    baseline_schedule,
+)
 from fleetcharge.simulator import (
+    ACTIVE_CURRENT_EPS,
     Event,
     MetricsReport,
     RunResult,
@@ -345,6 +355,70 @@ class TestRandomLogInvariants:
         assert again.metrics.as_dict() == res.metrics.as_dict()
 
 
+def depot_log(seed, spaces=10, days=3):
+    """A seeded depot log: each space holds one stay after another for
+    ``days``, on the minute, so that events land inside slots."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for space in range(spaces):
+        t, k = rng.integers(0, 8 * 60) / 60.0, 0
+        while t < 24.0 * days:
+            stay = rng.integers(30, 14 * 60) / 60.0
+            soc = float(rng.choice([0.1, 0.3, 0.5]))
+            specs.append((f"D{space:02d}-{k:02d}", t, t + stay, soc,
+                          min(1.0, soc + rng.uniform(0.0, 0.6))))
+            t, k = t + stay + rng.integers(15, 6 * 60) / 60.0, k + 1
+    return specs
+
+
+class TestLedgerReplay:
+    """A seeded depot replay under the baseline, on a feeder of five of its
+    ten chargers, so the station cap binds."""
+
+    @pytest.fixture(scope="class")
+    def replay(self):
+        cfg = config(ic_max=400.0)
+        return cfg, run(log_events(depot_log(7)), day_prices, cfg)
+
+    def test_totals_are_sequential_sums_of_the_rows(self, replay):
+        """Each metric total is a ``+=`` over the ledger's rows in order,
+        bit for bit."""
+        cfg, res = replay
+        cost = exact = approx = hours = peak = 0.0
+        for e in res.ledger:
+            cost += e.cost_usd
+            exact += e.fade_exact_ah
+            approx += e.fade_approx_ah
+            if e.current_a > ACTIVE_CURRENT_EPS:
+                hours += e.duration_h
+            if e.current_a > cfg.peak_threshold * cfg.i_max:
+                peak += e.duration_h
+        load = {}
+        for e in res.ledger:
+            load[e.time_h] = load.get(e.time_h, 0.0) + e.current_a
+        assert max(load.values()) == pytest.approx(cfg.ic_max)
+        assert len(res.ledger) > 1000 and 0.0 < peak < hours
+        m = res.metrics
+        assert [x.hex() for x in (m.total_charging_cost, m.total_fade_exact,
+                                  m.total_fade_approx, m.total_charging_time,
+                                  m.total_peak_power_period)] == \
+            [x.hex() for x in (cost, exact, approx, hours, peak)]
+
+    def test_ledger_holds_no_row_objects(self, replay):
+        """A finished run's ledger keeps its rows as columns: nothing it
+        refers to, directly or not, is a ``LedgerEntry``."""
+        _, res = replay
+        seen, todo = set(), [res.ledger]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, LedgerEntry)
+            todo.extend(gc.get_referents(obj))
+        assert len(seen) > 1 and isinstance(res.ledger[0], LedgerEntry)
+
+
 class TestAdvance:
     def _walk(self, until):
         """One vehicle's baseline plan anchored at 9.4 h on 30-minute slots,
@@ -354,7 +428,7 @@ class TestAdvance:
         task = ChargingTask("v", 9.0, 12.0, 0.1, 0.9)
         state.vehicles["v"] = VehicleState(task=task, soc_cur=0.1)
         alloc, inst = baseline_schedule(state, cfg, day_prices)
-        result = RunResult(metrics=MetricsReport(), ledger=[], departures=[], rejected=[])
+        result = RunResult(metrics=MetricsReport(), ledger=Ledger(), departures=[], rejected=[])
         _advance(state, (inst, alloc), until, result, cfg)
         return state, inst, result.ledger
 
