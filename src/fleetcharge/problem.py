@@ -1,11 +1,11 @@
 """Optimization problem assembly for fleet charge scheduling.
 
 A :class:`ProblemInstance` freezes everything the optimizer needs: the
-admitted charging tasks, a shared slot grid anchored at the optimization
-start, the electricity price per slot, station and per-vehicle current
-limits, and the objective weights.  All vehicles share absolute slot
-indices so the price series aligns across the fleet; slots past a vehicle's
-own charging period are structurally zero.
+admitted vehicles' ids and energy windows, a shared slot grid that starts at
+the optimization start, the electricity price per slot, station and
+per-vehicle current limits, and the objective weights.  All vehicles share
+absolute slot indices so the price series aligns across the fleet; slots
+past a vehicle's own charging period are structurally zero.
 
 Times are plain floats in hours on a common clock (the simulator converts
 timestamps before building instances).  A vehicle's last slot may be
@@ -103,7 +103,7 @@ def availability_weights(tt_v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SlotGrid:
-    """Shared slot grid anchored at the optimization start."""
+    """Shared slot grid starting at the optimization start."""
 
     t_s: float               # optimization start, h
     dt: float                # slot length, h
@@ -152,7 +152,7 @@ class NormalizationPoints:
 class ProblemInstance:
     """Frozen input of one scheduling optimization."""
 
-    tasks: tuple                 # ChargingTask, ordered by (t_dep, vehicle_id)
+    vehicle_ids: tuple           # str, ordered by (t_dep, vehicle_id)
     grid: SlotGrid
     i_max: float                 # per-vehicle current limit, A
     ic_max: float                # station current limit, A
@@ -172,7 +172,7 @@ class ProblemInstance:
 
     @property
     def n_vehicles(self) -> int:
-        return len(self.tasks)
+        return len(self.vehicle_ids)
 
     @property
     def horizon(self) -> int:
@@ -183,7 +183,10 @@ class ProblemInstance:
 
 
 def build_instance(
-    tasks: Sequence[ChargingTask],
+    vehicle_ids: Sequence[str],
+    t_dep: np.ndarray,
+    soc_start: np.ndarray,
+    soc_dep: np.ndarray,
     t_s: float,
     dt: float,
     prices_fn: Callable[[np.ndarray], np.ndarray],
@@ -195,10 +198,13 @@ def build_instance(
     weights: tuple,
     fade_params: FadeModelParams,
 ) -> ProblemInstance:
-    """Assemble a frozen instance from fleet state.
+    """Assemble a frozen instance from fleet state, given as columns: one
+    id, departure time, start SoC and required departure SoC per vehicle.
 
-    ``prices_fn`` maps an array of absolute times in hours to the prices
-    in force at those instants; it is called once, with every slot start.
+    The instance orders vehicles by (departure, vehicle id), as ``sorted``
+    orders those pairs.  ``prices_fn`` maps an array of absolute times in
+    hours to the prices in force at those instants; it is called once, with
+    every slot start.
     """
     if not 0.0 < i_max <= ic_max:
         raise ValueError("require 0 < i_max <= ic_max")
@@ -212,8 +218,21 @@ def build_instance(
     if w.shape != (3,) or np.any(w < 0) or not np.any(w > 0):
         raise ValueError("weights must be three nonnegative values, not all zero")
 
-    ordered = tuple(sorted(tasks, key=lambda t: (t.t_dep, t.vehicle_id)))
-    t_dep = np.array([t.t_dep for t in ordered], dtype=float)
+    t_dep, soc_start, soc_dep = (np.asarray(c, dtype=float)
+                                 for c in (t_dep, soc_start, soc_dep))
+    n = len(vehicle_ids)
+    if not t_dep.shape == soc_start.shape == soc_dep.shape == (n,):
+        raise ValueError("vehicle columns must hold one value per vehicle")
+    for name, soc in (("soc_start", soc_start), ("soc_dep", soc_dep)):
+        bad = ~((0.0 <= soc) & (soc <= 1.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"vehicle {vehicle_ids[k]}: {name} {soc[k]} not in [0, 1]")
+    # an object array compares ids as Python does; a str array would drop
+    # trailing NULs
+    order = np.lexsort((np.array(vehicle_ids, dtype=object), t_dep))
+    ids = tuple(vehicle_ids[k] for k in order.tolist())
+    t_dep, soc_start, soc_dep = t_dep[order], soc_start[order], soc_dep[order]
     tt = charging_period(t_dep, t_s, dt)
     horizon = int(tt.max(initial=0))
     grid = SlotGrid(t_s=t_s, dt=dt, tt=tt, horizon=horizon)
@@ -226,8 +245,7 @@ def build_instance(
     durations = np.where(active, np.where(slot == tt - 1, last, dt), 0.0)
     avail_w = availability_weights(tt)
 
-    soc_start = np.array([t.soc_start for t in ordered])
-    need = np.array([max(0.0, t.soc_dep - t.soc_start) * c_bat for t in ordered])
+    need = np.maximum(0.0, soc_dep - soc_start) * c_bat
     e_lo = need.copy()
     e_hi = np.where(
         need > 0.0,
@@ -243,7 +261,7 @@ def build_instance(
     if np.any(wep < 0):
         raise ValueError("prices must be >= 0")
     return ProblemInstance(
-        tasks=ordered,
+        vehicle_ids=ids,
         grid=grid,
         i_max=i_max,
         ic_max=ic_max,
@@ -418,12 +436,12 @@ class ConstraintSet:
         for v in range(inst.n_vehicles):
             if delivered[v] < self.inst.e_lo[v] - tol:
                 problems.append(
-                    f"vehicle {inst.tasks[v].vehicle_id}: delivered {delivered[v]:.6f} Ah "
+                    f"vehicle {inst.vehicle_ids[v]}: delivered {delivered[v]:.6f} Ah "
                     f"below window [{inst.e_lo[v]:.6f}, {inst.e_hi[v]:.6f}]"
                 )
             if delivered[v] > self.inst.e_hi[v] + tol:
                 problems.append(
-                    f"vehicle {inst.tasks[v].vehicle_id}: delivered {delivered[v]:.6f} Ah "
+                    f"vehicle {inst.vehicle_ids[v]}: delivered {delivered[v]:.6f} Ah "
                     f"above window [{inst.e_lo[v]:.6f}, {inst.e_hi[v]:.6f}]"
                 )
         if inst.n_vehicles and inst.horizon:
@@ -448,7 +466,7 @@ def build_constraints(inst: ProblemInstance) -> ConstraintSet:
     if len(short):
         v = short[0]
         reason = (
-            f"vehicle-capacity: {inst.tasks[v].vehicle_id} needs "
+            f"vehicle-capacity: {inst.vehicle_ids[v]} needs "
             f"{inst.e_lo[v]:.3f} Ah but can receive at most {capacity[v]:.3f} Ah"
         )
     return ConstraintSet(inst=inst, infeasible_reason=reason)

@@ -81,8 +81,6 @@ class Policy:
 class VehicleState:
     task: ChargingTask
     soc_cur: float
-    # the last task FleetState.current_tasks re-anchored for this vehicle
-    anchored: ChargingTask | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -92,27 +90,6 @@ class FleetState:
     now: float
     vehicles: dict = field(default_factory=dict)  # vehicle_id -> VehicleState
 
-    def current_tasks(self) -> list:
-        """Tasks re-anchored at the current state (start SoC = current SoC).
-
-        A vehicle's last re-anchored task is reused while its start SoC and
-        its departure, clamped to the clock, equal the current values.
-        """
-        out = []
-        for vs in self.vehicles.values():
-            t, a = vs.task, vs.anchored
-            t_dep = max(t.t_dep, self.now)
-            if a is None or a.soc_start != vs.soc_cur or a.t_dep != t_dep:
-                a = vs.anchored = ChargingTask(
-                    vehicle_id=t.vehicle_id,
-                    t_arr=t.t_arr,
-                    t_dep=t_dep,
-                    soc_start=vs.soc_cur,
-                    soc_dep=t.soc_dep,
-                )
-            out.append(a)
-        return out
-
 
 def _instance_from_state(
     state: FleetState,
@@ -121,11 +98,24 @@ def _instance_from_state(
     prices_fn: Callable[[np.ndarray], np.ndarray],
     extra_task: ChargingTask | None = None,
 ) -> ProblemInstance:
-    tasks = state.current_tasks()
+    """The instance of the fleet as it stands: each vehicle starts at its
+    current SoC, and a departure already past is clamped to the clock.
+    ``extra_task`` joins as given."""
+    vehicles, n = state.vehicles.values(), len(state.vehicles)
+    ids = [vs.task.vehicle_id for vs in vehicles]
+    t_dep = np.maximum(np.fromiter((vs.task.t_dep for vs in vehicles), float, n), state.now)
+    soc = np.fromiter((vs.soc_cur for vs in vehicles), float, n)
+    soc_dep = np.fromiter((vs.task.soc_dep for vs in vehicles), float, n)
     if extra_task is not None:
-        tasks.append(extra_task)
+        ids.append(extra_task.vehicle_id)
+        t_dep = np.append(t_dep, extra_task.t_dep)
+        soc = np.append(soc, extra_task.soc_start)
+        soc_dep = np.append(soc_dep, extra_task.soc_dep)
     return build_instance(
-        tasks,
+        ids,
+        t_dep,
+        soc,
+        soc_dep,
         t_s=state.now,
         dt=limits.dt,
         prices_fn=prices_fn,
@@ -291,9 +281,9 @@ def apply_slot(
     if window <= 0:
         raise ValueError("slot duration must be > 0")
     d = np.minimum(window, inst.durations[slot_index])
-    tasks, vehicles = inst.tasks, state.vehicles
-    cols = [v for v in np.flatnonzero(d > 0).tolist() if tasks[v].vehicle_id in vehicles]
-    ids = [tasks[v].vehicle_id for v in cols]
+    all_ids, vehicles = inst.vehicle_ids, state.vehicles
+    cols = [v for v in np.flatnonzero(d > 0).tolist() if all_ids[v] in vehicles]
+    ids = [all_ids[v] for v in cols]
     present = [vehicles[vid] for vid in ids]
     soc = np.array([vs.soc_cur for vs in present])
     d, amps = d[cols], alloc[slot_index, cols]

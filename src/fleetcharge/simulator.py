@@ -1,7 +1,7 @@
 """Event-driven replay of a charging-session log.
 
 Arrivals and departures drive the simulation: every event is applied and
-then answered with a fresh schedule anchored at the event time, generated
+then answered with a fresh schedule that starts at the event time, generated
 with the active policy.  So each plan is walked once, from its anchor to
 the next event: its whole slots that end by then, and the part of the slot
 that holds the event.  Realized charging is accounted per slot and vehicle
@@ -164,7 +164,7 @@ def _advance(
     result: RunResult,
     config: SimConfig,
 ):
-    """Walk the schedule anchored at ``state.now`` up to ``until``, the next
+    """Walk the schedule that starts at ``state.now`` up to ``until``, the next
     event, and move the clock there.
 
     A slot applies whole when it ends by ``until``; the slot that holds the
@@ -230,6 +230,7 @@ def run(
         return result
 
     state = FleetState(now=events[0].time_h)
+    rejected_ids = set()  # the vehicle ids of result.rejected
     schedule = None  # the first event is at state.now: nothing to walk
     for ev in events:
         _advance(state, schedule, ev.time_h, result, config)
@@ -247,6 +248,7 @@ def run(
             else:
                 result.metrics.n_rejected += 1
                 result.rejected.append((task, admission.reason))
+                rejected_ids.add(task.vehicle_id)
         else:
             vs = state.vehicles.pop(ev.vehicle_id, None)
             if vs is not None:
@@ -258,7 +260,7 @@ def run(
                         soc_start=vs.task.soc_start,
                     )
                 )
-            elif ev.vehicle_id not in {t.vehicle_id for t, _ in result.rejected}:
+            elif ev.vehicle_id not in rejected_ids:
                 raise ValueError(f"unmatched-departure: {ev.vehicle_id}")
             # a rejected task never plugged in, but its departure still ends
             # in a reschedule: _advance may have applied part of a slot

@@ -781,7 +781,7 @@ def _payoff_point(lp: _LinearProgram, vertex: np.ndarray, inst: ProblemInstance,
     """One component's payoff point on a non-empty feasible instance with LP
     model ``lp`` and cost vertex ``vertex``: cost is the vertex, availability
     the availability LP on the same model, and fade :func:`_minimize_fade`
-    anchored on the vertex."""
+    with the vertex as its anchor."""
     if component == "cost":
         return vertex
     if component == "fade":

@@ -1,5 +1,7 @@
 """Shared fixtures: paths to the bundled weeks and small reusable instances."""
 
+import gc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +39,33 @@ def price_fn(prices):
     return lambda t_h: np.array([one(t) for t in t_h.tolist()], dtype=float)
 
 
+def reachable(root) -> list:
+    """``root`` and every object it refers to, directly or not; types and
+    modules are not followed."""
+    seen, todo, out = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return out
+
+
 def slot_rows(*args, **kwargs) -> Ledger:
     """The rows of one :func:`apply_slot` call, read back through a
     :class:`Ledger`; takes ``apply_slot``'s arguments."""
     ledger = Ledger()
     ledger.append(apply_slot(*args, **kwargs))
     return ledger
+
+
+def task_columns(tasks) -> tuple:
+    """``build_instance``'s vehicle columns of a list of tasks: ids,
+    departures, start SoCs and departure SoCs."""
+    return ([t.vehicle_id for t in tasks], [t.t_dep for t in tasks],
+            [t.soc_start for t in tasks], [t.soc_dep for t in tasks])
 
 
 def make_instance(
@@ -60,7 +83,7 @@ def make_instance(
 ):
     """Small-instance builder with a flat price or a per-instant callable."""
     return build_instance(
-        tasks,
+        *task_columns(tasks),
         t_s=t_s,
         dt=dt,
         prices_fn=price_fn(prices),

@@ -210,11 +210,11 @@ rc = fleetcharge.cli.main(["simulate", "--policy", "baseline",
 print(rc, "scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
 
 from fleetcharge.fade import FadeModelParams
-from fleetcharge.problem import ChargingTask, build_instance
+from fleetcharge.problem import build_instance
 from fleetcharge.scheduler import ZERO_PRICES
 from fleetcharge.solver import feasibility_check
 
-inst = build_instance([ChargingTask("A", 0.0, 4.0, 0.4, 0.8)], t_s=0.0, dt=0.5,
+inst = build_instance(["A"], [4.0], [0.4], [0.8], t_s=0.0, dt=0.5,
                       prices_fn=ZERO_PRICES, i_max=80.0, ic_max=400.0, voltage=410.0,
                       c_bat=210.0, soc_xtra_ah=0.0, weights=(1.0, 1.0, 1.0),
                       fade_params=FadeModelParams())

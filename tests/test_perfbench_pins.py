@@ -55,3 +55,21 @@ def test_depot_ledger_rows_add_up(tmp_path):
     ledger_cost = sum(e.cost_usd for e in result.ledger)
     assert len(result.ledger) > 0 and ledger_cost > 0.0
     assert math.isclose(ledger_cost, result.metrics.total_charging_cost, rel_tol=1e-9)
+
+
+def test_depot_reschedules_pass_the_probe_checks(tmp_path):
+    """``DepotBaseline.run_pass``'s reschedule checks on the tiny depot:
+    the probe sees one baseline reschedule per event, and each plan passes
+    ``check_reschedules``, which reads the instance's fields."""
+    depot = workloads.DepotBaseline()
+    sim_config, events, prices_fn = depot.ingest(depot.prepare(ROOT, tmp_path, 1, tiny=True))
+    probe = workloads.RescheduleProbe()
+    probe.install()
+    try:
+        workloads.fc_simulator.run(events, prices_fn, sim_config)
+    finally:
+        probe.uninstall()
+    res = workloads.PassResult(wall_s=0.0, events=len(events))
+    workloads.check_reschedules(probe, "baseline", res)
+    assert res.problems == [] and res.failed == 0
+    assert res.attempted == len(events) > 0

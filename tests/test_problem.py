@@ -25,10 +25,11 @@ from fleetcharge.problem import (
     normalized_objective,
     objective_components,
 )
-from fleetcharge.scheduler import FleetState, VehicleState
+from fleetcharge.scheduler import (ZERO_PRICES, FleetState, StationLimits, VehicleState,
+                                   _instance_from_state)
 from fleetcharge.solver import single_objective_minimizer
 
-from conftest import make_instance, slot_rows
+from conftest import make_instance, price_fn, slot_rows
 
 # Frozen reference (independent summation over the 2x3 instance in conftest,
 # allocation below): cost in $, fade in Ah, availability in weighted W.
@@ -137,7 +138,7 @@ class TestTaskAndPrices:
         """The price function takes the array of slot starts; one returning
         a single number is rejected, not broadcast."""
         with pytest.raises(ValueError, match="one price per slot start"):
-            build_instance([ChargingTask("v", 0.0, 1.0, 0.4, 0.8)], t_s=0.0, dt=0.5,
+            build_instance(["v"], [1.0], [0.4], [0.8], t_s=0.0, dt=0.5,
                            prices_fn=lambda t: 0.1, i_max=80.0, ic_max=400.0,
                            voltage=410.0, c_bat=210.0, soc_xtra_ah=0.0,
                            weights=(1.0, 1.0, 1.0), fade_params=FadeModelParams())
@@ -156,13 +157,34 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match="must be > 0"):
             make_instance([ChargingTask("v", 0.0, 1.0, 0.4, 0.8)], **{field: 0.0})
 
+    @pytest.mark.parametrize("name, bad", [("soc_start", 1.2), ("soc_start", -0.1),
+                                           ("soc_start", float("nan")), ("soc_dep", 1.5),
+                                           ("soc_dep", float("nan"))])
+    def test_soc_outside_unit_interval_rejected(self, name, bad):
+        """The check each task's construction made: the first vehicle out of
+        range, in the order given, is named."""
+        cols = {"soc_start": [0.4, 0.4, 0.4], "soc_dep": [0.8, 0.8, 0.8]}
+        cols[name][1] = cols[name][2] = bad
+        with pytest.raises(ValueError, match=f"vehicle b: {name} {bad} not in \\[0, 1\\]"):
+            build_instance(["a", "b", "c"], [1.0, 2.0, 0.5], cols["soc_start"], cols["soc_dep"],
+                           t_s=0.0, dt=0.5, prices_fn=ZERO_PRICES, i_max=80.0, ic_max=400.0,
+                           voltage=410.0, c_bat=210.0, soc_xtra_ah=0.0,
+                           weights=(1.0, 1.0, 1.0), fade_params=FadeModelParams())
+
+    def test_one_value_per_vehicle_required(self):
+        with pytest.raises(ValueError, match="one value per vehicle"):
+            build_instance(["a", "b"], [1.0, 2.0], [0.4], [0.8, 0.8], t_s=0.0, dt=0.5,
+                           prices_fn=ZERO_PRICES, i_max=80.0, ic_max=400.0, voltage=410.0,
+                           c_bat=210.0, soc_xtra_ah=0.0, weights=(1.0, 1.0, 1.0),
+                           fade_params=FadeModelParams())
+
     def test_edf_column_order(self):
         tasks = [
             ChargingTask("late", 0.0, 3.0, 0.4, 0.8),
             ChargingTask("early", 0.0, 1.0, 0.4, 0.8),
         ]
         inst = make_instance(tasks)
-        assert [t.vehicle_id for t in inst.tasks] == ["early", "late"]
+        assert inst.vehicle_ids == ("early", "late")
 
     def test_energy_window(self):
         inst = make_instance(
@@ -263,22 +285,38 @@ def _reference_build(tasks, t_s, dt, prices_fn, c_bat, soc_xtra_ah):
     need = np.array([max(0.0, t.soc_dep - t.soc_start) * c_bat for t in ordered])
     e_hi = np.where(need > 0.0, np.minimum(need + soc_xtra_ah, (1.0 - soc_start) * c_bat), 0.0)
     wep = np.array([prices_fn(t_s + i * dt) for i in range(horizon)])
-    return {"tt": tt, "durations": durations, "active": active, "avail_w": avail_w,
-            "e_lo": need.copy(), "e_hi": e_hi, "wep": wep}
+    return {"vehicle_ids": tuple(t.vehicle_id for t in ordered), "tt": tt,
+            "durations": durations, "active": active, "avail_w": avail_w,
+            "soc_start": soc_start, "e_lo": need.copy(), "e_hi": e_hi, "wep": wep}
+
+
+def _assert_equals_reference(inst, ref):
+    """``inst`` holds the reference's vehicle order and, byte for byte, its
+    arrays."""
+    assert inst.vehicle_ids == ref["vehicle_ids"]
+    got = {"tt": inst.grid.tt, "durations": inst.durations, "active": inst.active,
+           "avail_w": inst.avail_w, "soc_start": inst.soc_start, "e_lo": inst.e_lo,
+           "e_hi": inst.e_hi, "wep": inst.wep}
+    for name, have in got.items():
+        want = ref[name]
+        assert have.dtype == want.dtype, name
+        assert have.shape == want.shape, name
+        assert have.tobytes() == want.tobytes(), name
+    assert inst.horizon == len(ref["wep"])
 
 
 def _reference_max_power(inst):
     """:func:`max_power_allocation` as a loop over vehicles, kept as written
     (with ``charging_period`` inlined)."""
     alloc = inst.empty_allocation()
-    for v, task in enumerate(inst.tasks):
+    for v, soc_start in enumerate(inst.soc_start.tolist()):
         tt = int(inst.grid.tt[v])
         if tt == 0:
             continue
         n_slots = max(0, math.ceil(
-            (1.0 - task.soc_start) * inst.c_bat / inst.i_max / inst.grid.dt - 1e-9))
+            (1.0 - soc_start) * inst.c_bat / inst.i_max / inst.grid.dt - 1e-9))
         n_slots = min(n_slots, tt)
-        remaining_ah = (1.0 - task.soc_start) * inst.c_bat
+        remaining_ah = (1.0 - soc_start) * inst.c_bat
         for i in range(n_slots):
             d = inst.durations[i, v]
             if d <= 0 or remaining_ah <= 0:
@@ -311,13 +349,7 @@ class TestFleetWideAssembly:
         tasks, t_s, dt = _fleet(seed, n)
         inst = make_instance(tasks, prices=_step_prices, t_s=t_s, dt=dt, soc_xtra_ah=21.0)
         ref = _reference_build(tasks, t_s, dt, _step_prices, inst.c_bat, 21.0)
-        got = {"tt": inst.grid.tt, "durations": inst.durations, "active": inst.active,
-               "avail_w": inst.avail_w, "e_lo": inst.e_lo, "e_hi": inst.e_hi, "wep": inst.wep}
-        for name, want in ref.items():
-            assert got[name].dtype == want.dtype, name
-            assert got[name].shape == want.shape, name
-            assert got[name].tobytes() == want.tobytes(), name
-        assert inst.horizon == len(ref["wep"])
+        _assert_equals_reference(inst, ref)
         if n == 40:
             assert (ref["tt"] == 0).any() and (ref["tt"] == 28).any()
             partial = ref["durations"][ref["tt"][ref["tt"] > 0] - 1, np.flatnonzero(ref["tt"])]
@@ -413,6 +445,88 @@ class TestObjectiveComponents:
         assert objective_components(bumped, inst).availability < base
 
 
+# Ids that share a departure, each group in neither its code-point order nor
+# its numeric, case-blind, UTF-16 or NUL-stripped order; and two ids that do
+# not.
+_TIED = (("v10", "v2", "v1"), ("a\x00", "Z", "a", "B"),
+         ("\U0001F68C", "\uFF21", "車両7", "é"))
+_IDS = [vid for group in _TIED for vid in group] + ["bus-30", "bus-3"]
+
+
+def _column_fleet(seed):
+    """A seeded fleet state in a shuffled insertion order, its slot length
+    and an arriving task.  The first group of ``_TIED`` departs at one
+    instant, the second is overdue (each departure clamps to the clock) and
+    the third departs inside a slot; one vehicle is full and two need
+    nothing.  Each task's own start SoC differs from the vehicle's current
+    SoC."""
+    rng = np.random.default_rng(seed)
+    now, dt = float(rng.uniform(0.0, 100.0)), float(rng.choice([0.25, 1 / 3, 0.5]))
+    n = len(_IDS)
+    t_dep = now + rng.uniform(0.0, 6.0, n)
+    t_dep[0:3] = now + 2 * dt
+    t_dep[3:7] = now - rng.uniform(0.0, 1.0, 4)
+    t_dep[7:11] = now + 3.5 * dt
+    soc = rng.uniform(0.0, 1.0, n)
+    soc_dep = rng.uniform(soc, 1.0)
+    soc[11] = soc_dep[11] = 1.0
+    soc_dep[0], soc_dep[7] = 0.5 * soc[0], soc[7]
+    state = FleetState(now=now)
+    for v in rng.permutation(n).tolist():
+        task = ChargingTask(_IDS[v], now - 20.0, float(t_dep[v]), float(rng.uniform()),
+                            float(soc_dep[v]))
+        state.vehicles[_IDS[v]] = VehicleState(task, float(soc[v]))
+    extra = ChargingTask("new", now, now + 5 * dt + 0.1, 0.2, 0.8)
+    return state, dt, extra
+
+
+def _reanchored(state):
+    """The per-vehicle tasks the column assembly replaced: each vehicle's
+    task at its current SoC, its departure clamped to the clock."""
+    return [ChargingTask(vs.task.vehicle_id, vs.task.t_arr, max(vs.task.t_dep, state.now),
+                         vs.soc_cur, vs.task.soc_dep) for vs in state.vehicles.values()]
+
+
+class TestColumnAssembly:
+    """A reschedule's instance, assembled from the fleet's columns, is byte
+    for byte the instance of its re-anchored tasks sorted by (departure,
+    vehicle id)."""
+
+    LIMITS = StationLimits(soc_xtra_ah=21.0)
+
+    def instance(self, state, dt, extra=None):
+        limits = dataclasses.replace(self.LIMITS, dt=dt)
+        return _instance_from_state(state, limits, (1.0, 1.0, 1.0),
+                                    price_fn(_step_prices), extra)
+
+    @pytest.mark.parametrize("admit", [False, True], ids=["fleet", "admission"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_reanchored_tasks(self, seed, admit):
+        state, dt, extra = _column_fleet(seed)
+        extra = extra if admit else None
+        tasks = _reanchored(state) + ([extra] if admit else [])
+        ref = _reference_build(tasks, state.now, dt, _step_prices, self.LIMITS.c_bat,
+                               self.LIMITS.soc_xtra_ah)
+        _assert_equals_reference(self.instance(state, dt, extra), ref)
+        assert ref["vehicle_ids"] != tuple(state.vehicles)
+        assert ("new" in ref["vehicle_ids"]) == admit
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_insertion_order_does_not_matter(self, seed):
+        state, dt, extra = _column_fleet(seed)
+        items = list(state.vehicles.items())
+        rng = np.random.default_rng(100 + seed)
+        shuffled = FleetState(now=state.now,
+                              vehicles=dict(items[k] for k in rng.permutation(len(items))))
+        assert list(shuffled.vehicles) != list(state.vehicles)
+        for e in (None, extra):
+            a, b = self.instance(state, dt, e), self.instance(shuffled, dt, e)
+            assert a.vehicle_ids == b.vehicle_ids
+            for name in ("durations", "active", "avail_w", "soc_start", "e_lo", "e_hi", "wep"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+            assert a.grid.tt.tobytes() == b.grid.tt.tobytes()
+
+
 class TestFadeTerms:
     def test_cyclic_equals_scalar_kernel(self):
         """The fade the optimizer minimizes is the fade the ledger records:
@@ -426,13 +540,13 @@ class TestFadeTerms:
                  enumerate((s, c) for s in socs for c in currents)}
         tasks = [ChargingTask(vid, 0.0, 0.5, s, 1.0) for vid, (s, _) in cells.items()]
         inst = make_instance(tasks, ic_max=80.0 * len(tasks))
-        alloc = np.array([[cells[t.vehicle_id][1] for t in inst.tasks]])
+        alloc = np.array([[cells[vid][1] for vid in inst.vehicle_ids]])
         cyclic, calendric = fade_terms(alloc, inst)
 
         state = FleetState(now=0.0, vehicles={t.vehicle_id: VehicleState(t, t.soc_start)
-                                              for t in inst.tasks})
+                                              for t in tasks})
         rows = slot_rows(state, alloc, 0, inst)
-        assert [e.vehicle_id for e in rows] == [t.vehicle_id for t in inst.tasks]
+        assert [e.vehicle_id for e in rows] == list(inst.vehicle_ids)
         assert [e.fade_approx_ah for e in rows] == (cyclic[0] + calendric[0]).tolist()
         is_hi = alloc[0] >= inst.fade_params.branch_slope * inst.soc_start
         assert is_hi.any() and (~is_hi).any()

@@ -1,5 +1,7 @@
 """Scheduling policy tests: baseline fill, admission, slot application."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from fleetcharge.scheduler import (
     proposed_schedule,
 )
 
-from conftest import price_fn, slot_rows
+from conftest import price_fn, reachable, slot_rows
 
 
 def limits(**over):
@@ -52,8 +54,7 @@ class TestBaselineSchedule:
         late = ChargingTask("late", 0.0, 4.0, 0.5, 0.8)
         state = fleet(0.0, (late, 0.5), (early, 0.5))
         alloc, inst = baseline_schedule(state, lm)
-        order = [t.vehicle_id for t in inst.tasks]
-        assert order == ["early", "late"]
+        assert inst.vehicle_ids == ("early", "late")
         assert alloc[0] == pytest.approx([50.0, 0.0])  # late-departing curtailed
 
     def test_fractional_curtailment(self):
@@ -203,14 +204,14 @@ class TestApplySlot:
         state = fleet(0.0, *((tasks[vid], soc) for vid, soc in socs.items()))
         _, inst = baseline_schedule(state, limits(dt=0.5, ic_max=400.0), price_fn(0.2))
         amps = {"gone": 20.0, "short": 40.0, "idle": 0.0, "hi": 50.0, "lo": 30.0}
-        alloc = np.zeros((inst.horizon, len(inst.tasks)))
-        alloc[0] = [amps[t.vehicle_id] for t in inst.tasks]
+        alloc = np.zeros((inst.horizon, inst.n_vehicles))
+        alloc[0] = [amps[vid] for vid in inst.vehicle_ids]
         assert inst.fade_params.is_hi(amps["hi"], socs["hi"])
         assert not inst.fade_params.is_hi(amps["lo"], socs["lo"])
         del state.vehicles["gone"]
 
         rows = slot_rows(state, alloc, 0, inst, duration=0.4)
-        order = [t.vehicle_id for t in inst.tasks if t.vehicle_id != "gone"]
+        order = [vid for vid in inst.vehicle_ids if vid != "gone"]
         assert [e.vehicle_id for e in rows] == order
         assert state.now == 0.4
         by_id = {e.vehicle_id: e for e in rows}
@@ -232,16 +233,16 @@ class TestApplySlot:
         _, inst = baseline_schedule(state, limits(dt=0.5, ic_max=400.0, voltage=410.0),
                                     price_fn(0.137))
         amps = {"lo": 31.7, "hi": 50.0, "idle": 0.0, "full": 50.0000001, "short": 41.3}
-        alloc = np.zeros((inst.horizon, len(inst.tasks)))
-        alloc[0] = [amps[t.vehicle_id] for t in inst.tasks]
+        alloc = np.zeros((inst.horizon, inst.n_vehicles))
+        alloc[0] = [amps[vid] for vid in inst.vehicle_ids]
         window = 0.4
         assert 1.0 < socs["full"] + amps["full"] * window / 200.0 <= 1.0 + 1e-9
 
         rows = slot_rows(state, alloc, 0, inst, duration=window)
         price = float(inst.wep[0])
-        assert len(rows) == len(inst.tasks)
+        assert len(rows) == inst.n_vehicles
         for v, e in enumerate(rows):
-            vid = inst.tasks[v].vehicle_id
+            vid = inst.vehicle_ids[v]
             a = amps[vid]
             d = min(window, float(inst.durations[0, v]))
             q = a * d
@@ -262,7 +263,7 @@ class TestApplySlot:
         second = ChargingTask("second", 0.0, 4.0, 0.99, 1.0)
         state = fleet(0.0, (first, 0.5), (second, 0.99))
         _, inst = baseline_schedule(state, limits(dt=0.5), price_fn(0.2))
-        assert [t.vehicle_id for t in inst.tasks] == ["first", "second"]
+        assert inst.vehicle_ids == ("first", "second")
         alloc = np.zeros((inst.horizon, 2))
         alloc[0] = [50.0, 50.0]
         with pytest.raises(SocOverflowError, match="vehicle second"):
@@ -365,43 +366,78 @@ class TestLedger:
 
 
 class TestFleetState:
-    def test_current_tasks_reanchored(self):
+    def test_instance_starts_at_current_soc(self):
+        """Each reschedule's instance starts at the vehicles' current SoC and
+        the clock, not at the task's arrival values."""
         task = ChargingTask("v", 0.0, 3.0, 0.4, 0.8)
         state = fleet(0.0, (task, 0.4))
         state.vehicles["v"].soc_cur = 0.6
         state.now = 1.0
-        (re_task,) = state.current_tasks()
-        assert re_task.soc_start == 0.6
-        assert re_task.t_dep == 3.0
+        _, inst = baseline_schedule(state, limits())
+        assert inst.soc_start.tolist() == [0.6]
+        assert (inst.grid.t_s, inst.durations.sum()) == (1.0, 2.0)
         state.vehicles["v"].soc_cur = 0.7
-        (re_task,) = state.current_tasks()
-        assert re_task.soc_start == 0.7
+        _, inst = baseline_schedule(state, limits())
+        assert inst.soc_start.tolist() == [0.7]
 
-    def test_current_tasks_reused_only_while_unchanged(self):
-        """A re-anchored task equals one built afresh after a vehicle
-        charges and after the clock passes its departure, and an idle
-        vehicle's task is the same object from one event to the next."""
-        def fresh(state):
-            return [ChargingTask(vs.task.vehicle_id, vs.task.t_arr,
-                                 max(vs.task.t_dep, state.now), vs.soc_cur,
-                                 vs.task.soc_dep)
-                    for vs in state.vehicles.values()]
-
+    def test_instance_follows_charging_and_overdue_departures(self):
+        """After a vehicle charges its instance starts at its new SoC with a
+        smaller energy window, and once the clock passes a departure that
+        vehicle's departure is the clock: no slot is left to it."""
         charging = ChargingTask("charging", 0.0, 4.0, 0.5, 0.9)
         idle = ChargingTask("idle", 0.0, 4.0, 1.0, 1.0)
         overdue = ChargingTask("overdue", 0.0, 0.75, 0.6, 0.6)
         state = fleet(0.0, (charging, 0.5), (idle, 1.0), (overdue, 0.6))
         _, inst = baseline_schedule(state, limits(dt=0.5))
-        alloc = np.zeros((inst.horizon, len(inst.tasks)))
-        alloc[:, [t.vehicle_id for t in inst.tasks].index("charging")] = 40.0
+        assert inst.vehicle_ids == ("overdue", "charging", "idle")
+        alloc = np.zeros((inst.horizon, inst.n_vehicles))
+        alloc[:, 1] = 40.0
 
-        before = state.current_tasks()
-        assert before == fresh(state)
         for i in range(2):  # the clock passes overdue's departure at 0.75
             apply_slot(state, alloc, i, inst)
-            after = state.current_tasks()
-            assert after == fresh(state)
-            changed = {a.vehicle_id for a, b in zip(after, before) if a is not b}
-            assert changed == ({"charging"} if i == 0 else {"charging", "overdue"})
-            before = after
-        assert (after[0].soc_start, after[2].t_dep) == (0.7, 1.0)
+        _, later = baseline_schedule(state, limits(dt=0.5))
+        assert later.vehicle_ids == ("overdue", "charging", "idle")
+        assert later.soc_start.tolist() == [0.6, 0.7, 1.0]
+        assert later.grid.tt.tolist() == [0, 6, 6]
+        assert later.e_lo == pytest.approx([0.0, 0.2 * 200.0, 0.0])
+
+    def test_soc_above_full_rejected(self):
+        """A vehicle whose current SoC is out of range is named, as each
+        task's construction named it."""
+        state = fleet(0.0, (ChargingTask("ok", 0.0, 4.0, 0.5, 0.8), 0.5),
+                      (ChargingTask("over", 0.0, 4.0, 0.5, 0.8), 0.5))
+        state.vehicles["over"].soc_cur = 1.2
+        with pytest.raises(ValueError, match=r"vehicle over: soc_start 1.2 not in \[0, 1\]"):
+            baseline_schedule(state, limits())
+
+
+class TestKeptReschedule:
+    """What a kept baseline reschedule holds on to, as a replay's probe
+    keeps every ``(allocation, instance)``."""
+
+    @staticmethod
+    def depot(n, now=10.0):
+        state = FleetState(now=now)
+        for v in range(n):
+            task = ChargingTask(f"d{v:02d}", 0.0, now + 1.0 + 0.37 * v, 0.2, 0.9)
+            state.vehicles[task.vehicle_id] = VehicleState(task, 0.2 + 0.02 * v)
+        return state
+
+    def test_holds_no_task_or_vehicle_objects(self):
+        kept = baseline_schedule(self.depot(8), limits(dt=0.5, ic_max=400.0))
+        held = reachable(kept)
+        assert not [o for o in held if isinstance(o, (ChargingTask, VehicleState, FleetState))]
+        assert len(held) > 1 and kept[1].n_vehicles == 8
+
+    def test_tracked_objects_do_not_grow_with_the_fleet(self):
+        """A kept reschedule holds as many objects for the collector to track
+        with 32 vehicles as with 4."""
+        lm = limits(dt=0.5, ic_max=400.0)
+
+        def tracked(n):
+            kept = baseline_schedule(self.depot(n), lm)
+            gc.collect()  # untracks the tuples that hold only atomic values
+            assert kept[1].n_vehicles == n
+            return sum(map(gc.is_tracked, reachable(kept)))
+
+        assert tracked(4) == tracked(32)

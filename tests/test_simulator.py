@@ -1,7 +1,5 @@
 """Event-driven replay tests: metric operations, golden run, invariants."""
 
-import gc
-import types
 from datetime import datetime, timezone
 
 import numpy as np
@@ -31,7 +29,7 @@ from fleetcharge.simulator import (
     value_loss,
 )
 
-from conftest import price_fn
+from conftest import price_fn, reachable
 
 # Golden totals for the three-session mini fixture below, frozen from the
 # first run after hand-auditing the opening ledger rows (the first
@@ -408,15 +406,9 @@ class TestLedgerReplay:
         """A finished run's ledger keeps its rows as columns: nothing it
         refers to, directly or not, is a ``LedgerEntry``."""
         _, res = replay
-        seen, todo = set(), [res.ledger]
-        while todo:
-            obj = todo.pop()
-            if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
-                continue
-            seen.add(id(obj))
-            assert not isinstance(obj, LedgerEntry)
-            todo.extend(gc.get_referents(obj))
-        assert len(seen) > 1 and isinstance(res.ledger[0], LedgerEntry)
+        held = reachable(res.ledger)
+        assert not [obj for obj in held if isinstance(obj, LedgerEntry)]
+        assert len(held) > 1 and isinstance(res.ledger[0], LedgerEntry)
 
 
 class TestAdvance:
