@@ -80,36 +80,48 @@ class SessionRecord:
             raise ValueError(f"session {self.session_id}: negative energy request")
 
 
-def parse_sessions(path) -> list:
-    """Session records from a CSV file, sorted by connection time."""
-    path = Path(path)
-    records = []
+def _read_csv(path: Path, header: list, parse) -> list | None:
+    """``parse(row)`` of each data row of a CSV file in file order, or None
+    when the file is empty.
+
+    The first line must be ``header``; blank rows are skipped.  A wrong
+    header, a wrong column count or a ``ValueError``/``OverflowError`` from
+    ``parse`` raises :class:`MalformedRowError` naming the line.
+    """
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return []
-        if [h.strip() for h in header] != SESSION_HEADER:
-            raise MalformedRowError(path, 1, f"expected header {','.join(SESSION_HEADER)}")
+        first = next(reader, None)
+        if first is None:
+            return None
+        if [h.strip() for h in first] != header:
+            raise MalformedRowError(path, 1, f"expected header {','.join(header)}")
+        out = []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) != len(SESSION_HEADER):
+            if len(row) != len(header):
                 raise MalformedRowError(path, line_no, f"{len(row)} columns")
             try:
-                records.append(
-                    SessionRecord(
-                        session_id=row[0].strip(),
-                        connection_time=_parse_ts(row[1]),
-                        disconnect_time=_parse_ts(row[2]),
-                        kwh_requested=float(row[3]),
-                        space_id=row[4].strip(),
-                    )
-                )
-            except MalformedRowError:
-                raise
+                out.append(parse(row))
             except (ValueError, OverflowError) as exc:
                 raise MalformedRowError(path, line_no, str(exc)) from exc
+    return out
+
+
+def _session_record(row: list) -> SessionRecord:
+    return SessionRecord(
+        session_id=row[0].strip(),
+        connection_time=_parse_ts(row[1]),
+        disconnect_time=_parse_ts(row[2]),
+        kwh_requested=float(row[3]),
+        space_id=row[4].strip(),
+    )
+
+
+def parse_sessions(path) -> list:
+    """Session records from a CSV file, sorted by connection time; an empty
+    file holds none."""
+    records = _read_csv(Path(path), SESSION_HEADER, _session_record) or []
     records.sort(key=lambda r: (r.connection_time, r.session_id))
     return records
 
@@ -223,29 +235,22 @@ class PriceCurve:
         return fn
 
 
+def _price_record(row: list) -> PriceRecord:
+    price = float(row[1])
+    if not math.isfinite(price):
+        raise ValueError("price is not finite")
+    if price < 0:
+        raise ValueError("negative price")
+    return PriceRecord(timestamp=_parse_ts(row[0]), price=price)
+
+
 def parse_prices(path) -> PriceCurve:
-    """Price curve from a CSV file; tolerant of unordered rows."""
+    """Price curve from a CSV file; tolerant of unordered rows.  An empty
+    file lacks the header."""
     path = Path(path)
-    records = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != PRICE_HEADER:
-            raise MalformedRowError(path, 1, f"expected header {','.join(PRICE_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise MalformedRowError(path, line_no, f"{len(row)} columns")
-            try:
-                price = float(row[1])
-                if not math.isfinite(price):
-                    raise ValueError("price is not finite")
-                if price < 0:
-                    raise ValueError("negative price")
-                records.append(PriceRecord(timestamp=_parse_ts(row[0]), price=price))
-            except (ValueError, OverflowError) as exc:
-                raise MalformedRowError(path, line_no, str(exc)) from exc
+    records = _read_csv(path, PRICE_HEADER, _price_record)
+    if records is None:
+        raise MalformedRowError(path, 1, f"expected header {','.join(PRICE_HEADER)}")
     if not records:
         raise ValueError(f"empty-series: {path} has no price rows")
     records.sort(key=lambda r: r.timestamp)
@@ -355,7 +360,7 @@ def load_config(path=None) -> RunConfig:
                                         f"{key} needs 5 comma-separated coefficients")
     for positive in ("dt_minutes", "voltage_v", "c_bat_ah", "i_max_a",
                      "ic_max_a", "battery_cost_usd"):
-        if values[positive] is None or values[positive] <= 0:
+        if values[positive] <= 0:
             raise ValueError(f"{positive} must be > 0")
     if values["soc_xtra_fraction"] < 0:
         raise ValueError("soc_xtra_fraction must be >= 0")

@@ -428,8 +428,7 @@ class ConstraintSet:
         if inst.n_vehicles and np.any(~inst.active & (np.abs(alloc) > tol)):
             problems.append("allocation outside a vehicle's charging period")
         if inst.horizon:
-            slot_sum = alloc.sum(axis=1)
-            worst = slot_sum.max() if len(slot_sum) else 0.0
+            worst = alloc.sum(axis=1).max()
             if worst > inst.ic_max + tol:
                 problems.append(f"station current limit exceeded ({worst:.6f} A)")
         delivered = (alloc * inst.durations).sum(axis=0)

@@ -38,7 +38,6 @@ __all__ = [
     "FleetState",
     "Admission",
     "LedgerEntry",
-    "SlotColumns",
     "Ledger",
     "SocOverflowError",
     "baseline_schedule",
@@ -194,24 +193,6 @@ class LedgerEntry(NamedTuple):
     fade_approx_ah: float  # quadratic cyclic + calendric
 
 
-class SlotColumns(NamedTuple):
-    """The rows of one applied slot as columns, in vehicle order: the
-    vehicle ids, and per numeric :class:`LedgerEntry` field (same names,
-    same order) a float64 array."""
-
-    time_h: np.ndarray
-    vehicle_id: list
-    duration_h: np.ndarray
-    current_a: np.ndarray
-    power_kw: np.ndarray
-    price_usd_per_kwh: np.ndarray
-    cost_usd: np.ndarray
-    energy_ah: np.ndarray
-    soc: np.ndarray
-    fade_exact_ah: np.ndarray
-    fade_approx_ah: np.ndarray
-
-
 class Ledger(Sequence):
     """Time-ordered :class:`LedgerEntry` rows, stored as columns.
 
@@ -227,12 +208,19 @@ class Ledger(Sequence):
         self._ids: list = []
         self._floats = tuple(array("d") for _ in range(len(LedgerEntry._fields) - 1))
 
-    def append(self, slot: SlotColumns):
-        """Append one slot's rows after the rows held, in the slot's order."""
-        time_h, ids, *rest = slot
+    def append(self, *columns):
+        """Append rows after the rows held, given as one column per
+        :class:`LedgerEntry` field in field order: the vehicle ids, and per
+        numeric field an array of floats."""
+        time_h, ids, *rest = columns
         self._ids.extend(ids)
         for store, col in zip(self._floats, (time_h, *rest)):
             store.frombytes(np.asarray(col, dtype=np.float64).tobytes())
+
+    def column(self, name: str):
+        """One field's values in row order, as stored, not copied: the list
+        of vehicle ids or an ``array("d")``."""
+        return self._columns()[LedgerEntry._fields.index(name)]
 
     def _columns(self) -> tuple:
         time_h, *rest = self._floats
@@ -259,59 +247,69 @@ class Ledger(Sequence):
 def apply_slot(
     state: FleetState,
     alloc: np.ndarray,
-    slot_index: int,
     inst: ProblemInstance,
-    duration: float | None = None,
-) -> SlotColumns:
-    """Advance the fleet through one slot of a schedule.
+    until: float,
+    ledger: Ledger,
+) -> None:
+    """Walk a schedule from the clock to ``until`` and move the clock there.
 
-    Mutates the state in place (SoC recursion, clock) and returns the rows
-    of the plugged vehicles present in the slot, in vehicle order, as
-    :class:`SlotColumns` (a :class:`Ledger` reads them back as
-    :class:`LedgerEntry` rows).  ``duration`` truncates the slot when an
-    event falls inside it; each vehicle is charged for its own presence
-    within that window.  Calendric fade is pro-rated by the fraction of a
-    full slot realized.  The slot's vehicles are checked together before
-    any state changes; each fade kernel runs once over all of them, and
-    each column is computed over all of them.
+    ``alloc`` and ``inst`` are a schedule that starts at the clock.  A slot
+    applies whole when it ends by ``until``; the slot that holds ``until``
+    applies up to it, measured from the clock the slot before left.  A walk
+    shorter than 1e-12 h applies nothing.  Each vehicle of the state is
+    charged for its own presence within a slot's window, and calendric
+    fade is pro-rated by the fraction of a full slot realized.
+
+    Mutates the state (SoC recursion, clock) and appends the walk's rows to
+    ``ledger``, slot by slot, in vehicle order.  Every row is checked
+    before any state changes, and each fade kernel runs once over all the
+    rows.
     """
-    if not 0 <= slot_index < inst.horizon:
-        raise IndexError(f"slot {slot_index} outside allocation horizon {inst.horizon}")
-    window = inst.grid.dt if duration is None else duration
-    if window <= 0:
-        raise ValueError("slot duration must be > 0")
-    d = np.minimum(window, inst.durations[slot_index])
-    all_ids, vehicles = inst.vehicle_ids, state.vehicles
-    cols = [v for v in np.flatnonzero(d > 0).tolist() if all_ids[v] in vehicles]
-    ids = [all_ids[v] for v in cols]
-    present = [vehicles[vid] for vid in ids]
-    soc = np.array([vs.soc_cur for vs in present])
-    d, amps = d[cols], alloc[slot_index, cols]
-    ah = amps * d
-    soc_new = soc + ah / inst.c_bat
+    now, grid, ids, vehicles = state.now, inst.grid, inst.vehicle_ids, state.vehicles
+    if until <= now + 1e-12 or not inst.horizon:
+        state.now = until
+        return
+    soc_v = np.array([vehicles[vid].soc_cur if vid in vehicles else 0.0 for vid in ids])
+    walk = []  # per slot: start, index, vehicle columns; its rows' d, amps, SoC before and after
+    for i in range(inst.horizon):
+        slot_t = grid.slot_start(i)
+        slot_end = slot_t + grid.dt
+        window = grid.dt if slot_end <= until else until - now
+        d = np.minimum(window, inst.durations[i])
+        cols = [v for v in np.flatnonzero(d > 0).tolist() if ids[v] in vehicles]
+        soc, amps, d = soc_v[cols], alloc[i, cols], d[cols]
+        soc_new = soc + amps * d / inst.c_bat
+        soc_v[cols] = np.minimum(soc_new, 1.0)
+        walk.append((slot_t, i, cols, d, amps, soc, soc_new))
+        now = slot_t + window
+        if slot_end >= until:
+            break
+    slot_t, slot_i, cols, d, amps, soc, soc_new = zip(*walk)
+    n = [len(c) for c in cols]
+    row_ids = [ids[v] for c in cols for v in c]
+    d, amps, soc, soc_new = map(np.concatenate, (d, amps, soc, soc_new))
     for name, bad, value in (("current", amps < 0.0, amps),
                              ("soc_init", ~((0.0 <= soc) & (soc <= 1.0)), soc)):
         if bad.any():
             k = int(np.argmax(bad))
-            raise InvalidSlotError(name, f"vehicle {ids[k]}: {value[k]} out of range")
+            raise InvalidSlotError(name, f"vehicle {row_ids[k]}: {value[k]} out of range")
     over = soc_new > 1.0 + 1e-9
     if over.any():
         k = int(np.argmax(over))
-        raise SocOverflowError(f"vehicle {ids[k]} would reach SoC {soc_new[k]:.9f}")
+        raise SocOverflowError(f"vehicle {row_ids[k]} would reach SoC {soc_new[k]:.9f}")
 
     params = inst.fade_params
     exact = cyclic_fade_exact(soc, amps, d, inst.c_bat, params)
     approx, soc_avg, _ = cyclic_fade_approx(soc, amps, d, inst.c_bat, params)
-    cal = (d / inst.grid.dt) * calendric_fade_approx(np.minimum(soc_avg, 1.0), params)
-    slot_t = inst.grid.slot_start(slot_index)
-    price = float(inst.wep[slot_index])
+    cal = (d / grid.dt) * calendric_fade_approx(np.minimum(soc_avg, 1.0), params)
+    price = np.repeat(inst.wep[list(slot_i)], n)
+    ah = amps * d
     kwh = ah * inst.voltage / 1000.0
     soc_out = np.minimum(soc_new, 1.0)
-    for vs, s in zip(present, soc_out.tolist()):
-        vs.soc_cur = s
-    state.now = slot_t + window
-    n = len(ids)
-    return SlotColumns(
-        np.full(n, slot_t), ids, d, amps, amps * inst.voltage / 1000.0,
-        np.full(n, price), kwh * price, ah, soc_out, exact + cal, approx + cal,
+    for vid, s in dict(zip(row_ids, soc_out.tolist())).items():  # each vehicle's last row
+        vehicles[vid].soc_cur = s
+    state.now = until
+    ledger.append(
+        np.repeat(slot_t, n), row_ids, d, amps, amps * inst.voltage / 1000.0,
+        price, kwh * price, ah, soc_out, exact + cal, approx + cal,
     )

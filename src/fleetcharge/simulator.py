@@ -3,18 +3,19 @@
 Arrivals and departures drive the simulation: every event is applied and
 then answered with a fresh schedule that starts at the event time, generated
 with the active policy.  So each plan is walked once, from its anchor to
-the next event: its whole slots that end by then, and the part of the slot
-that holds the event.  Realized charging is accounted per slot and vehicle
-in a :class:`~fleetcharge.scheduler.Ledger`, which keeps its rows as float
+the next event, by one :func:`~fleetcharge.scheduler.apply_slot` call that
+appends the realized charging, per slot and vehicle, to a
+:class:`~fleetcharge.scheduler.Ledger`.  The ledger keeps its rows as float
 columns and builds a row only when one is read; the performance metrics are
-accumulated from each slot's columns as it is appended.
+summed over its columns once, when the log is done.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
+from functools import partial, reduce
+from itertools import compress
+from operator import add, lt
 from typing import Callable
 
 import numpy as np
@@ -151,54 +152,12 @@ def value_loss(fade_ah: float, config: SimConfig) -> float:
     return config.battery_cost_usd * fade_ah / config.c_bat
 
 
-def _add_in_order(total: float, column: np.ndarray) -> float:
-    """``total`` plus each value of ``column`` one at a time, in order: a
-    pairwise or compensated sum would change its bits."""
-    return reduce(add, column.tolist(), total)
-
-
-def _advance(
-    state: FleetState,
-    schedule: tuple[ProblemInstance, np.ndarray] | None,
-    until: float,
-    result: RunResult,
-    config: SimConfig,
-):
-    """Walk the schedule that starts at ``state.now`` up to ``until``, the next
-    event, and move the clock there.
-
-    A slot applies whole when it ends by ``until``; the slot that holds the
-    event applies up to it, measured from the clock :func:`apply_slot` left.
-    Each metric total adds the slot's columns in row order.
-    """
-    if until > state.now + 1e-12:
-        inst, alloc = schedule
-        peak_amps = config.peak_threshold * config.i_max
-        m = result.metrics
-        for i in range(inst.horizon):
-            slot_end = inst.grid.slot_start(i) + inst.grid.dt
-            duration = None if slot_end <= until else until - state.now
-            slot = apply_slot(state, alloc, i, inst, duration=duration)
-            result.ledger.append(slot)
-            amps, hours = slot.current_a, slot.duration_h
-            m.total_charging_cost = _add_in_order(m.total_charging_cost, slot.cost_usd)
-            m.total_fade_exact = _add_in_order(m.total_fade_exact, slot.fade_exact_ah)
-            m.total_fade_approx = _add_in_order(m.total_fade_approx, slot.fade_approx_ah)
-            m.total_charging_time = _add_in_order(
-                m.total_charging_time, hours[amps > ACTIVE_CURRENT_EPS])
-            m.total_peak_power_period = _add_in_order(
-                m.total_peak_power_period, hours[amps > peak_amps])
-            if slot_end >= until:
-                break
-    state.now = until
-
-
 def _reschedule(
     state: FleetState,
     config: SimConfig,
     prices_fn: Callable[[np.ndarray], np.ndarray],
     result: RunResult,
-) -> tuple[ProblemInstance, np.ndarray]:
+) -> tuple[np.ndarray, ProblemInstance]:
     policy = config.policy
     if policy.kind == "baseline":
         alloc, inst = baseline_schedule(state, config, prices_fn)
@@ -208,7 +167,7 @@ def _reschedule(
         opt_ms = rep.wall_time_ms
     result.metrics.max_opt_time_ms = max(result.metrics.max_opt_time_ms, opt_ms)
     result.metrics.per_event_peak_period.append(peak_power_period(alloc, config))
-    return inst, alloc
+    return alloc, inst
 
 
 def run(
@@ -231,9 +190,10 @@ def run(
 
     state = FleetState(now=events[0].time_h)
     rejected_ids = set()  # the vehicle ids of result.rejected
-    schedule = None  # the first event is at state.now: nothing to walk
+    plan = None  # the first event is at state.now: nothing to walk
     for ev in events:
-        _advance(state, schedule, ev.time_h, result, config)
+        if plan is not None:
+            apply_slot(state, *plan, ev.time_h, result.ledger)
         if ev.kind == "arrival":
             task = ev.task
             if task.vehicle_id in state.vehicles:
@@ -263,15 +223,24 @@ def run(
             elif ev.vehicle_id not in rejected_ids:
                 raise ValueError(f"unmatched-departure: {ev.vehicle_id}")
             # a rejected task never plugged in, but its departure still ends
-            # in a reschedule: _advance may have applied part of a slot
-        schedule = _reschedule(state, config, prices_fn, result)
+            # in a reschedule: the walk may have applied part of a slot
+        plan = _reschedule(state, config, prices_fn, result)
 
     # Tail: drain any vehicles whose departure events were missing.
     if state.vehicles:
         last_dep = max(vs.task.t_dep for vs in state.vehicles.values())
-        _advance(state, schedule, last_dep, result, config)
+        apply_slot(state, *plan, last_dep, result.ledger)
 
-    result.metrics.total_value_loss = value_loss(
-        result.metrics.total_fade_exact, config
-    )
+    # Each total adds its rows one at a time, in row order: a pairwise or
+    # compensated sum would change its bits.
+    m, column = result.metrics, result.ledger.column
+    hours, amps = column("duration_h"), column("current_a")
+    m.total_charging_cost = reduce(add, column("cost_usd"), 0.0)
+    m.total_fade_exact = reduce(add, column("fade_exact_ah"), 0.0)
+    m.total_fade_approx = reduce(add, column("fade_approx_ah"), 0.0)
+    m.total_charging_time = reduce(
+        add, compress(hours, map(partial(lt, ACTIVE_CURRENT_EPS), amps)), 0.0)
+    m.total_peak_power_period = reduce(
+        add, compress(hours, map(partial(lt, config.peak_threshold * config.i_max), amps)), 0.0)
+    m.total_value_loss = value_loss(m.total_fade_exact, config)
     return result

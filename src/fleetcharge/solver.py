@@ -143,19 +143,18 @@ class _LinearProgram:
         options.output_flag = False
         options.log_to_console = False
         self.lp = lp
+        self.optimal = highs.HighsModelStatus.kOptimal
         self.model = highs._Highs()
         self.model.passOptions(options)
 
     def __call__(self, c: np.ndarray) -> np.ndarray | None:
-        from scipy.optimize._highspy import _core as highs
-
         inst = self.inst
         if self.size == 0:
             return inst.empty_allocation()
         self.lp.col_cost_ = np.ravel(c).astype(float)
         self.model.passModel(self.lp)
         self.model.run()
-        if self.model.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        if self.model.getModelStatus() != self.optimal:
             return None
         x = np.array(self.model.getSolution().col_value).reshape(inst.horizon, inst.n_vehicles)
         x = np.clip(x, 0.0, None)

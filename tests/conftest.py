@@ -53,11 +53,11 @@ def reachable(root) -> list:
     return out
 
 
-def slot_rows(*args, **kwargs) -> Ledger:
-    """The rows of one :func:`apply_slot` call, read back through a
-    :class:`Ledger`; takes ``apply_slot``'s arguments."""
+def slot_rows(state, alloc, inst, until) -> Ledger:
+    """A fresh :class:`Ledger` holding the rows of one :func:`apply_slot`
+    walk from the clock to ``until``."""
     ledger = Ledger()
-    ledger.append(apply_slot(*args, **kwargs))
+    apply_slot(state, alloc, inst, until, ledger)
     return ledger
 
 

@@ -545,7 +545,7 @@ class TestFadeTerms:
 
         state = FleetState(now=0.0, vehicles={t.vehicle_id: VehicleState(t, t.soc_start)
                                               for t in tasks})
-        rows = slot_rows(state, alloc, 0, inst)
+        rows = slot_rows(state, alloc, inst, 0.5)
         assert [e.vehicle_id for e in rows] == list(inst.vehicle_ids)
         assert [e.fade_approx_ah for e in rows] == (cyclic[0] + calendric[0]).tolist()
         is_hi = alloc[0] >= inst.fade_params.branch_slope * inst.soc_start

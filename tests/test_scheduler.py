@@ -12,7 +12,6 @@ from fleetcharge.scheduler import (
     FleetState,
     Ledger,
     LedgerEntry,
-    SlotColumns,
     SocOverflowError,
     StationLimits,
     VehicleState,
@@ -78,7 +77,7 @@ class TestBaselineSchedule:
         state = fleet(0.0, (task, 0.95))
         alloc, inst = baseline_schedule(state, limits())
         assert alloc[0, 0] == pytest.approx(10.0)  # 0.05 * 200 Ah over 1 h
-        apply_slot(state, alloc, 0, inst)  # must not overflow
+        apply_slot(state, alloc, inst, 1.0, Ledger())  # must not overflow
         assert state.vehicles["v"].soc_cur == pytest.approx(1.0)
 
     def test_never_exceeds_limits(self):
@@ -164,7 +163,7 @@ class TestApplySlot:
 
     def test_idle_slot(self):
         state, inst = self._single()
-        ledger = slot_rows(state, np.zeros((inst.horizon, 1)), 0, inst)
+        ledger = slot_rows(state, np.zeros((inst.horizon, 1)), inst, 0.5)
         assert state.vehicles["v"].soc_cur == 0.5
         assert ledger[0].cost_usd == 0.0
         assert ledger[0].current_a == 0.0
@@ -175,7 +174,7 @@ class TestApplySlot:
         _, inst = baseline_schedule(state, limits(dt=0.5, i_max=40.0))
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = 40.0
-        apply_slot(state, alloc, 0, inst)
+        apply_slot(state, alloc, inst, 0.5, Ledger())
         assert state.vehicles["v"].soc_cur == pytest.approx(0.6)  # +40*0.5/200
         assert state.now == pytest.approx(0.5)
 
@@ -184,7 +183,7 @@ class TestApplySlot:
         state, inst = self._single()
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = 30.0
-        ledger = slot_rows(state, alloc, 0, inst)
+        ledger = slot_rows(state, alloc, inst, 0.5)
         approx, soc_avg, _ = cyclic_fade_approx(0.5, 30.0, 0.5, 200.0, params)
         cal = calendric_fade_approx(soc_avg, params)
         entry = ledger[0]
@@ -210,7 +209,7 @@ class TestApplySlot:
         assert not inst.fade_params.is_hi(amps["lo"], socs["lo"])
         del state.vehicles["gone"]
 
-        rows = slot_rows(state, alloc, 0, inst, duration=0.4)
+        rows = slot_rows(state, alloc, inst, 0.4)
         order = [vid for vid in inst.vehicle_ids if vid != "gone"]
         assert [e.vehicle_id for e in rows] == order
         assert state.now == 0.4
@@ -218,7 +217,7 @@ class TestApplySlot:
         assert by_id["short"].duration_h == 0.25 and by_id["hi"].duration_h == 0.4
         for vid in order:
             alone = fleet(0.0, (tasks[vid], socs[vid]))
-            assert slot_rows(alone, alloc, 0, inst, duration=0.4) == (by_id[vid],)
+            assert slot_rows(alone, alloc, inst, 0.4) == (by_id[vid],)
             assert alone.vehicles[vid].soc_cur == state.vehicles[vid].soc_cur
 
     def test_row_columns_equal_scalar_expressions(self):
@@ -238,7 +237,7 @@ class TestApplySlot:
         window = 0.4
         assert 1.0 < socs["full"] + amps["full"] * window / 200.0 <= 1.0 + 1e-9
 
-        rows = slot_rows(state, alloc, 0, inst, duration=window)
+        rows = slot_rows(state, alloc, inst, window)
         price = float(inst.wep[0])
         assert len(rows) == inst.n_vehicles
         for v, e in enumerate(rows):
@@ -266,10 +265,80 @@ class TestApplySlot:
         assert inst.vehicle_ids == ("first", "second")
         alloc = np.zeros((inst.horizon, 2))
         alloc[0] = [50.0, 50.0]
+        ledger = Ledger()
         with pytest.raises(SocOverflowError, match="vehicle second"):
-            apply_slot(state, alloc, 0, inst)
-        assert state.now == 0.0
+            apply_slot(state, alloc, inst, 0.5, ledger)
+        assert state.now == 0.0 and len(ledger) == 0
         assert (state.vehicles["first"].soc_cur, state.vehicles["second"].soc_cur) == (0.5, 0.99)
+
+    def test_walk_equals_per_slot_reference(self):
+        """A walk of two whole slots and the part of a third equals applying
+        the plan one slot at a time, row by row and SoC by SoC, bit for bit:
+        ``leave`` departs inside the second slot, ``gone`` is in the plan but
+        not in the state, and the third slot's window is measured from the
+        clock the second left, which is not its start."""
+        t_s, dt = 2 / 60, 0.5
+        socs = {"stay": 0.3, "leave": 0.5, "gone": 0.4, "hi": 0.05, "idle": 0.6}
+        tasks = {vid: ChargingTask(vid, t_s, t_s + (0.75 if vid == "leave" else 4.0), soc, 1.0)
+                 for vid, soc in socs.items()}
+        state = fleet(t_s, *((tasks[vid], soc) for vid, soc in socs.items()))
+        _, inst = baseline_schedule(state, limits(dt=dt, ic_max=400.0),
+                                    price_fn(lambda t: 0.1 + 0.01 * round(t / dt)))
+        amps = {"stay": 31.7, "leave": 40.0, "gone": 20.0, "hi": 50.0, "idle": 0.0}
+        alloc = np.array([[amps[vid] * (1.0 + 0.1 * i) for vid in inst.vehicle_ids]
+                          for i in range(inst.horizon)])
+        del state.vehicles["gone"]
+        until = t_s + 1.2
+        assert (t_s + dt) + dt != t_s + 2 * dt < until < t_s + 3 * dt
+
+        rows, soc, clock = [], {vid: vs.soc_cur for vid, vs in state.vehicles.items()}, t_s
+        for i in range(inst.horizon):
+            start = t_s + i * dt
+            window = dt if start + dt <= until else until - clock
+            here = [v for v, vid in enumerate(inst.vehicle_ids)
+                    if vid in soc and inst.durations[i, v] > 0]
+            d = np.minimum(window, inst.durations[i, here])
+            a = alloc[i, here]
+            s0 = np.array([soc[inst.vehicle_ids[v]] for v in here])
+            ah = a * d
+            s1 = np.minimum(s0 + ah / 200.0, 1.0)
+            exact = cyclic_fade_exact(s0, a, d, 200.0, inst.fade_params)
+            approx, avg, _ = cyclic_fade_approx(s0, a, d, 200.0, inst.fade_params)
+            cal = d / dt * calendric_fade_approx(np.minimum(avg, 1.0), inst.fade_params)
+            price = float(inst.wep[i])
+            for k, v in enumerate(here):
+                vid = inst.vehicle_ids[v]
+                rows.append(LedgerEntry(start, vid, d[k], a[k], a[k] * 400.0 / 1000.0, price,
+                                        ah[k] * 400.0 / 1000.0 * price, ah[k], s1[k],
+                                        exact[k] + cal[k], approx[k] + cal[k]))
+                soc[vid] = s1[k]
+            clock = start + window
+            if start + dt >= until:
+                break
+
+        ledger = slot_rows(state, alloc, inst, until)
+        assert [e.time_h for e in ledger] == [t_s] * 4 + [t_s + dt] * 4 + [t_s + 2 * dt] * 3
+        assert "gone" not in {e.vehicle_id for e in ledger}
+        assert [[x.hex() if isinstance(x, float) else x for x in e] for e in ledger] == \
+            [[float(x).hex() if i != 1 else x for i, x in enumerate(e)] for e in rows]
+        assert {vid: vs.soc_cur.hex() for vid, vs in state.vehicles.items()} == \
+            {vid: float(s).hex() for vid, s in soc.items()}
+        assert state.now == until
+
+    def test_overflow_in_a_later_slot_changes_nothing(self):
+        """A walk is checked whole before any of it applies: when the second
+        slot would push a vehicle past full, the first slot's charge, the
+        clock and the ledger all stay as they were."""
+        task = ChargingTask("v", 0.0, 4.0, 0.9, 1.0)
+        state = fleet(0.0, (task, 0.9))
+        _, inst = baseline_schedule(state, limits(dt=0.5), price_fn(0.2))
+        alloc = np.full((inst.horizon, 1), 40.0)  # +0.1 SoC per slot
+        ledger = Ledger()
+        ledger.append(*zip(TestLedger.ROWS[0]))
+        with pytest.raises(SocOverflowError, match="vehicle v would reach SoC 1.1"):
+            apply_slot(state, alloc, inst, 1.0, ledger)
+        assert (state.now, state.vehicles["v"].soc_cur) == (0.0, 0.9)
+        assert list(ledger) == TestLedger.ROWS[:1]
 
     @pytest.mark.parametrize("soc, amps, error, field", [
         (-0.1, 10.0, InvalidSlotError, "soc_init"),
@@ -284,18 +353,19 @@ class TestApplySlot:
         state.vehicles["v"].soc_cur = soc
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = amps
+        ledger = Ledger()
         with pytest.raises(error, match="vehicle v") as err:
-            apply_slot(state, alloc, 0, inst)
+            apply_slot(state, alloc, inst, 0.5, ledger)
         if field is not None:
             assert err.value.field_name == field
-        assert (state.now, state.vehicles["v"].soc_cur) == (0.0, soc)
+        assert (state.now, state.vehicles["v"].soc_cur, len(ledger)) == (0.0, soc, 0)
 
     def test_charge_conservation(self):
         state, inst = self._single()
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = 25.0
         soc_before = state.vehicles["v"].soc_cur
-        ledger = slot_rows(state, alloc, 0, inst)
+        ledger = slot_rows(state, alloc, inst, 0.5)
         delta = state.vehicles["v"].soc_cur - soc_before
         assert delta == pytest.approx(ledger[0].energy_ah / 200.0, rel=1e-12)
 
@@ -303,7 +373,7 @@ class TestApplySlot:
         state, inst = self._single()
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = 40.0
-        ledger = slot_rows(state, alloc, 0, inst, duration=0.25)
+        ledger = slot_rows(state, alloc, inst, 0.25)
         assert ledger[0].energy_ah == pytest.approx(10.0)
         assert state.now == pytest.approx(0.25)
 
@@ -312,14 +382,7 @@ class TestApplySlot:
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = 50.0  # 25 Ah on a 200 Ah pack: +0.125 SoC
         with pytest.raises(SocOverflowError):
-            apply_slot(state, alloc, 0, inst)
-
-
-def slot_columns(rows):
-    """Hand-built rows as the columns ``apply_slot`` returns."""
-    cols = list(zip(*rows))
-    return SlotColumns(*(list(c) if name == "vehicle_id" else np.array(c)
-                         for name, c in zip(SlotColumns._fields, cols)))
+            apply_slot(state, alloc, inst, 0.5, Ledger())
 
 
 class TestLedger:
@@ -329,26 +392,25 @@ class TestLedger:
         LedgerEntry(10.0, "a", 0.1, 12.5, 5.125, 0.125, 0.0640625, 1.25, 0.61, 2e-4, 1e-4),
     ]
 
-    def test_columns_match_the_row_type(self):
-        assert SlotColumns._fields == LedgerEntry._fields
-
     def test_rows_read_back_equal_hand_built_rows(self):
         """Each row read from the columns is the hand-built row, with
         Python floats, also from an integer current column."""
         ledger = Ledger()
-        ledger.append(slot_columns(self.ROWS[:2])._replace(current_a=np.array([80, 0])))
+        columns = list(zip(*self.ROWS[:2]))
+        columns[LedgerEntry._fields.index("current_a")] = np.array([80, 0])
+        ledger.append(*columns)
         assert list(ledger) == self.ROWS[:2]
         for row in ledger:
             assert type(row) is LedgerEntry
             assert [type(x) for x in row] == [float, str] + [float] * 9
 
     def test_sequence_protocol_and_row_order(self):
-        """Appended slots read back in append order by ``len``, indexing,
+        """Appended columns read back in append order by ``len``, indexing,
         iteration and ``==`` against rows held in any sequence."""
         ledger = Ledger()
         assert len(ledger) == 0 and ledger == [] and list(ledger) == []
-        ledger.append(slot_columns(self.ROWS[:2]))
-        ledger.append(slot_columns(self.ROWS[2:]))
+        ledger.append(*zip(*self.ROWS[:2]))
+        ledger.append(*zip(*self.ROWS[2:]))
         assert len(ledger) == 3
         assert [ledger[i] for i in range(3)] == self.ROWS
         assert ledger[-1] == self.ROWS[-1]
@@ -360,9 +422,17 @@ class TestLedger:
         assert ledger == self.ROWS and ledger == tuple(self.ROWS) and self.ROWS == ledger
         assert ledger != self.ROWS[:2] and ledger != self.ROWS[::-1]
         again = Ledger()
-        again.append(slot_columns(self.ROWS))
+        again.append(*zip(*self.ROWS))
         assert again == ledger
         assert ledger != 3
+
+    def test_column_holds_one_field_in_row_order(self):
+        ledger = Ledger()
+        ledger.append(*zip(*self.ROWS))
+        for name in LedgerEntry._fields:
+            assert list(ledger.column(name)) == [getattr(e, name) for e in self.ROWS]
+        assert type(ledger.column("vehicle_id")) is list
+        assert ledger.column("cost_usd").typecode == "d"
 
 
 class TestFleetState:
@@ -393,8 +463,7 @@ class TestFleetState:
         alloc = np.zeros((inst.horizon, inst.n_vehicles))
         alloc[:, 1] = 40.0
 
-        for i in range(2):  # the clock passes overdue's departure at 0.75
-            apply_slot(state, alloc, i, inst)
+        apply_slot(state, alloc, inst, 1.0, Ledger())  # past overdue's departure at 0.75
         _, later = baseline_schedule(state, limits(dt=0.5))
         assert later.vehicle_ids == ("overdue", "charging", "idle")
         assert later.soc_start.tolist() == [0.6, 0.7, 1.0]

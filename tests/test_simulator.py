@@ -15,15 +15,13 @@ from fleetcharge.scheduler import (
     LedgerEntry,
     Policy,
     VehicleState,
+    apply_slot,
     baseline_schedule,
 )
 from fleetcharge.simulator import (
     ACTIVE_CURRENT_EPS,
     Event,
-    MetricsReport,
-    RunResult,
     SimConfig,
-    _advance,
     peak_power_period,
     run,
     value_loss,
@@ -415,14 +413,13 @@ class TestAdvance:
     def _walk(self, until):
         """One vehicle's baseline plan anchored at 9.4 h on 30-minute slots,
         walked to ``until``."""
-        cfg = config()
         state = FleetState(now=9.4)
         task = ChargingTask("v", 9.0, 12.0, 0.1, 0.9)
         state.vehicles["v"] = VehicleState(task=task, soc_cur=0.1)
-        alloc, inst = baseline_schedule(state, cfg, day_prices)
-        result = RunResult(metrics=MetricsReport(), ledger=Ledger(), departures=[], rejected=[])
-        _advance(state, (inst, alloc), until, result, cfg)
-        return state, inst, result.ledger
+        alloc, inst = baseline_schedule(state, config(), day_prices)
+        ledger = Ledger()
+        apply_slot(state, alloc, inst, until, ledger)
+        return state, inst, ledger
 
     def test_event_an_ulp_before_a_slot_end_cuts_that_slot(self):
         until = 9.899999999999999
@@ -438,6 +435,13 @@ class TestAdvance:
         assert inst.grid.slot_start(0) + inst.grid.dt == until
         assert [(e.time_h, e.duration_h) for e in ledger] == [(9.4, 0.5)]
         assert state.now == until
+
+    def test_walk_shorter_than_the_guard_applies_nothing(self):
+        """Two events a rounding error apart: the walk between them applies
+        no slot and only moves the clock."""
+        state, _, ledger = self._walk(9.4 + 1e-13)
+        assert len(ledger) == 0 and state.vehicles["v"].soc_cur == 0.1
+        assert state.now == 9.4 + 1e-13
 
 
 class TestEventValidation:
