@@ -12,10 +12,15 @@ Linear single-objective subproblems (cost and availability) are solved
 exactly as LPs on one HiGHS model per instance (dual simplex, Huangfu & Hall
 2018), built once and passed afresh with each cost vector.  The cost LP is
 every entry point's feasibility verdict, and its vertex anchors every repair.
+The model runs on scipy's HiGHS extension, loaded on its own at the first LP.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -84,23 +89,54 @@ class SolveReport:
 
 
 def _lp_matrices(inst: ProblemInstance):
-    """Sparse A_ub, b_ub and variable bounds of the schedule polytope."""
-    from scipy import sparse
+    """Column-wise A_ub ``(start, index, value)``, b_ub and variable bounds
+    of the schedule polytope.
 
+    Rows: station cap per slot, then each vehicle's energy window top, then
+    its floor (negated).  Cell ``j = i * V + v`` is column j: it holds row
+    i with value 1 and, when ``d > 0``, row ``H + v`` with ``d`` and row
+    ``H + V + v`` with ``-d``, rows ascending.
+    """
     h, n = inst.horizon, inst.n_vehicles
     size = h * n
     ub = np.where(inst.active, inst.i_max, 0.0).ravel()
-    # Rows: station cap per slot, then each vehicle's energy window top,
-    # then its floor (negated); window rows hold the cells with d > 0.
-    vs, slots = np.nonzero(inst.durations.T > 0)
-    window_cols = slots * n + vs
-    window = inst.durations[slots, vs]
-    rows = np.concatenate([np.repeat(np.arange(h), n), h + vs, h + n + vs])
-    cols = np.concatenate([np.arange(size), window_cols, window_cols])
-    data = np.concatenate([np.ones(size), window, -window])
+    d = inst.durations.ravel()
+    vs = np.tile(np.arange(n), h)
+    rows = np.column_stack([np.repeat(np.arange(h), n), h + vs, h + n + vs])
+    values = np.column_stack([np.ones(size), d, -d])
+    held = np.column_stack([np.ones(size, dtype=bool), d > 0, d > 0])
+    start = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(held.sum(axis=1), out=start[1:])
     b = np.concatenate([np.full(h, inst.ic_max), inst.e_hi, -inst.e_lo])
-    a_ub = sparse.csr_matrix((data, (rows, cols)), shape=(h + 2 * n, size))
+    a_ub = (start, rows[held].astype(np.int32), values[held])
     return a_ub, b, np.column_stack([np.zeros(size), ub])
+
+
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+def _highs():
+    """scipy's HiGHS extension, loaded without ``scipy`` or
+    ``scipy.optimize``'s package init.
+
+    The module is registered in ``sys.modules`` under its full name, so
+    ``scipy.optimize`` reuses it when it is loaded later, and this returns
+    the one ``scipy.optimize`` loaded earlier.
+    """
+    module = sys.modules.get(_HIGHS)
+    if module is not None:
+        return module
+    package = importlib.util.find_spec("scipy")  # locates scipy, does not import it
+    if package is None:
+        raise ImportError("scipy is not installed", name=_HIGHS)
+    folder = os.path.join(package.submodule_search_locations[0], "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS, [folder])
+    if spec is None:
+        raise ImportError(f"no HiGHS extension in {folder}", name=_HIGHS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 class _LinearProgram:
@@ -113,27 +149,27 @@ class _LinearProgram:
     afresh with its cost, so each LP starts cold and returns the vertex a
     fresh model would, whatever was solved before.  Changing the cost in
     place and clearing the solver is not enough: HiGHS keeps state that can
-    move a later LP's optimal vertex.  scipy's HiGHS binding is imported
-    here rather than with the package, so a run that builds no LP (the
-    baseline replay) never loads it.
+    move a later LP's optimal vertex.  The matrix is :func:`_lp_matrices`'
+    column-wise triple, passed as it is, and the HiGHS extension is loaded
+    here by :func:`_highs` rather than with the package, so a run that
+    builds no LP (the baseline replay) never loads it.
     """
 
     def __init__(self, inst: ProblemInstance):
-        from scipy.optimize._highspy import _core as highs
+        highs = _highs()
 
         self.inst = inst
         self.size = inst.horizon * inst.n_vehicles
         if self.size == 0:
             return
-        a_ub, b_ub, bounds = _lp_matrices(inst)
-        a = a_ub.tocsc()
+        (start, index, value), b_ub, bounds = _lp_matrices(inst)
         lp = highs.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = self.size
         lp.num_row_ = lp.a_matrix_.num_row_ = len(b_ub)
         lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = a.indptr
-        lp.a_matrix_.index_ = a.indices
-        lp.a_matrix_.value_ = a.data
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
         lp.col_lower_, lp.col_upper_ = bounds.T.copy()
         lp.row_lower_ = np.full(len(b_ub), -highs.kHighsInf)
         lp.row_upper_ = b_ub

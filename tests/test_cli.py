@@ -218,18 +218,20 @@ inst = build_instance(["A"], [4.0], [0.4], [0.8], t_s=0.0, dt=0.5,
                       prices_fn=ZERO_PRICES, i_max=80.0, ic_max=400.0, voltage=410.0,
                       c_bat=210.0, soc_xtra_ah=0.0, weights=(1.0, 1.0, 1.0),
                       fade_params=FadeModelParams())
-print(feasibility_check(inst).feasible, "scipy.optimize" in sys.modules)
+print(feasibility_check(inst).feasible, "scipy.optimize._highspy._core" in sys.modules,
+      "scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
 """
 
 
 def test_baseline_replay_never_loads_the_lp_stack(tmp_path):
     """Importing the package and its CLI and replaying the week under the
     baseline load neither ``scipy.optimize`` nor ``scipy.sparse``; the first
-    LP does.  A fresh interpreter, so no other test has imported scipy."""
+    LP loads only scipy's HiGHS extension.  A fresh interpreter, so no other
+    test has imported scipy."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", _LP_STACK_PROBE, str(ROOT / "fixtures"), str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300, check=True)
-    assert done.stdout.splitlines()[-2:] == ["0 False False", "True True"]
+    assert done.stdout.splitlines()[-2:] == ["0 False False", "True True False False"]

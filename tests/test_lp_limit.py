@@ -6,6 +6,7 @@ cap that binds."""
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_matrix
 
 from fleetcharge.problem import ChargingTask, normalized_objective, objective_components
 from fleetcharge.solver import _lp_matrices, feasibility_check, solve
@@ -46,7 +47,8 @@ def _linear_optimum(inst, points):
     scaled = points.weight_per_spread(inst.weights)
     c = (scaled["cost"] * inst.wep[:, None] * inst.durations * inst.voltage / 1000.0
          - scaled["availability"] * inst.avail_w * inst.voltage)
-    a_ub, b_ub, bounds = _lp_matrices(inst)
+    (start, index, value), b_ub, bounds = _lp_matrices(inst)
+    a_ub = csc_matrix((value, index, start), shape=(len(b_ub), c.size))
     res = linprog(c.ravel(), A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.success, res.message
     x = np.clip(res.x.reshape(inst.horizon, inst.n_vehicles), 0.0, None)

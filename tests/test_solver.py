@@ -1,6 +1,9 @@
 """Solver tests: feasibility, optimality direction, oracle gap, determinism."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -52,7 +55,7 @@ from fleetcharge.solver import (
     solve,
 )
 
-from conftest import make_instance
+from conftest import ROOT, make_instance
 from oracles import OracleError, oracle_grid_search
 
 
@@ -370,11 +373,19 @@ def _loop_lp_triplets(inst):
     return rows, cols, data
 
 
+def _csc(a_ub, b_ub, inst):
+    """The column-wise triple ``(start, index, value)`` of
+    :func:`_lp_matrices` as a scipy matrix of its shape."""
+    start, index, value = a_ub
+    return sparse.csc_matrix((value, index, start),
+                             shape=(len(b_ub), inst.horizon * inst.n_vehicles))
+
+
 class TestLpMatrices:
     def test_rows_are_slot_sums_then_window_tops_then_floors(self):
         """Rows: station cap per slot, delivered Ah per vehicle against the
-        window top, and its negation against the floor; the same sparse
-        arrays as a cell-by-cell build."""
+        window top, and its negation against the floor; the same column-wise
+        arrays as a cell-by-cell build, each column's rows ascending."""
         rng = np.random.default_rng(17)
         for _ in range(20):
             n = int(rng.integers(1, 6))
@@ -383,12 +394,17 @@ class TestLpMatrices:
             tasks = [ChargingTask(f"v{v}", 0.0, t, 0.3, 0.5) for v, t in enumerate(deps)]
             inst = make_instance(tasks, ic_max=float(rng.uniform(80.0, 400.0)),
                                  soc_xtra_ah=10.0)
-            a_ub, b_ub, bounds = _lp_matrices(inst)
+            triple, b_ub, bounds = _lp_matrices(inst)
+            a_ub = _csc(triple, b_ub, inst)
             h, n = inst.horizon, inst.n_vehicles
             rows, cols, data = _loop_lp_triplets(inst)
-            ref = sparse.csr_matrix((data, (rows, cols)), shape=(h + 2 * n, h * n))
-            for name in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(a_ub, name), getattr(ref, name))
+            ref = sparse.csr_matrix((data, (rows, cols)), shape=(h + 2 * n, h * n)).tocsc()
+            for got, name in zip(triple, ("indptr", "indices", "data")):
+                np.testing.assert_array_equal(got, getattr(ref, name))
+            start, index, _ = triple
+            assert set(np.diff(start).tolist()) <= {1, 3}
+            for j in range(h * n):
+                assert np.all(np.diff(index[start[j]:start[j + 1]]) > 0)
             x = np.where(inst.active, rng.uniform(0.0, inst.i_max, size=(h, n)), 0.0)
             delivered = (x * inst.durations).sum(axis=0)
             np.testing.assert_allclose(
@@ -409,8 +425,9 @@ def _linprog_reference(inst, c):
     model's clip and inactive-cell zeroing; None unless it succeeds."""
     if inst.horizon == 0 or inst.n_vehicles == 0:
         return inst.empty_allocation()
-    a_ub, b_ub, bounds = _lp_matrices(inst)
-    res = linprog(np.ravel(c), A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    triple, b_ub, bounds = _lp_matrices(inst)
+    res = linprog(np.ravel(c), A_ub=_csc(triple, b_ub, inst), b_ub=b_ub, bounds=bounds,
+                  method="highs")
     if not res.success:
         return None
     x = np.clip(res.x.reshape(inst.horizon, inst.n_vehicles), 0.0, None)
@@ -502,6 +519,85 @@ class TestLinearProgram:
                     got, ref = lp(c), _LinearProgram(inst)(c)
                     assert (got is None) == (ref is None)
                     assert ref is None or got.tobytes() == ref.tobytes()
+
+
+_PROGRAM_LP = """
+from fleetcharge.fade import FadeModelParams
+from fleetcharge.problem import build_instance
+from fleetcharge.scheduler import ZERO_PRICES
+from fleetcharge.solver import _highs, feasibility_check
+
+NAME = "scipy.optimize._highspy._core"
+
+
+def program_lp():
+    inst = build_instance(["A"], [4.0], [0.4], [0.8], t_s=0.0, dt=0.5,
+                          prices_fn=ZERO_PRICES, i_max=80.0, ic_max=400.0, voltage=410.0,
+                          c_bat=210.0, soc_xtra_ah=0.0, weights=(1.0, 1.0, 1.0),
+                          fade_params=FadeModelParams())
+    assert feasibility_check(inst).feasible
+"""
+
+_LOADER_PROBE = _PROGRAM_LP + """
+import gc
+import sys
+import types
+
+
+def scipy_lp():
+    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core
+
+    res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], bounds=[(0, 1)] * 2,
+                  method="highs")
+    assert res.success and res.x.tolist() == [1.0, 0.0], res
+    return _core
+
+
+# The module the first side leaves in sys.modules must be the one both use.
+if sys.argv[1] == "program":
+    program_lp()
+    first = sys.modules.get(NAME)
+    imported = scipy_lp()
+else:
+    imported = scipy_lp()
+    first = sys.modules.get(NAME)
+    program_lp()
+loaded = [m for m in gc.get_objects() if isinstance(m, types.ModuleType) and m.__name__ == NAME]
+print(len(loaded), imported is first, sys.modules[NAME] is first, _highs() is first)
+"""
+
+
+class TestHighsLoader:
+    """The program loads scipy's HiGHS extension on its own; scipy's own
+    import of it and the program's share one module object, whichever comes
+    first.  Each case runs in a fresh interpreter, so no other test has
+    loaded either side."""
+
+    @staticmethod
+    def _run(*args, path=()):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [*map(str, path), str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+        return subprocess.run([sys.executable, "-c", *args], capture_output=True,
+                              text=True, env=env, timeout=300)
+
+    @pytest.mark.parametrize("first", ["program", "scipy"])
+    def test_one_module_object_either_order(self, first):
+        done = self._run(_LOADER_PROBE, first)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "True", "True", "True"]
+
+    def test_missing_extension_raises(self, tmp_path):
+        """A scipy without the extension: the first LP raises ImportError
+        naming the folder it looked in."""
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        folder = tmp_path / "scipy" / "optimize" / "_highspy"
+        code = _PROGRAM_LP + "try:\n    program_lp()\nexcept ImportError as exc:\n    print(exc)\n"
+        done = self._run(code, path=[tmp_path])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == f"no HiGHS extension in {folder}"
 
 
 class TestOracle:
