@@ -193,29 +193,72 @@ class LedgerEntry(NamedTuple):
     fade_approx_ah: float  # quadratic cyclic + calendric
 
 
+_DERIVE_BATCH_ROWS = 1 << 12  # pending ledger rows derived at once: bounds memory
+
+
 class Ledger(Sequence):
     """Time-ordered :class:`LedgerEntry` rows, stored as columns.
 
     Each numeric field is one ``array("d")`` and the vehicle ids one list,
     so a replay keeps no Python object per row for the garbage collector to
-    walk.  It has a ``len``, and its rows are read by indexing, iteration
-    and ``==`` against any sequence of rows, each built as it is read.
+    walk.  :meth:`append` takes each row's primitive fields and the SoC
+    before it; the derived fields (power, cost, energy and both fades) of
+    the rows not yet derived are computed together, one call of each fade
+    kernel per batch, when ``_DERIVE_BATCH_ROWS`` rows are pending, when an
+    append brings another slot model and before any read.  The kernels
+    work element by element, so a row's values do not depend on its batch.
+    It has a ``len``, and its rows are read by indexing, iteration and
+    ``==`` against any sequence of rows, each built as it is read.
     """
 
-    __slots__ = ("_ids", "_floats")
+    __slots__ = ("_ids", "_floats", "_soc_before", "_model")
 
     def __init__(self):
         self._ids: list = []
-        self._floats = tuple(array("d") for _ in range(len(LedgerEntry._fields) - 1))
+        self._floats = {name: array("d") for name in LedgerEntry._fields if name != "vehicle_id"}
+        self._soc_before = array("d")  # of the pending rows, which are not derived yet
+        self._model = None  # (c_bat, voltage, dt, fade_params) of the pending rows
 
-    def append(self, *columns):
-        """Append rows after the rows held, given as one column per
-        :class:`LedgerEntry` field in field order: the vehicle ids, and per
-        numeric field an array of floats."""
-        time_h, ids, *rest = columns
-        self._ids.extend(ids)
-        for store, col in zip(self._floats, (time_h, *rest)):
+    def append(self, time_h, vehicle_ids, duration_h, current_a, price_usd_per_kwh,
+               soc_before, soc, c_bat, voltage, dt, fade_params):
+        """Append rows after the rows held, given as columns (the vehicle
+        ids, and arrays of floats): each row's primitive fields, its SoC
+        before, and the slot model all these rows charged under, that is
+        the pack capacity (Ah), the voltage (V), the full slot length (h)
+        and the fade parameters."""
+        model = (c_bat, voltage, dt, fade_params)
+        if model != self._model:
+            self._derive()
+            self._model = model
+        self._ids.extend(vehicle_ids)
+        floats = self._floats
+        for store, col in ((floats["time_h"], time_h), (floats["duration_h"], duration_h),
+                           (floats["current_a"], current_a),
+                           (floats["price_usd_per_kwh"], price_usd_per_kwh),
+                           (floats["soc"], soc), (self._soc_before, soc_before)):
             store.frombytes(np.asarray(col, dtype=np.float64).tobytes())
+        if len(self._soc_before) >= _DERIVE_BATCH_ROWS:
+            self._derive()
+
+    def _derive(self):
+        """Compute the derived fields of the pending rows."""
+        if not self._soc_before:
+            return
+        c_bat, voltage, dt, params = self._model
+        floats = self._floats
+        start = len(floats["power_kw"])
+        soc = np.array(self._soc_before)
+        d, amps, price = (np.frombuffer(floats[name][start:])
+                          for name in ("duration_h", "current_a", "price_usd_per_kwh"))
+        exact = cyclic_fade_exact(soc, amps, d, c_bat, params)
+        approx, soc_avg, _ = cyclic_fade_approx(soc, amps, d, c_bat, params)
+        cal = (d / dt) * calendric_fade_approx(np.minimum(soc_avg, 1.0), params)
+        ah = amps * d
+        for name, col in (("power_kw", amps * voltage / 1000.0),
+                          ("cost_usd", ah * voltage / 1000.0 * price), ("energy_ah", ah),
+                          ("fade_exact_ah", exact + cal), ("fade_approx_ah", approx + cal)):
+            floats[name].frombytes(col.tobytes())
+        del self._soc_before[:]
 
     def column(self, name: str):
         """One field's values in row order, as stored, not copied: the list
@@ -223,7 +266,8 @@ class Ledger(Sequence):
         return self._columns()[LedgerEntry._fields.index(name)]
 
     def _columns(self) -> tuple:
-        time_h, *rest = self._floats
+        self._derive()
+        time_h, *rest = self._floats.values()
         return (time_h, self._ids, *rest)
 
     def __len__(self) -> int:
@@ -261,9 +305,9 @@ def apply_slot(
     fade is pro-rated by the fraction of a full slot realized.
 
     Mutates the state (SoC recursion, clock) and appends the walk's rows to
-    ``ledger``, slot by slot, in vehicle order.  Every row is checked
-    before any state changes, and each fade kernel runs once over all the
-    rows.
+    ``ledger``, slot by slot, in vehicle order: their primitive fields and
+    SoC before, from which the ledger derives cost and fade (see
+    :class:`Ledger`).  Every row is checked before any state changes.
     """
     now, grid, ids, vehicles = state.now, inst.grid, inst.vehicle_ids, state.vehicles
     if until <= now + 1e-12 or not inst.horizon:
@@ -288,7 +332,7 @@ def apply_slot(
     n = [len(c) for c in cols]
     row_ids = [ids[v] for c in cols for v in c]
     d, amps, soc, soc_new = map(np.concatenate, (d, amps, soc, soc_new))
-    for name, bad, value in (("current", amps < 0.0, amps),
+    for name, bad, value in (("current", ~(amps >= 0.0), amps),
                              ("soc_init", ~((0.0 <= soc) & (soc <= 1.0)), soc)):
         if bad.any():
             k = int(np.argmax(bad))
@@ -298,18 +342,11 @@ def apply_slot(
         k = int(np.argmax(over))
         raise SocOverflowError(f"vehicle {row_ids[k]} would reach SoC {soc_new[k]:.9f}")
 
-    params = inst.fade_params
-    exact = cyclic_fade_exact(soc, amps, d, inst.c_bat, params)
-    approx, soc_avg, _ = cyclic_fade_approx(soc, amps, d, inst.c_bat, params)
-    cal = (d / grid.dt) * calendric_fade_approx(np.minimum(soc_avg, 1.0), params)
-    price = np.repeat(inst.wep[list(slot_i)], n)
-    ah = amps * d
-    kwh = ah * inst.voltage / 1000.0
     soc_out = np.minimum(soc_new, 1.0)
     for vid, s in dict(zip(row_ids, soc_out.tolist())).items():  # each vehicle's last row
         vehicles[vid].soc_cur = s
     state.now = until
     ledger.append(
-        np.repeat(slot_t, n), row_ids, d, amps, amps * inst.voltage / 1000.0,
-        price, kwh * price, ah, soc_out, exact + cal, approx + cal,
+        np.repeat(slot_t, n), row_ids, d, amps, np.repeat(inst.wep[list(slot_i)], n),
+        soc, soc_out, inst.c_bat, inst.voltage, grid.dt, inst.fade_params,
     )

@@ -6,8 +6,9 @@ with the active policy.  So each plan is walked once, from its anchor to
 the next event, by one :func:`~fleetcharge.scheduler.apply_slot` call that
 appends the realized charging, per slot and vehicle, to a
 :class:`~fleetcharge.scheduler.Ledger`.  The ledger keeps its rows as float
-columns and builds a row only when one is read; the performance metrics are
-summed over its columns once, when the log is done.
+columns, derives their cost and fade a batch of rows at a time and builds a
+row only when one is read; the performance metrics are summed over its
+columns once, when the log is done.
 """
 
 from __future__ import annotations

@@ -7,9 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fleetcharge.fade import FadeModelParams
+from fleetcharge.fade import (
+    FadeModelParams,
+    calendric_fade_approx,
+    cyclic_fade_approx,
+    cyclic_fade_exact,
+)
 from fleetcharge.problem import ChargingTask, build_instance
-from fleetcharge.scheduler import Ledger, apply_slot
+from fleetcharge.scheduler import Ledger, LedgerEntry, apply_slot
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -59,6 +64,20 @@ def slot_rows(state, alloc, inst, until) -> Ledger:
     ledger = Ledger()
     apply_slot(state, alloc, inst, until, ledger)
     return ledger
+
+
+def ledger_row(time_h, vid, d, amps, price, soc_before, soc, c_bat, voltage, dt, params):
+    """The :class:`LedgerEntry` of one row given by its primitive fields,
+    its SoC before and its slot model (pack capacity, voltage, full slot
+    length, fade parameters): the derived fields come from the fade kernels
+    evaluated on that row alone."""
+    exact = cyclic_fade_exact(soc_before, amps, d, c_bat, params)
+    approx, soc_avg, _ = cyclic_fade_approx(soc_before, amps, d, c_bat, params)
+    cal = d / dt * calendric_fade_approx(np.minimum(soc_avg, 1.0), params)
+    ah = amps * d
+    return LedgerEntry(time_h, vid, d, amps, amps * voltage / 1000.0, price,
+                       ah * voltage / 1000.0 * price, ah, soc, float(exact + cal),
+                       float(approx + cal))
 
 
 def task_columns(tasks) -> tuple:

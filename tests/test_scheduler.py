@@ -21,7 +21,11 @@ from fleetcharge.scheduler import (
     proposed_schedule,
 )
 
-from conftest import price_fn, reachable, slot_rows
+from conftest import ledger_row, price_fn, reachable, slot_rows
+
+# A slot model rows are appended under: pack capacity (Ah), voltage (V),
+# full slot length (h) and fade parameters.
+LEDGER_MODEL = (200.0, 410.0, 0.5, FadeModelParams())
 
 
 def limits(**over):
@@ -334,7 +338,7 @@ class TestApplySlot:
         _, inst = baseline_schedule(state, limits(dt=0.5), price_fn(0.2))
         alloc = np.full((inst.horizon, 1), 40.0)  # +0.1 SoC per slot
         ledger = Ledger()
-        ledger.append(*zip(TestLedger.ROWS[0]))
+        ledger.append(*zip(TestLedger.PRIMITIVE[0]), *LEDGER_MODEL)
         with pytest.raises(SocOverflowError, match="vehicle v would reach SoC 1.1"):
             apply_slot(state, alloc, inst, 1.0, ledger)
         assert (state.now, state.vehicles["v"].soc_cur) == (0.0, 0.9)
@@ -344,8 +348,9 @@ class TestApplySlot:
         (-0.1, 10.0, InvalidSlotError, "soc_init"),
         (1.2, 0.0, InvalidSlotError, "soc_init"),
         (0.5, -1.0, InvalidSlotError, "current"),
+        (0.5, float("nan"), InvalidSlotError, "current"),
         (0.99, 50.0, SocOverflowError, None),
-    ], ids=["soc_init-below", "soc_init-above", "current", "overflow"])
+    ], ids=["soc_init-below", "soc_init-above", "current", "current-nan", "overflow"])
     def test_invalid_slot_reports_field(self, soc, amps, error, field):
         """A slot its vehicle cannot charge raises, naming the field and the
         vehicle, and changes nothing."""
@@ -386,19 +391,22 @@ class TestApplySlot:
 
 
 class TestLedger:
-    ROWS = [
-        LedgerEntry(9.5, "a", 0.5, 80.0, 32.8, 0.03, 0.492, 40.0, 0.6, 1.5e-3, 1.25e-3),
-        LedgerEntry(9.5, "b", 0.25, 0.0, 0.0, 0.03, 0.0, 0.0, 1.0, 6.0e-5, 6.0e-5),
-        LedgerEntry(10.0, "a", 0.1, 12.5, 5.125, 0.125, 0.0640625, 1.25, 0.61, 2e-4, 1e-4),
+    # time, vehicle, duration, current, price, SoC before, SoC after
+    PRIMITIVE = [
+        (9.5, "a", 0.5, 80.0, 0.03, 0.4, 0.6),
+        (9.5, "b", 0.25, 0.0, 0.03, 1.0, 1.0),
+        (10.0, "a", 0.1, 12.5, 0.125, 0.6, 0.60625),
     ]
+    ROWS = [ledger_row(*p, *LEDGER_MODEL) for p in PRIMITIVE]
 
     def test_rows_read_back_equal_hand_built_rows(self):
-        """Each row read from the columns is the hand-built row, with
-        Python floats, also from an integer current column."""
+        """Each row read from the columns is the row built from its
+        primitive fields, with Python floats, also from an integer current
+        column."""
         ledger = Ledger()
-        columns = list(zip(*self.ROWS[:2]))
+        columns = list(zip(*self.PRIMITIVE[:2]))
         columns[LedgerEntry._fields.index("current_a")] = np.array([80, 0])
-        ledger.append(*columns)
+        ledger.append(*columns, *LEDGER_MODEL)
         assert list(ledger) == self.ROWS[:2]
         for row in ledger:
             assert type(row) is LedgerEntry
@@ -409,8 +417,8 @@ class TestLedger:
         iteration and ``==`` against rows held in any sequence."""
         ledger = Ledger()
         assert len(ledger) == 0 and ledger == [] and list(ledger) == []
-        ledger.append(*zip(*self.ROWS[:2]))
-        ledger.append(*zip(*self.ROWS[2:]))
+        ledger.append(*zip(*self.PRIMITIVE[:2]), *LEDGER_MODEL)
+        ledger.append(*zip(*self.PRIMITIVE[2:]), *LEDGER_MODEL)
         assert len(ledger) == 3
         assert [ledger[i] for i in range(3)] == self.ROWS
         assert ledger[-1] == self.ROWS[-1]
@@ -422,17 +430,31 @@ class TestLedger:
         assert ledger == self.ROWS and ledger == tuple(self.ROWS) and self.ROWS == ledger
         assert ledger != self.ROWS[:2] and ledger != self.ROWS[::-1]
         again = Ledger()
-        again.append(*zip(*self.ROWS))
+        again.append(*zip(*self.PRIMITIVE), *LEDGER_MODEL)
         assert again == ledger
         assert ledger != 3
 
     def test_column_holds_one_field_in_row_order(self):
         ledger = Ledger()
-        ledger.append(*zip(*self.ROWS))
+        ledger.append(*zip(*self.PRIMITIVE), *LEDGER_MODEL)
         for name in LedgerEntry._fields:
             assert list(ledger.column(name)) == [getattr(e, name) for e in self.ROWS]
         assert type(ledger.column("vehicle_id")) is list
         assert ledger.column("cost_usd").typecode == "d"
+
+    def test_each_append_derives_under_its_own_model(self):
+        """Rows appended under another slot model than the pending rows
+        derive under their own, read before or after the switch."""
+        other = (210.0, 400.0, 0.25, FadeModelParams(k1=2e-4, p1=2e-4))
+        read_between, read_after = Ledger(), Ledger()
+        for ledger in (read_between, read_after):
+            ledger.append(*zip(*self.PRIMITIVE[:2]), *LEDGER_MODEL)
+            if ledger is read_between:
+                assert list(ledger) == self.ROWS[:2]
+            ledger.append(*zip(*self.PRIMITIVE[2:]), *other)
+        expected = self.ROWS[:2] + [ledger_row(*self.PRIMITIVE[2], *other)]
+        assert expected[2] != self.ROWS[2]
+        assert list(read_between) == list(read_after) == expected
 
 
 class TestFleetState:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fleetcharge.ingest import SessionRecord, sessions_to_events
 from fleetcharge.problem import ChargingTask
 from fleetcharge.scheduler import (
+    _DERIVE_BATCH_ROWS,
     FleetState,
     Ledger,
     LedgerEntry,
@@ -27,7 +28,7 @@ from fleetcharge.simulator import (
     value_loss,
 )
 
-from conftest import price_fn, reachable
+from conftest import ledger_row, price_fn, reachable
 
 # Golden totals for the three-session mini fixture below, frozen from the
 # first run after hand-auditing the opening ledger rows (the first
@@ -407,6 +408,43 @@ class TestLedgerReplay:
         held = reachable(res.ledger)
         assert not [obj for obj in held if isinstance(obj, LedgerEntry)]
         assert len(held) > 1 and isinstance(res.ledger[0], LedgerEntry)
+
+
+def test_derivation_does_not_depend_on_when_rows_are_read(monkeypatch):
+    """A depot replay longer than two derivation batches holds the same
+    column bytes whether its ledger is read once at the end or after every
+    seventh walk, which derives part of a batch at a time; and each row's
+    derived fields equal the fade kernels evaluated on that row alone, bit
+    for bit."""
+    specs, cfg = depot_log(11, spaces=20, days=6), config(ic_max=400.0)
+    once = run(log_events(specs), day_prices, cfg).ledger
+    assert len(once) > 2 * _DERIVE_BATCH_ROWS
+    assert len(once._soc_before) < _DERIVE_BATCH_ROWS  # pending rows stay under a batch
+
+    walks = reads = 0
+
+    def walk_and_read(state, alloc, inst, until, ledger):
+        nonlocal walks, reads
+        apply_slot(state, alloc, inst, until, ledger)
+        walks += 1
+        if walks % 7 == 0 and len(ledger):
+            reads += 1
+            ledger[-1]
+
+    monkeypatch.setattr("fleetcharge.simulator.apply_slot", walk_and_read)
+    often = run(log_events(specs), day_prices, cfg).ledger
+    assert reads > 10 * len(once) // _DERIVE_BATCH_ROWS  # most reads fall inside a batch
+    assert once.column("vehicle_id") == often.column("vehicle_id")
+    for name in LedgerEntry._fields[:1] + LedgerEntry._fields[2:]:
+        assert once.column(name).tobytes() == often.column(name).tobytes(), name
+
+    soc = {vid: s0 for vid, _, _, s0, _ in specs}  # each vehicle's SoC before its next row
+    for e in once:
+        row = ledger_row(e.time_h, e.vehicle_id, e.duration_h, e.current_a,
+                         e.price_usd_per_kwh, soc[e.vehicle_id], e.soc,
+                         cfg.c_bat, cfg.voltage, cfg.dt, cfg.fade_params)
+        assert [x.hex() for x in e[2:]] == [x.hex() for x in row[2:]], e
+        soc[e.vehicle_id] = e.soc
 
 
 class TestAdvance:
