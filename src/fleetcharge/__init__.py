@@ -14,6 +14,7 @@ from .problem import (
     ObjectiveBreakdown,
     ProblemInstance,
     SlotGrid,
+    StationLimits,
     availability_weights,
     build_constraints,
     build_instance,
@@ -25,7 +26,6 @@ from .problem import (
 from .scheduler import (
     FleetState,
     Policy,
-    StationLimits,
     VehicleState,
     admit_task,
     apply_slot,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -41,12 +40,7 @@ def _parse_weights(raw: str) -> tuple:
     parts = [p for p in raw.replace(";", ",").split(",") if p.strip()]
     if len(parts) != 3:
         raise ValueError(f"weights must be three comma-separated numbers, got {raw!r}")
-    w = tuple(float(p) for p in parts)
-    if not all(math.isfinite(x) for x in w):
-        raise ValueError(f"weights must be finite, got {raw!r}")
-    if any(x < 0 for x in w) or not any(x > 0 for x in w):
-        raise ValueError("weights must be nonnegative and not all zero")
-    return w
+    return tuple(float(p) for p in parts)
 
 
 def _load_inputs(args, cfg: RunConfig, policy: Policy):
@@ -56,8 +50,8 @@ def _load_inputs(args, cfg: RunConfig, policy: Policy):
     prices_path = Path(args.prices)
     if not prices_path.exists():
         raise FileNotFoundError(f"price-gap: price file not found: {prices_path}")
-    records = parse_sessions(sessions_path)
     sim_config = cfg.sim_config(policy)
+    records = parse_sessions(sessions_path)
     events, epoch = sessions_to_events(records, sim_config)
     curve = parse_prices(prices_path)
     prices_fn = curve.as_fn(epoch) if epoch is not None else ZERO_PRICES
@@ -164,16 +158,16 @@ def cmd_sweep(args) -> int:
     triples = [_parse_weights(w) for w in (args.weights or [])]
     if not triples:
         triples = [(0.6, 0.3, 0.1), (0.3, 0.6, 0.1), (0.1, 0.3, 0.6)]
+    policies = [Policy("proposed", weights=w) for w in triples]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     # The events and prices do not depend on the weights: parse them once.
     events, prices_fn, _ = _load_inputs(args, cfg, Policy("proposed"))
     rows = []
-    for weights in triples:
-        sim_config = cfg.sim_config(Policy("proposed", weights=weights))
-        result = run(events, prices_fn, sim_config)
-        rows.append((weights, result.metrics.as_dict()))
+    for policy in policies:
+        result = run(events, prices_fn, cfg.sim_config(policy))
+        rows.append((policy.weights, result.metrics.as_dict()))
 
     with (out / "sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -289,7 +289,8 @@ _CONFIG_DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated flat key-value configuration of a run."""
+    """Parsed flat key-value configuration of a run; its values are checked
+    by the types built from it (:class:`SimConfig`, :class:`Policy`)."""
 
     values: dict
 
@@ -327,9 +328,11 @@ class RunConfig:
 def load_config(path=None) -> RunConfig:
     """Configuration from an optional ``key = value`` file over the defaults.
 
-    Unknown keys are rejected; values are finite floats except the branch
-    coefficient tuples, which are five finite floats separated by commas.
-    Lines starting with ``#`` are comments.
+    Only the syntax is checked, naming the file and line: unknown keys are
+    rejected; values are finite floats except the branch coefficient tuples,
+    which are five finite floats separated by commas.  Lines starting with
+    ``#`` are comments.  The values are checked when the run's
+    :class:`SimConfig` and :class:`Policy` are built from them.
     """
     values = dict(_CONFIG_DEFAULTS)
     if path is not None:
@@ -358,10 +361,4 @@ def load_config(path=None) -> RunConfig:
             else:
                 raise MalformedRowError(path, line_no,
                                         f"{key} needs 5 comma-separated coefficients")
-    for positive in ("dt_minutes", "voltage_v", "c_bat_ah", "i_max_a",
-                     "ic_max_a", "battery_cost_usd"):
-        if values[positive] <= 0:
-            raise ValueError(f"{positive} must be > 0")
-    if values["soc_xtra_fraction"] < 0:
-        raise ValueError("soc_xtra_fraction must be >= 0")
     return RunConfig(values=values)

@@ -16,6 +16,7 @@ computed on the time the vehicle is actually present.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,6 +27,7 @@ from .fade import FadeModelParams, cyclic_fade_approx
 __all__ = [
     "COMPONENTS",
     "ChargingTask",
+    "StationLimits",
     "SlotGrid",
     "ProblemInstance",
     "ObjectiveBreakdown",
@@ -63,6 +65,34 @@ class ChargingTask:
             raise ValueError(f"task {self.vehicle_id}: soc_start {self.soc_start} not in [0, 1]")
         if not 0.0 <= self.soc_dep <= 1.0:
             raise ValueError(f"task {self.vehicle_id}: soc_dep {self.soc_dep} not in [0, 1]")
+
+
+@dataclass(frozen=True)
+class StationLimits:
+    """Physical station and pack parameters shared by both policies, checked
+    once, when built: each number finite, ``dt``, ``voltage`` and ``c_bat``
+    > 0, ``0 < i_max <= ic_max`` and ``soc_xtra_ah >= 0``, or ``ValueError``
+    naming the field."""
+
+    dt: float = 0.5             # slot length, h
+    i_max: float = 80.0         # per-vehicle current limit, A
+    ic_max: float = 400.0       # station current limit, A
+    voltage: float = 410.0      # V
+    c_bat: float = 210.0        # Ah
+    soc_xtra_ah: float = 21.0   # extra-charge headroom, Ah
+    fade_params: FadeModelParams = field(default_factory=FadeModelParams)
+
+    def __post_init__(self):
+        for name in ("dt", "i_max", "ic_max", "voltage", "c_bat", "soc_xtra_ah"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name in ("dt", "voltage", "c_bat") and not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if not 0.0 < self.i_max <= self.ic_max:
+            raise ValueError(f"i_max must be > 0 and <= ic_max {self.ic_max}, got {self.i_max}")
+        if not self.soc_xtra_ah >= 0:
+            raise ValueError(f"soc_xtra_ah must be >= 0, got {self.soc_xtra_ah}")
 
 
 def charging_period(t_dep, t_s: float, dt: float):
@@ -188,36 +218,20 @@ def build_instance(
     soc_start: np.ndarray,
     soc_dep: np.ndarray,
     t_s: float,
-    dt: float,
     prices_fn: Callable[[np.ndarray], np.ndarray],
-    i_max: float,
-    ic_max: float,
-    voltage: float,
-    c_bat: float,
-    soc_xtra_ah: float,
+    limits: StationLimits,
     weights: tuple,
-    fade_params: FadeModelParams,
 ) -> ProblemInstance:
     """Assemble a frozen instance from fleet state, given as columns: one
     id, departure time, start SoC and required departure SoC per vehicle.
 
-    The instance orders vehicles by (departure, vehicle id), as ``sorted``
+    ``limits`` and ``weights`` (as ``scheduler.Policy`` holds them) were
+    checked when built; only the columns and the sampled prices are checked
+    here.  The instance orders vehicles by (departure, vehicle id), as ``sorted``
     orders those pairs.  ``prices_fn`` maps an array of absolute times in
     hours to the prices in force at those instants; it is called once, with
     every slot start.
     """
-    if not 0.0 < i_max <= ic_max:
-        raise ValueError("require 0 < i_max <= ic_max")
-    if voltage <= 0 or c_bat <= 0 or dt <= 0:
-        raise ValueError("voltage, capacity and slot length must be > 0")
-    if soc_xtra_ah < 0:
-        raise ValueError("extra-charge headroom must be >= 0")
-    w = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if w.shape != (3,) or np.any(w < 0) or not np.any(w > 0):
-        raise ValueError("weights must be three nonnegative values, not all zero")
-
     t_dep, soc_start, soc_dep = (np.asarray(c, dtype=float)
                                  for c in (t_dep, soc_start, soc_dep))
     n = len(vehicle_ids)
@@ -233,6 +247,7 @@ def build_instance(
     order = np.lexsort((np.array(vehicle_ids, dtype=object), t_dep))
     ids = tuple(vehicle_ids[k] for k in order.tolist())
     t_dep, soc_start, soc_dep = t_dep[order], soc_start[order], soc_dep[order]
+    dt, c_bat = limits.dt, limits.c_bat
     tt = charging_period(t_dep, t_s, dt)
     horizon = int(tt.max(initial=0))
     grid = SlotGrid(t_s=t_s, dt=dt, tt=tt, horizon=horizon)
@@ -249,7 +264,7 @@ def build_instance(
     e_lo = need.copy()
     e_hi = np.where(
         need > 0.0,
-        np.minimum(need + soc_xtra_ah, (1.0 - soc_start) * c_bat),
+        np.minimum(need + limits.soc_xtra_ah, (1.0 - soc_start) * c_bat),
         0.0,
     )
 
@@ -263,12 +278,12 @@ def build_instance(
     return ProblemInstance(
         vehicle_ids=ids,
         grid=grid,
-        i_max=i_max,
-        ic_max=ic_max,
-        voltage=voltage,
+        i_max=limits.i_max,
+        ic_max=limits.ic_max,
+        voltage=limits.voltage,
         c_bat=c_bat,
-        weights=tuple(w),
-        fade_params=fade_params,
+        weights=weights,
+        fade_params=limits.fade_params,
         durations=durations,
         active=active,
         avail_w=avail_w,

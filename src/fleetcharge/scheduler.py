@@ -13,6 +13,7 @@ a linear feasibility solve succeeds for the whole resulting fleet.
 
 from __future__ import annotations
 
+import math
 import operator
 from array import array
 from collections.abc import Sequence
@@ -22,17 +23,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fade import (
-    FadeModelParams,
     InvalidSlotError,
     calendric_fade_approx,
     cyclic_fade_approx,
     cyclic_fade_exact,
 )
-from .problem import ChargingTask, ProblemInstance, build_instance, max_power_allocation
+from .problem import (ChargingTask, ProblemInstance, StationLimits, build_instance,
+                      max_power_allocation)
 from .solver import feasibility_check, solve
 
 __all__ = [
-    "StationLimits",
     "Policy",
     "VehicleState",
     "FleetState",
@@ -54,26 +54,25 @@ class SocOverflowError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StationLimits:
-    """Physical station and pack parameters shared by both policies."""
-
-    dt: float = 0.5             # slot length, h
-    i_max: float = 80.0         # per-vehicle current limit, A
-    ic_max: float = 400.0       # station current limit, A
-    voltage: float = 410.0      # V
-    c_bat: float = 210.0        # Ah
-    soc_xtra_ah: float = 21.0   # extra-charge headroom, Ah
-    fade_params: FadeModelParams = field(default_factory=FadeModelParams)
-
-
-@dataclass(frozen=True)
 class Policy:
+    """A scheduling policy and its objective weights (alpha_cost, alpha_fade,
+    alpha_availability), checked once, when built: three finite, nonnegative
+    values, not all zero, held as a tuple of Python floats."""
+
     kind: str                      # "baseline" | "proposed"
     weights: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if self.kind not in ("baseline", "proposed"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        w = tuple(float(x) for x in self.weights)
+        if len(w) != 3:
+            raise ValueError(f"weights must be three values, got {w}")
+        if not all(map(math.isfinite, w)):
+            raise ValueError(f"weights must be finite, got {w}")
+        if not (all(x >= 0 for x in w) and any(x > 0 for x in w)):
+            raise ValueError(f"weights must be nonnegative and not all zero, got {w}")
+        object.__setattr__(self, "weights", w)
 
 
 @dataclass
@@ -99,7 +98,8 @@ def _instance_from_state(
 ) -> ProblemInstance:
     """The instance of the fleet as it stands: each vehicle starts at its
     current SoC, and a departure already past is clamped to the clock.
-    ``extra_task`` joins as given."""
+    ``extra_task`` joins as given; ``limits`` and ``weights``, already
+    checked, pass through."""
     vehicles, n = state.vehicles.values(), len(state.vehicles)
     ids = [vs.task.vehicle_id for vs in vehicles]
     t_dep = np.maximum(np.fromiter((vs.task.t_dep for vs in vehicles), float, n), state.now)
@@ -110,22 +110,7 @@ def _instance_from_state(
         t_dep = np.append(t_dep, extra_task.t_dep)
         soc = np.append(soc, extra_task.soc_start)
         soc_dep = np.append(soc_dep, extra_task.soc_dep)
-    return build_instance(
-        ids,
-        t_dep,
-        soc,
-        soc_dep,
-        t_s=state.now,
-        dt=limits.dt,
-        prices_fn=prices_fn,
-        i_max=limits.i_max,
-        ic_max=limits.ic_max,
-        voltage=limits.voltage,
-        c_bat=limits.c_bat,
-        soc_xtra_ah=limits.soc_xtra_ah,
-        weights=weights,
-        fade_params=limits.fade_params,
-    )
+    return build_instance(ids, t_dep, soc, soc_dep, state.now, prices_fn, limits, weights)
 
 
 def baseline_schedule(

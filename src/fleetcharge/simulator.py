@@ -21,13 +21,12 @@ from typing import Callable
 
 import numpy as np
 
-from .problem import ChargingTask, ProblemInstance
+from .problem import ChargingTask, ProblemInstance, StationLimits
 from .scheduler import (
     Admission,
     FleetState,
     Ledger,
     Policy,
-    StationLimits,
     VehicleState,
     admit_task,
     apply_slot,
@@ -78,7 +77,9 @@ def event_sort_key(e: Event) -> tuple:
 
 @dataclass(frozen=True)
 class SimConfig(StationLimits):
-    """Station limits plus the reporting parameters of one simulated run."""
+    """Station limits plus the reporting parameters of one simulated run,
+    checked once, when built: the limits, then ``peak_threshold`` and
+    ``battery_cost_usd``."""
 
     battery_cost_usd: float = 11610.0
     peak_threshold: float = 0.75     # fraction of maximum power
@@ -86,9 +87,10 @@ class SimConfig(StationLimits):
     policy: Policy = field(default_factory=lambda: Policy("proposed"))
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.peak_threshold <= 1.0:
             raise ValueError("peak_threshold must be in (0, 1]")
-        if self.battery_cost_usd <= 0:
+        if not self.battery_cost_usd > 0:
             raise ValueError("battery_cost_usd must be > 0")
 
 

@@ -13,7 +13,7 @@ from fleetcharge.fade import (
     cyclic_fade_approx,
     cyclic_fade_exact,
 )
-from fleetcharge.problem import ChargingTask, build_instance
+from fleetcharge.problem import ChargingTask, StationLimits, build_instance
 from fleetcharge.scheduler import Ledger, LedgerEntry, apply_slot
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,19 +101,10 @@ def make_instance(
     params=None,
 ):
     """Small-instance builder with a flat price or a per-instant callable."""
-    return build_instance(
-        *task_columns(tasks),
-        t_s=t_s,
-        dt=dt,
-        prices_fn=price_fn(prices),
-        i_max=i_max,
-        ic_max=ic_max,
-        voltage=voltage,
-        c_bat=c_bat,
-        soc_xtra_ah=soc_xtra_ah,
-        weights=weights,
-        fade_params=params or FadeModelParams(),
-    )
+    limits = StationLimits(dt=dt, i_max=i_max, ic_max=ic_max, voltage=voltage, c_bat=c_bat,
+                           soc_xtra_ah=soc_xtra_ah, fade_params=params or FadeModelParams())
+    return build_instance(*task_columns(tasks), t_s=t_s, prices_fn=price_fn(prices),
+                          limits=limits, weights=weights)
 
 
 @pytest.fixture

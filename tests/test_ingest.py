@@ -317,5 +317,17 @@ class TestRunConfig:
 
     def test_invalid_physical_value(self, tmp_path):
         p = write(tmp_path / "c.cfg", "voltage_v = -5\n")
-        with pytest.raises(ValueError):
-            load_config(p)
+        with pytest.raises(ValueError, match="voltage"):
+            load_config(p).sim_config(Policy("baseline"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("alpha_cost = -1\n", "nonnegative"),
+        ("alpha_cost = 0\nalpha_fade = 0\nalpha_availability = 0\n", "not all zero"),
+        ("i_max_a = 500\nic_max_a = 400\n", "i_max"),
+    ])
+    def test_bad_configuration_rejected_before_the_first_event(self, tmp_path, text, message):
+        """A run's configuration and policy are checked when built, as every
+        caller builds them right after loading the file."""
+        cfg = load_config(write(tmp_path / "c.cfg", text))
+        with pytest.raises(ValueError, match=message):
+            cfg.sim_config(Policy("proposed", weights=cfg.weights))

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetcharge.fade import FadeModelParams
 from fleetcharge.problem import (
     COMPONENTS,
     NORMALIZATION_EPS,
@@ -138,18 +137,33 @@ class TestTaskAndPrices:
         """The price function takes the array of slot starts; one returning
         a single number is rejected, not broadcast."""
         with pytest.raises(ValueError, match="one price per slot start"):
-            build_instance(["v"], [1.0], [0.4], [0.8], t_s=0.0, dt=0.5,
-                           prices_fn=lambda t: 0.1, i_max=80.0, ic_max=400.0,
-                           voltage=410.0, c_bat=210.0, soc_xtra_ah=0.0,
-                           weights=(1.0, 1.0, 1.0), fade_params=FadeModelParams())
+            build_instance(["v"], [1.0], [0.4], [0.8], t_s=0.0, prices_fn=lambda t: 0.1,
+                           limits=StationLimits(soc_xtra_ah=0.0), weights=(1.0, 1.0, 1.0))
+
+
+_NAN, _INF = float("nan"), float("inf")
+_BAD_LIMITS = (
+    [(f, bad) for f in ("dt", "i_max", "ic_max", "voltage", "c_bat", "soc_xtra_ah")
+     for bad in (_NAN, _INF, -_INF)]
+    + [(f, bad) for f in ("dt", "i_max", "ic_max", "voltage", "c_bat") for bad in (0.0, -1.0)]
+    + [("soc_xtra_ah", -1.0), ("i_max", 500.0)]  # i_max above the default ic_max, 400 A
+)
+
+
+class TestStationLimits:
+    @pytest.mark.parametrize("field, bad", _BAD_LIMITS)
+    def test_bad_limit_rejected_naming_the_field(self, field, bad):
+        """Each limit is checked once, when the limits are built; NaN fails
+        every check, so a NaN voltage or headroom cannot reach a plan."""
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            StationLimits(**{field: bad})
+
+    def test_boundary_values_accepted(self):
+        limits = StationLimits(soc_xtra_ah=0.0, i_max=400.0)
+        assert (limits.soc_xtra_ah, limits.i_max) == (0.0, limits.ic_max)
 
 
 class TestBuildInstance:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_weight_rejected(self, bad):
-        with pytest.raises(ValueError, match="weights must be finite"):
-            make_instance([ChargingTask("v", 0.0, 1.0, 0.4, 0.8)], weights=(bad, 1.0, 1.0))
-
     @pytest.mark.parametrize("field", ["dt", "c_bat", "voltage"])
     def test_nonpositive_slot_length_and_pack_rejected(self, field):
         """The guard every ledger slot relies on for a positive length and
@@ -167,16 +181,14 @@ class TestBuildInstance:
         cols[name][1] = cols[name][2] = bad
         with pytest.raises(ValueError, match=f"vehicle b: {name} {bad} not in \\[0, 1\\]"):
             build_instance(["a", "b", "c"], [1.0, 2.0, 0.5], cols["soc_start"], cols["soc_dep"],
-                           t_s=0.0, dt=0.5, prices_fn=ZERO_PRICES, i_max=80.0, ic_max=400.0,
-                           voltage=410.0, c_bat=210.0, soc_xtra_ah=0.0,
-                           weights=(1.0, 1.0, 1.0), fade_params=FadeModelParams())
+                           t_s=0.0, prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0),
+                           weights=(1.0, 1.0, 1.0))
 
     def test_one_value_per_vehicle_required(self):
         with pytest.raises(ValueError, match="one value per vehicle"):
-            build_instance(["a", "b"], [1.0, 2.0], [0.4], [0.8, 0.8], t_s=0.0, dt=0.5,
-                           prices_fn=ZERO_PRICES, i_max=80.0, ic_max=400.0, voltage=410.0,
-                           c_bat=210.0, soc_xtra_ah=0.0, weights=(1.0, 1.0, 1.0),
-                           fade_params=FadeModelParams())
+            build_instance(["a", "b"], [1.0, 2.0], [0.4], [0.8, 0.8], t_s=0.0,
+                           prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0),
+                           weights=(1.0, 1.0, 1.0))
 
     def test_edf_column_order(self):
         tasks = [

@@ -12,6 +12,7 @@ from fleetcharge.scheduler import (
     FleetState,
     Ledger,
     LedgerEntry,
+    Policy,
     SocOverflowError,
     StationLimits,
     VehicleState,
@@ -40,6 +41,28 @@ def fleet(now, *tasks_soc):
     for task, soc in tasks_soc:
         state.vehicles[task.vehicle_id] = VehicleState(task=task, soc_cur=soc)
     return state
+
+
+class TestPolicy:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            Policy("proposed", weights=(bad, 1.0, 1.0))
+
+    @pytest.mark.parametrize("weights, message", [
+        ((1.0, 1.0), "three values"),
+        ((1.0, 1.0, 1.0, 1.0), "three values"),
+        ((-1.0, 1.0, 1.0), "nonnegative"),
+        ((0.0, 0.0, 0.0), "not all zero"),
+    ])
+    def test_bad_weights_rejected(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            Policy("baseline", weights=weights)
+
+    def test_weights_held_as_python_floats(self):
+        policy = Policy("proposed", weights=(1, np.float64(0.5), 0))
+        assert policy.weights == (1.0, 0.5, 0.0)
+        assert all(type(w) is float for w in policy.weights)
 
 
 class TestBaselineSchedule:

@@ -522,8 +522,7 @@ class TestLinearProgram:
 
 
 _PROGRAM_LP = """
-from fleetcharge.fade import FadeModelParams
-from fleetcharge.problem import build_instance
+from fleetcharge.problem import StationLimits, build_instance
 from fleetcharge.scheduler import ZERO_PRICES
 from fleetcharge.solver import _highs, feasibility_check
 
@@ -531,10 +530,8 @@ NAME = "scipy.optimize._highspy._core"
 
 
 def program_lp():
-    inst = build_instance(["A"], [4.0], [0.4], [0.8], t_s=0.0, dt=0.5,
-                          prices_fn=ZERO_PRICES, i_max=80.0, ic_max=400.0, voltage=410.0,
-                          c_bat=210.0, soc_xtra_ah=0.0, weights=(1.0, 1.0, 1.0),
-                          fade_params=FadeModelParams())
+    inst = build_instance(["A"], [4.0], [0.4], [0.8], t_s=0.0, prices_fn=ZERO_PRICES,
+                          limits=StationLimits(soc_xtra_ah=0.0), weights=(1.0, 1.0, 1.0))
     assert feasibility_check(inst).feasible
 """
 
