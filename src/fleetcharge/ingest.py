@@ -207,32 +207,38 @@ class PriceCurve:
 
         The returned function maps an array of instants to an array of
         prices.  The price in force at an instant is the latest record at or
-        before it; the first record extends backward.  Records are keyed by
-        their offset from ``epoch`` in microseconds, and an instant is
-        rounded to the microsecond as ``timedelta(hours=t_h)`` rounds it:
-        whole hours exactly, the fraction times 3.6e9 split into whole and
-        leftover microseconds, and the leftover rounded to nearest with a
-        tie going to the even total.
+        before it; the first record extends backward.  An instant is the
+        time ``timedelta(hours=t_h)`` gives, rounded to the microsecond.
+        Each record's first instant, the smallest float hour count that
+        ``timedelta`` rounds to at least the record's offset from ``epoch``,
+        is found once, here, so a lookup is one search over those floats.
         """
-        offsets_us = np.array([(r.timestamp - epoch) // timedelta(microseconds=1)
-                               for r in self.records], dtype=np.int64)
+        firsts = np.array([_first_instant_h(r.timestamp - epoch) for r in self.records])
         prices = np.array([r.price for r in self.records])
 
         def fn(t_h):
             t_h = np.asarray(t_h, dtype=float)
             if not (np.abs(t_h) < 2.0**31).all():
                 raise ValueError("instants must be finite hours within +-2**31")
-            frac_h, whole_h = np.modf(t_h)
-            leftover, whole_us = np.modf(frac_h * 3.6e9)
-            us = whole_h.astype(np.int64) * 3_600_000_000 + whole_us.astype(np.int64)
-            # rint sends every leftover but a tie, +-0.5, to the nearest
-            # microsecond; a tie goes to the even total.
-            step = np.where(np.abs(leftover) == 0.5, np.sign(leftover) * (us & 1),
-                            np.rint(leftover))
-            idx = offsets_us.searchsorted(us + step.astype(np.int64), side="right") - 1
+            idx = firsts.searchsorted(t_h, side="right") - 1
             return prices[np.maximum(idx, 0)]
 
         return fn
+
+
+def _first_instant_h(offset: timedelta) -> float:
+    """The smallest float ``t`` with ``timedelta(hours=t) >= offset``.
+
+    ``timedelta`` rounds hours to the microsecond, monotonically, so the
+    answer lies a few ulps from ``(offset_us - 0.5) / 3.6e9``; it is found by
+    stepping from there and asking ``timedelta`` itself.
+    """
+    t = (offset // timedelta(microseconds=1) - 0.5) / 3.6e9
+    while timedelta(hours=t) >= offset:
+        t = math.nextafter(t, -math.inf)
+    while timedelta(hours=t) < offset:
+        t = math.nextafter(t, math.inf)
+    return t
 
 
 def _price_record(row: list) -> PriceRecord:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -180,7 +181,12 @@ class NormalizationPoints:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Frozen input of one scheduling optimization."""
+    """Frozen input of one scheduling optimization.
+
+    ``build_instance`` fills the derived arrays, except the availability
+    weights ``avail_w``, which are built on first read and then kept: the
+    baseline policy never evaluates an objective, so it never builds them.
+    """
 
     vehicle_ids: tuple           # str, ordered by (t_dep, vehicle_id)
     grid: SlotGrid
@@ -194,11 +200,15 @@ class ProblemInstance:
     # derived, filled by build_instance
     durations: np.ndarray = field(repr=False, default=None)   # (H, V) hours
     active: np.ndarray = field(repr=False, default=None)      # (H, V) bool
-    avail_w: np.ndarray = field(repr=False, default=None)     # (H, V)
     e_lo: np.ndarray = field(repr=False, default=None)        # (V,) Ah
     e_hi: np.ndarray = field(repr=False, default=None)        # (V,) Ah
     soc_start: np.ndarray = field(repr=False, default=None)   # (V,)
     wep: np.ndarray = field(repr=False, default=None)         # (H,) $/kWh
+
+    @cached_property
+    def avail_w(self) -> np.ndarray:
+        """(H, V) ``availability_weights(grid.tt)``, built on first read."""
+        return availability_weights(self.grid.tt)
 
     @property
     def n_vehicles(self) -> int:
@@ -258,7 +268,6 @@ def build_instance(
     active = slot < tt
     last = np.minimum(dt, np.maximum((t_dep - t_s) - (tt - 1) * dt, 0.0))
     durations = np.where(active, np.where(slot == tt - 1, last, dt), 0.0)
-    avail_w = availability_weights(tt)
 
     need = np.maximum(0.0, soc_dep - soc_start) * c_bat
     e_lo = need.copy()
@@ -286,7 +295,6 @@ def build_instance(
         fade_params=limits.fade_params,
         durations=durations,
         active=active,
-        avail_w=avail_w,
         e_lo=e_lo,
         e_hi=e_hi,
         soc_start=soc_start,
@@ -299,24 +307,29 @@ def max_power_allocation(inst: ProblemInstance) -> np.ndarray:
 
     Each vehicle gets its current limit for the lesser of the slots needed
     to reach full charge and the slots left before departure; the energy
-    windows are not enforced.
+    windows are not enforced.  The plan is built in one pass over all slots.
+    It is the plan of a slot-by-slot walk that subtracts each slot's charge
+    from the need, bit for bit, when no slot is longer than the grid step,
+    as in every instance :func:`build_instance` makes: a longer slot could
+    take less than the limit yet leave the walk a rounding residue to charge
+    in the next counted slot.
     """
-    alloc = inst.empty_allocation()
+    d, i_max = inst.durations, inst.i_max
     remaining_ah = (1.0 - inst.soc_start) * inst.c_bat
     n_slots = np.minimum(
-        charging_period(remaining_ah / inst.i_max, 0.0, inst.grid.dt), inst.grid.tt
+        charging_period(remaining_ah / i_max, 0.0, inst.grid.dt), inst.grid.tt
     )
-    # A vehicle charges from slot 0 until its first slot that is past its
-    # count, has no length or finds it full.
-    charging = np.ones(inst.n_vehicles, dtype=bool)
-    for i, d in enumerate(inst.durations):
-        charging &= (i < n_slots) & (d > 0) & (remaining_ah > 0)
-        if not charging.any():
-            break
-        amps = alloc[i]  # stays zero where not charging, keeping that remainder
-        np.divide(remaining_ah, d, out=amps, where=charging)
-        np.minimum(inst.i_max, amps, out=amps)
-        remaining_ah -= amps * d
+    # What is left before each slot while every slot before it took i_max,
+    # subtracted in slot order, as the walk subtracts it.
+    left = np.subtract.accumulate(np.vstack([remaining_ah, i_max * d]))[:-1]
+    # A vehicle charges min(i_max, left/d) from slot 0 until its first slot
+    # that is past its count, has no length or finds it full.  A slot whose
+    # left/d rounds below i_max has left <= i_max*d as rounded, so the next
+    # slot finds it full: a slot charges only after slots that took i_max,
+    # where ``left`` is what the walk has left.
+    go = (np.arange(inst.horizon)[:, None] < n_slots) & (d > 0) & (left > 0)
+    amps = np.minimum(i_max, np.divide(left, d, out=np.zeros_like(d), where=go))
+    alloc = np.where(np.logical_and.accumulate(go), amps, 0.0)
     # Station cap: columns are already in earliest-departure order, so a
     # cumulative-headroom pass curtails later-departing vehicles first.  Only
     # slots whose total passes the cap are touched.

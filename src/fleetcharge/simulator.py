@@ -14,9 +14,6 @@ columns once, when the log is done.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from itertools import compress
-from operator import add, lt
 from typing import Callable
 
 import numpy as np
@@ -78,8 +75,8 @@ def event_sort_key(e: Event) -> tuple:
 @dataclass(frozen=True)
 class SimConfig(StationLimits):
     """Station limits plus the reporting parameters of one simulated run,
-    checked once, when built: the limits, then ``peak_threshold`` and
-    ``battery_cost_usd``."""
+    checked once, when built: the limits, then ``peak_threshold``,
+    ``battery_cost_usd`` and ``default_soc_start``."""
 
     battery_cost_usd: float = 11610.0
     peak_threshold: float = 0.75     # fraction of maximum power
@@ -92,6 +89,9 @@ class SimConfig(StationLimits):
             raise ValueError("peak_threshold must be in (0, 1]")
         if not self.battery_cost_usd > 0:
             raise ValueError("battery_cost_usd must be > 0")
+        if not 0.0 <= self.default_soc_start <= 1.0:
+            raise ValueError(
+                f"default_soc_start must be in [0, 1], got {self.default_soc_start}")
 
 
 @dataclass
@@ -153,6 +153,11 @@ def value_loss(fade_ah: float, config: SimConfig) -> float:
     if fade_ah < 0:
         raise ValueError("fade must be >= 0")
     return config.battery_cost_usd * fade_ah / config.c_bat
+
+
+def _left_fold(values) -> float:
+    """``functools.reduce(operator.add, values, 0.0)``, added by numpy."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
 def _reschedule(
@@ -234,16 +239,16 @@ def run(
         last_dep = max(vs.task.t_dep for vs in state.vehicles.values())
         apply_slot(state, *plan, last_dep, result.ledger)
 
-    # Each total adds its rows one at a time, in row order: a pairwise or
-    # compensated sum would change its bits.
+    # Each total adds its rows one at a time, in row order, from 0.0: a
+    # pairwise or compensated sum would change its bits.  A masked total
+    # adds 0.0 for each row it skips, which leaves the running sum as is.
     m, column = result.metrics, result.ledger.column
-    hours, amps = column("duration_h"), column("current_a")
-    m.total_charging_cost = reduce(add, column("cost_usd"), 0.0)
-    m.total_fade_exact = reduce(add, column("fade_exact_ah"), 0.0)
-    m.total_fade_approx = reduce(add, column("fade_approx_ah"), 0.0)
-    m.total_charging_time = reduce(
-        add, compress(hours, map(partial(lt, ACTIVE_CURRENT_EPS), amps)), 0.0)
-    m.total_peak_power_period = reduce(
-        add, compress(hours, map(partial(lt, config.peak_threshold * config.i_max), amps)), 0.0)
+    hours, amps = np.asarray(column("duration_h")), np.asarray(column("current_a"))
+    m.total_charging_cost = _left_fold(column("cost_usd"))
+    m.total_fade_exact = _left_fold(column("fade_exact_ah"))
+    m.total_fade_approx = _left_fold(column("fade_approx_ah"))
+    m.total_charging_time = _left_fold(np.where(amps > ACTIVE_CURRENT_EPS, hours, 0.0))
+    m.total_peak_power_period = _left_fold(
+        np.where(amps > config.peak_threshold * config.i_max, hours, 0.0))
     m.total_value_loss = value_loss(m.total_fade_exact, config)
     return result

@@ -1,6 +1,8 @@
 """Shared fixtures: paths to the bundled weeks and small reusable instances."""
 
 import gc
+import importlib.util
+import sys
 import types
 from pathlib import Path
 
@@ -35,6 +37,17 @@ def fixture_paths():
         "prices_overnight": FIXTURES / "prices_overnight.csv",
         "config_overnight": FIXTURES / "config_overnight.cfg",
     }
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py``, loaded once as module ``workloads``."""
+    if "workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("workloads",
+                                                      ROOT / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["workloads"] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules["workloads"]
 
 
 def price_fn(prices):

@@ -85,6 +85,18 @@ class TestSimulate:
         assert rc == 1
         assert "weights must be finite" in capsys.readouterr().err
 
+    def test_bad_default_soc_start_stops_a_run_without_sessions(self, workdir, capsys):
+        """The configured arrival SoC is checked before ingest, so a session
+        file holding only its header does not hide it."""
+        (workdir / "sessions.csv").write_text(SESSIONS.splitlines()[0] + "\n")
+        (workdir / "c.cfg").write_text("default_soc_start = 1.5\n")
+        out = workdir / "out"
+        rc = main(["simulate", "--policy", "baseline", "--config", str(workdir / "c.cfg")]
+                  + io_args(workdir, out))
+        assert rc == 1
+        assert "default_soc_start" in capsys.readouterr().err
+        assert not (out / "metrics_baseline.json").exists()
+
     def test_usage_error_exit_code(self, workdir):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--policy", "sideways"] + io_args(workdir, workdir / "o"))

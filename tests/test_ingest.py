@@ -10,6 +10,7 @@ from fleetcharge.ingest import (
     MalformedRowError,
     PriceCurve,
     PriceRecord,
+    _first_instant_h,
     events_digest,
     load_config,
     parse_prices,
@@ -19,6 +20,8 @@ from fleetcharge.ingest import (
 )
 from fleetcharge.scheduler import Policy
 from fleetcharge.simulator import SimConfig
+
+from conftest import FIXTURES, perfbench_workloads
 
 UTC = timezone.utc
 
@@ -210,6 +213,49 @@ class TestParsePrices:
         assert got.shape == t_h.shape
         assert np.array_equal(got, want)
 
+    @staticmethod
+    def check_first_instants(records, epoch):
+        """Each record's first instant is, as ``timedelta`` judges, the
+        smallest float at or after its offset; the lookup maps it to that
+        record and the float below it to the record before."""
+        records = tuple(PriceRecord(r.timestamp, float(k)) for k, r in enumerate(records))
+        offsets = [r.timestamp - epoch for r in records]
+        firsts = np.array([_first_instant_h(o) for o in offsets])
+        below = np.nextafter(firsts, -np.inf)
+        for off, t, b in zip(offsets, firsts.tolist(), below.tolist()):
+            assert timedelta(hours=b) < off <= timedelta(hours=t), off
+        fn = PriceCurve(records=records).as_fn(epoch)
+        assert fn(firsts).tolist() == list(range(len(records)))
+        assert fn(below[1:]).tolist() == list(range(len(records) - 1))
+        return offsets
+
+    def test_first_instants_of_the_week_curve(self):
+        epoch = parse_sessions(FIXTURES / "sessions_week.csv")[0].connection_time
+        records = parse_prices(FIXTURES / "prices_week.csv").records
+        offsets = self.check_first_instants(records, epoch)
+        assert len(offsets) == 216 and offsets[0] < timedelta(0) < offsets[-1]
+
+    def test_first_instants_of_a_depot_curve(self, tmp_path):
+        inputs = perfbench_workloads().write_depot_inputs(tmp_path, 1, 40, 28)
+        epoch = parse_sessions(inputs["sessions"])[0].connection_time
+        offsets = self.check_first_instants(parse_prices(inputs["prices"]).records, epoch)
+        assert len(offsets) == 720 and offsets[0] < timedelta(0) < offsets[-1]
+        assert any(o % timedelta(seconds=1) == timedelta(0) != o % timedelta(hours=1)
+                   for o in offsets)  # the epoch is not on the hour
+
+    def test_first_instants_one_microsecond_apart(self):
+        """Blocks of records one microsecond apart, before and after the
+        epoch, at and around whole hours and far from it."""
+        hour_us = 3_600_000_000
+        epoch = datetime(2021, 5, 3, 7, 13, 5, 250001, tzinfo=UTC)
+        bases = [-50 * hour_us - 100, -hour_us - 3_000_000_000, -100, hour_us - 100,
+                 2 * hour_us + 3_100_000_000, 300 * hour_us + 3_300_000_000,
+                 9000 * hour_us - 7]
+        us = np.concatenate([base + np.arange(200) for base in bases]).tolist()
+        offsets = self.check_first_instants(
+            tuple(PriceRecord(epoch + timedelta(microseconds=u), 0.0) for u in us), epoch)
+        assert timedelta(0) in offsets and timedelta(hours=1) in offsets
+
     @pytest.mark.parametrize("t_h", [np.nan, np.inf, -2.0**31])
     def test_instant_out_of_range_rejected(self, t_h):
         curve = PriceCurve(records=(PriceRecord(datetime(2021, 5, 3, tzinfo=UTC), 0.1),))
@@ -324,6 +370,8 @@ class TestRunConfig:
         ("alpha_cost = -1\n", "nonnegative"),
         ("alpha_cost = 0\nalpha_fade = 0\nalpha_availability = 0\n", "not all zero"),
         ("i_max_a = 500\nic_max_a = 400\n", "i_max"),
+        ("default_soc_start = 1.5\n", "default_soc_start"),
+        ("default_soc_start = -0.01\n", "default_soc_start"),
     ])
     def test_bad_configuration_rejected_before_the_first_event(self, tmp_path, text, message):
         """A run's configuration and policy are checked when built, as every

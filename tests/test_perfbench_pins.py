@@ -11,19 +11,15 @@ a result shape changed, here would break the benchmark only when it runs.
 import importlib
 import importlib.util
 import math
-import sys
 
 import pytest
 
-from conftest import ROOT
+from conftest import ROOT, perfbench_workloads
 
 _spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
-_spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = workloads  # its dataclasses look their module up
-_spec.loader.exec_module(workloads)
+workloads = perfbench_workloads()
 
 # The attributes RescheduleProbe.install patches.
 PROBED = [

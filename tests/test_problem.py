@@ -407,6 +407,40 @@ class TestFleetWideAssembly:
         want = _reference_max_power(inst)
         assert max_power_allocation(inst).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("ic_max", [400.0, 3200.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_max_power_with_hand_set_slot_lengths(self, seed, ic_max):
+        """Slot lengths drawn in [0, dt] within each vehicle's period: zeros,
+        short slots in the middle and whole ones."""
+        tasks, t_s, dt = _fleet(300 + seed, 40)
+        inst = make_instance(tasks, t_s=t_s, dt=dt, ic_max=ic_max)
+        rng = np.random.default_rng(300 + seed)
+        draw = rng.random(inst.durations.shape)
+        short = rng.uniform(0.0, dt, inst.durations.shape)
+        durations = np.where(draw < 0.05, 0.0, np.where(draw < 0.4, short, dt))
+        inst = dataclasses.replace(inst, durations=np.where(inst.active, durations, 0.0))
+        want = _reference_max_power(inst)
+        assert max_power_allocation(inst).tobytes() == want.tobytes()
+        if ic_max == 3200.0:
+            # a short middle slot that takes less than i_max ends a charge
+            # before the vehicle's last slot
+            d = inst.durations
+            before_last = np.arange(inst.horizon)[:, None] < inst.grid.tt - 1
+            assert ((want > 0) & (want < inst.i_max) & (d < dt) & before_last).any()
+
+    def test_slot_that_takes_the_rest_ends_the_charge(self):
+        """A vehicle charges nothing after a slot that took less than its
+        limit, even where that slot is longer than the step and the next
+        slot is still counted."""
+        inst = make_instance([ChargingTask("v", 0.0, 1.5, 0.7, 1.0)])
+        need = (1.0 - 0.7) * inst.c_bat
+        assert inst.durations[:, 0].tolist() == [0.5, 0.5, 0.5]
+        assert 0.5 * inst.i_max < need < inst.i_max  # two slots counted
+        inst = dataclasses.replace(inst, durations=np.array([[1.0], [0.5], [0.5]]))
+        alloc = max_power_allocation(inst)
+        assert alloc[:, 0].tolist() == [need, 0.0, 0.0]
+        assert alloc.tobytes() == _reference_max_power(inst).tobytes()
+
     def test_full_fleet_and_empty_fleet(self):
         full = [ChargingTask(f"f{v}", 0.0, 2.0 + v, 1.0, 1.0) for v in range(3)]
         inst = make_instance(full)

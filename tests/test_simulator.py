@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fleetcharge.ingest import SessionRecord, sessions_to_events
-from fleetcharge.problem import ChargingTask
+from fleetcharge.problem import ChargingTask, availability_weights
 from fleetcharge.scheduler import (
     _DERIVE_BATCH_ROWS,
     FleetState,
@@ -410,6 +410,28 @@ class TestLedgerReplay:
         assert len(held) > 1 and isinstance(res.ledger[0], LedgerEntry)
 
 
+def test_baseline_replay_builds_no_availability_weights(monkeypatch):
+    """The baseline never evaluates an objective, so none of a replay's
+    instances holds availability weights; read, they are built from the
+    instance's slot counts."""
+    kept = []
+
+    def keep(*args):
+        alloc, inst = baseline_schedule(*args)
+        kept.append(inst)
+        return alloc, inst
+
+    monkeypatch.setattr("fleetcharge.simulator.baseline_schedule", keep)
+    run(log_events(depot_log(5)), day_prices, config(ic_max=400.0))
+    assert len(kept) > 100 and max(inst.n_vehicles for inst in kept) > 5
+    assert not [inst for inst in kept if "avail_w" in vars(inst)]
+    for inst in kept:
+        w = inst.avail_w
+        want = availability_weights(inst.grid.tt)
+        assert (w.dtype, w.shape, w.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert inst.avail_w is w
+
+
 def test_derivation_does_not_depend_on_when_rows_are_read(monkeypatch):
     """A depot replay longer than two derivation batches holds the same
     column bytes whether its ledger is read once at the end or after every
@@ -500,3 +522,8 @@ class TestEventValidation:
             SimConfig(peak_threshold=0.0)
         with pytest.raises(ValueError):
             SimConfig(battery_cost_usd=-5.0)
+
+    @pytest.mark.parametrize("soc", [-0.01, 1.5, np.nan])
+    def test_default_soc_start_outside_unit_interval_rejected(self, soc):
+        with pytest.raises(ValueError, match="default_soc_start"):
+            SimConfig(default_soc_start=soc)
