@@ -332,10 +332,14 @@ def max_power_allocation(inst: ProblemInstance) -> np.ndarray:
     alloc = np.where(np.logical_and.accumulate(go), amps, 0.0)
     # Station cap: columns are already in earliest-departure order, so a
     # cumulative-headroom pass curtails later-departing vehicles first.  Only
-    # slots whose total passes the cap are touched.
-    used = np.cumsum(alloc, axis=1)
+    # slots whose total passes the cap are touched, and the pass runs only
+    # when some slot's does.
+    used = np.add.accumulate(alloc, axis=1)
+    over = used[:, -1:] > inst.ic_max
+    if not over.any():
+        return alloc
     capped = np.clip(np.minimum(alloc, inst.ic_max - (used - alloc)), 0.0, None)
-    return np.where(used[:, -1:] > inst.ic_max, capped, alloc)
+    return np.where(over, capped, alloc)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +362,7 @@ def soc_before_slots(alloc: np.ndarray, inst: ProblemInstance,
     delta = alloc * (d / inst.c_bat)
     soc = np.empty_like(delta)
     soc[..., 0, :] = start
-    soc[..., 1:, :] = start + np.cumsum(delta, axis=-2)[..., :-1, :]
+    np.add(start, np.add.accumulate(delta[..., :-1, :], axis=-2), out=soc[..., 1:, :])
     return soc
 
 

@@ -323,11 +323,24 @@ class _Projector:
     projects each column onto its box and energy window; calling the
     projector alternates that with a uniform shave of every slot over the
     station cap (30 rounds at most).  A start leaves the rounds as soon as
-    its slots are within the cap.
+    its slots are within the cap.  The result never shares memory with the
+    input: when every start leaves in the first round it is that round's
+    array, returned without a copy, and otherwise each start's rows are
+    copied out as it leaves.
+
+    Cost model.  The solver's instances are small (the week ``compare``'s
+    are at most 4 vehicles x 27 slots, with a few starts per call), so a
+    round's few dozen numpy calls, not its element work, set the cost: a
+    least-squares fit over the week's 2,284 calls (8,540 rounds; 1,728
+    calls end in their first round) gives about 47 us per round and
+    0.9 us per column-round (one vehicle column of one start through one
+    round), and no cost per call beyond its rounds (an intercept within
+    5 us of zero), on one CPU of a 2-vCPU Xeon host.
     """
 
     def __init__(self, inst: ProblemInstance):
         d = inst.durations
+        h, n = d.shape
         self.d = d
         self.ub = np.where(inst.active, inst.i_max, 0.0)
         self.e_lo, self.e_hi = inst.e_lo, inst.e_hi
@@ -336,11 +349,16 @@ class _Projector:
         self.d_rows = d.T.copy()
         self.ub_rows = self.ub.T.copy()
         # Idle cells (d = 0) divide by inf: they sit at lam = 0 with no slope.
-        self.safe_d_rows = np.where(d > 0, d, np.inf).T.copy()
+        # Doubled, a row divides both halves of a column's breakpoints.
+        safe_d = np.where(d > 0, d, np.inf).T
+        self.safe_d2 = np.concatenate([safe_d, safe_d], axis=1)
         bend = self.d_rows * self.d_rows
-        self.bends = np.concatenate([bend, -bend], axis=1)
+        self.bends = np.concatenate([bend, -bend], axis=1).ravel()
+        self.bend_rows = np.arange(0, 2 * h * n, 2 * h)  # flat start of each row of bends
+        self.slots = np.arange(0, h * n, n)              # flat offset of each slot in a point
+        self.start_cells = h * n
         self.ic_max = inst.ic_max
-        self.n = inst.n_vehicles
+        self.n = n
 
     def windows(self, y: np.ndarray) -> np.ndarray:
         """Euclidean projection of each column onto box + energy window.
@@ -355,54 +373,80 @@ class _Projector:
         edge (breakpoint search for the continuous quadratic knapsack).
         Cells with ``d = 0`` carry no slope; an unreachable target leaves
         the column at its box top.  The out-of-window columns of every
-        start are searched together, one row each.
+        start are searched together, one row each, gathered and scattered
+        by flat index.  The clips are ``np.minimum(np.maximum(...))``, which
+        keep ``np.clip``'s bits, signed zeros included.
         """
-        x = np.clip(y, 0.0, self.ub)
+        x = np.maximum(y, 0.0)
+        np.minimum(x, self.ub, out=x)
         # Summed over axis 1, a start's delivered energy adds its slots in
         # the order an (H, V) column sum does, for V = 1 as well.
-        s = (x * self.d).sum(axis=1)
+        s = np.add.reduce(x * self.d, axis=1)
         lo_bad = s < self.lo_tol
-        hi_bad = s > self.hi_tol
-        ks, vs = np.nonzero(lo_bad | hi_bad)
+        bad = s > self.hi_tol
+        bad |= lo_bad
+        ks, vs = bad.nonzero()
         if len(vs) == 0:
             return x
-        target = np.where(lo_bad, self.e_lo, self.e_hi)[ks, vs]
-        yc, dc, ubc = y[ks, :, vs], self.d_rows[vs], self.ub_rows[vs]
-        safe_d = self.safe_d_rows[vs]
-        points = np.concatenate([-yc / safe_d, (ubc - yc) / safe_d], axis=1)
-        rows = np.arange(len(vs))
+        target = np.where(lo_bad, self.e_lo, self.e_hi)[bad]  # in nonzero's order
+        ks *= self.start_cells
+        ks += vs  # flat index of each column's first cell
+        cells = ks[:, None] + self.slots  # (m, H) flat cells of the columns in y and x
+        yc = y.take(cells)
+        dc, ubc = self.d_rows.take(vs, axis=0), self.ub_rows.take(vs, axis=0)
+        points = np.concatenate([-yc, ubc - yc], axis=1)
+        points /= self.safe_d2.take(vs, axis=0)
+        width = points.shape[1]
+        rows = np.arange(0, len(vs) * width, width)  # flat start of each row
         order = points.argsort(axis=1, kind="stable")
-        points = points[rows[:, None], order]
-        slope = self.bends[vs[:, None], order].cumsum(axis=1)
+        points = points.take(order + rows[:, None])
+        bends = self.bends.take(order + self.bend_rows.take(vs)[:, None])
+        slope = np.add.accumulate(bends, axis=1)
         # energy at each breakpoint; s is zero left of the first one
-        energy = np.zeros_like(points)
-        np.cumsum(slope[:, :-1] * (points[:, 1:] - points[:, :-1]), axis=1, out=energy[:, 1:])
+        energy = np.zeros(points.shape)
+        np.add.accumulate(slope[:, :-1] * (points[:, 1:] - points[:, :-1]), axis=1,
+                          out=energy[:, 1:])
 
         reached = energy >= target[:, None]
         first = reached.argmax(axis=1)  # first breakpoint at or past the target
-        seg = np.maximum(first - 1, 0)
-        rise = slope[rows, seg]
-        lam = points[rows, seg] + (target - energy[rows, seg]) / np.where(rise > 0, rise, 1.0)
-        lam[first == 0] = points[first == 0, 0] - 1.0    # target <= 0
-        top = ~reached.any(axis=1)                       # unreachable: box top
-        lam[top] = points[top, -1] + 1.0
-        x[ks, :, vs] = np.clip(yc + lam[:, None] * dc, 0.0, ubc)
+        seg = np.maximum(first - 1, 0) + rows
+        rise = slope.take(seg)
+        lam = points.take(seg) + (target - energy.take(seg)) / np.where(rise > 0, rise, 1.0)
+        below = first == 0
+        if below.any():
+            lam[below] = points[below, 0] - 1.0         # target <= 0
+            top = below & ~reached[:, 0]                # reached nowhere: box top
+            if top.any():
+                lam[top] = points[top, -1] + 1.0
+        moved = lam[:, None] * dc
+        moved += yc
+        np.maximum(moved, 0.0, out=moved)
+        np.minimum(moved, ubc, out=moved)
+        x.put(cells, moved)
         return x
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(y)
-        live = np.arange(len(y))
+        out = live = None
         x = y
         for _ in range(30):
             x = self.windows(x)
-            excess = x.sum(axis=2) - self.ic_max
-            done = excess.max(axis=1, initial=0.0) <= 1e-10
+            excess = np.add.reduce(x, axis=2)
+            excess -= self.ic_max
+            done = np.maximum.reduce(excess, axis=1, initial=0.0) <= 1e-10
+            if done.all():
+                if live is None:
+                    return x  # every start left in the first round
+                out[live] = x
+                return out
+            if live is None:
+                out, live = np.empty_like(y), np.arange(len(y))
             if done.any():
                 out[live[done]] = x[done]
-                if done.all():
-                    return out
-                live, x, excess = live[~done], x[~done], excess[~done]
-            x = x - (np.maximum(excess, 0.0) / self.n)[:, :, None]
+                left = ~done
+                live, x, excess = live[left], x[left], excess[left]
+            np.maximum(excess, 0.0, out=excess)
+            excess /= self.n
+            x -= excess[:, :, None]
         out[live] = self.windows(x)
         return out
 
@@ -430,12 +474,18 @@ class _Surrogate:
         self.frac = np.where(inst.active, inst.durations / inst.grid.dt, 0.0)
         self.half = 0.5 * inst.durations / inst.c_bat
         self.dc = inst.durations / inst.c_bat
+        # The calendric term's slopes: along a vehicle's path, and on its own cell.
+        self.path_cal = self.frac * inst.fade_params.p1
+        self.own_cal = self.path_cal * self.half
 
     def _pieces(self, x, rows):
-        c = BranchCoefficients(*self.coef[:, rows])
-        avg = soc_before_slots(x, self.inst) + self.half * x
+        c = BranchCoefficients(*self.coef.take(rows, axis=1))
+        avg = soc_before_slots(x, self.inst)
+        avg += self.half * x
         poly = c.evaluate(avg, x)
-        mask = self.inst.active & (x > 0.0) & (poly > 0.0)
+        mask = x > 0.0
+        mask &= poly > 0.0
+        mask &= self.inst.active
         return c, avg, poly, mask
 
     def value(self, x, rows) -> np.ndarray:
@@ -443,21 +493,18 @@ class _Surrogate:
         p = self.inst.fade_params
         flat = (len(x), -1)
         # Each start sums its own active cells, as it would alone.
-        active = np.array([np.sum(pj[mj]) for pj, mj in zip(poly, mask)])
-        fade = active + (self.frac * p.calendric(avg)).reshape(flat).sum(axis=1)
-        return (self.lin * x).reshape(flat).sum(axis=1) + self.fw * fade
+        active = np.array([np.add.reduce(pj[mj]) for pj, mj in zip(poly, mask)])
+        fade = active + np.add.reduce((self.frac * p.calendric(avg)).reshape(flat), axis=1)
+        return np.add.reduce((self.lin * x).reshape(flat), axis=1) + self.fw * fade
 
     def gradient(self, x, rows) -> np.ndarray:
         c, avg, _, mask = self._pieces(x, rows)
-        p = self.inst.fade_params
-        own = np.where(
-            mask,
-            (c.p10 + c.p11 * x) * self.half + c.p01 + c.p11 * avg + 2.0 * x * c.p02,
-            0.0,
-        )
-        own = own + self.frac * p.p1 * self.half
-        path_src = np.where(mask, c.p10 + c.p11 * x, 0.0) + self.frac * p.p1
-        suffix = np.flip(np.cumsum(np.flip(path_src, 1), 1), 1) - path_src
+        path = c.p10 + c.p11 * x
+        own = np.where(mask, path * self.half + c.p01 + c.p11 * avg + 2.0 * x * c.p02, 0.0)
+        own += self.own_cal
+        path_src = np.where(mask, path, 0.0)
+        path_src += self.path_cal
+        suffix = np.add.accumulate(path_src[:, ::-1], axis=1)[:, ::-1] - path_src
         return self.lin + self.fw * (own + self.dc * suffix)
 
 

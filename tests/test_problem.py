@@ -377,6 +377,21 @@ class TestFleetWideAssembly:
         binds = want.sum(axis=1).max() >= ic_max - 1e-6
         assert binds == (ic_max < 3200.0)
 
+    @pytest.mark.parametrize("ic_max", [160.0, 400.0, 3200.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cap_pass_runs_only_when_a_slot_passes_the_cap(self, seed, ic_max):
+        """With a binding cap and with a slack one, the plan is, byte for
+        byte, the headroom pass applied to every slot: skipping the pass
+        when no slot's total passes the cap changes nothing."""
+        tasks, t_s, dt = _fleet(100 + seed, 40)
+        inst = make_instance(tasks, t_s=t_s, dt=dt, ic_max=ic_max)
+        alloc = max_power_allocation(dataclasses.replace(inst, ic_max=np.inf))  # before the cap
+        used = np.cumsum(alloc, axis=1)
+        capped = np.clip(np.minimum(alloc, ic_max - (used - alloc)), 0.0, None)
+        want = np.where(used[:, -1:] > ic_max, capped, alloc)
+        assert max_power_allocation(inst).tobytes() == want.tobytes()
+        assert (used[:, -1] > ic_max).any() == (ic_max < 3200.0)
+
     def test_slot_at_the_cap_left_as_is(self):
         """Only a slot whose running sum passes the cap is curtailed: one that
         reaches it exactly keeps its currents, which a headroom pass would

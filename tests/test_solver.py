@@ -872,6 +872,47 @@ class TestProjector:
             assert project.windows(stack)[j].tobytes() == _reference_windows(z, inst).tobytes()
         assert not np.array_equal(project(stack)[0], y)   # the floor moved the column
 
+    @staticmethod
+    def _rounds_alone(y, inst):
+        """Rounds :func:`_reference_polytope` takes on one start: 31 when it
+        stops at the 30-round cap and projects once more."""
+        x = y
+        for r in range(30):
+            x = _reference_windows(x, inst)
+            excess = x.sum(axis=1) - inst.ic_max
+            if excess.max(initial=0.0) <= 1e-10:
+                return r + 1
+            x = x - (np.maximum(excess, 0.0) / inst.n_vehicles)[:, None]
+        return 31
+
+    @pytest.mark.parametrize("seed, ic_max", [(5, 150.0), (6, 200.0)])
+    def test_stack_whose_starts_leave_at_different_rounds(self, seed, ic_max):
+        """Starts that all leave in the first round (returned without a
+        copy), and starts that leave after several rounds or at the 30-round
+        cap, on columns with signed zeros, idle and inactive cells and
+        reachable floors: each start is, byte for byte, the alternating loop
+        run alone, and the result never shares memory with the input."""
+        rng = np.random.default_rng(seed)
+        y, inst, top = TestProjection._case(rng)
+        floor = np.minimum(inst.e_lo, 0.3 * top)
+        inst = dataclasses.replace(inst, e_lo=floor, ic_max=ic_max,
+                                   e_hi=np.maximum(np.minimum(inst.e_hi, top), floor))
+        y = np.where(rng.random(y.shape) < 0.2, -0.0, y)
+        assert np.signbit(y[y == 0.0]).any() and not inst.active.all()
+        mixed = np.stack([y, 0.5 * y, 0.25 * y, 0.1 * y, 0.05 * y, 2.0 * y, -y])
+        rounds = np.array([self._rounds_alone(z, inst) for z in mixed])
+        assert ((rounds > 1) & (rounds < 31)).any() and (rounds == 31).any()
+        first = mixed[rounds == 1]
+        assert len(first) >= 2
+        project = _Projector(inst)
+        for stack in (first, mixed, mixed[::-1]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x = project(stack)
+            assert not np.shares_memory(x, stack)
+            for j, z in enumerate(stack):
+                assert x[j].tobytes() == _reference_polytope(z, inst).tobytes()
+
 
 def _woken_cell_model(inst, slope):
     """Surrogate whose one cell sits at zero, pulled up with gradient ``slope``:
