@@ -32,10 +32,11 @@ nadir of the two sides) and prints per run the summed objective, how many
 re-solves are better, worse or equal (within a relative 1e-12), the worst
 regression, how many re-solved plans differ from the frozen ones and the
 largest absolute current difference among them (so an ulp-level change
-reads as one), audit failures and the summed and max solve time; a worse
-re-solve or a failed audit also exits 1.  This judges a change meant to
-move plans, where byte identity cannot.  The pickles are loaded, so pass
-``--against`` only a directory this script wrote.
+reads as one) and audit failures; a worse re-solve or a failed audit also
+exits 1.  This judges a change meant to move plans, where byte identity
+cannot.  It prints no solve times: the two sides ran in different
+processes, so their times cannot judge speed.  The pickles are loaded, so
+pass ``--against`` only a directory this script wrote.
 
     python scripts/parity.py --out /tmp/parity-new
     python scripts/parity.py --out /tmp/parity-new --against /tmp/parity-old
@@ -324,16 +325,13 @@ def compare_objectives(name: str, records: list) -> bool:
             largest = max(largest, gap)
         audits_theirs += audit_fails(inst, their_x)
         audits_mine += audit_fails(inst, my_x)
-    times = [[rep.wall_time_ms / 1000.0 for *_, rep in side] for side in (records, resolved)]
     change = 100.0 * (total_mine - total_theirs) / max(abs(total_theirs), 1e-300)
     worst_text = ("none" if worst is None
                   else f"+{worst[0]:.6g} ({100.0 * worst[1]:+.4g}%) at solve {worst[2]}")
     print(f"objective {name}: {len(records)} solves; summed {total_theirs:.9g} -> "
           f"{total_mine:.9g} ({change:+.4f}%); better {better}, worse {worse}, equal {equal}; "
           f"worst regression {worst_text}; plans differ {moved}, largest current "
-          f"difference {largest:.3g} A; audit failures {audits_theirs} -> {audits_mine}; "
-          f"solve time summed {sum(times[0]):.3f} -> {sum(times[1]):.3f} s, "
-          f"max {max(times[0], default=0.0):.3f} -> {max(times[1], default=0.0):.3f} s")
+          f"difference {largest:.3g} A; audit failures {audits_theirs} -> {audits_mine}")
     return worse == 0 and audits_mine == 0
 
 

@@ -197,13 +197,13 @@ class ProblemInstance:
     weights: tuple               # (alpha_cost, alpha_fade, alpha_availability)
     fade_params: FadeModelParams
 
-    # derived, filled by build_instance
-    durations: np.ndarray = field(repr=False, default=None)   # (H, V) hours
-    active: np.ndarray = field(repr=False, default=None)      # (H, V) bool
-    e_lo: np.ndarray = field(repr=False, default=None)        # (V,) Ah
-    e_hi: np.ndarray = field(repr=False, default=None)        # (V,) Ah
-    soc_start: np.ndarray = field(repr=False, default=None)   # (V,)
-    wep: np.ndarray = field(repr=False, default=None)         # (H,) $/kWh
+    # derived; build_instance, the one constructor, passes all six
+    durations: np.ndarray = field(repr=False)   # (H, V) hours
+    active: np.ndarray = field(repr=False)      # (H, V) bool
+    e_lo: np.ndarray = field(repr=False)        # (V,) Ah
+    e_hi: np.ndarray = field(repr=False)        # (V,) Ah
+    soc_start: np.ndarray = field(repr=False)   # (V,)
+    wep: np.ndarray = field(repr=False)         # (H,) $/kWh
 
     @cached_property
     def avail_w(self) -> np.ndarray:

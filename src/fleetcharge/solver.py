@@ -460,8 +460,9 @@ class _Surrogate:
     """Objective model of a stack of starts, each with its own branch
     membership frozen per cell, and the instance's projection.
 
-    ``value`` and ``gradient`` take points ``(m, H, V)`` of the starts
-    ``rows`` and return one value (m,) and one gradient (m, H, V) per start.
+    ``evaluate`` takes points ``(m, H, V)`` of the starts ``rows`` and
+    returns, from one pass over their SoC trajectories and quadratics, one
+    value (m,) and one gradient (m, H, V) per start.
     """
 
     def __init__(self, inst: ProblemInstance, lin: np.ndarray, fade_weight: float,
@@ -478,7 +479,7 @@ class _Surrogate:
         self.path_cal = self.frac * inst.fade_params.p1
         self.own_cal = self.path_cal * self.half
 
-    def _pieces(self, x, rows):
+    def evaluate(self, x, rows):
         c = BranchCoefficients(*self.coef.take(rows, axis=1))
         avg = soc_before_slots(x, self.inst)
         avg += self.half * x
@@ -486,26 +487,19 @@ class _Surrogate:
         mask = x > 0.0
         mask &= poly > 0.0
         mask &= self.inst.active
-        return c, avg, poly, mask
-
-    def value(self, x, rows) -> np.ndarray:
-        _, avg, poly, mask = self._pieces(x, rows)
-        p = self.inst.fade_params
         flat = (len(x), -1)
         # Each start sums its own active cells, as it would alone.
         active = np.array([np.add.reduce(pj[mj]) for pj, mj in zip(poly, mask)])
-        fade = active + np.add.reduce((self.frac * p.calendric(avg)).reshape(flat), axis=1)
-        return np.add.reduce((self.lin * x).reshape(flat), axis=1) + self.fw * fade
-
-    def gradient(self, x, rows) -> np.ndarray:
-        c, avg, _, mask = self._pieces(x, rows)
+        cal = self.frac * self.inst.fade_params.calendric(avg)
+        fade = active + np.add.reduce(cal.reshape(flat), axis=1)
+        value = np.add.reduce((self.lin * x).reshape(flat), axis=1) + self.fw * fade
         path = c.p10 + c.p11 * x
         own = np.where(mask, path * self.half + c.p01 + c.p11 * avg + 2.0 * x * c.p02, 0.0)
         own += self.own_cal
         path_src = np.where(mask, path, 0.0)
         path_src += self.path_cal
         suffix = np.add.accumulate(path_src[:, ::-1], axis=1)[:, ::-1] - path_src
-        return self.lin + self.fw * (own + self.dc * suffix)
+        return value, self.lin + self.fw * (own + self.dc * suffix)
 
 
 def _derive_branches(x: np.ndarray, inst: ProblemInstance) -> np.ndarray:
@@ -541,20 +535,23 @@ def _descend(model: _Surrogate, x0: np.ndarray):
     (:func:`_jump`).  A start ends on a zero gradient, a rejected iteration,
     a decrease within ``TOL_OBJ`` or its ``MAX_INNER_ITERS``-th iteration.
 
-    Each tick projects and scores, in one stacked call, a live start's next
-    trials ``s, s/2, s/4, ...``: as many as its previous line search took,
-    plus one (two for its first).  Its trials are then consumed in order
-    by the sequential rule, and those after the one that ends the search
-    are dropped.  Every live start gets one trial; extra trials fill the
-    tick in start order up to ``_SPECULATIVE_CELLS`` cells, which bounds
-    the element work a dropped trial wastes on big instances.  A stack row
-    is treated exactly as alone and halving a step is exact, so the
-    speculation changes the number of calls, never the path.
+    The model is two calls: ``project`` and ``evaluate``, which gives each
+    point's value and gradient together.  Each tick projects and evaluates,
+    in one stacked call each, a live start's next trials ``s, s/2, s/4,
+    ...``: as many as its previous line search took, plus one (two for its
+    first).  Its trials are then consumed in order by the sequential rule,
+    and those after the one that ends the search are dropped.  An accepted
+    trial keeps its value and gradient, so the next iteration steps from
+    them without scoring the point again.  Every live start gets one trial;
+    extra trials fill the tick in start order up to ``_SPECULATIVE_CELLS``
+    cells, which bounds the element work a dropped trial wastes on big
+    instances.  A stack row is treated exactly as alone and halving a step
+    is exact, so the speculation changes the number of calls, never the
+    path.
     """
     x = model.project(x0)
     k = len(x)
-    f = model.value(x, np.arange(k))
-    g = np.empty_like(x)
+    f, g = model.evaluate(x, np.arange(k))
     step = np.ones(k)
     iters = np.zeros(k, dtype=int)
     trials, rises, prev = [0] * k, [[] for _ in range(k)], [None] * k
@@ -563,7 +560,6 @@ def _descend(model: _Surrogate, x0: np.ndarray):
     while True:
         if len(fresh):
             iters[fresh] += 1
-            g[fresh] = model.gradient(x[fresh], fresh)
             stalled = np.abs(g[fresh]).max(axis=(1, 2), initial=0.0) <= 0
             fresh = fresh[~stalled]
             step[fresh] = np.minimum(step[fresh] * 2.0, 1e8)
@@ -586,7 +582,7 @@ def _descend(model: _Surrogate, x0: np.ndarray):
                 steps.append(s)
         idx, steps = np.array(rows), np.array(steps)
         cand = model.project(x[idx] - steps[:, None, None] * g[idx])
-        fc = model.value(cand, idx)
+        fc, gc = model.evaluate(cand, idx)
         move = cand - x[idx]
         sq = (move * move).reshape(len(idx), -1).sum(axis=1)
         accepted = fc <= f[idx] - 1e-4 * sq / np.maximum(steps, 1e-16)
@@ -597,7 +593,7 @@ def _descend(model: _Surrogate, x0: np.ndarray):
             ended.add(j)
             if accepted[i]:
                 dec = f[j] - fc[i]
-                x[j], f[j] = cand[i], fc[i]
+                x[j], f[j], g[j] = cand[i], fc[i], gc[i]
                 took[j] = trials[j] + 1
                 if not (dec <= TOL_OBJ * max(abs(f[j]), 1.0) or iters[j] == MAX_INNER_ITERS):
                     fresh.append(j)

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 
-from fleetcharge.problem import COMPONENTS, NormalizationPoints
+from fleetcharge.problem import COMPONENTS, ChargingTask, NormalizationPoints, build_constraints
+from fleetcharge.solver import solve
 
-from conftest import ROOT
+from conftest import ROOT, make_instance
 
 _spec = importlib.util.spec_from_file_location("parity", ROOT / "scripts" / "parity.py")
 parity = importlib.util.module_from_spec(_spec)
@@ -129,3 +130,46 @@ class TestPlanGap:
         assert parity._plan_gap(None, plan) == math.inf
         assert parity._plan_gap(plan, np.zeros((3, 2))) == math.inf
         assert parity._plan_gap(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
+
+
+class TestCompareObjectives:
+    PRICES = {0.0: 0.3, 0.5: 0.1, 1.0: 0.2, 1.5: 0.05}
+
+    def _records(self):
+        """This checkout's solves of two small instances, as a run pickles them."""
+        records = []
+        for tasks in ([ChargingTask("A", 0.0, 2.0, 0.3, 0.5),
+                       ChargingTask("B", 0.0, 1.5, 0.4, 0.6)],
+                      [ChargingTask("C", 0.0, 1.0, 0.2, 0.35)]):
+            inst = make_instance(tasks, prices=lambda t: self.PRICES[t], ic_max=120.0,
+                                 soc_xtra_ah=21.0)
+            alloc, rep = solve(inst)
+            records.append((inst, rep.points, alloc, rep))
+        return records
+
+    def test_resolves_equal_and_print_no_solve_time(self, capsys):
+        assert parity.compare_objectives("small", self._records())
+        out = capsys.readouterr().out
+        assert "worse 0," in out and "equal 2;" in out and "plans differ 0," in out
+        assert "solve time" not in out
+
+    def test_worse_feasible_plan_fails(self, capsys, monkeypatch):
+        """C's whole need in its dearer first slot: feasible, and worse than
+        the recorded plan."""
+        records = self._records()
+        inst, points, alloc, _ = records[1]
+        worse = np.array([[63.0], [0.0]])
+        assert build_constraints(inst).audit(worse) == []
+        assert parity._score(inst, points, worse) > parity._score(inst, points, alloc)
+        resolve = parity._resolve_all
+
+        def with_worse_plan(recs):
+            out = resolve(recs)
+            out[1] = (out[1][0], worse, out[1][2])
+            return out
+
+        monkeypatch.setattr(parity, "_resolve_all", with_worse_plan)
+        assert not parity.compare_objectives("small", records)
+        out = capsys.readouterr().out
+        assert "worse 1," in out and "at solve 2;" in out and "audit failures 0 -> 0" in out
+        assert "solve time" not in out

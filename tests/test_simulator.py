@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fleetcharge.ingest import SessionRecord, sessions_to_events
+import fleetcharge.simulator as simulator_module
 from fleetcharge.problem import ChargingTask, availability_weights
 from fleetcharge.scheduler import (
     _DERIVE_BATCH_ROWS,
@@ -173,6 +174,40 @@ class TestRunBasics:
         events = [Event(time_h=1.0, kind="departure", vehicle_id="ghost")]
         with pytest.raises(ValueError, match="unmatched-departure"):
             run(events, day_prices, config())
+
+
+class TestTailDrain:
+    @pytest.mark.parametrize("kind", ["baseline", "proposed"])
+    def test_vehicle_without_departure_is_walked_to_its_t_dep(self, kind, monkeypatch):
+        """B arrives and never departs: after the last event (A's departure
+        at 2.0 h) the last plan is walked to B's 4.25 h departure, inside a
+        slot, and B's SoC is the one that plan gives it."""
+        walks = []   # per walk: the state, B's SoC before it, the plan and its end
+
+        def recorded(state, alloc, inst, until, ledger):
+            b = state.vehicles.get("B")
+            walks.append((state, b and b.soc_cur, alloc, inst, until))
+            apply_slot(state, alloc, inst, until, ledger)
+
+        monkeypatch.setattr(simulator_module, "apply_slot", recorded)
+        t_dep = 4.25
+        events = [
+            Event(time_h=0.0, kind="arrival", task=ChargingTask("A", 0.0, 2.0, 0.5, 0.7)),
+            Event(time_h=1.5, kind="arrival", task=ChargingTask("B", 1.5, t_dep, 0.4, 0.8)),
+            Event(time_h=2.0, kind="departure", vehicle_id="A"),
+        ]
+        cfg = config(kind)
+        res = run(events, day_prices, cfg)
+        state, soc_before, alloc, inst, until = walks[-1]
+        assert until == t_dep and state.now == t_dep
+        assert inst.vehicle_ids == ("B",) and inst.grid.t_s == 2.0
+        planned = soc_before + float(alloc[:, 0] @ inst.durations[:, 0]) / cfg.c_bat
+        assert state.vehicles["B"].soc_cur == pytest.approx(min(planned, 1.0), rel=1e-12)
+        rows = [e for e in res.ledger if e.vehicle_id == "B"]
+        assert rows[-1].time_h >= 2.0
+        assert rows[-1].time_h + rows[-1].duration_h <= t_dep + 1e-12
+        assert rows[-1].soc == state.vehicles["B"].soc_cur
+        assert [d.vehicle_id for d in res.departures] == ["A"]
 
 
 def cfg_value_loss(fade):

@@ -50,6 +50,7 @@ from fleetcharge.solver import (
     _Projector,
     _repair_exact,
     _Surrogate,
+    _zero_snap_polish,
     feasibility_check,
     single_objective_minimizer,
     solve,
@@ -331,6 +332,59 @@ class TestBestTracker:
         for score in (4e6, 4e6 * (1.0 - 5e-13)):
             big.consider(np.array([[score]]))
         assert big.alloc[0, 0] == 4e6
+
+
+class TestZeroSnapPolish:
+    """A cell below 2% of ``i_max`` moves its charge into the first other
+    active slot of its vehicle with room under ``i_max`` and the station
+    cap, else is dropped if the vehicle's window floor still holds; the
+    tracker is offered the result only when some cell changed."""
+
+    @staticmethod
+    def _polish(x, inst):
+        offered = []
+        tracker = _BestTracker(lambda a: offered.append(a.copy()) or 0.0)
+        before = x.copy()
+        _zero_snap_polish(x, inst, tracker)
+        assert np.array_equal(x, before)   # the polish works on a copy
+        if tracker.alloc is not None:
+            assert build_constraints(inst).audit(tracker.alloc) == []
+        return offered
+
+    def test_charge_moves_to_a_slot_with_room(self):
+        """Slot 1 is at the cap and slot 2 at ``i_max``, so A's 0.5 Ah goes
+        to slot 3."""
+        tasks = [ChargingTask("A", 0.0, 2.0, 0.2, 0.6), ChargingTask("B", 0.0, 2.0, 0.2, 0.3)]
+        inst = make_instance(tasks, ic_max=120.0, soc_xtra_ah=21.0)
+        assert inst.vehicle_ids == ("A", "B")
+        x = np.array([[1.0, 0.0], [60.0, 60.0], [80.0, 0.0], [50.0, 0.0]])
+        assert build_constraints(inst).audit(x) == []
+        (kept,) = self._polish(x, inst)
+        expected = x.copy()
+        expected[0, 0], expected[3, 0] = 0.0, 51.0
+        np.testing.assert_array_equal(kept, expected)
+
+    def test_charge_dropped_when_the_floor_holds(self):
+        """Every other slot of A is at the cap, so its 0.5 Ah is dropped:
+        60 Ah stay above its 42 Ah floor."""
+        tasks = [ChargingTask("A", 0.0, 1.5, 0.2, 0.4), ChargingTask("B", 0.0, 1.5, 0.2, 0.4)]
+        inst = make_instance(tasks, ic_max=120.0, soc_xtra_ah=21.0)
+        x = np.array([[1.0, 0.0], [60.0, 60.0], [60.0, 60.0]])
+        assert build_constraints(inst).audit(x) == []
+        (kept,) = self._polish(x, inst)
+        expected = x.copy()
+        expected[0, 0] = 0.0
+        np.testing.assert_array_equal(kept, expected)
+
+    def test_nothing_offered_when_neither_is_possible(self):
+        """The other slot is at ``i_max`` and dropping 0.5 Ah would take the
+        vehicle below its 40.5 Ah floor."""
+        inst = make_instance([ChargingTask("v", 0.0, 1.0, 0.2, 0.2 + 40.5 / 210.0)],
+                             soc_xtra_ah=21.0)
+        x = np.array([[1.0], [80.0]])
+        assert build_constraints(inst).audit(x) == []
+        assert inst.e_lo[0] > 40.0 + 1e-12
+        assert self._polish(x, inst) == []
 
 
 class TestRepairExact:
@@ -934,23 +988,32 @@ def _woken_cell_model(inst, slope):
 
 class _Quadratic:
     """Smooth model ``0.5 * a * |x - c|^2`` on the box [0, 100]: a long step
-    overshoots, and the rise shrinks with the step.  Takes one point (H, V)
-    or a stack of them (k, H, V)."""
+    overshoots, and the rise shrinks with the step.  ``evaluate`` scores a
+    stack (m, H, V) for the lockstep descent, which records the rows of
+    each projection; ``value`` and ``gradient`` score one point (H, V) for
+    the per-start reference, which counts its projections per line search."""
 
     def __init__(self, a, c):
         self.a, self.c = a, c
-        self.trials = []   # projections per line search
+        self.trials = []   # per-start: projections per line search
+        self.stacks = []   # stacked: rows per projection
 
     def project(self, y):
-        self.trials[-1] += 1
+        if y.ndim == 3:
+            self.stacks.append(len(y))
+        else:
+            self.trials[-1] += 1
         return np.clip(y, 0.0, 100.0)
 
-    def value(self, x, rows=None):
+    def value(self, x):
         return 0.5 * self.a * np.sum((x - self.c) ** 2, axis=(-2, -1))
 
-    def gradient(self, x, rows=None):
+    def gradient(self, x):
         self.trials.append(0)
         return self.a * (x - self.c)
+
+    def evaluate(self, x, rows):
+        return self.value(x), self.a * (x - self.c)
 
 
 class TestLineSearch:
@@ -966,7 +1029,7 @@ class TestLineSearch:
         inst = self._instance()
         x0 = np.zeros((1, 1))
         model, _ = _woken_cell_model(inst, -1e-5)
-        assert model.gradient(x0[None], [0])[0, 0, 0] == pytest.approx(-1e-5, rel=1e-6)
+        assert model.evaluate(x0[None], [0])[1][0, 0, 0] == pytest.approx(-1e-5, rel=1e-6)
         jump = solver_module._jump
 
         def consumed_trials():
@@ -994,9 +1057,7 @@ class TestLineSearch:
         x0 = np.array([[20.0, 10.0], [5.0, 0.0]])
 
         def descend():
-            model = _Quadratic(10.0, c)
-            model.trials.append(0)   # the start's projection
-            return _descend(model, x0[None])
+            return _descend(_Quadratic(10.0, c), x0[None])
 
         (x,), (iters,) = descend()
         ref = _Quadratic(10.0, c)
@@ -1017,18 +1078,16 @@ class TestLineSearch:
         c = np.array([[3.0, 40.0], [0.0, 7.5]])
         x0 = np.array([[20.0, 10.0], [5.0, 0.0]])
         model = _Quadratic(1000.0, c)
-        model.trials.append(0)
         corner = np.array([[0.0, 100.0], [0.0, 100.0]])
+        _, g0 = model.evaluate(x0[None], [0])
         for step in (2.0, 1.0, 0.5):
-            assert np.array_equal(model.project(x0 - step * model.gradient(x0)), corner)
-        model.trials.clear()
-        model.trials.append(0)
+            assert np.array_equal(model.project(x0[None] - step * g0)[0], corner)
+        model.stacks.clear()
         (x,), _ = _descend(model, x0[None])
         monkeypatch.setattr(solver_module, "JUMP_TRIALS", 31)
         full = _Quadratic(1000.0, c)
-        full.trials.append(0)
         (x_full,), _ = _descend(full, x0[None])
-        assert model.trials == full.trials and np.array_equal(x, x_full)
+        assert model.stacks == full.stacks and np.array_equal(x, x_full)
         assert not np.array_equal(x, x0)
         assert model.value(x) < 1e-6 * model.value(x0)
 
@@ -1185,17 +1244,15 @@ class _Toy:
     def project(self, y):
         return np.clip(y, 0.0, 100.0)
 
-    def value(self, x, rows):
+    def evaluate(self, x, rows):
         a, q, c, jump = self.a[rows], self.q[rows], self.c[rows], self.jump[rows]
         cells = a * np.abs(x - c) + 0.5 * q * (x - c) ** 2 + jump * (x > 0)
-        return cells.reshape(len(x), -1).sum(axis=1)
-
-    def gradient(self, x, rows):
-        return self.a[rows] * np.sign(x - self.c[rows]) + self.q[rows] * (x - self.c[rows])
+        return cells.reshape(len(x), -1).sum(axis=1), a * np.sign(x - c) + q * (x - c)
 
 
 class _OneStart:
-    """Start ``j`` of a stacked model, in the per-start model interface."""
+    """Start ``j`` of a stacked model, in the per-start model interface:
+    ``value`` and ``gradient`` each take their half of ``evaluate``."""
 
     def __init__(self, model, j):
         self.model, self.rows = model, [j]
@@ -1204,10 +1261,10 @@ class _OneStart:
         return self.model.project(y[None])[0]
 
     def value(self, x):
-        return float(self.model.value(x[None], self.rows)[0])
+        return float(self.model.evaluate(x[None], self.rows)[0][0])
 
     def gradient(self, x):
-        return self.model.gradient(x[None], self.rows)[0]
+        return self.model.evaluate(x[None], self.rows)[1][0]
 
 
 class TestLockstepDescent:
@@ -1233,7 +1290,7 @@ class TestLockstepDescent:
             assert x[j].tobytes() == x_ref.tobytes()
             assert iters[j] == iters_ref
             # each start sums its own active cells
-            assert model.value(x[j:j + 1], [j])[0] == ref.value(x_ref)
+            assert model.evaluate(x[j:j + 1], [j])[0][0] == ref.value(x_ref)
         assert len({trials for _, trials in exits}) > 1   # starts stop at different ticks
         if ic_max < n * inst.i_max:
             assert np.any(x.sum(axis=2).max(axis=1) >= ic_max - 1e-9)   # the cap binds
@@ -1268,17 +1325,17 @@ class TestLockstepDescent:
         project = _Projector(inst)
         model = _Surrogate(inst, lin, fw, branches, project)
         projected, live = [], []   # per call: rows, and starts among them
-        value = model.value
+        evaluate = model.evaluate
 
         def counted_project(y):
             projected.append(len(y))
             return project(y)
 
-        def counted_value(xs, rows):
+        def counted_evaluate(xs, rows):
             live.append(len(set(np.asarray(rows).tolist())))
-            return value(xs, rows)
+            return evaluate(xs, rows)
 
-        model.project, model.value = counted_project, counted_value
+        model.project, model.evaluate = counted_project, counted_evaluate
         x, iters = _descend(model, starts)
         exits = []
         for j, x0 in enumerate(starts):
