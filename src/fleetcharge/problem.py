@@ -237,7 +237,11 @@ def build_instance(
 
     ``limits`` and ``weights`` (as ``scheduler.Policy`` holds them) were
     checked when built; only the columns and the sampled prices are checked
-    here.  The instance orders vehicles by (departure, vehicle id), as ``sorted``
+    here, each by one range check: both SoC columns in [0, 1] at once, then
+    every price finite and >= 0.  Only when a check fails does the column
+    loop run, so the error names what it always named: the first vehicle
+    with a bad start SoC, else the first with a bad departure SoC, and
+    "finite" before ">= 0".  The instance orders vehicles by (departure, vehicle id), as ``sorted``
     orders those pairs.  ``prices_fn`` maps an array of absolute times in
     hours to the prices in force at those instants; it is called once, with
     every slot start.
@@ -247,11 +251,14 @@ def build_instance(
     n = len(vehicle_ids)
     if not t_dep.shape == soc_start.shape == soc_dep.shape == (n,):
         raise ValueError("vehicle columns must hold one value per vehicle")
-    for name, soc in (("soc_start", soc_start), ("soc_dep", soc_dep)):
-        bad = ~((0.0 <= soc) & (soc <= 1.0))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"vehicle {vehicle_ids[k]}: {name} {soc[k]} not in [0, 1]")
+    both = np.concatenate((soc_start, soc_dep))
+    if not (np.minimum.reduce(both, initial=0.0) >= 0.0  # NaN fails both
+            and np.maximum.reduce(both, initial=1.0) <= 1.0):
+        for name, soc in (("soc_start", soc_start), ("soc_dep", soc_dep)):
+            bad = ~((0.0 <= soc) & (soc <= 1.0))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"vehicle {vehicle_ids[k]}: {name} {soc[k]} not in [0, 1]")
     # an object array compares ids as Python does; a str array would drop
     # trailing NULs
     order = np.lexsort((np.array(vehicle_ids, dtype=object), t_dep))
@@ -280,9 +287,10 @@ def build_instance(
     wep = np.asarray(prices_fn(t_s + np.arange(horizon) * dt), dtype=float)
     if wep.shape != (horizon,):
         raise ValueError("prices_fn must return one price per slot start")
-    if not np.all(np.isfinite(wep)):
-        raise ValueError("prices must be finite")
-    if np.any(wep < 0):
+    if not (np.minimum.reduce(wep, initial=0.0) >= 0.0  # NaN fails both
+            and np.maximum.reduce(wep, initial=0.0) < math.inf):
+        if not np.all(np.isfinite(wep)):
+            raise ValueError("prices must be finite")
         raise ValueError("prices must be >= 0")
     return ProblemInstance(
         vehicle_ids=ids,
@@ -307,7 +315,10 @@ def max_power_allocation(inst: ProblemInstance) -> np.ndarray:
 
     Each vehicle gets its current limit for the lesser of the slots needed
     to reach full charge and the slots left before departure; the energy
-    windows are not enforced.  The plan is built in one pass over all slots.
+    windows are not enforced.  The slots to full charge are counted with
+    :func:`charging_period`'s ceil rule, written out here without its
+    checks, which every instance :func:`build_instance` makes already
+    passes.  The plan is built in one pass over all slots.
     It is the plan of a slot-by-slot walk that subtracts each slot's charge
     from the need, bit for bit, when no slot is longer than the grid step,
     as in every instance :func:`build_instance` makes: a longer slot could
@@ -317,11 +328,14 @@ def max_power_allocation(inst: ProblemInstance) -> np.ndarray:
     d, i_max = inst.durations, inst.i_max
     remaining_ah = (1.0 - inst.soc_start) * inst.c_bat
     n_slots = np.minimum(
-        charging_period(remaining_ah / i_max, 0.0, inst.grid.dt), inst.grid.tt
+        np.maximum(np.ceil(remaining_ah / i_max / inst.grid.dt - 1e-9), 0.0), inst.grid.tt
     )
     # What is left before each slot while every slot before it took i_max,
     # subtracted in slot order, as the walk subtracts it.
-    left = np.subtract.accumulate(np.vstack([remaining_ah, i_max * d]))[:-1]
+    left = np.empty((inst.horizon + 1, inst.n_vehicles))
+    left[0] = remaining_ah
+    np.multiply(i_max, d, out=left[1:])
+    left = np.subtract.accumulate(left, out=left)[:-1]
     # A vehicle charges min(i_max, left/d) from slot 0 until its first slot
     # that is past its count, has no length or finds it full.  A slot whose
     # left/d rounds below i_max has left <= i_max*d as rounded, so the next

@@ -100,16 +100,15 @@ def _instance_from_state(
     current SoC, and a departure already past is clamped to the clock.
     ``extra_task`` joins as given; ``limits`` and ``weights``, already
     checked, pass through."""
-    vehicles, n = state.vehicles.values(), len(state.vehicles)
-    ids = [vs.task.vehicle_id for vs in vehicles]
-    t_dep = np.maximum(np.fromiter((vs.task.t_dep for vs in vehicles), float, n), state.now)
-    soc = np.fromiter((vs.soc_cur for vs in vehicles), float, n)
-    soc_dep = np.fromiter((vs.task.soc_dep for vs in vehicles), float, n)
+    now, ids, rows = state.now, [], []
+    for vs in state.vehicles.values():
+        task = vs.task
+        ids.append(task.vehicle_id)
+        rows.append((max(task.t_dep, now), vs.soc_cur, task.soc_dep))
     if extra_task is not None:
         ids.append(extra_task.vehicle_id)
-        t_dep = np.append(t_dep, extra_task.t_dep)
-        soc = np.append(soc, extra_task.soc_start)
-        soc_dep = np.append(soc_dep, extra_task.soc_dep)
+        rows.append((extra_task.t_dep, extra_task.soc_start, extra_task.soc_dep))
+    t_dep, soc, soc_dep = np.array(rows, dtype=float).reshape(-1, 3).T
     return build_instance(ids, t_dep, soc, soc_dep, state.now, prices_fn, limits, weights)
 
 
@@ -289,6 +288,14 @@ def apply_slot(
     charged for its own presence within a slot's window, and calendric
     fade is pro-rated by the fraction of a full slot realized.
 
+    Only each slot's start and window are found slot by slot; the walk's
+    slots are then one (slots, vehicles) block of ``min(window, duration)``
+    hours, and a cell makes a row when its vehicle is in the state and its
+    hours are positive.  The SoC recursion runs over the whole fleet vector
+    once per slot, and only cells that make rows change it, so every row
+    and SoC has the bits of a walk that gathers each slot's vehicles on
+    their own.
+
     Mutates the state (SoC recursion, clock) and appends the walk's rows to
     ``ledger``, slot by slot, in vehicle order: their primitive fields and
     SoC before, from which the ledger derives cost and fade (see
@@ -298,40 +305,50 @@ def apply_slot(
     if until <= now + 1e-12 or not inst.horizon:
         state.now = until
         return
-    soc_v = np.array([vehicles[vid].soc_cur if vid in vehicles else 0.0 for vid in ids])
-    walk = []  # per slot: start, index, vehicle columns; its rows' d, amps, SoC before and after
+    t_s, dt = grid.t_s, grid.dt
+    starts, windows = [], []
     for i in range(inst.horizon):
-        slot_t = grid.slot_start(i)
-        slot_end = slot_t + grid.dt
-        window = grid.dt if slot_end <= until else until - now
-        d = np.minimum(window, inst.durations[i])
-        cols = [v for v in np.flatnonzero(d > 0).tolist() if ids[v] in vehicles]
-        soc, amps, d = soc_v[cols], alloc[i, cols], d[cols]
-        soc_new = soc + amps * d / inst.c_bat
-        soc_v[cols] = np.minimum(soc_new, 1.0)
-        walk.append((slot_t, i, cols, d, amps, soc, soc_new))
+        slot_t = t_s + i * dt
+        slot_end = slot_t + dt
+        window = dt if slot_end <= until else until - now
+        starts.append(slot_t)
+        windows.append(window)
         now = slot_t + window
         if slot_end >= until:
             break
-    slot_t, slot_i, cols, d, amps, soc, soc_new = zip(*walk)
-    n = [len(c) for c in cols]
-    row_ids = [ids[v] for c in cols for v in c]
-    d, amps, soc, soc_new = map(np.concatenate, (d, amps, soc, soc_new))
-    for name, bad, value in (("current", ~(amps >= 0.0), amps),
-                             ("soc_init", ~((0.0 <= soc) & (soc <= 1.0)), soc)):
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise InvalidSlotError(name, f"vehicle {row_ids[k]}: {value[k]} out of range")
-    over = soc_new > 1.0 + 1e-9
-    if over.any():
-        k = int(np.argmax(over))
+    w = len(starts)
+    fleet = list(map(vehicles.get, ids))  # None where a vehicle has left
+    soc = np.array([0.0 if vs is None else vs.soc_cur for vs in fleet], dtype=float)
+    d = np.minimum(np.array(windows)[:, None], inst.durations[:w])
+    rows = (d > 0) & np.array([vs is not None for vs in fleet], dtype=bool)
+    delta = np.multiply(alloc[:w], d, out=np.zeros(d.shape), where=rows)
+    delta /= inst.c_bat
+    soc_before, soc_after = np.empty(d.shape), np.empty(d.shape)
+    for i in range(w):
+        soc_before[i] = soc
+        np.add(soc, delta[i], out=soc_after[i])
+        np.minimum(soc_after[i], 1.0, out=soc, where=rows[i])  # cells without a row keep it
+    slot_of, col_of = rows.nonzero()
+    cols = col_of.tolist()
+    row_ids = list(map(ids.__getitem__, cols))
+    d, amps, soc_init, soc_new = d[rows], alloc[:w][rows], soc_before[rows], soc_after[rows]
+    if not (np.minimum.reduce(amps, initial=0.0) >= 0.0  # NaN fails each of these
+            and np.minimum.reduce(soc_init, initial=0.0) >= 0.0
+            and np.maximum.reduce(soc_init, initial=0.0) <= 1.0):
+        for name, bad, value in (("current", ~(amps >= 0.0), amps),
+                                 ("soc_init", ~((0.0 <= soc_init) & (soc_init <= 1.0)), soc_init)):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise InvalidSlotError(name, f"vehicle {row_ids[k]}: {value[k]} out of range")
+    if np.maximum.reduce(soc_new, initial=0.0) > 1.0 + 1e-9:
+        k = int(np.argmax(soc_new > 1.0 + 1e-9))
         raise SocOverflowError(f"vehicle {row_ids[k]} would reach SoC {soc_new[k]:.9f}")
 
     soc_out = np.minimum(soc_new, 1.0)
-    for vid, s in dict(zip(row_ids, soc_out.tolist())).items():  # each vehicle's last row
-        vehicles[vid].soc_cur = s
+    for v, s in zip(cols, soc_out.tolist()):  # row order: each vehicle's last row wins
+        fleet[v].soc_cur = s
     state.now = until
     ledger.append(
-        np.repeat(slot_t, n), row_ids, d, amps, np.repeat(inst.wep[list(slot_i)], n),
-        soc, soc_out, inst.c_bat, inst.voltage, grid.dt, inst.fade_params,
+        np.array(starts).take(slot_of), row_ids, d, amps, inst.wep.take(slot_of),
+        soc_init, soc_out, inst.c_bat, inst.voltage, dt, inst.fade_params,
     )

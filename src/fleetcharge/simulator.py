@@ -145,7 +145,7 @@ def peak_power_period(alloc: np.ndarray, config: SimConfig) -> float:
     if alloc.size == 0:
         return 0.0
     peaking = alloc > config.peak_threshold * config.i_max
-    return float(np.sum(peaking)) * config.dt
+    return np.count_nonzero(peaking) * config.dt
 
 
 def value_loss(fade_ah: float, config: SimConfig) -> float:

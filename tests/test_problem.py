@@ -28,7 +28,7 @@ from fleetcharge.scheduler import (ZERO_PRICES, FleetState, StationLimits, Vehic
                                    _instance_from_state)
 from fleetcharge.solver import single_objective_minimizer
 
-from conftest import make_instance, price_fn, slot_rows
+from conftest import ROOT, make_instance, perfbench_workloads, price_fn, slot_rows
 
 # Frozen reference (independent summation over the 2x3 instance in conftest,
 # allocation below): cost in $, fade in Ah, availability in weighted W.
@@ -183,6 +183,43 @@ class TestBuildInstance:
             build_instance(["a", "b", "c"], [1.0, 2.0, 0.5], cols["soc_start"], cols["soc_dep"],
                            t_s=0.0, prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0),
                            weights=(1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bad_dep", ["a", "b"])
+    def test_bad_soc_start_reported_before_bad_soc_dep(self, bad_dep):
+        """One range check covers both SoC columns; when it fails, the first
+        bad start SoC is named even where a departure SoC is bad before it
+        in the order given."""
+        soc_start = [0.4, 0.4, 1.5, -0.2]
+        soc_dep = [0.8] * 4
+        soc_dep["abcd".index(bad_dep)] = 2.0
+        with pytest.raises(ValueError, match=r"^vehicle c: soc_start 1.5 not in \[0, 1\]$"):
+            build_instance(list("abcd"), [1.0, 2.0, 0.5, 3.0], soc_start, soc_dep,
+                           t_s=0.0, prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0),
+                           weights=(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match=rf"^vehicle {bad_dep}: soc_dep 2.0 not in"):
+            build_instance(list("abcd"), [1.0, 2.0, 0.5, 3.0], [0.4] * 4, soc_dep,
+                           t_s=0.0, prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0),
+                           weights=(1.0, 1.0, 1.0))
+
+    def test_bounds_and_signed_zeros_accepted(self):
+        """0, -0.0 and 1 are in range, for start SoCs, departure SoCs and
+        prices."""
+        inst = build_instance(list("abc"), [1.0, 2.0, 0.5], [0.0, -0.0, 1.0], [1.0, -0.0, 1.0],
+                              t_s=0.0, prices_fn=lambda t: np.where(t > 0.7, -0.0, 0.0),
+                              limits=StationLimits(soc_xtra_ah=0.0), weights=(1.0, 1.0, 1.0))
+        assert inst.wep.tolist() == [0.0, 0.0, -0.0, -0.0]
+
+    @pytest.mark.parametrize("prices, message", [
+        ((0.1, _NAN, 0.1), "finite"), ((0.1, 0.1, _INF), "finite"), ((-_INF, 0.1, 0.1), "finite"),
+        ((0.1, -1e-300, 0.1), ">= 0"), ((-0.2, 0.1, _NAN), "finite"), ((_NAN, -0.2, 0.1), "finite"),
+    ], ids=["nan", "inf", "-inf", "negative", "negative-then-nan", "nan-then-negative"])
+    def test_one_price_check_keeps_each_message(self, prices, message):
+        """One range check covers the sampled prices; when it fails, a
+        non-finite price is named before a negative one, wherever each
+        falls in the curve."""
+        curve = dict(zip((0.0, 0.5, 1.0), prices))
+        with pytest.raises(ValueError, match=f"^prices must be {message}$"):
+            make_instance([ChargingTask("v", 0.0, 1.5, 0.4, 0.8)], prices=lambda t: curve[t])
 
     def test_one_value_per_vehicle_required(self):
         with pytest.raises(ValueError, match="one value per vehicle"):
@@ -347,6 +384,27 @@ def _reference_max_power(inst):
     return alloc
 
 
+def _charging_period_max_power(inst):
+    """:func:`max_power_allocation` as written before it counted the slots
+    to full charge itself: through :func:`charging_period`, checks included,
+    with the walk's start column stacked by ``vstack``."""
+    d, i_max = inst.durations, inst.i_max
+    remaining_ah = (1.0 - inst.soc_start) * inst.c_bat
+    n_slots = np.minimum(
+        charging_period(remaining_ah / i_max, 0.0, inst.grid.dt), inst.grid.tt
+    )
+    left = np.subtract.accumulate(np.vstack([remaining_ah, i_max * d]))[:-1]
+    go = (np.arange(inst.horizon)[:, None] < n_slots) & (d > 0) & (left > 0)
+    amps = np.minimum(i_max, np.divide(left, d, out=np.zeros_like(d), where=go))
+    alloc = np.where(np.logical_and.accumulate(go), amps, 0.0)
+    used = np.add.accumulate(alloc, axis=1)
+    over = used[:, -1:] > inst.ic_max
+    if not over.any():
+        return alloc
+    capped = np.clip(np.minimum(alloc, inst.ic_max - (used - alloc)), 0.0, None)
+    return np.where(over, capped, alloc)
+
+
 def _step_prices(t):
     return 0.05 + 0.01 * (math.floor(t * 7.0) % 5)
 
@@ -455,6 +513,65 @@ class TestFleetWideAssembly:
         alloc = max_power_allocation(inst)
         assert alloc[:, 0].tolist() == [need, 0.0, 0.0]
         assert alloc.tobytes() == _reference_max_power(inst).tobytes()
+
+    @pytest.mark.parametrize("ic_max", [160.0, 1200.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_max_power_equals_charging_period_reference(self, seed, ic_max):
+        """Counting the slots to full charge with ``charging_period``'s ceil
+        rule in place, without its checks, and stacking the walk's start in
+        a preallocated array give the plan of the code that called it, bit
+        for bit, with the grid's and with hand-set slot lengths."""
+        for n in (40, 1, 0):
+            tasks, t_s, dt = _fleet(400 + seed, n)
+            inst = make_instance(tasks, t_s=t_s, dt=dt, ic_max=ic_max)
+            rng = np.random.default_rng(400 + seed)
+            short = np.where(rng.random(inst.durations.shape) < 0.3,
+                             rng.uniform(0.0, dt, inst.durations.shape), inst.durations)
+            for case in (inst, dataclasses.replace(inst, durations=np.where(inst.active,
+                                                                            short, 0.0))):
+                want = _charging_period_max_power(case)
+                got = max_power_allocation(case)
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (want.dtype, want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("over", [0.0, 5e-10, 2e-9])
+    def test_need_just_past_whole_slots_counts_by_the_ceil_rule(self, over):
+        """A need of ``2 + over`` full-current slots counts two slots while
+        ``over`` is within the 1e-9 slack of ``charging_period``'s ceil, and
+        three past it."""
+        soc = 1.0 - (2.0 + over) * 80.0 * 0.5 / 210.0
+        inst = make_instance([ChargingTask("v", 0.0, 3.0, soc, 1.0)], i_max=80.0, c_bat=210.0)
+        alloc = max_power_allocation(inst)
+        assert alloc.tobytes() == _charging_period_max_power(inst).tobytes()
+        assert alloc[:2, 0].tolist() == [80.0, 80.0]
+        assert (alloc[2, 0] > 0.0) == (over > 1e-9)
+
+    def test_max_power_equals_charging_period_reference_on_the_depot(self, tmp_path,
+                                                                     monkeypatch):
+        """Every 50th reschedule of the seed-1 28-day depot replay under the
+        baseline (many vehicles, the 1200 A cap binding in some slots)."""
+        import fleetcharge.simulator as simulator
+
+        depot = perfbench_workloads().DepotBaseline()
+        sim_config, events, prices_fn = depot.ingest(depot.prepare(ROOT, tmp_path, 1, tiny=False))
+        plans, calls, schedule = [], 0, simulator.baseline_schedule
+
+        def keep(*args):
+            nonlocal calls
+            alloc, inst = schedule(*args)
+            if calls % 50 == 0:
+                plans.append((alloc, inst))
+            calls += 1
+            return alloc, inst
+
+        monkeypatch.setattr(simulator, "baseline_schedule", keep)
+        simulator.run(events, prices_fn, sim_config)
+        assert len(plans) > 80 and max(inst.n_vehicles for _, inst in plans) > 20
+        assert any((alloc.sum(axis=1) >= inst.ic_max - 1e-9).any() for alloc, inst in plans)
+        for alloc, inst in plans:
+            want = _charging_period_max_power(inst)
+            assert alloc.tobytes() == want.tobytes()
+            assert max_power_allocation(inst).tobytes() == want.tobytes()
 
     def test_full_fleet_and_empty_fleet(self):
         full = [ChargingTask(f"f{v}", 0.0, 2.0 + v, 1.0, 1.0) for v in range(3)]

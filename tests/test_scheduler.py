@@ -1,13 +1,16 @@
 """Scheduling policy tests: baseline fill, admission, slot application."""
 
+import copy
+import dataclasses
 import gc
+import math
 
 import numpy as np
 import pytest
 
 from fleetcharge.fade import FadeModelParams, InvalidSlotError, calendric_fade_approx, \
     cyclic_fade_approx, cyclic_fade_exact
-from fleetcharge.problem import ChargingTask
+from fleetcharge.problem import ChargingTask, max_power_allocation
 from fleetcharge.scheduler import (
     FleetState,
     Ledger,
@@ -352,6 +355,20 @@ class TestApplySlot:
             {vid: float(s).hex() for vid, s in soc.items()}
         assert state.now == until
 
+    def test_integer_socs_walk_in_floats(self):
+        """A fleet whose SoCs are all Python ints charges on from each
+        slot's SoC: the walk keeps the SoC vector in floats, so a multi-slot
+        walk conserves charge (the per-slot walk truncated it to an int
+        between slots)."""
+        task = ChargingTask("v", 0.0, 4.0, 0, 1)
+        state = fleet(0.0, (task, 0))
+        alloc, inst = baseline_schedule(state, limits(dt=0.5), price_fn(0.2))
+        ledger = slot_rows(state, alloc, inst, 1.5)
+        assert len(ledger) == 3
+        assert state.vehicles["v"].soc_cur == pytest.approx(
+            sum(e.energy_ah for e in ledger) / inst.c_bat, rel=1e-12)
+        assert ledger[0].soc < ledger[1].soc < ledger[2].soc
+
     def test_overflow_in_a_later_slot_changes_nothing(self):
         """A walk is checked whole before any of it applies: when the second
         slot would push a vehicle past full, the first slot's charge, the
@@ -411,6 +428,222 @@ class TestApplySlot:
         alloc[0, 0] = 50.0  # 25 Ah on a 200 Ah pack: +0.125 SoC
         with pytest.raises(SocOverflowError):
             apply_slot(state, alloc, inst, 0.5, Ledger())
+
+
+def _reference_walk(state, alloc, inst, until, ledger):
+    """:func:`apply_slot` as a loop over slots, gathering each slot's
+    vehicles on their own, kept as written before the walk became one block."""
+    now, grid, ids, vehicles = state.now, inst.grid, inst.vehicle_ids, state.vehicles
+    if until <= now + 1e-12 or not inst.horizon:
+        state.now = until
+        return
+    soc_v = np.array([vehicles[vid].soc_cur if vid in vehicles else 0.0 for vid in ids])
+    walk = []  # per slot: start, index, vehicle columns; its rows' d, amps, SoC before and after
+    for i in range(inst.horizon):
+        slot_t = grid.slot_start(i)
+        slot_end = slot_t + grid.dt
+        window = grid.dt if slot_end <= until else until - now
+        d = np.minimum(window, inst.durations[i])
+        cols = [v for v in np.flatnonzero(d > 0).tolist() if ids[v] in vehicles]
+        soc, amps, d = soc_v[cols], alloc[i, cols], d[cols]
+        soc_new = soc + amps * d / inst.c_bat
+        soc_v[cols] = np.minimum(soc_new, 1.0)
+        walk.append((slot_t, i, cols, d, amps, soc, soc_new))
+        now = slot_t + window
+        if slot_end >= until:
+            break
+    slot_t, slot_i, cols, d, amps, soc, soc_new = zip(*walk)
+    n = [len(c) for c in cols]
+    row_ids = [ids[v] for c in cols for v in c]
+    d, amps, soc, soc_new = map(np.concatenate, (d, amps, soc, soc_new))
+    for name, bad, value in (("current", ~(amps >= 0.0), amps),
+                             ("soc_init", ~((0.0 <= soc) & (soc <= 1.0)), soc)):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise InvalidSlotError(name, f"vehicle {row_ids[k]}: {value[k]} out of range")
+    over = soc_new > 1.0 + 1e-9
+    if over.any():
+        k = int(np.argmax(over))
+        raise SocOverflowError(f"vehicle {row_ids[k]} would reach SoC {soc_new[k]:.9f}")
+
+    soc_out = np.minimum(soc_new, 1.0)
+    for vid, s in dict(zip(row_ids, soc_out.tolist())).items():  # each vehicle's last row
+        vehicles[vid].soc_cur = s
+    state.now = until
+    ledger.append(
+        np.repeat(slot_t, n), row_ids, d, amps, np.repeat(inst.wep[list(slot_i)], n),
+        soc, soc_out, inst.c_bat, inst.voltage, grid.dt, inst.fade_params,
+    )
+
+
+def _ledger_bytes(ledger):
+    return [ledger.column(name) if name == "vehicle_id" else ledger.column(name).tobytes()
+            for name in LedgerEntry._fields]
+
+
+def _fleet_state(state):
+    return state.now, {vid: (vs.soc_cur, type(vs.soc_cur)) for vid, vs in state.vehicles.items()}
+
+
+class TestBlockWalk:
+    """:func:`apply_slot` walks a plan as one block and gives, bit for bit,
+    the rows, SoCs and errors of :func:`_reference_walk` on seeded random
+    plans."""
+
+    @staticmethod
+    def _plan(seed, clock=None):
+        """A random fleet at ``clock``, its max-power plan scaled down cell by
+        cell, current on cells past each vehicle's stay (whose length is 0),
+        a vehicle filled to within 1e-9 above full, and plan vehicles
+        missing from the state."""
+        rng = np.random.default_rng(seed)
+        n, dt = int(rng.integers(1, 16)), float(rng.choice([0.25, 0.5, 1.0 / 3.0]))
+        t_s = float(rng.uniform(0.0, 50.0)) if clock is None else clock
+        stay = np.where(rng.random(n) < 0.3, rng.integers(0, 12, n) * dt, rng.uniform(0, 4, n))
+        tasks = [ChargingTask(f"v{v:02d}", t_s, t_s + float(stay[v]), float(soc), 1.0)
+                 for v, soc in enumerate(np.where(rng.random(n) < 0.2, 1.0, rng.random(n)))]
+        state = fleet(t_s, *((task, task.soc_start) for task in tasks))
+        lm = limits(dt=dt, i_max=80.0, ic_max=float(rng.choice([160.0, 1200.0])))
+        _, inst = baseline_schedule(state, lm, price_fn(lambda t: 0.05 + 0.01 * (t % 3.0)))
+        scale = np.where(rng.random(inst.durations.shape) < 0.5, 1.0,
+                         rng.random(inst.durations.shape))
+        alloc = max_power_allocation(inst) * scale
+        alloc = np.where(inst.active, alloc, rng.uniform(0.0, 80.0, alloc.shape))
+        first = np.flatnonzero(inst.durations[0] > 0) if inst.horizon else []
+        if len(first):
+            v = int(rng.choice(first))
+            soc = state.vehicles[inst.vehicle_ids[v]].soc_cur
+            alloc[:, v] = 0.0  # one slot takes it to 1 + 5e-10 from below full
+            alloc[0, v] = (1.0 + 5e-10 - soc) * inst.c_bat / inst.durations[0, v]
+        for vid in inst.vehicle_ids:
+            if rng.random() < 0.15:
+                del state.vehicles[vid]
+        return rng, state, alloc, inst
+
+    @staticmethod
+    def _until(rng, inst):
+        """A walk's end and its kind: inside the plan, on a slot boundary,
+        one ulp past or before one, or past the plan's end."""
+        t_s, dt = inst.grid.t_s, inst.grid.dt
+        k = int(rng.integers(0, max(inst.horizon, 1) + 1))
+        kind = ("inside", "boundary", "ulp_past", "ulp_before", "past_end")[int(rng.integers(0, 5))]
+        return kind, {"inside": t_s + float(rng.uniform(0.0, max(inst.horizon, 1) * dt)),
+                      "boundary": t_s + k * dt,
+                      "ulp_past": math.nextafter(t_s + k * dt, math.inf),
+                      "ulp_before": math.nextafter(t_s + k * dt, -math.inf),
+                      "past_end": t_s + inst.horizon * dt + 1.0}[kind]
+
+    def _both(self, state, alloc, inst, until, ledgers):
+        """The two walks from copies of ``state``: each one's final state and
+        ledger bytes, or its error."""
+        out = []
+        for walk, ledger in zip((apply_slot, _reference_walk), ledgers):
+            s = copy.deepcopy(state)
+            try:
+                walk(s, alloc, inst, until, ledger)
+            except (InvalidSlotError, SocOverflowError) as exc:
+                out.append((type(exc), str(exc), getattr(exc, "field_name", None),
+                            _fleet_state(s), _ledger_bytes(ledger)))
+            else:
+                out.append((s, _fleet_state(s), _ledger_bytes(ledger)))
+        return out
+
+    def test_walk_equals_reference(self):
+        """200 seeded plans, each walked once; every case the plans are drawn
+        for occurs."""
+        seen = dict.fromkeys(("inside", "boundary", "ulp_past", "ulp_before", "past_end",
+                              "several_slots", "missing", "zero_length_current",
+                              "above_full"), 0)
+        for seed in range(200):
+            rng, state, alloc, inst = self._plan(seed)
+            kind, until = self._until(rng, inst)
+            ledger = Ledger()
+            (_, got, got_rows), (_, want, want_rows) = self._both(state, alloc, inst, until,
+                                                                (ledger, Ledger()))
+            assert got == want and got_rows == want_rows, seed
+            seen[kind] += 1
+            times = set(ledger.column("time_h"))
+            seen["several_slots"] += len(times) > 1
+            seen["missing"] += len(state.vehicles) < inst.n_vehicles and len(ledger) > 0
+            walked = inst.durations[:len(times)]
+            seen["zero_length_current"] += bool(((walked == 0) & (alloc[:len(times)] > 0)).any())
+            soc = {vid: vs.soc_cur for vid, vs in state.vehicles.items()}
+            for e in ledger:  # a row that reaches past full, within 1e-9, and ends at 1.0
+                seen["above_full"] += soc[e.vehicle_id] + e.energy_ah / inst.c_bat > 1.0
+                soc[e.vehicle_id] = e.soc
+        assert min(seen.values()) >= 3, seen
+
+    @pytest.mark.parametrize("soc", [1.0 + 1e-12, -0.0, 0.25])
+    def test_cell_without_length_leaves_the_soc_as_is(self, soc):
+        """A cell of no length before a vehicle's next cell changes nothing of
+        its SoC: one out of range still raises at the next cell, and a -0.0
+        keeps its sign."""
+        task = ChargingTask("v", 0.0, 4.0, 0.5, 1.0)
+        state = fleet(0.0, (task, 0.5))
+        _, inst = baseline_schedule(state, limits(dt=0.5), price_fn(0.2))
+        inst = dataclasses.replace(inst, durations=np.where(
+            np.arange(inst.horizon)[:, None] == 0, 0.0, inst.durations))
+        state.vehicles["v"].soc_cur = soc
+        alloc = np.full((inst.horizon, 1), 10.0)
+        got, want = self._both(state, alloc, inst, 1.0, (Ledger(), Ledger()))
+        assert repr(got[1:]) == repr(want[1:])
+        assert (got[0] is InvalidSlotError) == (soc > 1.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_replayed_walks_equal_reference(self, seed):
+        """A run of walks, each from a plan built where the last one left the
+        fleet, into one ledger per side."""
+        rng, state, alloc, inst = self._plan(1000 + seed)
+        ledgers, walks = (Ledger(), Ledger()), 0
+        for _ in range(12):
+            if not state.vehicles:
+                break
+            until = state.now + float(rng.choice([0.1, 0.5, 1.3, inst.grid.dt]))
+            (state, got, got_rows), (_, want, want_rows) = self._both(state, alloc, inst, until,
+                                                                    ledgers)
+            assert got == want and got_rows == want_rows
+            walks += 1
+            alloc, inst = baseline_schedule(state, limits(dt=inst.grid.dt, i_max=80.0,
+                                                          ic_max=inst.ic_max))
+        assert walks > 0
+
+    @pytest.mark.parametrize("fault", ["negative", "nan", "soc_above", "soc_below",
+                                       "soc_nan", "overflow"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_faults_raise_as_reference(self, seed, fault):
+        """A bad current, a bad SoC or an overflow past 1 + 1e-9 on one to
+        three of the walk's rows raises the reference's error, naming its
+        vehicle, with the state and the ledger untouched."""
+        probe, draw = Ledger(), 2000 + 100 * seed
+        while not len(probe):  # the first plan from the seed's on whose walk makes rows
+            rng, state, alloc, inst = self._plan(draw)
+            until = inst.grid.t_s + float(rng.uniform(0.1, 3.0))
+            _reference_walk(copy.deepcopy(state), alloc, inst, until, probe)
+            draw += 1
+        picks = rng.choice(len(probe), size=min(3, len(probe)), replace=False).tolist()
+        alloc = alloc.copy()
+        for k in picks:
+            row = probe[k]
+            v = inst.vehicle_ids.index(row.vehicle_id)
+            i = round((row.time_h - inst.grid.t_s) / inst.grid.dt)
+            if fault == "negative":
+                alloc[i, v] = -1e-12
+            elif fault == "nan":
+                alloc[i, v] = math.nan
+            elif fault == "overflow":
+                alloc[i, v] = 2.0 * inst.c_bat / row.duration_h
+            else:
+                state.vehicles[row.vehicle_id].soc_cur = {
+                    "soc_above": 1.0 + 1e-12, "soc_below": -1e-12, "soc_nan": math.nan}[fault]
+        before = _fleet_state(state)
+        kept = Ledger()
+        kept.append(*zip(TestLedger.PRIMITIVE[0]), *LEDGER_MODEL)
+        held = _ledger_bytes(kept)
+        ledgers = (copy.deepcopy(kept), copy.deepcopy(kept))
+        got, want = self._both(state, alloc, inst, until, ledgers)
+        assert got[0] in (InvalidSlotError, SocOverflowError)
+        assert repr(got) == repr(want)  # repr: a NaN SoC compares unequal to itself
+        assert repr(got[3]) == repr(before) and got[4] == held
 
 
 class TestLedger:
