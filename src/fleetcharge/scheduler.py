@@ -283,8 +283,11 @@ def apply_slot(
 
     ``alloc`` and ``inst`` are a schedule that starts at the clock.  A slot
     applies whole when it ends by ``until``; the slot that holds ``until``
-    applies up to it, measured from the clock the slot before left.  A walk
-    shorter than 1e-12 h applies nothing.  Each vehicle of the state is
+    applies up to it, measured from the clock the slot before left.  A walk,
+    or the part of a slot it would apply, shorter than 1e-12 h applies
+    nothing: a slot's start ``t_s + i * dt`` can round past the end the slot
+    before left, and a row for that gap would start at ``until`` and overlap
+    the next schedule's first row.  Each vehicle of the state is
     charged for its own presence within a slot's window, and calendric
     fade is pro-rated by the fraction of a full slot realized.
 
@@ -311,6 +314,8 @@ def apply_slot(
         slot_t = t_s + i * dt
         slot_end = slot_t + dt
         window = dt if slot_end <= until else until - now
+        if window <= 1e-12:  # only rounding left between the last slot's end and ``until``
+            break
         starts.append(slot_t)
         windows.append(window)
         now = slot_t + window

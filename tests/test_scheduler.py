@@ -422,6 +422,22 @@ class TestApplySlot:
         assert ledger[0].energy_ah == pytest.approx(10.0)
         assert state.now == pytest.approx(0.25)
 
+    def test_rounding_gap_before_until_makes_no_row(self):
+        # From 0.9166666666666666 h, slot 3 ends at 4.916666666666666 h but
+        # slot 4 starts at 4.916666666666667 h: a walk to that start applies
+        # four whole slots and no 8.9e-16 h row at 4.916666666666667 h.
+        t0, until = 0.9166666666666666, 4.916666666666667
+        assert t0 + 3.0 + 1.0 < until == t0 + 4.0
+        task = ChargingTask("v", t0, 8.0, 0.1, 0.9)
+        state = fleet(t0, (task, 0.1))
+        alloc, inst = baseline_schedule(state, limits(dt=1.0, i_max=20.0))
+        ledger = Ledger()
+        apply_slot(state, alloc, inst, until, ledger)
+        assert [e.time_h for e in ledger] == [t0 + i for i in range(4)]
+        assert [e.duration_h for e in ledger] == [1.0] * 4
+        assert state.vehicles["v"].soc_cur == pytest.approx(0.1 + 4 * 20.0 / 200.0)
+        assert state.now == until
+
     def test_soc_overflow_raises(self):
         state, inst = self._single(soc=0.99)
         alloc = np.zeros((inst.horizon, 1))
@@ -443,6 +459,8 @@ def _reference_walk(state, alloc, inst, until, ledger):
         slot_t = grid.slot_start(i)
         slot_end = slot_t + grid.dt
         window = grid.dt if slot_end <= until else until - now
+        if window <= 1e-12:
+            break
         d = np.minimum(window, inst.durations[i])
         cols = [v for v in np.flatnonzero(d > 0).tolist() if ids[v] in vehicles]
         soc, amps, d = soc_v[cols], alloc[i, cols], d[cols]

@@ -356,6 +356,12 @@ class TestRandomLogInvariants:
     @example(([("R0", 3.9166666666666665, 9.916666666666666, 0.1, 0.6),
                ("R1", 0.9, 6.9, 0.1, 0.1),
                ("R2", 4.283333333333333, 9.899999999999999, 0.1, 0.1)], 80.0, 0.5, 0.0))
+    # R0 arrives at 4.916666666666667 h, which is where R2's slot 4 starts,
+    # an ulp past the end slot 3 left: that gap applies nothing, so R2 has no
+    # row at the arrival besides the next plan's (a row for it read 160 A).
+    @example(([("R0", 4.916666666666667, 5.083333333333334, 0.1, 0.1),
+               ("R1", 0.0, 0.16666666666666666, 0.1, 0.1),
+               ("R2", 0.9166666666666666, 4.933333333333334, 0.1, 0.6)], 80.0, 1.0, 0.0))
     def test_proposed_replay_invariants(self, log):
         """Under the proposed policy, on any log: the ledger's energy is each
         vehicle's SoC change times the pack size, a vehicle's ledger rows
