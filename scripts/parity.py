@@ -24,9 +24,10 @@ them, so an ulp-level change reads as one; it prints per run how many
 solves differ and the largest relative objective gap among them, and exits
 1 if anything differs.
 
-With ``--objective`` every ``solve`` call's instance, payoff points and
-result are also pickled to ``<run>.pkl``.  Together with ``--against``, this
-checkout then re-solves each of the other run's instances, scores both plans
+With ``--objective`` every ``solve`` call's instance, objective weights,
+payoff points and result are also pickled to ``<run>.pkl``.  Together with
+``--against``, this checkout then re-solves each of the other run's
+instances under its recorded weights, scores both plans
 under shared payoff points (per component the lower utopia and the higher
 nadir of the two sides) and prints per run the summed objective, how many
 re-solves are better, worse or equal (within a relative 1e-12), the worst
@@ -36,7 +37,9 @@ reads as one) and audit failures; a worse re-solve or a failed audit also
 exits 1.  This judges a change meant to move plans, where byte identity
 cannot.  It prints no solve times: the two sides ran in different
 processes, so their times cannot judge speed.  The pickles are loaded, so
-pass ``--against`` only a directory this script wrote.
+pass ``--against`` only a directory this script wrote.  ``--objective``
+directories made before ``solve`` took the weights as an argument (when the
+instance held them) hold four-field records and must be made again.
 
     python scripts/parity.py --out /tmp/parity-new
     python scripts/parity.py --out /tmp/parity-new --against /tmp/parity-old
@@ -80,8 +83,8 @@ RUNS = {
 # Runs the CLI with the scheduler's ``solve`` wrapped, and writes one line
 # "<sha256 of the allocation> <objective> <iterations> <status>" per call to
 # the file in argv[1].  Unless argv[2] is empty, it also pickles one
-# (instance, payoff points, allocation, report) tuple per call to that file;
-# the points are the report's, None where ``solve`` computed none.
+# (instance, weights, payoff points, allocation, report) tuple per call to
+# that file; the points are the report's, None where ``solve`` computed none.
 _HASHED_CLI = """
 import hashlib, pickle, sys
 import fleetcharge.cli as cli
@@ -89,12 +92,12 @@ import fleetcharge.scheduler as scheduler
 
 lines, records, inner = [], [], scheduler.solve
 
-def hashed(inst):
-    alloc, rep = inner(inst)
+def hashed(inst, weights):
+    alloc, rep = inner(inst, weights)
     data = b"none" if alloc is None else repr(alloc.shape).encode() + alloc.tobytes()
     lines.append(f"{hashlib.sha256(data).hexdigest()} {float(rep.objective)!r} "
                  f"{int(rep.iterations)} {rep.status}\\n")
-    records.append((inst, rep.points, alloc, rep))
+    records.append((inst, weights, rep.points, alloc, rep))
     return alloc, rep
 
 scheduler.solve = hashed
@@ -259,25 +262,27 @@ def _plan_gap(theirs, mine) -> float:
 
 
 def _resolve_all(records: list) -> list:
-    """This checkout's (points, allocation, report) for each record's instance."""
+    """This checkout's (points, allocation, report) for each record's instance
+    and weights."""
     from fleetcharge.solver import solve
 
     out = []
-    for inst, *_ in records:
-        alloc, rep = solve(inst)
+    for inst, weights, *_ in records:
+        alloc, rep = solve(inst, weights)
         out.append((rep.points, alloc, rep))
     return out
 
 
-def _score(inst, points, alloc) -> float:
-    """Normalized objective of ``alloc`` under ``points``; inf for no plan."""
+def _score(inst, weights, points, alloc) -> float:
+    """Normalized objective of ``alloc`` under ``weights`` and ``points``; inf
+    for no plan."""
     from fleetcharge.problem import normalized_objective, objective_components
 
     if alloc is None:
         return math.inf
     if alloc.size == 0:
         return 0.0
-    return float(normalized_objective(objective_components(alloc, inst), points, inst.weights))
+    return float(normalized_objective(objective_components(alloc, inst), points, weights))
 
 
 def _shared(a, b):
@@ -303,10 +308,11 @@ def compare_objectives(name: str, records: list) -> bool:
     better = worse = equal = audits_theirs = audits_mine = moved = 0
     total_theirs = total_mine = largest = 0.0
     worst = None  # (rise, relative rise, solve number)
-    for k, ((inst, their_pts, their_x, _), (my_pts, my_x, _)) in enumerate(
+    for k, ((inst, weights, their_pts, their_x, _), (my_pts, my_x, _)) in enumerate(
             zip(records, resolved), start=1):
         points = _shared(their_pts, my_pts)
-        theirs, mine = _score(inst, points, their_x), _score(inst, points, my_x)
+        theirs = _score(inst, weights, points, their_x)
+        mine = _score(inst, weights, points, my_x)
         if math.isfinite(theirs) and math.isfinite(mine):
             total_theirs += theirs
             total_mine += mine

@@ -1,11 +1,12 @@
 """Optimization problem assembly for fleet charge scheduling.
 
-A :class:`ProblemInstance` freezes everything the optimizer needs: the
-admitted vehicles' ids and energy windows, a shared slot grid that starts at
-the optimization start, the electricity price per slot, station and
-per-vehicle current limits, and the objective weights.  All vehicles share
-absolute slot indices so the price series aligns across the fleet; slots
-past a vehicle's own charging period are structurally zero.
+A :class:`ProblemInstance` freezes the fleet and the station: the admitted
+vehicles' ids and energy windows, a shared slot grid that starts at the
+optimization start, the electricity price per slot, and station and
+per-vehicle current limits.  The objective weights are the solve's, not the
+instance's.  All vehicles share absolute slot indices so the price series
+aligns across the fleet; slots past a vehicle's own charging period are
+structurally zero.
 
 Times are plain floats in hours on a common clock (the simulator converts
 timestamps before building instances).  A vehicle's last slot may be
@@ -141,9 +142,6 @@ class SlotGrid:
     tt: np.ndarray           # per-vehicle slot counts
     horizon: int             # max(tt), 0 when empty
 
-    def slot_start(self, i: int) -> float:
-        return self.t_s + i * self.dt
-
 
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
@@ -181,7 +179,8 @@ class NormalizationPoints:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Frozen input of one scheduling optimization.
+    """Frozen input of one scheduling optimization, the same under any
+    objective weights: one instance can be solved under several.
 
     ``build_instance`` fills the derived arrays, except the availability
     weights ``avail_w``, which are built on first read and then kept: the
@@ -194,7 +193,6 @@ class ProblemInstance:
     ic_max: float                # station current limit, A
     voltage: float               # charging voltage, V
     c_bat: float                 # nominal capacity, Ah
-    weights: tuple               # (alpha_cost, alpha_fade, alpha_availability)
     fade_params: FadeModelParams
 
     # derived; build_instance, the one constructor, passes all six
@@ -230,19 +228,17 @@ def build_instance(
     t_s: float,
     prices_fn: Callable[[np.ndarray], np.ndarray],
     limits: StationLimits,
-    weights: tuple,
 ) -> ProblemInstance:
     """Assemble a frozen instance from fleet state, given as columns: one
     id, departure time, start SoC and required departure SoC per vehicle.
 
-    ``limits`` and ``weights`` (as ``scheduler.Policy`` holds them) were
-    checked when built; only the columns and the sampled prices are checked
-    here, each by one range check: both SoC columns in [0, 1] at once, then
-    every price finite and >= 0.  Only when a check fails does the column
-    loop run, so the error names what it always named: the first vehicle
-    with a bad start SoC, else the first with a bad departure SoC, and
-    "finite" before ">= 0".  The instance orders vehicles by (departure, vehicle id), as ``sorted``
-    orders those pairs.  ``prices_fn`` maps an array of absolute times in
+    ``limits`` was checked when built; only the columns and the sampled
+    prices are checked here, each by one range check: both SoC columns in
+    [0, 1] at once, then every price finite and >= 0.  Only when a check
+    fails does the column loop run, so the error names what it always named:
+    the first vehicle with a bad start SoC, else the first with a bad
+    departure SoC, and "finite" before ">= 0".  The instance orders vehicles
+    by (departure, vehicle id), as ``sorted`` orders those pairs.  ``prices_fn`` maps an array of absolute times in
     hours to the prices in force at those instants; it is called once, with
     every slot start.
     """
@@ -299,7 +295,6 @@ def build_instance(
         ic_max=limits.ic_max,
         voltage=limits.voltage,
         c_bat=c_bat,
-        weights=weights,
         fade_params=limits.fade_params,
         durations=durations,
         active=active,

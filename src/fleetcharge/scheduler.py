@@ -92,24 +92,19 @@ class FleetState:
 def _instance_from_state(
     state: FleetState,
     limits: StationLimits,
-    weights: tuple,
     prices_fn: Callable[[np.ndarray], np.ndarray],
-    extra_task: ChargingTask | None = None,
 ) -> ProblemInstance:
     """The instance of the fleet as it stands: each vehicle starts at its
     current SoC, and a departure already past is clamped to the clock.
-    ``extra_task`` joins as given; ``limits`` and ``weights``, already
-    checked, pass through."""
+    ``limits``, already checked, passes through.  Admission, the baseline and
+    the proposed policy all build their instances here."""
     now, ids, rows = state.now, [], []
     for vs in state.vehicles.values():
         task = vs.task
         ids.append(task.vehicle_id)
         rows.append((max(task.t_dep, now), vs.soc_cur, task.soc_dep))
-    if extra_task is not None:
-        ids.append(extra_task.vehicle_id)
-        rows.append((extra_task.t_dep, extra_task.soc_start, extra_task.soc_dep))
     t_dep, soc, soc_dep = np.array(rows, dtype=float).reshape(-1, 3).T
-    return build_instance(ids, t_dep, soc, soc_dep, state.now, prices_fn, limits, weights)
+    return build_instance(ids, t_dep, soc, soc_dep, state.now, prices_fn, limits)
 
 
 def baseline_schedule(
@@ -119,7 +114,7 @@ def baseline_schedule(
 ):
     """Business-as-usual schedule, :func:`max_power_allocation`; returns
     (allocation, instance)."""
-    inst = _instance_from_state(state, limits, (1.0, 1.0, 1.0), prices_fn)
+    inst = _instance_from_state(state, limits, prices_fn)
     return max_power_allocation(inst), inst
 
 
@@ -129,14 +124,15 @@ def proposed_schedule(
     limits: StationLimits,
     prices_fn: Callable[[np.ndarray], np.ndarray],
 ):
-    """Optimized schedule; returns (allocation, solve report, instance).
+    """Optimized schedule under ``weights``, as :class:`Policy` holds them;
+    returns (allocation, solve report, instance).
 
     :func:`solve` takes the baseline's maximum-power allocation as its
     first descent start.  Admission must have accepted all tasks, so an
     infeasible solve here signals a bug.
     """
-    inst = _instance_from_state(state, limits, weights, prices_fn)
-    alloc, rep = solve(inst)
+    inst = _instance_from_state(state, limits, prices_fn)
+    alloc, rep = solve(inst, weights)
     if alloc is None:
         raise RuntimeError(
             "proposed_schedule hit an infeasible instance; admission should prevent this"
@@ -151,10 +147,12 @@ class Admission:
 
 
 def admit_task(task: ChargingTask, state: FleetState, limits: StationLimits) -> Admission:
-    """Accept a new task iff the whole fleet stays feasible with it."""
-    inst = _instance_from_state(
-        state, limits, (1.0, 1.0, 1.0), ZERO_PRICES, extra_task=task
-    )
+    """Accept a new task iff the whole fleet stays feasible with it: the
+    instance is that of the fleet with the newcomer added at its start SoC,
+    so a departure already past is clamped to the clock as any other."""
+    fleet = FleetState(state.now, {**state.vehicles,
+                                   task.vehicle_id: VehicleState(task, task.soc_start)})
+    inst = _instance_from_state(fleet, limits, ZERO_PRICES)
     result = feasibility_check(inst)
     if result.feasible:
         return Admission(accepted=True)

@@ -881,14 +881,17 @@ def _minimize_fade(inst: ProblemInstance, anchor: np.ndarray) -> np.ndarray:
     return _local_move_polish(tracker.alloc, inst, lambda parts: parts[:, 1])
 
 
-def solve(inst: ProblemInstance):
-    """Minimize the normalized weighted objective; returns (allocation, report).
+def solve(inst: ProblemInstance, weights: tuple):
+    """Minimize the normalized objective weighted by ``weights`` (alpha_cost,
+    alpha_fade, alpha_availability, as ``scheduler.Policy`` checks them);
+    returns (allocation, report).
 
-    Deterministic for identical inputs.  The allocation is None exactly when
-    the instance is infeasible.  Branch-fixed descent starts from the
-    maximum-power allocation, the exact LP corner of the linear objective
-    part (when it has one), and the latest and spread fills; zero-snap and
-    local-move polish then refine the best start's final repaired point.
+    Deterministic for identical inputs; the payoff points do not depend on
+    the weights.  The allocation is None exactly when the instance is
+    infeasible.  Branch-fixed descent starts from the maximum-power
+    allocation, the exact LP corner of the linear objective part (when it
+    has one), and the latest and spread fills; zero-snap and local-move
+    polish then refine the best start's final repaired point.
     """
     t0 = time.perf_counter()
 
@@ -911,12 +914,12 @@ def solve(inst: ProblemInstance):
     points = compute_normalization_points(inst, partial(_payoff_point, lp, anchor))
 
     # The surrogate's coefficients; degenerate components drop out.
-    scale = points.weight_per_spread(inst.weights)
+    scale = points.weight_per_spread(weights)
     lin = scale["cost"] * _cost_coeffs(inst) + scale["availability"] * _avail_coeffs(inst)
     fw = scale["fade"]
 
     tracker = _BestTracker(lambda x: normalized_objective(
-        objective_components(x, inst), points, inst.weights))
+        objective_components(x, inst), points, weights))
     starts = [max_power_allocation(inst)]
     if np.any(lin != 0.0):
         # Exact corner of the linear objective part; descent only refines
@@ -933,7 +936,7 @@ def solve(inst: ProblemInstance):
 
     _zero_snap_polish(tracker.alloc, inst, tracker)
     polished = _local_move_polish(
-        tracker.alloc, inst, _normalized_score(points, inst.weights)
+        tracker.alloc, inst, _normalized_score(points, weights)
     )
     tracker.consider(polished)
 

@@ -110,14 +110,13 @@ def make_instance(
     voltage=410.0,
     c_bat=210.0,
     soc_xtra_ah=0.0,
-    weights=(1.0, 1.0, 1.0),
     params=None,
 ):
     """Small-instance builder with a flat price or a per-instant callable."""
     limits = StationLimits(dt=dt, i_max=i_max, ic_max=ic_max, voltage=voltage, c_bat=c_bat,
                            soc_xtra_ah=soc_xtra_ah, fade_params=params or FadeModelParams())
     return build_instance(*task_columns(tasks), t_s=t_s, prices_fn=price_fn(prices),
-                          limits=limits, weights=weights)
+                          limits=limits)
 
 
 @pytest.fixture

@@ -79,10 +79,12 @@ def _combo_contributions(inst: ProblemInstance, v: int, combos: np.ndarray,
 
 def oracle_grid_search(
     inst: ProblemInstance,
+    weights: tuple,
     levels: int = 8,
     points: NormalizationPoints | None = None,
 ):
-    """Exhaustive search over a discretized current grid; returns (alloc, objective).
+    """Exhaustive search over a discretized current grid for the objective
+    weighted by ``weights``; returns (alloc, objective).
 
     Exact branch logic and the true objective are applied to every grid
     point.  Guarded against combinatorial explosion: at most 12 decision
@@ -100,7 +102,7 @@ def oracle_grid_search(
         return inst.empty_allocation(), 0.0
     if points is None:
         points = compute_normalization_points(inst, single_objective_minimizer)
-    scaled = points.weight_per_spread(inst.weights)
+    scaled = points.weight_per_spread(weights)
 
     per_vehicle = []
     for v in range(inst.n_vehicles):
@@ -145,5 +147,5 @@ def oracle_grid_search(
     alloc = inst.empty_allocation()
     for v, row in enumerate(best_rows):
         alloc[: len(row), v] = row
-    objective = normalized_objective(objective_components(alloc, inst), points, inst.weights)
+    objective = normalized_objective(objective_components(alloc, inst), points, weights)
     return alloc, objective

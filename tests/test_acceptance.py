@@ -103,14 +103,14 @@ def test_criterion_2_solver_oracle_gap():
             tasks, prices=lambda t: prices[t],
             i_max=80.0, ic_max=float(rng.choice([120.0, 160.0, 400.0])),
             soc_xtra_ah=0.0,
-            weights=tuple(rng.uniform(0.1, 1.0, size=3)),
         )
+        weights = tuple(rng.uniform(0.1, 1.0, size=3))
         if not feasibility_check(inst).feasible:
             continue
-        alloc, rep = solve(inst)
+        alloc, rep = solve(inst, weights)
         audit = build_constraints(inst).audit(alloc, 1e-6)
         assert audit == [], f"instance {checked}: {audit}"
-        _, oracle_obj = oracle_grid_search(inst, levels=8)
+        _, oracle_obj = oracle_grid_search(inst, weights, levels=8)
         gap = (rep.objective - oracle_obj) / max(abs(oracle_obj), 1e-9)
         worst_gap = max(worst_gap, gap)
         assert gap <= 0.02, f"instance {checked}: gap {gap:.4f}"

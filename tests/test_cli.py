@@ -226,7 +226,7 @@ from fleetcharge.scheduler import ZERO_PRICES
 from fleetcharge.solver import feasibility_check
 
 inst = build_instance(["A"], [4.0], [0.4], [0.8], t_s=0.0, prices_fn=ZERO_PRICES,
-                      limits=StationLimits(soc_xtra_ah=0.0), weights=(1.0, 1.0, 1.0))
+                      limits=StationLimits(soc_xtra_ah=0.0))
 print(feasibility_check(inst).feasible, "scipy.optimize._highspy._core" in sys.modules,
       "scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
 """

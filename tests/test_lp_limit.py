@@ -17,9 +17,9 @@ WEIGHTS = [(1.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.3, 0.0, 0.7)]
 
 
 def _lp_instances(seed, count):
-    """Seeded feasible instances: 2-8 vehicles leaving within 20 h on
-    30-minute slots, a 160 A (binding), 400 A or 1200 A feeder, and the
-    weight triples of ``WEIGHTS`` in turn."""
+    """Seeded feasible instances, each paired with its objective weights: 2-8
+    vehicles leaving within 20 h on 30-minute slots, a 160 A (binding), 400 A
+    or 1200 A feeder, and the weight triples of ``WEIGHTS`` in turn."""
     rng = np.random.default_rng(seed)
     found = []
     while len(found) < count:
@@ -34,17 +34,16 @@ def _lp_instances(seed, count):
             tasks, prices=lambda t, p=table: p[int(round(t / 0.5))],
             i_max=80.0, ic_max=float(rng.choice([160.0, 400.0, 1200.0])),
             soc_xtra_ah=float(rng.choice([0.0, 21.0])),
-            weights=WEIGHTS[len(found) % len(WEIGHTS)],
         )
         if feasibility_check(inst).feasible:
-            found.append(inst)
+            found.append((inst, WEIGHTS[len(found) % len(WEIGHTS)]))
     return found
 
 
-def _linear_optimum(inst, points):
+def _linear_optimum(inst, weights, points):
     """The minimum of the normalized cost and availability terms over the
     schedule polytope, by ``linprog``, scored as ``solve`` scores a plan."""
-    scaled = points.weight_per_spread(inst.weights)
+    scaled = points.weight_per_spread(weights)
     c = (scaled["cost"] * inst.wep[:, None] * inst.durations * inst.voltage / 1000.0
          - scaled["availability"] * inst.avail_w * inst.voltage)
     (start, index, value), b_ub, bounds = _lp_matrices(inst)
@@ -52,14 +51,14 @@ def _linear_optimum(inst, points):
     res = linprog(c.ravel(), A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.success, res.message
     x = np.clip(res.x.reshape(inst.horizon, inst.n_vehicles), 0.0, None)
-    return normalized_objective(objective_components(x, inst), points, inst.weights)
+    return normalized_objective(objective_components(x, inst), points, weights)
 
 
 def test_solve_reaches_the_lp_optimum_without_fade():
     binding = 0
-    for k, inst in enumerate(_lp_instances(20240607, 10)):
-        alloc, rep = solve(inst)
-        lp = _linear_optimum(inst, rep.points)
+    for k, (inst, weights) in enumerate(_lp_instances(20240607, 10)):
+        alloc, rep = solve(inst, weights)
+        lp = _linear_optimum(inst, weights, rep.points)
         assert abs(rep.objective - lp) <= 1e-9 * max(abs(lp), 1.0), (
             f"instance {k} ({inst.n_vehicles} x {inst.horizon}, {inst.ic_max} A): "
             f"solve {rep.objective!r}, LP {lp!r}")

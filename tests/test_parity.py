@@ -143,8 +143,8 @@ class TestCompareObjectives:
                       [ChargingTask("C", 0.0, 1.0, 0.2, 0.35)]):
             inst = make_instance(tasks, prices=lambda t: self.PRICES[t], ic_max=120.0,
                                  soc_xtra_ah=21.0)
-            alloc, rep = solve(inst)
-            records.append((inst, rep.points, alloc, rep))
+            alloc, rep = solve(inst, (1.0, 1.0, 1.0))
+            records.append((inst, (1.0, 1.0, 1.0), rep.points, alloc, rep))
         return records
 
     def test_resolves_equal_and_print_no_solve_time(self, capsys):
@@ -157,10 +157,11 @@ class TestCompareObjectives:
         """C's whole need in its dearer first slot: feasible, and worse than
         the recorded plan."""
         records = self._records()
-        inst, points, alloc, _ = records[1]
+        inst, weights, points, alloc, _ = records[1]
         worse = np.array([[63.0], [0.0]])
         assert build_constraints(inst).audit(worse) == []
-        assert parity._score(inst, points, worse) > parity._score(inst, points, alloc)
+        assert (parity._score(inst, weights, points, worse)
+                > parity._score(inst, weights, points, alloc))
         resolve = parity._resolve_all
 
         def with_worse_plan(recs):

@@ -138,7 +138,7 @@ class TestTaskAndPrices:
         a single number is rejected, not broadcast."""
         with pytest.raises(ValueError, match="one price per slot start"):
             build_instance(["v"], [1.0], [0.4], [0.8], t_s=0.0, prices_fn=lambda t: 0.1,
-                           limits=StationLimits(soc_xtra_ah=0.0), weights=(1.0, 1.0, 1.0))
+                           limits=StationLimits(soc_xtra_ah=0.0))
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -181,8 +181,7 @@ class TestBuildInstance:
         cols[name][1] = cols[name][2] = bad
         with pytest.raises(ValueError, match=f"vehicle b: {name} {bad} not in \\[0, 1\\]"):
             build_instance(["a", "b", "c"], [1.0, 2.0, 0.5], cols["soc_start"], cols["soc_dep"],
-                           t_s=0.0, prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0),
-                           weights=(1.0, 1.0, 1.0))
+                           t_s=0.0, prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0))
 
     @pytest.mark.parametrize("bad_dep", ["a", "b"])
     def test_bad_soc_start_reported_before_bad_soc_dep(self, bad_dep):
@@ -194,19 +193,17 @@ class TestBuildInstance:
         soc_dep["abcd".index(bad_dep)] = 2.0
         with pytest.raises(ValueError, match=r"^vehicle c: soc_start 1.5 not in \[0, 1\]$"):
             build_instance(list("abcd"), [1.0, 2.0, 0.5, 3.0], soc_start, soc_dep,
-                           t_s=0.0, prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0),
-                           weights=(1.0, 1.0, 1.0))
+                           t_s=0.0, prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0))
         with pytest.raises(ValueError, match=rf"^vehicle {bad_dep}: soc_dep 2.0 not in"):
             build_instance(list("abcd"), [1.0, 2.0, 0.5, 3.0], [0.4] * 4, soc_dep,
-                           t_s=0.0, prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0),
-                           weights=(1.0, 1.0, 1.0))
+                           t_s=0.0, prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0))
 
     def test_bounds_and_signed_zeros_accepted(self):
         """0, -0.0 and 1 are in range, for start SoCs, departure SoCs and
         prices."""
         inst = build_instance(list("abc"), [1.0, 2.0, 0.5], [0.0, -0.0, 1.0], [1.0, -0.0, 1.0],
                               t_s=0.0, prices_fn=lambda t: np.where(t > 0.7, -0.0, 0.0),
-                              limits=StationLimits(soc_xtra_ah=0.0), weights=(1.0, 1.0, 1.0))
+                              limits=StationLimits(soc_xtra_ah=0.0))
         assert inst.wep.tolist() == [0.0, 0.0, -0.0, -0.0]
 
     @pytest.mark.parametrize("prices, message", [
@@ -224,8 +221,7 @@ class TestBuildInstance:
     def test_one_value_per_vehicle_required(self):
         with pytest.raises(ValueError, match="one value per vehicle"):
             build_instance(["a", "b"], [1.0, 2.0], [0.4], [0.8, 0.8], t_s=0.0,
-                           prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0),
-                           weights=(1.0, 1.0, 1.0))
+                           prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0))
 
     def test_edf_column_order(self):
         tasks = [
@@ -665,27 +661,34 @@ def _reanchored(state):
                          vs.soc_cur, vs.task.soc_dep) for vs in state.vehicles.values()]
 
 
+def _with_newcomer(state, task):
+    """The fleet admission assesses: ``state`` with ``task`` added at its
+    start SoC."""
+    return FleetState(state.now, {**state.vehicles,
+                                  task.vehicle_id: VehicleState(task, task.soc_start)})
+
+
 class TestColumnAssembly:
     """A reschedule's instance, assembled from the fleet's columns, is byte
     for byte the instance of its re-anchored tasks sorted by (departure,
-    vehicle id)."""
+    vehicle id); an admission's is that of the fleet with the newcomer
+    added."""
 
     LIMITS = StationLimits(soc_xtra_ah=21.0)
 
-    def instance(self, state, dt, extra=None):
+    def instance(self, state, dt):
         limits = dataclasses.replace(self.LIMITS, dt=dt)
-        return _instance_from_state(state, limits, (1.0, 1.0, 1.0),
-                                    price_fn(_step_prices), extra)
+        return _instance_from_state(state, limits, price_fn(_step_prices))
 
     @pytest.mark.parametrize("admit", [False, True], ids=["fleet", "admission"])
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_reanchored_tasks(self, seed, admit):
         state, dt, extra = _column_fleet(seed)
-        extra = extra if admit else None
         tasks = _reanchored(state) + ([extra] if admit else [])
         ref = _reference_build(tasks, state.now, dt, _step_prices, self.LIMITS.c_bat,
                                self.LIMITS.soc_xtra_ah)
-        _assert_equals_reference(self.instance(state, dt, extra), ref)
+        fleet = _with_newcomer(state, extra) if admit else state
+        _assert_equals_reference(self.instance(fleet, dt), ref)
         assert ref["vehicle_ids"] != tuple(state.vehicles)
         assert ("new" in ref["vehicle_ids"]) == admit
 
@@ -697,8 +700,9 @@ class TestColumnAssembly:
         shuffled = FleetState(now=state.now,
                               vehicles=dict(items[k] for k in rng.permutation(len(items))))
         assert list(shuffled.vehicles) != list(state.vehicles)
-        for e in (None, extra):
-            a, b = self.instance(state, dt, e), self.instance(shuffled, dt, e)
+        for fleets in ((state, shuffled),
+                       (_with_newcomer(state, extra), _with_newcomer(shuffled, extra))):
+            a, b = (self.instance(fleet, dt) for fleet in fleets)
             assert a.vehicle_ids == b.vehicle_ids
             for name in ("durations", "active", "avail_w", "soc_start", "e_lo", "e_hi", "wep"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name

@@ -11,6 +11,7 @@ import pytest
 from fleetcharge.fade import FadeModelParams, InvalidSlotError, calendric_fade_approx, \
     cyclic_fade_approx, cyclic_fade_exact
 from fleetcharge.problem import ChargingTask, max_power_allocation
+import fleetcharge.scheduler as scheduler_module
 from fleetcharge.scheduler import (
     FleetState,
     Ledger,
@@ -24,6 +25,7 @@ from fleetcharge.scheduler import (
     baseline_schedule,
     proposed_schedule,
 )
+from fleetcharge.solver import feasibility_check
 
 from conftest import ledger_row, price_fn, reachable, slot_rows
 
@@ -138,6 +140,44 @@ class TestAdmission:
         b = ChargingTask("b", 0.0, 2.0, 0.2, 0.5)
         res = admit_task(b, state, lm)
         assert not res.accepted and res.reason == "station-capacity"
+
+    @pytest.mark.parametrize("soc_start, accepted", [(0.2, False), (0.8, True)],
+                             ids=["needs-charge", "needs-none"])
+    def test_arrival_departing_before_the_clock_is_clamped(self, soc_start, accepted,
+                                                           monkeypatch):
+        """A newcomer whose departure is already past is clamped to the clock
+        like any plugged vehicle: with no slot left it is rejected when it
+        needs charge and accepted when it needs none.  The instance admission
+        checks is the baseline's instance of the fleet with it added."""
+        lm = limits()
+        a = ChargingTask("a", 0.0, 8.0, 0.3, 0.6)
+        state = fleet(5.0, (a, 0.3))
+        late = ChargingTask("late", 0.0, 3.0, soc_start, 0.5)
+        seen = []
+
+        def recorded(inst):
+            seen.append(inst)
+            return feasibility_check(inst)
+
+        monkeypatch.setattr(scheduler_module, "feasibility_check", recorded)
+        res = admit_task(late, state, lm)
+        assert res.accepted == accepted
+        assert res.reason == (None if accepted else "vehicle-capacity")
+        assert list(state.vehicles) == ["a"]
+        _, want = baseline_schedule(fleet(5.0, (a, 0.3), (late, soc_start)), lm)
+        (got,) = seen
+        assert got.vehicle_ids == want.vehicle_ids == ("late", "a")
+        assert got.grid.tt.tolist() == want.grid.tt.tolist() == [0, 3]
+        for f in dataclasses.fields(want):
+            have, expect = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(expect, np.ndarray):
+                assert (have.dtype, have.shape) == (expect.dtype, expect.shape), f.name
+                assert have.tobytes() == expect.tobytes(), f.name
+            elif f.name == "grid":
+                assert (have.t_s, have.dt, have.horizon) == (expect.t_s, expect.dt,
+                                                             expect.horizon)
+            else:
+                assert have == expect, f.name
 
     def test_accepted_implies_proposed_succeeds(self):
         lm = limits()
@@ -456,7 +496,7 @@ def _reference_walk(state, alloc, inst, until, ledger):
     soc_v = np.array([vehicles[vid].soc_cur if vid in vehicles else 0.0 for vid in ids])
     walk = []  # per slot: start, index, vehicle columns; its rows' d, amps, SoC before and after
     for i in range(inst.horizon):
-        slot_t = grid.slot_start(i)
+        slot_t = grid.t_s + i * grid.dt
         slot_end = slot_t + grid.dt
         window = grid.dt if slot_end <= until else until - now
         if window <= 1e-12:

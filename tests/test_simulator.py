@@ -525,7 +525,7 @@ class TestAdvance:
     def test_event_an_ulp_before_a_slot_end_cuts_that_slot(self):
         until = 9.899999999999999
         state, inst, ledger = self._walk(until)
-        assert inst.grid.slot_start(0) + inst.grid.dt > until
+        assert inst.grid.t_s + inst.grid.dt > until
         assert len(ledger) == 1
         assert ledger[0].time_h + ledger[0].duration_h <= until
         assert state.now == until
@@ -533,7 +533,7 @@ class TestAdvance:
     def test_event_on_a_slot_end_applies_the_slot_whole(self):
         until = 9.4 + 0.5
         state, inst, ledger = self._walk(until)
-        assert inst.grid.slot_start(0) + inst.grid.dt == until
+        assert inst.grid.t_s + inst.grid.dt == until
         assert [(e.time_h, e.duration_h) for e in ledger] == [(9.4, 0.5)]
         assert state.now == until
 

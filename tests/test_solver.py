@@ -124,10 +124,8 @@ class TestSolveDirections:
         lands in the cheap second slot."""
         task = ChargingTask("v", 0.0, 1.0, 0.5, 0.69)  # 39.9 Ah on 210
         prices = {0.0: 0.30, 0.5: 0.10}
-        inst = make_instance(
-            [task], prices=lambda t: prices[t], weights=(1, 0, 0), i_max=80.0
-        )
-        alloc, rep = solve(inst)
+        inst = make_instance([task], prices=lambda t: prices[t], i_max=80.0)
+        alloc, rep = solve(inst, (1, 0, 0))
         assert rep.status == SolveStatus.OPTIMAL_LOCAL
         assert alloc[1, 0] > 75.0
         assert alloc[0, 0] == pytest.approx(0.0, abs=1e-9)
@@ -135,16 +133,14 @@ class TestSolveDirections:
     def test_availability_only_prefers_early_slot(self):
         task = ChargingTask("v", 0.0, 1.0, 0.5, 0.69)
         prices = {0.0: 0.30, 0.5: 0.10}
-        inst = make_instance(
-            [task], prices=lambda t: prices[t], weights=(0, 0, 1), i_max=80.0
-        )
-        alloc, _ = solve(inst)
+        inst = make_instance([task], prices=lambda t: prices[t], i_max=80.0)
+        alloc, _ = solve(inst, (0, 0, 1))
         assert alloc[0, 0] > 75.0
         assert alloc[1, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_instance(self):
         inst = make_instance([])
-        alloc, rep = solve(inst)
+        alloc, rep = solve(inst, (1.0, 1.0, 1.0))
         assert alloc.shape == (0, 0)
         assert rep.status == SolveStatus.OPTIMAL_LOCAL
 
@@ -152,7 +148,7 @@ class TestSolveDirections:
         inst = make_instance(
             [ChargingTask("v", 0.0, 2.0, 0.2, 0.8)], i_max=50.0, ic_max=50.0, c_bat=200.0
         )
-        alloc, rep = solve(inst)
+        alloc, rep = solve(inst, (1.0, 1.0, 1.0))
         assert alloc is None
         assert rep.status == SolveStatus.INFEASIBLE
         assert rep.breakdown is None
@@ -160,6 +156,7 @@ class TestSolveDirections:
 
 class TestSolveContracts:
     def _random_instance(self, rng):
+        """A random instance and objective weights, drawn after it."""
         n = rng.integers(1, 4)
         tasks = []
         for v in range(n):
@@ -169,31 +166,31 @@ class TestSolveContracts:
             soc_dep = float(min(1.0, soc_start + rng.uniform(0.05, 0.3)))
             tasks.append(ChargingTask(f"v{v}", 0.0, t_dep, soc_start, soc_dep))
         prices = {i * 0.5: float(rng.uniform(0.02, 0.3)) for i in range(8)}
-        return make_instance(
+        inst = make_instance(
             tasks,
             prices=lambda t: prices[t],
             i_max=80.0,
             ic_max=float(rng.choice([120.0, 200.0, 400.0])),
             soc_xtra_ah=float(rng.choice([0.0, 10.0, 21.0])),
-            weights=tuple(rng.uniform(0.1, 1.0, size=3)),
         )
+        return inst, tuple(rng.uniform(0.1, 1.0, size=3))
 
     def test_solutions_satisfy_constraints(self):
         rng = np.random.default_rng(3)
         for _ in range(8):
-            inst = self._random_instance(rng)
+            inst, weights = self._random_instance(rng)
             if not feasibility_check(inst).feasible:
                 continue
-            alloc, rep = solve(inst)
+            alloc, rep = solve(inst, weights)
             assert build_constraints(inst).audit(alloc, 1e-6) == []
             assert rep.breakdown is not None
             assert rep.wall_time_ms >= 0.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
-        inst = self._random_instance(rng)
-        a1, r1 = solve(inst)
-        a2, r2 = solve(inst)
+        inst, weights = self._random_instance(rng)
+        a1, r1 = solve(inst, weights)
+        a2, r2 = solve(inst, weights)
         assert np.array_equal(a1, a2)
         assert r1.objective == r2.objective
 
@@ -209,8 +206,8 @@ class TestSolveContracts:
         np.testing.assert_array_equal(warm[:, 0], [80.0, 80.0, 50.0, 0.0])  # 105 Ah: full
         assert build_constraints(inst).audit(warm, 1e-9) == []
         pts = _points(inst)
-        alloc, rep = solve(inst)
-        warm_obj = normalized_objective(objective_components(warm, inst), pts, inst.weights)
+        alloc, rep = solve(inst, (1.0, 1.0, 1.0))
+        warm_obj = normalized_objective(objective_components(warm, inst), pts, (1.0, 1.0, 1.0))
         assert rep.objective <= warm_obj + 1e-12
 
     def test_weight_monotone_cost_component(self):
@@ -219,12 +216,25 @@ class TestSolveContracts:
         prices = {0.0: 0.30, 0.5: 0.05, 1.0: 0.15}
         costs = []
         for a1 in (0.2, 1.0, 2.0, 5.0):
-            inst = make_instance(
-                [task], prices=lambda t: prices[t], weights=(a1, 1.0, 1.0), i_max=80.0
-            )
-            _, rep = solve(inst)
+            inst = make_instance([task], prices=lambda t: prices[t], i_max=80.0)
+            _, rep = solve(inst, (a1, 1.0, 1.0))
             costs.append(rep.breakdown.cost)
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
+
+    def test_payoff_table_does_not_depend_on_the_weights(self):
+        """One frozen instance solved under the sweep's three default triples
+        and under cost alone: the payoff points are the same every time,
+        every plan passes the audit, and the weights move the plan."""
+        inst = TestLinearProgram._sweep_instance()
+        plans, points = [], []
+        for weights in ((0.6, 0.3, 0.1), (0.3, 0.6, 0.1), (0.1, 0.3, 0.6), (1.0, 0.0, 0.0)):
+            alloc, rep = solve(inst, weights)
+            assert build_constraints(inst).audit(alloc, 1e-6) == []
+            plans.append(alloc.tobytes())
+            points.append(rep.points)
+        assert all(p.utopia == points[0].utopia and p.nadir == points[0].nadir
+                   for p in points)
+        assert len(set(plans)) >= 2
 
     @staticmethod
     def _count_lps(monkeypatch):
@@ -252,12 +262,11 @@ class TestSolveContracts:
         models, costs = self._count_lps(monkeypatch)
         task = ChargingTask("v", 0.0, 2.0, 0.5, 0.9)
         prices = {i * 0.5: p for i, p in enumerate([0.3, 0.1, 0.2, 0.05])}
-        mixed = make_instance([task], prices=lambda t: prices[t], soc_xtra_ah=21.0)
-        fade_only = dataclasses.replace(mixed, weights=(0.0, 1.0, 0.0))
-        for inst, n_lps in ((mixed, 3), (fade_only, 2)):
+        inst = make_instance([task], prices=lambda t: prices[t], soc_xtra_ah=21.0)
+        for weights, n_lps in (((1.0, 1.0, 1.0), 3), ((0.0, 1.0, 0.0), 2)):
             models.clear()
             costs.clear()
-            alloc, _ = solve(inst)
+            alloc, _ = solve(inst, weights)
             assert alloc is not None
             assert len(models) == 1 and models[0] is inst
             assert len(costs) == n_lps and all(c.any() for c in costs)
@@ -272,16 +281,17 @@ class TestSolveContracts:
         rng = np.random.default_rng(3)
         zero_need = make_instance([ChargingTask("v", 0.0, 2.0, 0.9, 0.5)])
         degenerate = 0
-        for inst in [*(self._random_instance(rng) for _ in range(6)), zero_need]:
-            _, rep = solve(inst)
+        for inst, weights in [*(self._random_instance(rng) for _ in range(6)),
+                              (zero_need, (1.0, 1.0, 1.0))]:
+            _, rep = solve(inst, weights)
             assert rep.points == _points(inst)
             degenerate += any(rep.points.spread(k) < NORMALIZATION_EPS for k in COMPONENTS)
         assert degenerate >= 1
         infeasible = make_instance(
             [ChargingTask("v", 0.0, 2.0, 0.2, 0.8)], i_max=50.0, ic_max=50.0, c_bat=200.0
         )
-        assert solve(make_instance([]))[1].points is None
-        assert solve(infeasible)[1].points is None
+        assert solve(make_instance([]), (1.0, 1.0, 1.0))[1].points is None
+        assert solve(infeasible, (1.0, 1.0, 1.0))[1].points is None
 
     def test_station_capacity_infeasible_returns_none(self, monkeypatch):
         """Two vehicles that each need 150 Ah in two hours on an 80 A feeder
@@ -291,7 +301,7 @@ class TestSolveContracts:
                              ic_max=80.0)
         assert build_constraints(inst).feasible_by_construction
         _, costs = self._count_lps(monkeypatch)
-        alloc, rep = solve(inst)
+        alloc, rep = solve(inst, (1.0, 1.0, 1.0))
         assert alloc is None
         assert rep.status == SolveStatus.INFEASIBLE
         assert rep.breakdown is None
@@ -309,11 +319,11 @@ class TestBestTracker:
         first = np.array([[0.0, 40.0], [40.0, 0.0]])
         second = first[:, ::-1].copy()
         points = _points(inst)
-        objs = [normalized_objective(objective_components(x, inst), points, inst.weights)
+        objs = [normalized_objective(objective_components(x, inst), points, (1.0, 1.0, 1.0))
                 for x in (first, second)]
         assert abs(objs[0] - objs[1]) <= 1e-12 * max(1.0, abs(objs[0]))
         tracker = _BestTracker(lambda x: normalized_objective(
-            objective_components(x, inst), points, inst.weights))
+            objective_components(x, inst), points, (1.0, 1.0, 1.0)))
         tracker.consider(first)
         tracker.consider(second)
         np.testing.assert_array_equal(tracker.alloc, first)
@@ -557,7 +567,7 @@ class TestLinearProgram:
         prices = [0.05523, 0.05508, 0.05489, 0.04017, 0.04006, 0.02595, 0.02589, 0.02587,
                   0.05483, 0.05501, 0.05518, 0.05527]
         return make_instance(tasks, prices=lambda t: prices[round(t - t_s)], t_s=t_s,
-                             dt=1.0, ic_max=80.0, soc_xtra_ah=0.0, weights=(0.1, 0.3, 0.6))
+                             dt=1.0, ic_max=80.0, soc_xtra_ah=0.0)
 
     def test_call_order_keeps_fresh_vertices(self):
         """Costs that start non-zero, cost then availability and cost, zero,
@@ -585,7 +595,7 @@ NAME = "scipy.optimize._highspy._core"
 
 def program_lp():
     inst = build_instance(["A"], [4.0], [0.4], [0.8], t_s=0.0, prices_fn=ZERO_PRICES,
-                          limits=StationLimits(soc_xtra_ah=0.0), weights=(1.0, 1.0, 1.0))
+                          limits=StationLimits(soc_xtra_ah=0.0))
     assert feasibility_check(inst).feasible
 """
 
@@ -656,14 +666,14 @@ class TestOracle:
         tasks = [ChargingTask(f"v{v}", 0.0, 4.0, 0.4, 0.6) for v in range(4)]
         inst = make_instance(tasks)  # 8 slots x 4 vehicles
         with pytest.raises(OracleError, match="instance-too-large"):
-            oracle_grid_search(inst)
+            oracle_grid_search(inst, (1.0, 1.0, 1.0))
 
     def test_unique_point_at_exact_demand(self):
         """Demand equal to one full-power slot leaves only the top grid level."""
         inst = make_instance(
             [ChargingTask("v", 0.0, 0.5, 0.5, 0.5 + 40.0 / 210.0)], i_max=80.0
         )
-        alloc, _ = oracle_grid_search(inst, levels=8)
+        alloc, _ = oracle_grid_search(inst, (1.0, 1.0, 1.0), levels=8)
         assert alloc[0, 0] == pytest.approx(80.0)
 
     def test_cheap_slot_selection(self):
@@ -671,10 +681,9 @@ class TestOracle:
         inst = make_instance(
             [ChargingTask("v", 0.0, 1.0, 0.5, 0.5 + 40.0 / 210.0)],
             prices=lambda t: prices[t],
-            weights=(1, 0, 0),
             i_max=80.0,
         )
-        alloc, _ = oracle_grid_search(inst, levels=8)
+        alloc, _ = oracle_grid_search(inst, (1, 0, 0), levels=8)
         assert alloc[1, 0] == pytest.approx(80.0)
         assert alloc[0, 0] == pytest.approx(0.0)
 
@@ -689,7 +698,7 @@ class TestOracle:
         inst = make_instance(tasks, i_max=80.0, ic_max=104.0)
         assert feasibility_check(inst).feasible
         with pytest.raises(OracleError, match="no-feasible-grid-point"):
-            oracle_grid_search(inst, levels=2)
+            oracle_grid_search(inst, (1.0, 1.0, 1.0), levels=2)
 
     def test_solve_within_gap_on_small_instances(self):
         """Continuous solve lands within 2% of the grid oracle (often below
@@ -714,13 +723,13 @@ class TestOracle:
             inst = make_instance(
                 tasks, prices=lambda t: prices[t],
                 i_max=80.0, ic_max=120.0, soc_xtra_ah=0.0,
-                weights=tuple(rng.uniform(0.2, 1.0, size=3)),
             )
+            weights = tuple(rng.uniform(0.2, 1.0, size=3))
             if not feasibility_check(inst).feasible:
                 continue
             pts = _points(inst)
-            alloc, rep = solve(inst)
-            _, oracle_obj = oracle_grid_search(inst, levels=8, points=pts)
+            alloc, rep = solve(inst, weights)
+            _, oracle_obj = oracle_grid_search(inst, weights, levels=8, points=pts)
             scale = max(abs(oracle_obj), 1e-9)
             assert rep.objective <= oracle_obj + 0.02 * scale
             checked += 1
@@ -1207,11 +1216,11 @@ def _reference_branch_loop(inst, lin, fw, x0, anchor):
     return x, iterations, stable, rounds
 
 
-def _descent_inputs(inst):
-    """``solve``'s surrogate weights, its four starts (k, H, V) and its
-    repair anchor, the cost vertex of ``inst``."""
+def _descent_inputs(inst, weights):
+    """``solve``'s surrogate weights under objective ``weights``, its four
+    starts (k, H, V) and its repair anchor, the cost vertex of ``inst``."""
     pts = _points(inst)
-    a = dict(zip(COMPONENTS, inst.weights))
+    a = dict(zip(COMPONENTS, weights))
     scale = {k: pts.spread(k) for k in COMPONENTS}
     lin = (a["cost"] / scale["cost"]) * _cost_coeffs(inst) \
         + (a["availability"] / scale["availability"]) * _avail_coeffs(inst)
@@ -1222,6 +1231,7 @@ def _descent_inputs(inst):
 
 
 def _descent_instance(rng, n, slots, ic_max, soc_low=0.2):
+    """A random instance and objective weights, drawn after it."""
     tasks = []
     for v in range(n):
         soc_start = float(rng.uniform(soc_low, 0.6))
@@ -1229,8 +1239,8 @@ def _descent_instance(rng, n, slots, ic_max, soc_low=0.2):
         tasks.append(ChargingTask(f"v{v}", 0.0, 0.5 * tt, soc_start,
                                   min(1.0, soc_start + float(rng.uniform(0.1, 0.4)))))
     prices = {i * 0.5: float(rng.uniform(0.02, 0.3)) for i in range(slots)}
-    return make_instance(tasks, prices=lambda t, p=prices: p[t], ic_max=ic_max,
-                         soc_xtra_ah=21.0, weights=tuple(rng.uniform(0.1, 1.0, size=3)))
+    inst = make_instance(tasks, prices=lambda t, p=prices: p[t], ic_max=ic_max, soc_xtra_ah=21.0)
+    return inst, tuple(rng.uniform(0.1, 1.0, size=3))
 
 
 class _Toy:
@@ -1277,8 +1287,8 @@ class TestLockstepDescent:
         (5, 8, 110.0, 5),      # binding cap
     ])
     def test_each_start_follows_its_own_path(self, n, slots, ic_max, seed):
-        inst = _descent_instance(np.random.default_rng(seed), n, slots, ic_max)
-        lin, fw, starts, _ = _descent_inputs(inst)
+        inst, weights = _descent_instance(np.random.default_rng(seed), n, slots, ic_max)
+        lin, fw, starts, _ = _descent_inputs(inst, weights)
         branches = np.stack([_derive_branches(x, inst) for x in starts])
         model = _Surrogate(inst, lin, fw, branches, _Projector(inst))
         x, iters = _descend(model, starts)
@@ -1319,8 +1329,8 @@ class TestLockstepDescent:
         live start; with room unbounded some call holds more.  Both follow
         the per-start paths bit for bit."""
         monkeypatch.setattr(solver_module, "_SPECULATIVE_CELLS", cells)
-        inst = _descent_instance(np.random.default_rng(5), 5, 8, 110.0)   # binding cap
-        lin, fw, starts, _ = _descent_inputs(inst)
+        inst, weights = _descent_instance(np.random.default_rng(5), 5, 8, 110.0)  # binding cap
+        lin, fw, starts, _ = _descent_inputs(inst, weights)
         branches = np.stack([_derive_branches(x, inst) for x in starts])
         project = _Projector(inst)
         model = _Surrogate(inst, lin, fw, branches, project)
@@ -1359,8 +1369,8 @@ class TestLockstepDescent:
         rng = np.random.default_rng(2024)
         rounds = []
         for _ in range(4):
-            inst = _descent_instance(rng, 3, 8, 160.0, soc_low=0.01)
-            lin, fw, starts, anchor = _descent_inputs(inst)
+            inst, weights = _descent_instance(rng, 3, 8, 160.0, soc_low=0.01)
+            lin, fw, starts, anchor = _descent_inputs(inst, weights)
             iterations, stable, x = _branch_fixed_descent(inst, lin, fw, starts, anchor)
             assert x.shape == starts.shape
             for j, x0 in enumerate(starts):
@@ -1418,7 +1428,8 @@ class TestOneSocTrajectory:
 
 
 def _oracle_sized_instances(seed, count):
-    """Instances drawn like acceptance criterion 2's (at most 12 cells)."""
+    """Feasible instances drawn like acceptance criterion 2's (at most 12
+    cells), each with its objective weights and cost vertex."""
     rng = np.random.default_rng(seed)
     found = []
     while len(found) < count:
@@ -1437,11 +1448,11 @@ def _oracle_sized_instances(seed, count):
             tasks, prices=lambda t, p=prices: p[t],
             i_max=80.0, ic_max=float(rng.choice([120.0, 160.0, 400.0])),
             soc_xtra_ah=float(rng.choice([0.0, 21.0])),
-            weights=tuple(rng.uniform(0.1, 1.0, size=3)),
         )
+        weights = tuple(rng.uniform(0.1, 1.0, size=3))
         fc = feasibility_check(inst)
         if fc.feasible:
-            found.append((inst, fc.point))
+            found.append((inst, weights, fc.point))
     return found
 
 
@@ -1540,7 +1551,7 @@ def _reference_polish(x, inst, objective_fn):
 class TestColumnBatchedPolish:
     def test_column_parts_sum_to_objective_components(self):
         rng = np.random.default_rng(8)
-        for inst, _ in _oracle_sized_instances(8, 12):
+        for inst, _, _ in _oracle_sized_instances(8, 12):
             alloc = rng.uniform(0.0, inst.i_max, size=(inst.horizon, inst.n_vehicles))
             alloc[rng.random(alloc.shape) < 0.4] = 0.0
             alloc[~inst.active & (rng.random(alloc.shape) < 0.5)] = 0.0
@@ -1566,12 +1577,12 @@ class TestColumnBatchedPolish:
 
         monkeypatch.setattr(solver_module, "_score_moves", recorded)
         moved = 0
-        for inst, point in _oracle_sized_instances(20210509, 12):
+        for inst, weights, point in _oracle_sized_instances(20210509, 12):
             pts = _points(inst)
-            normalized = _normalized_score(pts, inst.weights)
+            normalized = _normalized_score(pts, weights)
             scorers = [
                 (normalized, lambda a: normalized_objective(
-                    objective_components(a, inst), pts, inst.weights)),
+                    objective_components(a, inst), pts, weights)),
                 (lambda parts: parts[:, 1], lambda a: objective_components(a, inst).fade),
             ]
             for start in (max_power_allocation(inst), _fill_latest(inst), _fill_spread(inst)):
@@ -1724,8 +1735,8 @@ class TestNeighbourhood:
 
 @st.composite
 def _polish_inputs(draw):
-    """A small feasible instance, a cap that binds or not, and a repaired
-    start on it."""
+    """A small feasible instance, a cap that binds or not, objective weights
+    and a repaired start on it."""
     n = draw(st.integers(1, 3))
     tasks = [ChargingTask(f"v{v}", 0.0, draw(st.floats(0.3, 2.5)),
                           s := draw(st.floats(0.2, 0.6)), s + draw(st.floats(0.02, 0.25)))
@@ -1733,12 +1744,12 @@ def _polish_inputs(draw):
     prices = draw(st.lists(st.floats(0.02, 0.3), min_size=5, max_size=5))
     inst = make_instance(tasks, prices=lambda t: prices[int(round(t / 0.5))],
                          ic_max=draw(st.sampled_from([80.0, 120.0, 400.0])),
-                         soc_xtra_ah=draw(st.sampled_from([0.0, 15.0])),
-                         weights=tuple(draw(st.floats(0.1, 1.0)) for _ in range(3)))
+                         soc_xtra_ah=draw(st.sampled_from([0.0, 15.0])))
+    weights = tuple(draw(st.floats(0.1, 1.0)) for _ in range(3))
     fc = feasibility_check(inst)
     assume(fc.feasible)
     start = draw(st.sampled_from([max_power_allocation, _fill_latest, _fill_spread]))(inst)
-    return inst, _repair_exact(start, inst, np.zeros_like(start), fc.point)
+    return inst, weights, _repair_exact(start, inst, np.zeros_like(start), fc.point)
 
 
 class TestPolishProperties:
@@ -1747,11 +1758,11 @@ class TestPolishProperties:
     def test_never_hurts(self, case, fade_only):
         """The plan stays feasible, scores no higher than its input under
         the polish's own whole-allocation score, and repeats exactly."""
-        inst, x0 = case
+        inst, weights, x0 = case
         audit = build_constraints(inst).audit
         assume(audit(x0, 1e-9) == [])
         score = (lambda parts: parts[:, 1]) if fade_only else _normalized_score(
-            _points(inst), inst.weights)
+            _points(inst), weights)
 
         def whole(x):
             return score(_column_parts(x, np.arange(inst.n_vehicles), inst)
