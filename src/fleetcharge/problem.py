@@ -98,37 +98,25 @@ class StationLimits:
 
 
 def charging_period(t_dep, t_s: float, dt: float):
-    """Number of slots from the optimization start to a departure time.
+    """Number of slots from the optimization start to each departure time:
+    an int array shaped like the array ``t_dep``.
 
-    Ceiling of the remaining duration over the slot length; zero when the
-    departure coincides with the start.  A scalar departure gives an int, an
-    array of departures an int array of the same shape; a non-finite count
-    raises as ``int`` does.
+    Ceiling of the remaining duration over the slot length, with a 1e-9 slot
+    slack; zero when the departure coincides with the start.  The departures
+    must be finite and not before ``t_s``, and ``dt > 0``: every
+    :class:`StationLimits` has ``dt > 0``, and :func:`build_instance` checks
+    the departures before it counts.
     """
-    if dt <= 0:
-        raise ValueError("slot length must be > 0")
-    t_dep = np.asarray(t_dep, dtype=float)
-    if (t_dep < t_s).any():
-        raise ValueError("negative-duration: departure precedes optimization start")
-    periods = np.maximum(np.ceil((t_dep - t_s) / dt - 1e-9), 0.0)
-    if periods.ndim == 0:
-        return int(periods)
-    finite = np.isfinite(periods)
-    if not finite.all():
-        int(periods[~finite][0])  # raises, as the scalar call would
-    return periods.astype(int)
+    return np.maximum(np.ceil((t_dep - t_s) / dt - 1e-9), 0.0).astype(int)
 
 
 def availability_weights(tt_v) -> np.ndarray:
-    """Strictly decreasing slot weights 1/(i + tt_v) for i in [0, tt_v).
-
-    An array of slot counts (V,) gives one column per count, shaped
-    (max(tt_v), V), zero past its count: a zero count is a zero column.
+    """Strictly decreasing slot weights 1/(i + n) for i in [0, n), one column
+    per slot count n of the array ``tt_v`` (V,), shaped (max(tt_v), V) and
+    zero past its count: a zero count is a zero column.
     """
     tt_v = np.asarray(tt_v)
-    if tt_v.ndim == 0 and tt_v < 1:
-        raise ValueError("empty-period: charging period has no slots")
-    i = np.arange(tt_v.max(initial=0)).reshape((-1,) + (1,) * tt_v.ndim)
+    i = np.arange(tt_v.max(initial=0))[:, None]
     slots = i + tt_v
     return np.divide(1.0, slots, out=np.zeros(slots.shape), where=i < tt_v)
 
@@ -234,13 +222,17 @@ def build_instance(
 
     ``limits`` was checked when built; only the columns and the sampled
     prices are checked here, each by one range check: both SoC columns in
-    [0, 1] at once, then every price finite and >= 0.  Only when a check
-    fails does the column loop run, so the error names what it always named:
-    the first vehicle with a bad start SoC, else the first with a bad
-    departure SoC, and "finite" before ">= 0".  The instance orders vehicles
-    by (departure, vehicle id), as ``sorted`` orders those pairs.  ``prices_fn`` maps an array of absolute times in
-    hours to the prices in force at those instants; it is called once, with
-    every slot start.
+    [0, 1] at once, then every departure finite and not before ``t_s``, then
+    every price finite and >= 0.  Only when a check fails is the failing
+    column searched, so the error names the first vehicle, in the order
+    given, with a bad start SoC, else the first with a bad departure SoC,
+    else the first with a departure that is not finite or is before the
+    start ("negative-duration"); for prices, "finite" comes before ">= 0".
+    The departures are checked here, where the fleet enters, so
+    :func:`charging_period` counts without checks.  The instance orders
+    vehicles by (departure, vehicle id), as ``sorted`` orders those pairs.
+    ``prices_fn`` maps an array of absolute times in hours to the prices in
+    force at those instants; it is called once, with every slot start.
     """
     t_dep, soc_start, soc_dep = (np.asarray(c, dtype=float)
                                  for c in (t_dep, soc_start, soc_dep))
@@ -255,6 +247,14 @@ def build_instance(
             if bad.any():
                 k = int(np.argmax(bad))
                 raise ValueError(f"vehicle {vehicle_ids[k]}: {name} {soc[k]} not in [0, 1]")
+    stay = t_dep - t_s
+    if not (np.minimum.reduce(stay, initial=0.0) >= 0.0  # NaN fails both
+            and np.maximum.reduce(stay, initial=0.0) < math.inf):
+        k = int(np.argmax(~((0.0 <= stay) & (stay < math.inf))))
+        if math.isfinite(stay[k]):
+            raise ValueError(f"vehicle {vehicle_ids[k]}: negative-duration: t_dep {t_dep[k]} "
+                             f"before the start {t_s}")
+        raise ValueError(f"vehicle {vehicle_ids[k]}: t_dep {t_dep[k]} not finite")
     # an object array compares ids as Python does; a str array would drop
     # trailing NULs
     order = np.lexsort((np.array(vehicle_ids, dtype=object), t_dep))
@@ -310,10 +310,9 @@ def max_power_allocation(inst: ProblemInstance) -> np.ndarray:
 
     Each vehicle gets its current limit for the lesser of the slots needed
     to reach full charge and the slots left before departure; the energy
-    windows are not enforced.  The slots to full charge are counted with
-    :func:`charging_period`'s ceil rule, written out here without its
-    checks, which every instance :func:`build_instance` makes already
-    passes.  The plan is built in one pass over all slots.
+    windows are not enforced.  The slots to full charge are counted by
+    :func:`charging_period`, as the hours to full charge at the limit from a
+    start of 0.  The plan is built in one pass over all slots.
     It is the plan of a slot-by-slot walk that subtracts each slot's charge
     from the need, bit for bit, when no slot is longer than the grid step,
     as in every instance :func:`build_instance` makes: a longer slot could
@@ -322,9 +321,7 @@ def max_power_allocation(inst: ProblemInstance) -> np.ndarray:
     """
     d, i_max = inst.durations, inst.i_max
     remaining_ah = (1.0 - inst.soc_start) * inst.c_bat
-    n_slots = np.minimum(
-        np.maximum(np.ceil(remaining_ah / i_max / inst.grid.dt - 1e-9), 0.0), inst.grid.tt
-    )
+    n_slots = np.minimum(charging_period(remaining_ah / i_max, 0.0, inst.grid.dt), inst.grid.tt)
     # What is left before each slot while every slot before it took i_max,
     # subtracted in slot order, as the walk subtracts it.
     left = np.empty((inst.horizon + 1, inst.n_vehicles))

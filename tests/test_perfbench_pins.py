@@ -11,8 +11,13 @@ a result shape changed, here would break the benchmark only when it runs.
 import importlib
 import importlib.util
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+
+from fleetcharge.problem import StationLimits, build_instance
+from fleetcharge.solver import SolveReport, SolveStatus
 
 from conftest import ROOT, perfbench_workloads
 
@@ -69,3 +74,29 @@ def test_depot_reschedules_pass_the_probe_checks(tmp_path):
     workloads.check_reschedules(probe, "baseline", res)
     assert res.problems == [] and res.failed == 0
     assert res.attempted == len(events) > 0
+
+
+def test_failed_plans_counted_and_placed_in_time():
+    """``check_reschedules`` on a baseline plan over the station cap and a
+    proposed plan below a vehicle's energy window: each is counted failed,
+    and its problem gives the instance's start time.  This pins the
+    instance fields the checks read (``horizon``, ``n_vehicles``,
+    ``i_max``, ``ic_max``, ``active``, ``grid.t_s``) and the report's
+    ``objective``."""
+    inst = build_instance(["a", "b"], [4.0, 4.0], [0.4, 0.4], [0.6, 0.6], t_s=3.0,
+                          prices_fn=lambda t: np.full(len(t), 0.1),
+                          limits=StationLimits(i_max=80.0, ic_max=100.0, soc_xtra_ah=0.0))
+    over_cap = np.full((inst.horizon, inst.n_vehicles), 80.0)
+    rep = SolveReport(objective=0.25, breakdown=None, wall_time_ms=1.0, iterations=3,
+                      status=SolveStatus.FEASIBLE, points=None)
+    # check_reschedules reads only the probe's calls: (policy, ms, output, error)
+    probe = SimpleNamespace(calls=[("baseline", 0.1, (over_cap, inst), None),
+                                   ("proposed", 0.2, (inst.empty_allocation(), rep, inst), None)])
+    for policy, violation in (("baseline", "station current limit exceeded"),
+                              ("proposed", "below window")):
+        res = workloads.PassResult(wall_s=0.0)
+        workloads.check_reschedules(probe, policy, res)
+        assert (res.attempted, res.failed, len(res.problems)) == (1, 1, 1)
+        assert res.problems[0].startswith(f"{policy} plan at t=3.0000 h: ")
+        assert violation in res.problems[0]
+        assert res.objectives == ([0.25] if policy == "proposed" else [])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fleetcharge.problem import (
     objective_components,
 )
 from fleetcharge.scheduler import (ZERO_PRICES, FleetState, StationLimits, VehicleState,
-                                   _instance_from_state)
+                                   _instance_from_state, baseline_schedule)
 from fleetcharge.solver import single_objective_minimizer
 
 from conftest import ROOT, make_instance, perfbench_workloads, price_fn, slot_rows
@@ -40,76 +41,58 @@ REF_AVAIL = -38800.0
 
 class TestChargingPeriod:
     def test_ceiling(self):
-        assert charging_period(125.0 / 60.0, 0.0, 0.5) == 5
+        assert charging_period(np.array([125.0 / 60.0]), 0.0, 0.5).tolist() == [5]
 
     def test_zero_duration(self):
-        assert charging_period(3.0, 3.0, 0.5) == 0
+        assert charging_period(np.array([3.0]), 3.0, 0.5).tolist() == [0]
 
     def test_exact_division(self):
-        assert charging_period(2.0, 0.0, 0.5) == 4
-
-    def test_negative_duration(self):
-        with pytest.raises(ValueError, match="negative-duration"):
-            charging_period(1.0, 2.0, 0.5)
-        with pytest.raises(ValueError, match="negative-duration"):
-            charging_period(np.array([3.0, 1.0]), 2.0, 0.5)
+        assert charging_period(np.array([2.0]), 0.0, 0.5).tolist() == [4]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_array_equals_scalar_calls(self, seed):
-        """Element by element, an array of departures gets the counts its
-        scalar calls get, on and within 1e-9 slots of slot boundaries too."""
+        """Element by element, an array of departures gets the count of the
+        rule written per departure, on and within 1e-9 slots of slot
+        boundaries too, as ints, and a reshaped array the reshaped counts."""
         rng = np.random.default_rng(seed)
         t_s, dt = rng.uniform(0.0, 100.0), rng.choice([0.1, 0.25, 1 / 3, 0.5, 0.75])
         t_dep = _departures(rng, t_s, dt, 200)
         periods = charging_period(t_dep, t_s, dt)
         assert periods.dtype == np.dtype(int) and periods.shape == t_dep.shape
-        assert periods.tolist() == [charging_period(t, t_s, dt) for t in t_dep.tolist()]
-        assert type(charging_period(float(t_dep[0]), t_s, dt)) is int
+        assert periods.tolist() == [max(0, math.ceil((t - t_s) / dt - 1e-9))
+                                    for t in t_dep.tolist()]
         grid = charging_period(t_dep.reshape(10, 20), t_s, dt)
         assert grid.tolist() == periods.reshape(10, 20).tolist()
-
-    @pytest.mark.parametrize("bad, error", [(math.nan, ValueError), (math.inf, OverflowError)])
-    def test_non_finite_departure_raises_as_int_does(self, bad, error):
-        with pytest.raises(error) as scalar:
-            charging_period(bad, 0.0, 0.5)
-        with pytest.raises(error) as array:
-            charging_period(np.array([1.0, bad, 2.0]), 0.0, 0.5)
-        assert str(array.value) == str(scalar.value)
 
 
 class TestAvailabilityWeights:
     def test_single_slot(self):
-        assert availability_weights(1).tolist() == [1.0]
+        assert availability_weights(np.array([1])).tolist() == [[1.0]]
 
     def test_three_slots(self):
-        assert availability_weights(3) == pytest.approx([1 / 3, 1 / 4, 1 / 5])
+        assert availability_weights(np.array([3]))[:, 0] == pytest.approx([1 / 3, 1 / 4, 1 / 5])
 
     def test_two_slots(self):
-        assert availability_weights(2) == pytest.approx([0.5, 1 / 3])
-
-    def test_empty_period(self):
-        with pytest.raises(ValueError, match="empty-period"):
-            availability_weights(0)
+        assert availability_weights(np.array([2]))[:, 0] == pytest.approx([0.5, 1 / 3])
 
     @given(tt=st.integers(1, 60))
     @settings(max_examples=30, deadline=None)
     def test_length_and_strict_decrease(self, tt):
-        w = availability_weights(tt)
-        assert len(w) == tt
-        assert np.all(np.diff(w) < 0) or tt == 1
+        w = availability_weights(np.array([tt]))
+        assert w.shape == (tt, 1)
+        assert np.all(np.diff(w[:, 0]) < 0) or tt == 1
 
     def test_array_columns_equal_scalar_calls(self):
-        """A column per count, equal bit for bit to its scalar call and zero
-        past it; a zero count gives a zero column, with no divide warning."""
+        """A column per count n, equal bit for bit to 1/(i + n) over its n
+        slots and zero past them; a zero count gives a zero column, with no
+        divide warning."""
         tt = np.array([3, 0, 1, 28, 7, 0, 28, 12])
         w = availability_weights(tt)
         assert w.shape == (28, len(tt))
         for v, n in enumerate(tt.tolist()):
-            if n:
-                assert w[:n, v].tobytes() == availability_weights(n).tobytes()
+            assert w[:n, v].tobytes() == (1 / (np.arange(n) + n)).tobytes()
             assert not w[n:, v].any()
         assert availability_weights(np.array([0, 0])).shape == (0, 2)
-        assert availability_weights(np.array(5)).tobytes() == availability_weights(5).tobytes()
 
 
 class TestTaskAndPrices:
@@ -197,6 +180,43 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match=rf"^vehicle {bad_dep}: soc_dep 2.0 not in"):
             build_instance(list("abcd"), [1.0, 2.0, 0.5, 3.0], [0.4] * 4, soc_dep,
                            t_s=0.0, prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0))
+
+    @pytest.mark.parametrize("bad, message", [
+        (1.5, "negative-duration: t_dep 1.5 before the start 2.0"),
+        (_NAN, "t_dep nan not finite"), (_INF, "t_dep inf not finite"),
+        (-_INF, "t_dep -inf not finite"),
+    ], ids=["before-start", "nan", "inf", "-inf"])
+    def test_bad_departure_named_in_input_order(self, bad, message):
+        """One range check covers the departures; when it fails, the first
+        bad vehicle in the order given is named, not the first in departure
+        order, whatever is wrong with the later one."""
+        for later in (0.5, _NAN, -_INF):
+            with pytest.raises(ValueError, match=f"^vehicle b: {re.escape(message)}$"):
+                build_instance(list("abcd"), [3.0, bad, 2.0, later], [0.4] * 4, [0.8] * 4,
+                               t_s=2.0, prices_fn=ZERO_PRICES,
+                               limits=StationLimits(soc_xtra_ah=0.0))
+
+    @pytest.mark.parametrize("name", ["soc_start", "soc_dep"])
+    def test_bad_soc_reported_before_bad_departure(self, name):
+        """The SoC columns are checked first: a bad SoC is named even where a
+        bad departure comes before it in the order given."""
+        cols = {"soc_start": [0.4] * 3, "soc_dep": [0.8] * 3}
+        cols[name][2] = 1.5
+        with pytest.raises(ValueError, match=rf"^vehicle c: {name} 1.5 not in \[0, 1\]$"):
+            build_instance(list("abc"), [1.0, _NAN, 1.0], cols["soc_start"], cols["soc_dep"],
+                           t_s=0.0, prices_fn=ZERO_PRICES, limits=StationLimits(soc_xtra_ah=0.0))
+
+    def test_overdue_vehicle_replayed_is_clamped(self):
+        """A replay never reaches the departure check: a vehicle still
+        plugged after its departure counts from the clock, with no slots and
+        no plan, and the rest of the fleet is planned as usual."""
+        state = FleetState(now=5.0)
+        for vid, t_dep in (("late", 4.0), ("ok", 6.0)):
+            state.vehicles[vid] = VehicleState(ChargingTask(vid, 0.0, t_dep, 0.4, 0.8), 0.4)
+        alloc, inst = baseline_schedule(state, StationLimits(soc_xtra_ah=0.0))
+        assert inst.vehicle_ids == ("late", "ok")
+        assert inst.grid.tt.tolist() == [0, 2]
+        assert not alloc[:, 0].any() and alloc[:, 1].tolist() == [80.0, 80.0]
 
     def test_bounds_and_signed_zeros_accepted(self):
         """0, -0.0 and 1 are in range, for start SoCs, departure SoCs and
@@ -381,9 +401,9 @@ def _reference_max_power(inst):
 
 
 def _charging_period_max_power(inst):
-    """:func:`max_power_allocation` as written before it counted the slots
-    to full charge itself: through :func:`charging_period`, checks included,
-    with the walk's start column stacked by ``vstack``."""
+    """:func:`max_power_allocation` with the slots to full charge counted
+    through :func:`charging_period` and the walk's start column stacked by
+    ``vstack``, as it was written before it preallocated that column."""
     d, i_max = inst.durations, inst.i_max
     remaining_ah = (1.0 - inst.soc_start) * inst.c_bat
     n_slots = np.minimum(
@@ -513,10 +533,9 @@ class TestFleetWideAssembly:
     @pytest.mark.parametrize("ic_max", [160.0, 1200.0])
     @pytest.mark.parametrize("seed", range(8))
     def test_max_power_equals_charging_period_reference(self, seed, ic_max):
-        """Counting the slots to full charge with ``charging_period``'s ceil
-        rule in place, without its checks, and stacking the walk's start in
-        a preallocated array give the plan of the code that called it, bit
-        for bit, with the grid's and with hand-set slot lengths."""
+        """Stacking the walk's start in a preallocated array gives the plan of
+        the code that stacked it with ``vstack``, bit for bit, with the
+        grid's and with hand-set slot lengths."""
         for n in (40, 1, 0):
             tasks, t_s, dt = _fleet(400 + seed, n)
             inst = make_instance(tasks, t_s=t_s, dt=dt, ic_max=ic_max)
