@@ -26,7 +26,6 @@ from .problem import (
 from .scheduler import (
     FleetState,
     Policy,
-    VehicleState,
     admit_task,
     apply_slot,
     baseline_schedule,

@@ -230,12 +230,15 @@ def build_instance(
     start ("negative-duration"); for prices, "finite" comes before ">= 0".
     The departures are checked here, where the fleet enters, so
     :func:`charging_period` counts without checks.  The instance orders
-    vehicles by (departure, vehicle id), as ``sorted`` orders those pairs.
+    vehicles by (departure, vehicle id), as ``sorted`` orders those pairs:
+    columns whose departures strictly increase are in that order already
+    and keep their ids as given; others are sorted.  The instance's start
+    SoCs are a copy, never the array given.
     ``prices_fn`` maps an array of absolute times in hours to the prices in
     force at those instants; it is called once, with every slot start.
     """
-    t_dep, soc_start, soc_dep = (np.asarray(c, dtype=float)
-                                 for c in (t_dep, soc_start, soc_dep))
+    t_dep, soc_dep = np.asarray(t_dep, dtype=float), np.asarray(soc_dep, dtype=float)
+    soc_start = np.array(soc_start, dtype=float)
     n = len(vehicle_ids)
     if not t_dep.shape == soc_start.shape == soc_dep.shape == (n,):
         raise ValueError("vehicle columns must hold one value per vehicle")
@@ -255,11 +258,13 @@ def build_instance(
             raise ValueError(f"vehicle {vehicle_ids[k]}: negative-duration: t_dep {t_dep[k]} "
                              f"before the start {t_s}")
         raise ValueError(f"vehicle {vehicle_ids[k]}: t_dep {t_dep[k]} not finite")
-    # an object array compares ids as Python does; a str array would drop
-    # trailing NULs
-    order = np.lexsort((np.array(vehicle_ids, dtype=object), t_dep))
-    ids = tuple(vehicle_ids[k] for k in order.tolist())
-    t_dep, soc_start, soc_dep = t_dep[order], soc_start[order], soc_dep[order]
+    ids = tuple(vehicle_ids)
+    if not (t_dep[1:] > t_dep[:-1]).all():  # ties or columns out of order
+        # an object array compares ids as Python does; a str array would
+        # drop trailing NULs
+        order = np.lexsort((np.array(ids, dtype=object), t_dep))
+        ids = tuple(map(ids.__getitem__, order.tolist()))
+        t_dep, soc_start, soc_dep = t_dep[order], soc_start[order], soc_dep[order]
     dt, c_bat = limits.dt, limits.c_bat
     tt = charging_period(t_dep, t_s, dt)
     horizon = int(tt.max(initial=0))
@@ -344,7 +349,7 @@ def max_power_allocation(inst: ProblemInstance) -> np.ndarray:
     over = used[:, -1:] > inst.ic_max
     if not over.any():
         return alloc
-    capped = np.clip(np.minimum(alloc, inst.ic_max - (used - alloc)), 0.0, None)
+    capped = np.maximum(np.minimum(alloc, inst.ic_max - (used - alloc)), 0.0)
     return np.where(over, capped, alloc)
 
 

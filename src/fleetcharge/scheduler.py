@@ -13,11 +13,14 @@ a linear feasibility solve succeeds for the whole resulting fleet.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,7 +37,6 @@ from .solver import feasibility_check, solve
 
 __all__ = [
     "Policy",
-    "VehicleState",
     "FleetState",
     "Admission",
     "LedgerEntry",
@@ -47,6 +49,7 @@ __all__ = [
 ]
 
 ZERO_PRICES = np.zeros_like  # feasibility and baseline ignore prices
+_LEFT_SOC = np.zeros(1)  # the SoC slot a walk appends for the vehicles that have left
 
 
 class SocOverflowError(RuntimeError):
@@ -75,18 +78,65 @@ class Policy:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass
-class VehicleState:
-    task: ChargingTask
-    soc_cur: float
+def _empty_column() -> np.ndarray:
+    return np.empty(0)
 
 
 @dataclass
 class FleetState:
-    """Plugged vehicles and the station clock, in hours."""
+    """Plugged vehicles and the station clock, in hours.
+
+    The fleet is one table of columns, one entry per plugged vehicle, kept
+    in (departure, vehicle id) order as vehicles plug in and leave: the ids,
+    the tasks, the departures, the required departure SoCs and the current
+    SoCs, the last three as float arrays.  :meth:`plug` and :meth:`unplug`
+    build new columns and :func:`apply_slot` a new ``soc_cur``; no column is
+    written into, so a copy that shares them is never changed by another.
+    """
 
     now: float
-    vehicles: dict = field(default_factory=dict)  # vehicle_id -> VehicleState
+    ids: tuple = ()
+    tasks: tuple = ()
+    t_dep: np.ndarray = field(default_factory=_empty_column)
+    soc_dep: np.ndarray = field(default_factory=_empty_column)
+    soc_cur: np.ndarray = field(default_factory=_empty_column)
+
+    def plug(self, task: ChargingTask, soc: float) -> None:
+        """Plug ``task``'s vehicle in at SoC ``soc``, at its place in
+        (departure, id) order; a vehicle already plugged in raises
+        ``ValueError``."""
+        vid, t_dep = task.vehicle_id, task.t_dep
+        if vid in self.ids:
+            raise ValueError(f"duplicate arrival for {vid}")
+        lo = bisect_left(self.t_dep, t_dep)
+        k = bisect_left(self.ids, vid, lo, bisect_right(self.t_dep, t_dep, lo))
+        self.ids = (*self.ids[:k], vid, *self.ids[k:])
+        self.tasks = (*self.tasks[:k], task, *self.tasks[k:])
+        self.t_dep, self.soc_dep, self.soc_cur = (
+            _inserted(col, k, value) for col, value in
+            ((self.t_dep, t_dep), (self.soc_dep, task.soc_dep), (self.soc_cur, soc)))
+
+    def unplug(self, vehicle_id: str):
+        """Unplug a vehicle; returns its task and its current SoC, or None
+        when no vehicle of that id is plugged in."""
+        try:
+            k = self.ids.index(vehicle_id)
+        except ValueError:
+            return None
+        task, soc = self.tasks[k], float(self.soc_cur[k])
+        self.ids = self.ids[:k] + self.ids[k + 1:]
+        self.tasks = self.tasks[:k] + self.tasks[k + 1:]
+        self.t_dep, self.soc_dep, self.soc_cur = (
+            np.concatenate((col[:k], col[k + 1:])) for col in (self.t_dep, self.soc_dep,
+                                                                self.soc_cur))
+        return task, soc
+
+
+def _inserted(col: np.ndarray, k: int, value: float) -> np.ndarray:
+    """A new float array: ``col`` with ``value`` inserted before index ``k``."""
+    out = np.empty(len(col) + 1)
+    out[:k], out[k], out[k + 1:] = col[:k], value, col[k:]
+    return out
 
 
 def _instance_from_state(
@@ -96,15 +146,13 @@ def _instance_from_state(
 ) -> ProblemInstance:
     """The instance of the fleet as it stands: each vehicle starts at its
     current SoC, and a departure already past is clamped to the clock.
+    The columns pass as they are held, already in (departure, id) order, so
+    :func:`build_instance` sorts only when clamping ties departures.
     ``limits``, already checked, passes through.  Admission, the baseline and
     the proposed policy all build their instances here."""
-    now, ids, rows = state.now, [], []
-    for vs in state.vehicles.values():
-        task = vs.task
-        ids.append(task.vehicle_id)
-        rows.append((max(task.t_dep, now), vs.soc_cur, task.soc_dep))
-    t_dep, soc, soc_dep = np.array(rows, dtype=float).reshape(-1, 3).T
-    return build_instance(ids, t_dep, soc, soc_dep, state.now, prices_fn, limits)
+    now = state.now
+    return build_instance(state.ids, np.maximum(state.t_dep, now), state.soc_cur,
+                          state.soc_dep, now, prices_fn, limits)
 
 
 def baseline_schedule(
@@ -148,10 +196,11 @@ class Admission:
 
 def admit_task(task: ChargingTask, state: FleetState, limits: StationLimits) -> Admission:
     """Accept a new task iff the whole fleet stays feasible with it: the
-    instance is that of the fleet with the newcomer added at its start SoC,
-    so a departure already past is clamped to the clock as any other."""
-    fleet = FleetState(state.now, {**state.vehicles,
-                                   task.vehicle_id: VehicleState(task, task.soc_start)})
+    instance is that of a copy of the fleet with the newcomer plugged in at
+    its start SoC, so a departure already past is clamped to the clock as
+    any other.  The state is not changed."""
+    fleet = dataclasses.replace(state)
+    fleet.plug(task, task.soc_start)
     inst = _instance_from_state(fleet, limits, ZERO_PRICES)
     result = feasibility_check(inst)
     if result.feasible:
@@ -292,17 +341,19 @@ def apply_slot(
     Only each slot's start and window are found slot by slot; the walk's
     slots are then one (slots, vehicles) block of ``min(window, duration)``
     hours, and a cell makes a row when its vehicle is in the state and its
-    hours are positive.  The SoC recursion runs over the whole fleet vector
-    once per slot, and only cells that make rows change it, so every row
-    and SoC has the bits of a walk that gathers each slot's vehicles on
-    their own.
+    hours are positive.  The plan's vehicles are found in the fleet by id,
+    so one that has left makes no row.  The SoC recursion runs over the
+    whole plan's SoC vector once per slot, and only cells that make rows
+    change it, so every row and SoC has the bits of a walk that gathers each
+    slot's vehicles on their own.
 
-    Mutates the state (SoC recursion, clock) and appends the walk's rows to
+    Moves the clock, replaces the state's SoC column with one that holds
+    each vehicle's SoC after its last row, and appends the walk's rows to
     ``ledger``, slot by slot, in vehicle order: their primitive fields and
     SoC before, from which the ledger derives cost and fade (see
     :class:`Ledger`).  Every row is checked before any state changes.
     """
-    now, grid, ids, vehicles = state.now, inst.grid, inst.vehicle_ids, state.vehicles
+    now, grid, ids = state.now, inst.grid, inst.vehicle_ids
     if until <= now + 1e-12 or not inst.horizon:
         state.now = until
         return
@@ -320,10 +371,13 @@ def apply_slot(
         if slot_end >= until:
             break
     w = len(starts)
-    fleet = list(map(vehicles.get, ids))  # None where a vehicle has left
-    soc = np.array([0.0 if vs is None else vs.soc_cur for vs in fleet], dtype=float)
+    index = dict(zip(state.ids, range(len(state.ids))))
+    pos = np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
+    fleet_soc = np.concatenate((state.soc_cur, _LEFT_SOC))  # pos -1 is the appended slot
+    soc = fleet_soc[pos]
     d = np.minimum(np.array(windows)[:, None], inst.durations[:w])
-    rows = (d > 0) & np.array([vs is not None for vs in fleet], dtype=bool)
+    rows = d > 0
+    rows &= pos >= 0
     delta = np.multiply(alloc[:w], d, out=np.zeros(d.shape), where=rows)
     delta /= inst.c_bat
     soc_before, soc_after = np.empty(d.shape), np.empty(d.shape)
@@ -332,8 +386,7 @@ def apply_slot(
         np.add(soc, delta[i], out=soc_after[i])
         np.minimum(soc_after[i], 1.0, out=soc, where=rows[i])  # cells without a row keep it
     slot_of, col_of = rows.nonzero()
-    cols = col_of.tolist()
-    row_ids = list(map(ids.__getitem__, cols))
+    row_ids = list(map(ids.__getitem__, col_of.tolist()))
     d, amps, soc_init, soc_new = d[rows], alloc[:w][rows], soc_before[rows], soc_after[rows]
     if not (np.minimum.reduce(amps, initial=0.0) >= 0.0  # NaN fails each of these
             and np.minimum.reduce(soc_init, initial=0.0) >= 0.0
@@ -347,11 +400,10 @@ def apply_slot(
         k = int(np.argmax(soc_new > 1.0 + 1e-9))
         raise SocOverflowError(f"vehicle {row_ids[k]} would reach SoC {soc_new[k]:.9f}")
 
-    soc_out = np.minimum(soc_new, 1.0)
-    for v, s in zip(cols, soc_out.tolist()):  # row order: each vehicle's last row wins
-        fleet[v].soc_cur = s
+    fleet_soc[pos] = soc  # each vehicle's SoC after its last row, or as it was
+    state.soc_cur = fleet_soc[:-1]
     state.now = until
     ledger.append(
         np.array(starts).take(slot_of), row_ids, d, amps, inst.wep.take(slot_of),
-        soc_init, soc_out, inst.c_bat, inst.voltage, dt, inst.fade_params,
+        soc_init, np.minimum(soc_new, 1.0), inst.c_bat, inst.voltage, dt, inst.fade_params,
     )

@@ -24,7 +24,6 @@ from .scheduler import (
     FleetState,
     Ledger,
     Policy,
-    VehicleState,
     admit_task,
     apply_slot,
     baseline_schedule,
@@ -203,29 +202,26 @@ def run(
         if plan is not None:
             apply_slot(state, *plan, ev.time_h, result.ledger)
         if ev.kind == "arrival":
-            task = ev.task
-            if task.vehicle_id in state.vehicles:
-                raise ValueError(f"duplicate arrival for {task.vehicle_id}")
+            task = ev.task  # a duplicate arrival raises, in admission or in plug
             admission: Admission | None = None
             if config.policy.kind == "proposed":
                 admission = admit_task(task, state, config)
             if admission is None or admission.accepted:
-                state.vehicles[task.vehicle_id] = VehicleState(
-                    task=task, soc_cur=task.soc_start
-                )
+                state.plug(task, task.soc_start)
             else:
                 result.metrics.n_rejected += 1
                 result.rejected.append((task, admission.reason))
                 rejected_ids.add(task.vehicle_id)
         else:
-            vs = state.vehicles.pop(ev.vehicle_id, None)
-            if vs is not None:
+            gone = state.unplug(ev.vehicle_id)
+            if gone is not None:
+                task, soc = gone
                 result.departures.append(
                     DepartureRecord(
                         vehicle_id=ev.vehicle_id,
-                        soc_at_departure=vs.soc_cur,
-                        soc_dep_required=vs.task.soc_dep,
-                        soc_start=vs.task.soc_start,
+                        soc_at_departure=soc,
+                        soc_dep_required=task.soc_dep,
+                        soc_start=task.soc_start,
                     )
                 )
             elif ev.vehicle_id not in rejected_ids:
@@ -234,10 +230,10 @@ def run(
             # in a reschedule: the walk may have applied part of a slot
         plan = _reschedule(state, config, prices_fn, result)
 
-    # Tail: drain any vehicles whose departure events were missing.
-    if state.vehicles:
-        last_dep = max(vs.task.t_dep for vs in state.vehicles.values())
-        apply_slot(state, *plan, last_dep, result.ledger)
+    # Tail: drain any vehicles whose departure events were missing, to the
+    # latest departure, the last in the fleet's departure order.
+    if state.ids:
+        apply_slot(state, *plan, float(state.t_dep[-1]), result.ledger)
 
     # Each total adds its rows one at a time, in row order, from 0.0: a
     # pairwise or compensated sum would change its bits.  A masked total

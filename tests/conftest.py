@@ -16,7 +16,7 @@ from fleetcharge.fade import (
     cyclic_fade_exact,
 )
 from fleetcharge.problem import ChargingTask, StationLimits, build_instance
-from fleetcharge.scheduler import Ledger, LedgerEntry, apply_slot
+from fleetcharge.scheduler import FleetState, Ledger, LedgerEntry, apply_slot
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -69,6 +69,28 @@ def reachable(root) -> list:
         out.append(obj)
         todo.extend(gc.get_referents(obj))
     return out
+
+
+def fleet(now, *tasks_soc) -> FleetState:
+    """A :class:`FleetState` at the clock ``now`` with each ``(task, soc)``
+    plugged in at SoC ``soc``."""
+    state = FleetState(now=now)
+    for task, soc in tasks_soc:
+        state.plug(task, soc)
+    return state
+
+
+def soc_of(state, vid):
+    """The current SoC of the plugged vehicle ``vid``."""
+    return state.soc_cur[state.ids.index(vid)]
+
+
+def set_soc(state, vid, soc):
+    """Give the plugged vehicle ``vid`` the SoC ``soc``, in a new SoC column,
+    as the program replaces a column rather than write into it."""
+    soc_cur = state.soc_cur.copy()
+    soc_cur[state.ids.index(vid)] = soc
+    state.soc_cur = soc_cur
 
 
 def slot_rows(state, alloc, inst, until) -> Ledger:

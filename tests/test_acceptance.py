@@ -16,17 +16,15 @@ from fleetcharge.fade import FadeModelParams, calendric_fade_approx, fade_fit_re
 from fleetcharge.ingest import load_config, parse_prices, parse_sessions, sessions_to_events
 from fleetcharge.problem import ChargingTask, build_constraints
 from fleetcharge.scheduler import (
-    FleetState,
     Policy,
     StationLimits,
-    VehicleState,
     baseline_schedule,
     proposed_schedule,
 )
 from fleetcharge.simulator import run
 from fleetcharge.solver import feasibility_check, solve
 
-from conftest import make_instance, price_fn
+from conftest import fleet, make_instance, price_fn
 from oracles import oracle_grid_search
 
 
@@ -129,12 +127,12 @@ def test_criterion_3_real_time_bound():
     limits = StationLimits(dt=0.5, i_max=80.0, ic_max=400.0, voltage=410.0,
                            c_bat=210.0, soc_xtra_ah=21.0,
                            fade_params=FadeModelParams())
-    state = FleetState(now=0.0)
+    state = fleet(0.0)
     for k in range(14):
         t_dep = 20.0 + 30.0 * k / 13.0
         task = ChargingTask(f"v{k:02d}", 0.0, t_dep,
                             0.35 + 0.02 * (k % 4), 0.80 + 0.01 * (k % 3))
-        state.vehicles[task.vehicle_id] = VehicleState(task=task, soc_cur=task.soc_start)
+        state.plug(task, task.soc_start)
 
     def prices(t):
         return 0.02 + 0.05 * (1 + np.sin(0.5 * (t % 24)))
@@ -202,8 +200,7 @@ def test_criterion_6_deferred_charging():
                            c_bat=210.0, soc_xtra_ah=21.0,
                            fade_params=FadeModelParams())
     task = ChargingTask("v", 0.0, 10.0, 0.4, 0.75)
-    state = FleetState(now=0.0)
-    state.vehicles["v"] = VehicleState(task=task, soc_cur=0.4)
+    state = fleet(0.0, (task, 0.4))
     base_alloc, _ = baseline_schedule(state, limits, price_fn(0.1))
     prop_alloc, _, _ = proposed_schedule(state, (0.0, 1.0, 0.0), limits, price_fn(0.1))
 

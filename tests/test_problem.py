@@ -25,11 +25,11 @@ from fleetcharge.problem import (
     normalized_objective,
     objective_components,
 )
-from fleetcharge.scheduler import (ZERO_PRICES, FleetState, StationLimits, VehicleState,
-                                   _instance_from_state, baseline_schedule)
+from fleetcharge.scheduler import (ZERO_PRICES, StationLimits, _instance_from_state,
+                                   baseline_schedule)
 from fleetcharge.solver import single_objective_minimizer
 
-from conftest import ROOT, make_instance, perfbench_workloads, price_fn, slot_rows
+from conftest import ROOT, fleet, make_instance, perfbench_workloads, price_fn, slot_rows
 
 # Frozen reference (independent summation over the 2x3 instance in conftest,
 # allocation below): cost in $, fade in Ah, availability in weighted W.
@@ -210,9 +210,8 @@ class TestBuildInstance:
         """A replay never reaches the departure check: a vehicle still
         plugged after its departure counts from the clock, with no slots and
         no plan, and the rest of the fleet is planned as usual."""
-        state = FleetState(now=5.0)
-        for vid, t_dep in (("late", 4.0), ("ok", 6.0)):
-            state.vehicles[vid] = VehicleState(ChargingTask(vid, 0.0, t_dep, 0.4, 0.8), 0.4)
+        state = fleet(5.0, *((ChargingTask(vid, 0.0, t_dep, 0.4, 0.8), 0.4)
+                             for vid, t_dep in (("late", 4.0), ("ok", 6.0))))
         alloc, inst = baseline_schedule(state, StationLimits(soc_xtra_ah=0.0))
         assert inst.vehicle_ids == ("late", "ok")
         assert inst.grid.tt.tolist() == [0, 2]
@@ -466,6 +465,21 @@ class TestFleetWideAssembly:
         assert max_power_allocation(inst).tobytes() == want.tobytes()
         assert (used[:, -1] > ic_max).any() == (ic_max < 3200.0)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cap_pass_keeps_the_sign_of_zero_headroom(self, seed):
+        """The cap pass clamps at zero, byte for byte, as
+        ``np.clip(..., 0.0, None)`` does, -0.0 included: a cap of -0.0,
+        which no ``StationLimits`` allows, leaves the first vehicle -0.0 of
+        headroom in every slot where it charges."""
+        tasks, t_s, dt = _fleet(100 + seed, 40)
+        inst = dataclasses.replace(make_instance(tasks, t_s=t_s, dt=dt), ic_max=-0.0)
+        alloc = max_power_allocation(dataclasses.replace(inst, ic_max=np.inf))  # before the cap
+        used = np.cumsum(alloc, axis=1)
+        curtailed = np.minimum(alloc, -0.0 - (used - alloc))
+        assert np.signbit(curtailed[:, 0]).any() and (curtailed[:, 0] == 0.0).all()
+        want = np.where(used[:, -1:] > -0.0, np.clip(curtailed, 0.0, None), alloc)
+        assert max_power_allocation(inst).tobytes() == want.tobytes()
+
     def test_slot_at_the_cap_left_as_is(self):
         """Only a slot whose running sum passes the cap is curtailed: one that
         reaches it exactly keeps its currents, which a headroom pass would
@@ -647,7 +661,7 @@ _IDS = [vid for group in _TIED for vid in group] + ["bus-30", "bus-3"]
 
 
 def _column_fleet(seed):
-    """A seeded fleet state in a shuffled insertion order, its slot length
+    """A seeded fleet state plugged in a shuffled order, its slot length
     and an arriving task.  The first group of ``_TIED`` departs at one
     instant, the second is overdue (each departure clamps to the clock) and
     the third departs inside a slot; one vehicle is full and two need
@@ -664,11 +678,11 @@ def _column_fleet(seed):
     soc_dep = rng.uniform(soc, 1.0)
     soc[11] = soc_dep[11] = 1.0
     soc_dep[0], soc_dep[7] = 0.5 * soc[0], soc[7]
-    state = FleetState(now=now)
+    state = fleet(now)
     for v in rng.permutation(n).tolist():
         task = ChargingTask(_IDS[v], now - 20.0, float(t_dep[v]), float(rng.uniform()),
                             float(soc_dep[v]))
-        state.vehicles[_IDS[v]] = VehicleState(task, float(soc[v]))
+        state.plug(task, float(soc[v]))
     extra = ChargingTask("new", now, now + 5 * dt + 0.1, 0.2, 0.8)
     return state, dt, extra
 
@@ -676,15 +690,16 @@ def _column_fleet(seed):
 def _reanchored(state):
     """The per-vehicle tasks the column assembly replaced: each vehicle's
     task at its current SoC, its departure clamped to the clock."""
-    return [ChargingTask(vs.task.vehicle_id, vs.task.t_arr, max(vs.task.t_dep, state.now),
-                         vs.soc_cur, vs.task.soc_dep) for vs in state.vehicles.values()]
+    return [ChargingTask(t.vehicle_id, t.t_arr, max(t.t_dep, state.now), soc, t.soc_dep)
+            for t, soc in zip(state.tasks, state.soc_cur.tolist())]
 
 
 def _with_newcomer(state, task):
-    """The fleet admission assesses: ``state`` with ``task`` added at its
-    start SoC."""
-    return FleetState(state.now, {**state.vehicles,
-                                  task.vehicle_id: VehicleState(task, task.soc_start)})
+    """The fleet admission assesses: a copy of ``state`` with ``task``
+    plugged in at its start SoC."""
+    assessed = dataclasses.replace(state)
+    assessed.plug(task, task.soc_start)
+    return assessed
 
 
 class TestColumnAssembly:
@@ -706,26 +721,92 @@ class TestColumnAssembly:
         tasks = _reanchored(state) + ([extra] if admit else [])
         ref = _reference_build(tasks, state.now, dt, _step_prices, self.LIMITS.c_bat,
                                self.LIMITS.soc_xtra_ah)
-        fleet = _with_newcomer(state, extra) if admit else state
-        _assert_equals_reference(self.instance(fleet, dt), ref)
-        assert ref["vehicle_ids"] != tuple(state.vehicles)
+        assessed = _with_newcomer(state, extra) if admit else state
+        _assert_equals_reference(self.instance(assessed, dt), ref)
+        assert ref["vehicle_ids"] != state.ids  # clamping ties reorder the overdue
         assert ("new" in ref["vehicle_ids"]) == admit
 
     @pytest.mark.parametrize("seed", range(4))
     def test_insertion_order_does_not_matter(self, seed):
         state, dt, extra = _column_fleet(seed)
-        items = list(state.vehicles.items())
+        items = list(zip(state.tasks, state.soc_cur.tolist()))
         rng = np.random.default_rng(100 + seed)
-        shuffled = FleetState(now=state.now,
-                              vehicles=dict(items[k] for k in rng.permutation(len(items))))
-        assert list(shuffled.vehicles) != list(state.vehicles)
+        order = rng.permutation(len(items)).tolist()
+        shuffled = fleet(state.now, *(items[k] for k in order))
+        assert order != sorted(order) and shuffled.ids == state.ids
         for fleets in ((state, shuffled),
                        (_with_newcomer(state, extra), _with_newcomer(shuffled, extra))):
-            a, b = (self.instance(fleet, dt) for fleet in fleets)
+            a, b = (self.instance(assessed, dt) for assessed in fleets)
             assert a.vehicle_ids == b.vehicle_ids
             for name in ("durations", "active", "avail_w", "soc_start", "e_lo", "e_hi", "wep"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
             assert a.grid.tt.tobytes() == b.grid.tt.tobytes()
+
+
+class TestColumnOrder:
+    """``build_instance`` sorts only columns whose departures do not strictly
+    increase; in any arrangement its instance is, byte for byte, the
+    reference assembly in the order ``np.lexsort`` gives."""
+
+    LIMITS = StationLimits(dt=0.5, soc_xtra_ah=21.0)
+
+    @staticmethod
+    def columns(seed, arrangement):
+        """Ten vehicles' columns as a tuple of ids and three float arrays,
+        and the start: departures strictly increasing, reversed, with four
+        tied, or with five before the start clamped to it; the ids in no
+        order of their own."""
+        rng = np.random.default_rng(seed)
+        t_s, n = float(rng.uniform(0.0, 100.0)), 10
+        t_dep = t_s + np.sort(rng.uniform(0.1, 6.0, n))
+        ids = tuple(f"v{k}" for k in rng.permutation(n).tolist())
+        soc = rng.uniform(0.0, 1.0, n)
+        soc_dep = rng.uniform(soc, 1.0)
+        if arrangement == "tied":
+            t_dep[3:7] = t_dep[3]
+        elif arrangement == "clamped":
+            t_dep[:5] = np.maximum(t_s - np.sort(rng.uniform(0.0, 2.0, 5))[::-1], t_s)
+        elif arrangement == "reversed":
+            ids, t_dep, soc, soc_dep = ids[::-1], t_dep[::-1], soc[::-1], soc_dep[::-1]
+        return ids, t_dep, soc, soc_dep, t_s
+
+    @pytest.mark.parametrize("arrangement", ["in-order", "reversed", "tied", "clamped"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_lexsort_reference(self, seed, arrangement):
+        ids, t_dep, soc, soc_dep, t_s = self.columns(seed, arrangement)
+        inst = build_instance(ids, t_dep, soc, soc_dep, t_s, price_fn(_step_prices), self.LIMITS)
+        order = np.lexsort((np.array(ids, dtype=object), t_dep)).tolist()
+        assert (order == list(range(len(ids)))) == (arrangement == "in-order")
+        assert inst.vehicle_ids == tuple(ids[k] for k in order)
+        tasks = [ChargingTask(ids[k], t_s, float(t_dep[k]), float(soc[k]), float(soc_dep[k]))
+                 for k in order]
+        _assert_equals_reference(inst, _reference_build(tasks, t_s, self.LIMITS.dt,
+                                                        _step_prices, self.LIMITS.c_bat,
+                                                        self.LIMITS.soc_xtra_ah))
+        if arrangement == "in-order":
+            assert inst.vehicle_ids is ids  # kept as given
+
+    @pytest.mark.parametrize("arrangement", ["in-order", "reversed", "tied", "clamped"])
+    def test_instance_keeps_its_own_start_socs(self, arrangement):
+        ids, t_dep, soc, soc_dep, t_s = self.columns(0, arrangement)
+        inst = build_instance(ids, t_dep, soc, soc_dep, t_s, ZERO_PRICES, self.LIMITS)
+        held = inst.soc_start.tobytes()
+        soc[:] = 0.5
+        assert inst.soc_start.tobytes() == held
+
+    @pytest.mark.parametrize("arrangement", ["in-order", "reversed", "tied", "clamped"])
+    def test_first_bad_vehicle_named_in_input_order(self, arrangement):
+        """The checks run on the columns as given, before any sort: of two
+        bad vehicles the first in input order is named."""
+        ids, t_dep, soc, soc_dep, t_s = self.columns(1, arrangement)
+        bad_soc, bad_dep = soc.copy(), t_dep.copy()
+        bad_soc[[6, 2]] = 1.5, 1.25
+        bad_dep[[7, 4]] = t_s - 1.0, t_s - 2.0
+        with pytest.raises(ValueError, match=rf"^vehicle {ids[2]}: soc_start 1.25 not in"):
+            build_instance(ids, t_dep, bad_soc, soc_dep, t_s, ZERO_PRICES, self.LIMITS)
+        with pytest.raises(ValueError, match=rf"^vehicle {ids[4]}: negative-duration: "
+                                             rf"t_dep {t_s - 2.0} before the start {t_s}$"):
+            build_instance(ids, bad_dep, soc, soc_dep, t_s, ZERO_PRICES, self.LIMITS)
 
 
 class TestFadeTerms:
@@ -744,8 +825,7 @@ class TestFadeTerms:
         alloc = np.array([[cells[vid][1] for vid in inst.vehicle_ids]])
         cyclic, calendric = fade_terms(alloc, inst)
 
-        state = FleetState(now=0.0, vehicles={t.vehicle_id: VehicleState(t, t.soc_start)
-                                              for t in tasks})
+        state = fleet(0.0, *((t, t.soc_start) for t in tasks))
         rows = slot_rows(state, alloc, inst, 0.5)
         assert [e.vehicle_id for e in rows] == list(inst.vehicle_ids)
         assert [e.fade_approx_ah for e in rows] == (cyclic[0] + calendric[0]).tolist()

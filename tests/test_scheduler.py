@@ -4,13 +4,17 @@ import copy
 import dataclasses
 import gc
 import math
+import re
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fleetcharge.fade import FadeModelParams, InvalidSlotError, calendric_fade_approx, \
     cyclic_fade_approx, cyclic_fade_exact
-from fleetcharge.problem import ChargingTask, max_power_allocation
+from fleetcharge.problem import ChargingTask, build_instance, max_power_allocation
 import fleetcharge.scheduler as scheduler_module
 from fleetcharge.scheduler import (
     FleetState,
@@ -19,7 +23,6 @@ from fleetcharge.scheduler import (
     Policy,
     SocOverflowError,
     StationLimits,
-    VehicleState,
     admit_task,
     apply_slot,
     baseline_schedule,
@@ -27,7 +30,7 @@ from fleetcharge.scheduler import (
 )
 from fleetcharge.solver import feasibility_check
 
-from conftest import ledger_row, price_fn, reachable, slot_rows
+from conftest import fleet, ledger_row, price_fn, reachable, set_soc, slot_rows, soc_of
 
 # A slot model rows are appended under: pack capacity (Ah), voltage (V),
 # full slot length (h) and fade parameters.
@@ -39,13 +42,6 @@ def limits(**over):
                 soc_xtra_ah=10.0, fade_params=FadeModelParams())
     base.update(over)
     return StationLimits(**base)
-
-
-def fleet(now, *tasks_soc):
-    state = FleetState(now=now)
-    for task, soc in tasks_soc:
-        state.vehicles[task.vehicle_id] = VehicleState(task=task, soc_cur=soc)
-    return state
 
 
 class TestPolicy:
@@ -110,7 +106,7 @@ class TestBaselineSchedule:
         alloc, inst = baseline_schedule(state, limits())
         assert alloc[0, 0] == pytest.approx(10.0)  # 0.05 * 200 Ah over 1 h
         apply_slot(state, alloc, inst, 1.0, Ledger())  # must not overflow
-        assert state.vehicles["v"].soc_cur == pytest.approx(1.0)
+        assert soc_of(state, "v") == pytest.approx(1.0)
 
     def test_never_exceeds_limits(self):
         lm = limits(ic_max=70.0)
@@ -124,13 +120,13 @@ class TestBaselineSchedule:
 class TestAdmission:
     def test_vehicle_capacity_reject(self):
         task = ChargingTask("v", 0.0, 1.0, 0.2, 0.8)  # 120 Ah in 50 A*1 h
-        state = FleetState(now=0.0)
+        state = fleet(0.0)
         res = admit_task(task, state, limits())
         assert not res.accepted and res.reason == "vehicle-capacity"
 
     def test_empty_station_accept(self):
         task = ChargingTask("v", 0.0, 4.0, 0.4, 0.8)
-        res = admit_task(task, FleetState(now=0.0), limits())
+        res = admit_task(task, fleet(0.0), limits())
         assert res.accepted
 
     def test_station_capacity_reject(self):
@@ -163,7 +159,7 @@ class TestAdmission:
         res = admit_task(late, state, lm)
         assert res.accepted == accepted
         assert res.reason == (None if accepted else "vehicle-capacity")
-        assert list(state.vehicles) == ["a"]
+        assert state.ids == ("a",)
         _, want = baseline_schedule(fleet(5.0, (a, 0.3), (late, soc_start)), lm)
         (got,) = seen
         assert got.vehicle_ids == want.vehicle_ids == ("late", "a")
@@ -181,7 +177,7 @@ class TestAdmission:
 
     def test_accepted_implies_proposed_succeeds(self):
         lm = limits()
-        state = FleetState(now=0.0)
+        state = fleet(0.0)
         rng = np.random.default_rng(2)
         for k in range(4):
             task = ChargingTask(
@@ -189,7 +185,7 @@ class TestAdmission:
                 float(rng.uniform(0.3, 0.5)), float(rng.uniform(0.6, 0.9)),
             )
             if admit_task(task, state, lm).accepted:
-                state.vehicles[task.vehicle_id] = VehicleState(task, task.soc_start)
+                state.plug(task, task.soc_start)
         alloc, rep, inst = proposed_schedule(state, (1, 1, 1), lm, price_fn(0.1))
         assert alloc is not None
         assert rep.status != "infeasible"
@@ -198,7 +194,7 @@ class TestAdmission:
 class TestProposedSchedule:
     def test_empty_state(self):
         alloc, rep, inst = proposed_schedule(
-            FleetState(now=0.0), (1, 1, 1), limits(), price_fn(0.1)
+            fleet(0.0), (1, 1, 1), limits(), price_fn(0.1)
         )
         assert alloc.shape == (0, 0)
 
@@ -234,7 +230,7 @@ class TestApplySlot:
     def test_idle_slot(self):
         state, inst = self._single()
         ledger = slot_rows(state, np.zeros((inst.horizon, 1)), inst, 0.5)
-        assert state.vehicles["v"].soc_cur == 0.5
+        assert soc_of(state, "v") == 0.5
         assert ledger[0].cost_usd == 0.0
         assert ledger[0].current_a == 0.0
 
@@ -245,7 +241,7 @@ class TestApplySlot:
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = 40.0
         apply_slot(state, alloc, inst, 0.5, Ledger())
-        assert state.vehicles["v"].soc_cur == pytest.approx(0.6)  # +40*0.5/200
+        assert soc_of(state, "v") == pytest.approx(0.6)  # +40*0.5/200
         assert state.now == pytest.approx(0.5)
 
     def test_ledger_fade_matches_slot_models(self):
@@ -277,7 +273,7 @@ class TestApplySlot:
         alloc[0] = [amps[vid] for vid in inst.vehicle_ids]
         assert inst.fade_params.is_hi(amps["hi"], socs["hi"])
         assert not inst.fade_params.is_hi(amps["lo"], socs["lo"])
-        del state.vehicles["gone"]
+        state.unplug("gone")
 
         rows = slot_rows(state, alloc, inst, 0.4)
         order = [vid for vid in inst.vehicle_ids if vid != "gone"]
@@ -288,7 +284,7 @@ class TestApplySlot:
         for vid in order:
             alone = fleet(0.0, (tasks[vid], socs[vid]))
             assert slot_rows(alone, alloc, inst, 0.4) == (by_id[vid],)
-            assert alone.vehicles[vid].soc_cur == state.vehicles[vid].soc_cur
+            assert soc_of(alone, vid) == soc_of(state, vid)
 
     def test_row_columns_equal_scalar_expressions(self):
         """Each row field, computed as a column over the slot's vehicles,
@@ -321,7 +317,7 @@ class TestApplySlot:
                         min(socs[vid] + q / 200.0, 1.0), e.fade_exact_ah, e.fade_approx_ah)
             assert [x.hex() if isinstance(x, float) else x for x in e] == \
                 [x.hex() if isinstance(x, float) else x for x in expected]
-            assert state.vehicles[vid].soc_cur == e.soc
+            assert soc_of(state, vid) == e.soc
         assert {e.vehicle_id: e.soc for e in rows}["full"] == 1.0
         assert {e.vehicle_id: e.duration_h for e in rows}["short"] == 0.25
 
@@ -339,7 +335,7 @@ class TestApplySlot:
         with pytest.raises(SocOverflowError, match="vehicle second"):
             apply_slot(state, alloc, inst, 0.5, ledger)
         assert state.now == 0.0 and len(ledger) == 0
-        assert (state.vehicles["first"].soc_cur, state.vehicles["second"].soc_cur) == (0.5, 0.99)
+        assert (soc_of(state, "first"), soc_of(state, "second")) == (0.5, 0.99)
 
     def test_walk_equals_per_slot_reference(self):
         """A walk of two whole slots and the part of a third equals applying
@@ -357,11 +353,11 @@ class TestApplySlot:
         amps = {"stay": 31.7, "leave": 40.0, "gone": 20.0, "hi": 50.0, "idle": 0.0}
         alloc = np.array([[amps[vid] * (1.0 + 0.1 * i) for vid in inst.vehicle_ids]
                           for i in range(inst.horizon)])
-        del state.vehicles["gone"]
+        state.unplug("gone")
         until = t_s + 1.2
         assert (t_s + dt) + dt != t_s + 2 * dt < until < t_s + 3 * dt
 
-        rows, soc, clock = [], {vid: vs.soc_cur for vid, vs in state.vehicles.items()}, t_s
+        rows, soc, clock = [], dict(zip(state.ids, state.soc_cur.tolist())), t_s
         for i in range(inst.horizon):
             start = t_s + i * dt
             window = dt if start + dt <= until else until - clock
@@ -391,7 +387,7 @@ class TestApplySlot:
         assert "gone" not in {e.vehicle_id for e in ledger}
         assert [[x.hex() if isinstance(x, float) else x for x in e] for e in ledger] == \
             [[float(x).hex() if i != 1 else x for i, x in enumerate(e)] for e in rows]
-        assert {vid: vs.soc_cur.hex() for vid, vs in state.vehicles.items()} == \
+        assert {vid: s.hex() for vid, s in zip(state.ids, state.soc_cur.tolist())} == \
             {vid: float(s).hex() for vid, s in soc.items()}
         assert state.now == until
 
@@ -405,7 +401,7 @@ class TestApplySlot:
         alloc, inst = baseline_schedule(state, limits(dt=0.5), price_fn(0.2))
         ledger = slot_rows(state, alloc, inst, 1.5)
         assert len(ledger) == 3
-        assert state.vehicles["v"].soc_cur == pytest.approx(
+        assert soc_of(state, "v") == pytest.approx(
             sum(e.energy_ah for e in ledger) / inst.c_bat, rel=1e-12)
         assert ledger[0].soc < ledger[1].soc < ledger[2].soc
 
@@ -421,7 +417,7 @@ class TestApplySlot:
         ledger.append(*zip(TestLedger.PRIMITIVE[0]), *LEDGER_MODEL)
         with pytest.raises(SocOverflowError, match="vehicle v would reach SoC 1.1"):
             apply_slot(state, alloc, inst, 1.0, ledger)
-        assert (state.now, state.vehicles["v"].soc_cur) == (0.0, 0.9)
+        assert (state.now, soc_of(state, "v")) == (0.0, 0.9)
         assert list(ledger) == TestLedger.ROWS[:1]
 
     @pytest.mark.parametrize("soc, amps, error, field", [
@@ -435,7 +431,7 @@ class TestApplySlot:
         """A slot its vehicle cannot charge raises, naming the field and the
         vehicle, and changes nothing."""
         state, inst = self._single()
-        state.vehicles["v"].soc_cur = soc
+        set_soc(state, "v", soc)
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = amps
         ledger = Ledger()
@@ -443,15 +439,15 @@ class TestApplySlot:
             apply_slot(state, alloc, inst, 0.5, ledger)
         if field is not None:
             assert err.value.field_name == field
-        assert (state.now, state.vehicles["v"].soc_cur, len(ledger)) == (0.0, soc, 0)
+        assert (state.now, soc_of(state, "v"), len(ledger)) == (0.0, soc, 0)
 
     def test_charge_conservation(self):
         state, inst = self._single()
         alloc = np.zeros((inst.horizon, 1))
         alloc[0, 0] = 25.0
-        soc_before = state.vehicles["v"].soc_cur
+        soc_before = soc_of(state, "v")
         ledger = slot_rows(state, alloc, inst, 0.5)
-        delta = state.vehicles["v"].soc_cur - soc_before
+        delta = soc_of(state, "v") - soc_before
         assert delta == pytest.approx(ledger[0].energy_ah / 200.0, rel=1e-12)
 
     def test_partial_duration(self):
@@ -475,7 +471,7 @@ class TestApplySlot:
         apply_slot(state, alloc, inst, until, ledger)
         assert [e.time_h for e in ledger] == [t0 + i for i in range(4)]
         assert [e.duration_h for e in ledger] == [1.0] * 4
-        assert state.vehicles["v"].soc_cur == pytest.approx(0.1 + 4 * 20.0 / 200.0)
+        assert soc_of(state, "v") == pytest.approx(0.1 + 4 * 20.0 / 200.0)
         assert state.now == until
 
     def test_soc_overflow_raises(self):
@@ -486,9 +482,34 @@ class TestApplySlot:
             apply_slot(state, alloc, inst, 0.5, Ledger())
 
 
+@dataclass
+class VehicleState:
+    """One plugged vehicle of a :class:`DictFleet`."""
+
+    task: ChargingTask
+    soc_cur: float
+
+
+@dataclass
+class DictFleet:
+    """The fleet as :class:`FleetState` held it before its columns, kept as
+    the reference the columns are checked against: a dict of
+    :class:`VehicleState` by vehicle id, in plug order, and the clock."""
+
+    now: float
+    vehicles: dict = field(default_factory=dict)
+
+
+def _dict_fleet(state) -> DictFleet:
+    """The reference fleet holding what the column fleet ``state`` holds."""
+    return DictFleet(state.now, {vid: VehicleState(task, soc) for vid, task, soc in
+                                 zip(state.ids, state.tasks, state.soc_cur.tolist())})
+
+
 def _reference_walk(state, alloc, inst, until, ledger):
     """:func:`apply_slot` as a loop over slots, gathering each slot's
-    vehicles on their own, kept as written before the walk became one block."""
+    vehicles on their own, kept as written before the walk became one block;
+    ``state`` is a :class:`DictFleet`."""
     now, grid, ids, vehicles = state.now, inst.grid, inst.vehicle_ids, state.vehicles
     if until <= now + 1e-12 or not inst.horizon:
         state.now = until
@@ -540,7 +561,11 @@ def _ledger_bytes(ledger):
 
 
 def _fleet_state(state):
-    return state.now, {vid: (vs.soc_cur, type(vs.soc_cur)) for vid, vs in state.vehicles.items()}
+    """The clock and each vehicle's SoC, of a :class:`FleetState` or a
+    :class:`DictFleet`, by vehicle id."""
+    if isinstance(state, DictFleet):
+        return state.now, {vid: float(vs.soc_cur) for vid, vs in state.vehicles.items()}
+    return state.now, dict(zip(state.ids, state.soc_cur.tolist()))
 
 
 class TestBlockWalk:
@@ -570,12 +595,12 @@ class TestBlockWalk:
         first = np.flatnonzero(inst.durations[0] > 0) if inst.horizon else []
         if len(first):
             v = int(rng.choice(first))
-            soc = state.vehicles[inst.vehicle_ids[v]].soc_cur
+            soc = soc_of(state, inst.vehicle_ids[v])
             alloc[:, v] = 0.0  # one slot takes it to 1 + 5e-10 from below full
             alloc[0, v] = (1.0 + 5e-10 - soc) * inst.c_bat / inst.durations[0, v]
         for vid in inst.vehicle_ids:
             if rng.random() < 0.15:
-                del state.vehicles[vid]
+                state.unplug(vid)
         return rng, state, alloc, inst
 
     @staticmethod
@@ -592,11 +617,12 @@ class TestBlockWalk:
                       "past_end": t_s + inst.horizon * dt + 1.0}[kind]
 
     def _both(self, state, alloc, inst, until, ledgers):
-        """The two walks from copies of ``state``: each one's final state and
-        ledger bytes, or its error."""
+        """The two walks from copies of ``state``, the reference's as a
+        :class:`DictFleet`: each one's final state and ledger bytes, or its
+        error."""
         out = []
         for walk, ledger in zip((apply_slot, _reference_walk), ledgers):
-            s = copy.deepcopy(state)
+            s = copy.deepcopy(state) if walk is apply_slot else _dict_fleet(state)
             try:
                 walk(s, alloc, inst, until, ledger)
             except (InvalidSlotError, SocOverflowError) as exc:
@@ -622,10 +648,10 @@ class TestBlockWalk:
             seen[kind] += 1
             times = set(ledger.column("time_h"))
             seen["several_slots"] += len(times) > 1
-            seen["missing"] += len(state.vehicles) < inst.n_vehicles and len(ledger) > 0
+            seen["missing"] += len(state.ids) < inst.n_vehicles and len(ledger) > 0
             walked = inst.durations[:len(times)]
             seen["zero_length_current"] += bool(((walked == 0) & (alloc[:len(times)] > 0)).any())
-            soc = {vid: vs.soc_cur for vid, vs in state.vehicles.items()}
+            soc = dict(zip(state.ids, state.soc_cur.tolist()))
             for e in ledger:  # a row that reaches past full, within 1e-9, and ends at 1.0
                 seen["above_full"] += soc[e.vehicle_id] + e.energy_ah / inst.c_bat > 1.0
                 soc[e.vehicle_id] = e.soc
@@ -641,7 +667,7 @@ class TestBlockWalk:
         _, inst = baseline_schedule(state, limits(dt=0.5), price_fn(0.2))
         inst = dataclasses.replace(inst, durations=np.where(
             np.arange(inst.horizon)[:, None] == 0, 0.0, inst.durations))
-        state.vehicles["v"].soc_cur = soc
+        set_soc(state, "v", soc)
         alloc = np.full((inst.horizon, 1), 10.0)
         got, want = self._both(state, alloc, inst, 1.0, (Ledger(), Ledger()))
         assert repr(got[1:]) == repr(want[1:])
@@ -654,7 +680,7 @@ class TestBlockWalk:
         rng, state, alloc, inst = self._plan(1000 + seed)
         ledgers, walks = (Ledger(), Ledger()), 0
         for _ in range(12):
-            if not state.vehicles:
+            if not state.ids:
                 break
             until = state.now + float(rng.choice([0.1, 0.5, 1.3, inst.grid.dt]))
             (state, got, got_rows), (_, want, want_rows) = self._both(state, alloc, inst, until,
@@ -676,7 +702,7 @@ class TestBlockWalk:
         while not len(probe):  # the first plan from the seed's on whose walk makes rows
             rng, state, alloc, inst = self._plan(draw)
             until = inst.grid.t_s + float(rng.uniform(0.1, 3.0))
-            _reference_walk(copy.deepcopy(state), alloc, inst, until, probe)
+            _reference_walk(_dict_fleet(state), alloc, inst, until, probe)
             draw += 1
         picks = rng.choice(len(probe), size=min(3, len(probe)), replace=False).tolist()
         alloc = alloc.copy()
@@ -691,8 +717,8 @@ class TestBlockWalk:
             elif fault == "overflow":
                 alloc[i, v] = 2.0 * inst.c_bat / row.duration_h
             else:
-                state.vehicles[row.vehicle_id].soc_cur = {
-                    "soc_above": 1.0 + 1e-12, "soc_below": -1e-12, "soc_nan": math.nan}[fault]
+                set_soc(state, row.vehicle_id, {
+                    "soc_above": 1.0 + 1e-12, "soc_below": -1e-12, "soc_nan": math.nan}[fault])
         before = _fleet_state(state)
         kept = Ledger()
         kept.append(*zip(TestLedger.PRIMITIVE[0]), *LEDGER_MODEL)
@@ -756,6 +782,27 @@ class TestLedger:
         assert type(ledger.column("vehicle_id")) is list
         assert ledger.column("cost_usd").typecode == "d"
 
+    def test_columns_of_any_layout_read_back_with_the_same_bits(self):
+        """Rows appended from lists, from strided views of larger arrays and
+        from integer arrays hold the bits of rows appended from contiguous
+        float arrays."""
+        time_h, ids, *rest = zip(*self.PRIMITIVE)
+        floats = [np.array(c) for c in (time_h, *rest)]  # current is floats[2]
+
+        def appended(cols):
+            ledger = Ledger()
+            ledger.append(cols[0], list(ids), *cols[1:], *LEDGER_MODEL)
+            return _ledger_bytes(ledger)
+
+        want = appended(floats)
+        assert appended([c.tolist() for c in floats]) == want
+        strided = [np.repeat(c, 2)[::2] for c in floats]
+        assert not any(c.flags.c_contiguous for c in strided)
+        assert appended(strided) == want
+        whole_amps = np.array([80.0, 0.0, 12.0])
+        assert appended(floats[:2] + [whole_amps.astype(int)] + floats[3:]) == \
+            appended(floats[:2] + [whole_amps] + floats[3:])
+
     def test_each_append_derives_under_its_own_model(self):
         """Rows appended under another slot model than the pending rows
         derive under their own, read before or after the switch."""
@@ -777,12 +824,12 @@ class TestFleetState:
         the clock, not at the task's arrival values."""
         task = ChargingTask("v", 0.0, 3.0, 0.4, 0.8)
         state = fleet(0.0, (task, 0.4))
-        state.vehicles["v"].soc_cur = 0.6
+        set_soc(state, "v", 0.6)
         state.now = 1.0
         _, inst = baseline_schedule(state, limits())
         assert inst.soc_start.tolist() == [0.6]
         assert (inst.grid.t_s, inst.durations.sum()) == (1.0, 2.0)
-        state.vehicles["v"].soc_cur = 0.7
+        set_soc(state, "v", 0.7)
         _, inst = baseline_schedule(state, limits())
         assert inst.soc_start.tolist() == [0.7]
 
@@ -811,9 +858,160 @@ class TestFleetState:
         task's construction named it."""
         state = fleet(0.0, (ChargingTask("ok", 0.0, 4.0, 0.5, 0.8), 0.5),
                       (ChargingTask("over", 0.0, 4.0, 0.5, 0.8), 0.5))
-        state.vehicles["over"].soc_cur = 1.2
+        set_soc(state, "over", 1.2)
         with pytest.raises(ValueError, match=r"vehicle over: soc_start 1.2 not in \[0, 1\]"):
             baseline_schedule(state, limits())
+
+
+def _reference_instance(ref, limits, prices_fn):
+    """The instance of a :class:`DictFleet` as it was assembled before the
+    columns: one row per vehicle in plug order, each departure clamped to
+    the clock with ``max``, the rows sorted with ``np.lexsort`` by
+    (departure, id)."""
+    now, ids, rows = ref.now, [], []
+    for vs in ref.vehicles.values():
+        task = vs.task
+        ids.append(task.vehicle_id)
+        rows.append((max(task.t_dep, now), vs.soc_cur, task.soc_dep))
+    t_dep, soc, soc_dep = np.array(rows, dtype=float).reshape(-1, 3).T
+    order = np.lexsort((np.array(ids, dtype=object), t_dep))
+    return build_instance([ids[k] for k in order.tolist()], t_dep[order], soc[order],
+                          soc_dep[order], now, prices_fn, limits)
+
+
+def _instance_bytes(inst):
+    """An instance's vehicle order, grid and arrays, each array as its
+    dtype, shape and bytes."""
+    return (inst.vehicle_ids, inst.grid.t_s, inst.grid.dt, inst.horizon,
+            *((a.dtype.str, a.shape, a.tobytes()) for a in
+              (inst.grid.tt, inst.durations, inst.active, inst.e_lo, inst.e_hi,
+               inst.soc_start, inst.wep)))
+
+
+def _walk_both(state, ref, plan, until, ledgers):
+    """One walk of ``plan`` on the column fleet and on its reference: each
+    one's error, or None."""
+    out = []
+    for walk, fleet_state, ledger in zip((apply_slot, _reference_walk), (state, ref), ledgers):
+        try:
+            walk(fleet_state, *plan, until, ledger)
+        except (InvalidSlotError, SocOverflowError) as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append(None)
+    return out
+
+
+_SEQ_IDS = ("v2", "v10", "a\x00", "a", "B")
+_SEQ_LIMITS = limits(dt=0.5, i_max=80.0, ic_max=160.0)
+_SEQ_PRICES = price_fn(lambda t: 0.05 + 0.01 * (t % 3.0))
+# plug(id, departure on a 0.25 h grid, SoC, departure SoC, replan),
+# unplug(id, replan) and walk(hours), each walk replanning after it
+_PLUG = st.tuples(st.just("plug"), st.sampled_from(_SEQ_IDS), st.integers(0, 16),
+                  st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans())
+_UNPLUG = st.tuples(st.just("unplug"), st.sampled_from(_SEQ_IDS), st.booleans())
+_WALK = st.tuples(st.just("walk"), st.sampled_from([0.1, 0.25, 0.5, 0.6, 1.3]))
+
+
+class TestFleetColumns:
+    """The fleet's columns, checked against the dict fleet they replaced."""
+
+    def test_plug_keeps_departure_then_id_order(self):
+        tasks = [ChargingTask(vid, 0.0, t_dep, 0.5, 0.8)
+                 for vid, t_dep in (("b", 2.0), ("a\x00", 1.0), ("Z", 1.0), ("a", 1.0),
+                                    ("c", 0.5))]
+        state = fleet(0.0, *((t, 0.1 * k) for k, t in enumerate(tasks)))
+        assert state.ids == ("c", "Z", "a", "a\x00", "b")
+        assert state.tasks == tuple(sorted(tasks, key=lambda t: (t.t_dep, t.vehicle_id)))
+        assert state.t_dep.tolist() == [0.5, 1.0, 1.0, 1.0, 2.0]
+        assert state.soc_cur.tolist() == [0.4, 0.2, 0.30000000000000004, 0.1, 0.0]
+        assert state.soc_dep.tolist() == [0.8] * 5
+
+    def test_unplug_returns_task_and_soc(self):
+        a, b = ChargingTask("a", 0.0, 1.0, 0.5, 0.8), ChargingTask("b", 0.0, 2.0, 0.3, 0.9)
+        state = fleet(0.0, (a, 0.6), (b, 0.3))
+        assert state.unplug("ghost") is None
+        assert state.unplug("a") == (a, 0.6)
+        assert (state.ids, state.tasks, state.t_dep.tolist(), state.soc_dep.tolist(),
+                state.soc_cur.tolist()) == (("b",), (b,), [2.0], [0.9], [0.3])
+        assert state.unplug("a") is None
+
+    def test_duplicate_plug_raises_and_changes_nothing(self):
+        task = ChargingTask("a", 0.0, 1.0, 0.5, 0.8)
+        state = fleet(0.0, (task, 0.5))
+        held = list(vars(state).values())
+        with pytest.raises(ValueError, match="duplicate arrival for a"):
+            state.plug(ChargingTask("a", 0.0, 3.0, 0.2, 0.8), 0.2)
+        assert all(a is b for a, b in zip(vars(state).values(), held, strict=True))
+
+    def test_admission_and_walks_write_into_no_column(self):
+        """Admission plugs the newcomer into a copy and a walk replaces the
+        SoC column: a copy sharing the columns, and an instance built
+        before, keep their values."""
+        a = ChargingTask("a", 0.0, 4.0, 0.2, 0.9)
+        state = fleet(0.0, (a, 0.2))
+        kept = dataclasses.replace(state)
+        assert admit_task(ChargingTask("b", 0.0, 3.0, 0.4, 0.8), state, limits()).accepted
+        alloc, inst = baseline_schedule(state, limits())
+        apply_slot(state, alloc, inst, 1.0, Ledger())
+        assert state.ids == kept.ids == ("a",)
+        assert (kept.soc_cur.tolist(), inst.soc_start.tolist()) == ([0.2], [0.2])
+        assert soc_of(state, "a") == pytest.approx(0.45)
+
+    @given(steps=st.lists(st.one_of(_PLUG, _UNPLUG, _WALK), max_size=24))
+    @settings(max_examples=150, deadline=None)
+    @example(steps=[("plug", "v2", 8, 0.3, 0.9, False), ("plug", "a", 8, 0.5, 0.9, False),
+                    ("plug", "v10", 8, 0.1, 0.9, True), ("walk", 0.6)])  # tied departures
+    @example(steps=[("plug", "B", 5, 0.2, 0.9, False), ("plug", "a", 4, 0.4, 0.9, False),
+                    ("plug", "v2", 12, 0.4, 0.9, True), ("walk", 0.6),
+                    ("walk", 0.25)])  # overdue vehicles clamped to the clock
+    @example(steps=[("plug", "a", 10, 0.2, 0.9, False), ("plug", "B", 12, 0.3, 0.9, True),
+                    ("unplug", "a", False), ("walk", 0.5)])  # a walk after a vehicle left
+    def test_steps_equal_dict_reference(self, steps):
+        """A sequence of plugs, unplugs and walks on the column fleet and on
+        the dict fleet: after each step the columns hold the dict's
+        vehicles in (departure, id) order, each plan's instance and
+        max-power plan are the reference's byte for byte, and each walk
+        gives the reference's ledger rows, SoCs and errors."""
+        state, ref = fleet(1.0), DictFleet(1.0)
+        ledgers, ref_ledgers = Ledger(), Ledger()
+
+        def replan():
+            alloc, inst = baseline_schedule(state, _SEQ_LIMITS, _SEQ_PRICES)
+            want = _reference_instance(ref, _SEQ_LIMITS, _SEQ_PRICES)
+            assert _instance_bytes(inst) == _instance_bytes(want)
+            assert alloc.tobytes() == max_power_allocation(want).tobytes()
+            return alloc, inst
+
+        plan = replan()
+        for step in steps:
+            if step[0] == "plug":
+                _, vid, k, soc, soc_dep, again = step
+                task = ChargingTask(vid, min(state.now, 0.25 * k), 0.25 * k, soc, soc_dep)
+                if vid in ref.vehicles:
+                    with pytest.raises(ValueError, match=f"duplicate arrival for {re.escape(vid)}"):
+                        state.plug(task, soc)
+                else:
+                    state.plug(task, soc)
+                    ref.vehicles[vid] = VehicleState(task, soc)
+            elif step[0] == "unplug":
+                _, vid, again = step
+                gone = ref.vehicles.pop(vid, None)
+                assert state.unplug(vid) == (gone and (gone.task, gone.soc_cur))
+            else:
+                got, want = _walk_both(state, ref, plan, state.now + step[1],
+                                       (ledgers, ref_ledgers))
+                assert got == want
+                assert _ledger_bytes(ledgers) == _ledger_bytes(ref_ledgers)
+                again = True
+            order = sorted(ref.vehicles, key=lambda v: (ref.vehicles[v].task.t_dep, v))
+            assert state.ids == tuple(order)
+            assert state.tasks == tuple(ref.vehicles[v].task for v in order)
+            assert state.t_dep.tolist() == [ref.vehicles[v].task.t_dep for v in order]
+            assert state.soc_dep.tolist() == [ref.vehicles[v].task.soc_dep for v in order]
+            assert _fleet_state(state) == _fleet_state(ref)
+            if again:
+                plan = replan()
 
 
 class TestKeptReschedule:
@@ -822,16 +1020,13 @@ class TestKeptReschedule:
 
     @staticmethod
     def depot(n, now=10.0):
-        state = FleetState(now=now)
-        for v in range(n):
-            task = ChargingTask(f"d{v:02d}", 0.0, now + 1.0 + 0.37 * v, 0.2, 0.9)
-            state.vehicles[task.vehicle_id] = VehicleState(task, 0.2 + 0.02 * v)
-        return state
+        return fleet(now, *((ChargingTask(f"d{v:02d}", 0.0, now + 1.0 + 0.37 * v, 0.2, 0.9),
+                             0.2 + 0.02 * v) for v in range(n)))
 
     def test_holds_no_task_or_vehicle_objects(self):
         kept = baseline_schedule(self.depot(8), limits(dt=0.5, ic_max=400.0))
         held = reachable(kept)
-        assert not [o for o in held if isinstance(o, (ChargingTask, VehicleState, FleetState))]
+        assert not [o for o in held if isinstance(o, (ChargingTask, FleetState))]
         assert len(held) > 1 and kept[1].n_vehicles == 8
 
     def test_tracked_objects_do_not_grow_with_the_fleet(self):

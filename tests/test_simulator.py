@@ -12,11 +12,9 @@ import fleetcharge.simulator as simulator_module
 from fleetcharge.problem import ChargingTask, availability_weights
 from fleetcharge.scheduler import (
     _DERIVE_BATCH_ROWS,
-    FleetState,
     Ledger,
     LedgerEntry,
     Policy,
-    VehicleState,
     apply_slot,
     baseline_schedule,
 )
@@ -29,7 +27,7 @@ from fleetcharge.simulator import (
     value_loss,
 )
 
-from conftest import ledger_row, price_fn, reachable
+from conftest import fleet, ledger_row, price_fn, reachable, soc_of
 
 # Golden totals for the three-session mini fixture below, frozen from the
 # first run after hand-auditing the opening ledger rows (the first
@@ -175,6 +173,13 @@ class TestRunBasics:
         with pytest.raises(ValueError, match="unmatched-departure"):
             run(events, day_prices, config())
 
+    @pytest.mark.parametrize("kind", ["baseline", "proposed"])
+    def test_duplicate_arrival(self, kind):
+        events = [Event(time_h=t, kind="arrival", task=ChargingTask("A", t, 4.0, 0.5, 0.7))
+                  for t in (0.0, 1.0)]
+        with pytest.raises(ValueError, match="^duplicate arrival for A$"):
+            run(events, day_prices, config(kind))
+
 
 class TestTailDrain:
     @pytest.mark.parametrize("kind", ["baseline", "proposed"])
@@ -185,8 +190,8 @@ class TestTailDrain:
         walks = []   # per walk: the state, B's SoC before it, the plan and its end
 
         def recorded(state, alloc, inst, until, ledger):
-            b = state.vehicles.get("B")
-            walks.append((state, b and b.soc_cur, alloc, inst, until))
+            b = soc_of(state, "B") if "B" in state.ids else None
+            walks.append((state, b, alloc, inst, until))
             apply_slot(state, alloc, inst, until, ledger)
 
         monkeypatch.setattr(simulator_module, "apply_slot", recorded)
@@ -202,11 +207,11 @@ class TestTailDrain:
         assert until == t_dep and state.now == t_dep
         assert inst.vehicle_ids == ("B",) and inst.grid.t_s == 2.0
         planned = soc_before + float(alloc[:, 0] @ inst.durations[:, 0]) / cfg.c_bat
-        assert state.vehicles["B"].soc_cur == pytest.approx(min(planned, 1.0), rel=1e-12)
+        assert soc_of(state, "B") == pytest.approx(min(planned, 1.0), rel=1e-12)
         rows = [e for e in res.ledger if e.vehicle_id == "B"]
         assert rows[-1].time_h >= 2.0
         assert rows[-1].time_h + rows[-1].duration_h <= t_dep + 1e-12
-        assert rows[-1].soc == state.vehicles["B"].soc_cur
+        assert rows[-1].soc == soc_of(state, "B")
         assert [d.vehicle_id for d in res.departures] == ["A"]
 
 
@@ -514,9 +519,7 @@ class TestAdvance:
     def _walk(self, until):
         """One vehicle's baseline plan anchored at 9.4 h on 30-minute slots,
         walked to ``until``."""
-        state = FleetState(now=9.4)
-        task = ChargingTask("v", 9.0, 12.0, 0.1, 0.9)
-        state.vehicles["v"] = VehicleState(task=task, soc_cur=0.1)
+        state = fleet(9.4, (ChargingTask("v", 9.0, 12.0, 0.1, 0.9), 0.1))
         alloc, inst = baseline_schedule(state, config(), day_prices)
         ledger = Ledger()
         apply_slot(state, alloc, inst, until, ledger)
@@ -541,7 +544,7 @@ class TestAdvance:
         """Two events a rounding error apart: the walk between them applies
         no slot and only moves the clock."""
         state, _, ledger = self._walk(9.4 + 1e-13)
-        assert len(ledger) == 0 and state.vehicles["v"].soc_cur == 0.1
+        assert len(ledger) == 0 and soc_of(state, "v") == 0.1
         assert state.now == 9.4 + 1e-13
 
 
