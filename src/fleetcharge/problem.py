@@ -175,7 +175,7 @@ class ProblemInstance:
     baseline policy never evaluates an objective, so it never builds them.
     """
 
-    vehicle_ids: tuple           # str, ordered by (t_dep, vehicle_id)
+    vehicle_ids: tuple           # str, in departure order, as the fleet holds them
     grid: SlotGrid
     i_max: float                 # per-vehicle current limit, A
     ic_max: float                # station current limit, A
@@ -229,11 +229,14 @@ def build_instance(
     else the first with a departure that is not finite or is before the
     start ("negative-duration"); for prices, "finite" comes before ">= 0".
     The departures are checked here, where the fleet enters, so
-    :func:`charging_period` counts without checks.  The instance orders
-    vehicles by (departure, vehicle id), as ``sorted`` orders those pairs:
-    columns whose departures strictly increase are in that order already
-    and keep their ids as given; others are sorted.  The instance's start
-    SoCs are a copy, never the array given.
+    :func:`charging_period` counts without checks.  The columns must come
+    in departure order, which :class:`~fleetcharge.scheduler.FleetState`
+    keeps, ties in any order: they are kept as given, and the instance's
+    ``vehicle_ids`` are the ids given, as a tuple (the same tuple when a
+    tuple is given).  Departures that decrease, checked after the ranges,
+    raise ``ValueError`` naming the first vehicle whose departure is before
+    the one before it.  The instance's start SoCs are a copy, never the
+    array given.
     ``prices_fn`` maps an array of absolute times in hours to the prices in
     force at those instants; it is called once, with every slot start.
     """
@@ -258,13 +261,11 @@ def build_instance(
             raise ValueError(f"vehicle {vehicle_ids[k]}: negative-duration: t_dep {t_dep[k]} "
                              f"before the start {t_s}")
         raise ValueError(f"vehicle {vehicle_ids[k]}: t_dep {t_dep[k]} not finite")
-    ids = tuple(vehicle_ids)
-    if not (t_dep[1:] > t_dep[:-1]).all():  # ties or columns out of order
-        # an object array compares ids as Python does; a str array would
-        # drop trailing NULs
-        order = np.lexsort((np.array(ids, dtype=object), t_dep))
-        ids = tuple(map(ids.__getitem__, order.tolist()))
-        t_dep, soc_start, soc_dep = t_dep[order], soc_start[order], soc_dep[order]
+    early = t_dep[1:] < t_dep[:-1]
+    if early.any():
+        k = int(np.argmax(early)) + 1
+        raise ValueError(f"vehicle {vehicle_ids[k]}: t_dep {t_dep[k]} before the departure "
+                         f"{t_dep[k - 1]} of the vehicle before it: columns out of order")
     dt, c_bat = limits.dt, limits.c_bat
     tt = charging_period(t_dep, t_s, dt)
     horizon = int(tt.max(initial=0))
@@ -294,7 +295,7 @@ def build_instance(
             raise ValueError("prices must be finite")
         raise ValueError("prices must be >= 0")
     return ProblemInstance(
-        vehicle_ids=ids,
+        vehicle_ids=tuple(vehicle_ids),
         grid=grid,
         i_max=limits.i_max,
         ic_max=limits.ic_max,
@@ -341,10 +342,10 @@ def max_power_allocation(inst: ProblemInstance) -> np.ndarray:
     go = (np.arange(inst.horizon)[:, None] < n_slots) & (d > 0) & (left > 0)
     amps = np.minimum(i_max, np.divide(left, d, out=np.zeros_like(d), where=go))
     alloc = np.where(np.logical_and.accumulate(go), amps, 0.0)
-    # Station cap: columns are already in earliest-departure order, so a
-    # cumulative-headroom pass curtails later-departing vehicles first.  Only
-    # slots whose total passes the cap are touched, and the pass runs only
-    # when some slot's does.
+    # Station cap: columns are in earliest-departure order, guaranteed by
+    # build_instance's check, so a cumulative-headroom pass curtails
+    # later-departing vehicles first.  Only slots whose total passes the cap
+    # are touched, and the pass runs only when some slot's does.
     used = np.add.accumulate(alloc, axis=1)
     over = used[:, -1:] > inst.ic_max
     if not over.any():

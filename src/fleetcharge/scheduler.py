@@ -20,7 +20,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,7 +48,6 @@ __all__ = [
 ]
 
 ZERO_PRICES = np.zeros_like  # feasibility and baseline ignore prices
-_LEFT_SOC = np.zeros(1)  # the SoC slot a walk appends for the vehicles that have left
 
 
 class SocOverflowError(RuntimeError):
@@ -146,10 +144,11 @@ def _instance_from_state(
 ) -> ProblemInstance:
     """The instance of the fleet as it stands: each vehicle starts at its
     current SoC, and a departure already past is clamped to the clock.
-    The columns pass as they are held, already in (departure, id) order, so
-    :func:`build_instance` sorts only when clamping ties departures.
-    ``limits``, already checked, passes through.  Admission, the baseline and
-    the proposed policy all build their instances here."""
+    The columns pass as they are held, in (departure, id) order; clamping
+    keeps the departures in order, so the instance lists the vehicles as
+    the fleet does.  ``limits``, already checked, passes through.
+    Admission, the baseline and the proposed policy all build their
+    instances here."""
     now = state.now
     return build_instance(state.ids, np.maximum(state.t_dep, now), state.soc_cur,
                           state.soc_dep, now, prices_fn, limits)
@@ -328,32 +327,36 @@ def apply_slot(
 ) -> None:
     """Walk a schedule from the clock to ``until`` and move the clock there.
 
-    ``alloc`` and ``inst`` are a schedule that starts at the clock.  A slot
-    applies whole when it ends by ``until``; the slot that holds ``until``
-    applies up to it, measured from the clock the slot before left.  A walk,
-    or the part of a slot it would apply, shorter than 1e-12 h applies
-    nothing: a slot's start ``t_s + i * dt`` can round past the end the slot
-    before left, and a row for that gap would start at ``until`` and overlap
-    the next schedule's first row.  Each vehicle of the state is
-    charged for its own presence within a slot's window, and calendric
-    fade is pro-rated by the fraction of a full slot realized.
+    ``alloc`` and ``inst`` are a schedule of the fleet as it stands, made
+    at the clock: a plan whose vehicles are not the fleet's, in the fleet's
+    order, raises ``ValueError`` and changes nothing, so a plug or unplug
+    needs a new plan before the next walk.  A slot applies whole when it
+    ends by ``until``; the slot that holds ``until`` applies up to it,
+    measured from the clock the slot before left.  A walk, or the part of a
+    slot it would apply, shorter than 1e-12 h applies nothing: a slot's
+    start ``t_s + i * dt`` can round past the end the slot before left, and
+    a row for that gap would start at ``until`` and overlap the next
+    schedule's first row.  Each vehicle is charged for its own
+    presence within a slot's window, and calendric fade is pro-rated by the
+    fraction of a full slot realized.
 
     Only each slot's start and window are found slot by slot; the walk's
     slots are then one (slots, vehicles) block of ``min(window, duration)``
-    hours, and a cell makes a row when its vehicle is in the state and its
-    hours are positive.  The plan's vehicles are found in the fleet by id,
-    so one that has left makes no row.  The SoC recursion runs over the
-    whole plan's SoC vector once per slot, and only cells that make rows
-    change it, so every row and SoC has the bits of a walk that gathers each
-    slot's vehicles on their own.
+    hours, and a cell makes a row when its hours are positive.  The SoC
+    recursion runs on a copy of the fleet's SoC column once per slot, and
+    only cells that make rows change it, so every row and SoC has the bits
+    of a walk that gathers each slot's vehicles on their own.
 
-    Moves the clock, replaces the state's SoC column with one that holds
-    each vehicle's SoC after its last row, and appends the walk's rows to
-    ``ledger``, slot by slot, in vehicle order: their primitive fields and
-    SoC before, from which the ledger derives cost and fade (see
+    Moves the clock, installs that copy, which holds each vehicle's SoC
+    after its last row, as the state's SoC column, and appends the walk's
+    rows to ``ledger``, slot by slot, in vehicle order: their primitive
+    fields and SoC before, from which the ledger derives cost and fade (see
     :class:`Ledger`).  Every row is checked before any state changes.
     """
     now, grid, ids = state.now, inst.grid, inst.vehicle_ids
+    if ids != state.ids:
+        raise ValueError("the plan's vehicles are not the fleet's: replan after a plug "
+                         "or unplug")
     if until <= now + 1e-12 or not inst.horizon:
         state.now = until
         return
@@ -371,13 +374,9 @@ def apply_slot(
         if slot_end >= until:
             break
     w = len(starts)
-    index = dict(zip(state.ids, range(len(state.ids))))
-    pos = np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
-    fleet_soc = np.concatenate((state.soc_cur, _LEFT_SOC))  # pos -1 is the appended slot
-    soc = fleet_soc[pos]
+    soc = state.soc_cur.copy()
     d = np.minimum(np.array(windows)[:, None], inst.durations[:w])
     rows = d > 0
-    rows &= pos >= 0
     delta = np.multiply(alloc[:w], d, out=np.zeros(d.shape), where=rows)
     delta /= inst.c_bat
     soc_before, soc_after = np.empty(d.shape), np.empty(d.shape)
@@ -400,8 +399,7 @@ def apply_slot(
         k = int(np.argmax(soc_new > 1.0 + 1e-9))
         raise SocOverflowError(f"vehicle {row_ids[k]} would reach SoC {soc_new[k]:.9f}")
 
-    fleet_soc[pos] = soc  # each vehicle's SoC after its last row, or as it was
-    state.soc_cur = fleet_soc[:-1]
+    state.soc_cur = soc  # each vehicle's SoC after its last row, or as it was
     state.now = until
     ledger.append(
         np.array(starts).take(slot_of), row_ids, d, amps, inst.wep.take(slot_of),

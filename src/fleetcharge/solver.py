@@ -294,7 +294,7 @@ def _repair_exact(
         deficit = inst.e_lo[v] - delivered[v]
         if deficit <= 1e-12:
             continue
-        slots = np.lexsort((np.arange(h), order_key[:, v]))
+        slots = np.argsort(order_key[:, v], kind="stable")  # ties in slot order
         for i in slots:
             d = inst.durations[i, v]
             if d <= 0:

@@ -116,8 +116,10 @@ def ledger_row(time_h, vid, d, amps, price, soc_before, soc, c_bat, voltage, dt,
 
 
 def task_columns(tasks) -> tuple:
-    """``build_instance``'s vehicle columns of a list of tasks: ids,
+    """``build_instance``'s vehicle columns of a list of tasks, in
+    (departure, id) order as :class:`FleetState` holds them: ids,
     departures, start SoCs and departure SoCs."""
+    tasks = sorted(tasks, key=lambda t: (t.t_dep, t.vehicle_id))
     return ([t.vehicle_id for t in tasks], [t.t_dep for t in tasks],
             [t.soc_start for t in tasks], [t.soc_dep for t in tasks])
 

@@ -220,7 +220,7 @@ class TestBuildInstance:
     def test_bounds_and_signed_zeros_accepted(self):
         """0, -0.0 and 1 are in range, for start SoCs, departure SoCs and
         prices."""
-        inst = build_instance(list("abc"), [1.0, 2.0, 0.5], [0.0, -0.0, 1.0], [1.0, -0.0, 1.0],
+        inst = build_instance(list("abc"), [0.5, 1.0, 2.0], [0.0, -0.0, 1.0], [1.0, -0.0, 1.0],
                               t_s=0.0, prices_fn=lambda t: np.where(t > 0.7, -0.0, 0.0),
                               limits=StationLimits(soc_xtra_ah=0.0))
         assert inst.wep.tolist() == [0.0, 0.0, -0.0, -0.0]
@@ -311,8 +311,8 @@ def _departures(rng, t_s, dt, n):
 
 def _fleet(seed, n):
     """A seeded fleet of ``n`` vehicles, some full, some needing nothing,
-    and its slot grid ``(tasks, t_s, dt)``; from 40 vehicles on, one departs
-    at the start and one after 28 slots."""
+    in (departure, id) order, and its slot grid ``(tasks, t_s, dt)``; from
+    40 vehicles on, one departs at the start and one after 28 slots."""
     rng = np.random.default_rng(seed)
     t_s, dt = rng.uniform(0.0, 100.0), float(rng.choice([0.25, 1 / 3, 0.5, 0.75]))
     t_dep = _departures(rng, t_s, dt, n)
@@ -323,13 +323,14 @@ def _fleet(seed, n):
     soc_dep = np.where(rng.random(n) < 0.2, 0.5 * soc, rng.uniform(soc, 1.0))
     tasks = [ChargingTask(f"v{v:02d}", t_s - 1.0, float(t_dep[v]), float(soc[v]),
                           float(soc_dep[v])) for v in range(n)]
-    return tasks, t_s, dt
+    return sorted(tasks, key=lambda t: (t.t_dep, t.vehicle_id)), t_s, dt
 
 
 def _reference_build(tasks, t_s, dt, prices_fn, c_bat, soc_xtra_ah):
     """The per-vehicle assembly the fleet-wide one replaced, kept as written
-    (with ``charging_period`` and ``availability_weights`` inlined)."""
-    ordered = tuple(sorted(tasks, key=lambda t: (t.t_dep, t.vehicle_id)))
+    (with ``charging_period`` and ``availability_weights`` inlined), of
+    ``tasks`` in the order given, which is the fleet's."""
+    ordered = tuple(tasks)
     tt = np.array([max(0, math.ceil((t.t_dep - t_s) / dt - 1e-9)) for t in ordered],
                   dtype=int)
     horizon = int(tt.max()) if len(tt) else 0
@@ -704,9 +705,8 @@ def _with_newcomer(state, task):
 
 class TestColumnAssembly:
     """A reschedule's instance, assembled from the fleet's columns, is byte
-    for byte the instance of its re-anchored tasks sorted by (departure,
-    vehicle id); an admission's is that of the fleet with the newcomer
-    added."""
+    for byte the instance of its re-anchored tasks in the fleet's order; an
+    admission's is that of the fleet with the newcomer plugged in."""
 
     LIMITS = StationLimits(soc_xtra_ah=21.0)
 
@@ -718,12 +718,12 @@ class TestColumnAssembly:
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_reanchored_tasks(self, seed, admit):
         state, dt, extra = _column_fleet(seed)
-        tasks = _reanchored(state) + ([extra] if admit else [])
+        assessed = _with_newcomer(state, extra) if admit else state
+        tasks = _reanchored(assessed)
+        assert [t.t_dep for t in tasks] == sorted(t.t_dep for t in tasks)
         ref = _reference_build(tasks, state.now, dt, _step_prices, self.LIMITS.c_bat,
                                self.LIMITS.soc_xtra_ah)
-        assessed = _with_newcomer(state, extra) if admit else state
         _assert_equals_reference(self.instance(assessed, dt), ref)
-        assert ref["vehicle_ids"] != state.ids  # clamping ties reorder the overdue
         assert ("new" in ref["vehicle_ids"]) == admit
 
     @pytest.mark.parametrize("seed", range(4))
@@ -744,9 +744,11 @@ class TestColumnAssembly:
 
 
 class TestColumnOrder:
-    """``build_instance`` sorts only columns whose departures do not strictly
-    increase; in any arrangement its instance is, byte for byte, the
-    reference assembly in the order ``np.lexsort`` gives."""
+    """``build_instance`` keeps the columns as given and only checks their
+    departure order: columns in the fleet's (departure, id) order, the
+    order ``np.lexsort`` gives, or in any departure order with ties, build
+    byte for byte the reference assembly in that order and keep the ids
+    tuple given; departures that decrease raise."""
 
     LIMITS = StationLimits(dt=0.5, soc_xtra_ah=21.0)
 
@@ -770,25 +772,64 @@ class TestColumnOrder:
             ids, t_dep, soc, soc_dep = ids[::-1], t_dep[::-1], soc[::-1], soc_dep[::-1]
         return ids, t_dep, soc, soc_dep, t_s
 
-    @pytest.mark.parametrize("arrangement", ["in-order", "reversed", "tied", "clamped"])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_equals_lexsort_reference(self, seed, arrangement):
-        ids, t_dep, soc, soc_dep, t_s = self.columns(seed, arrangement)
+    @classmethod
+    def fleet_columns(cls, seed, arrangement):
+        """:meth:`columns` in (departure, id) order, as the fleet holds
+        them: the order ``np.lexsort`` gives over an object array of ids,
+        which compares them as Python does."""
+        ids, t_dep, soc, soc_dep, t_s = cls.columns(seed, arrangement)
+        order = np.lexsort((np.array(ids, dtype=object), t_dep))
+        return tuple(ids[k] for k in order.tolist()), t_dep[order], soc[order], soc_dep[order], t_s
+
+    def assert_equals_reference(self, columns):
+        ids, t_dep, soc, soc_dep, t_s = columns
         inst = build_instance(ids, t_dep, soc, soc_dep, t_s, price_fn(_step_prices), self.LIMITS)
-        order = np.lexsort((np.array(ids, dtype=object), t_dep)).tolist()
-        assert (order == list(range(len(ids)))) == (arrangement == "in-order")
-        assert inst.vehicle_ids == tuple(ids[k] for k in order)
-        tasks = [ChargingTask(ids[k], t_s, float(t_dep[k]), float(soc[k]), float(soc_dep[k]))
-                 for k in order]
+        assert inst.vehicle_ids is ids  # kept as given
+        tasks = [ChargingTask(vid, t_s, float(dep), float(start), float(end))
+                 for vid, dep, start, end in zip(ids, t_dep, soc, soc_dep)]
         _assert_equals_reference(inst, _reference_build(tasks, t_s, self.LIMITS.dt,
                                                         _step_prices, self.LIMITS.c_bat,
                                                         self.LIMITS.soc_xtra_ah))
-        if arrangement == "in-order":
-            assert inst.vehicle_ids is ids  # kept as given
+
+    @pytest.mark.parametrize("arrangement", ["in-order", "reversed", "tied", "clamped"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_lexsort_reference(self, seed, arrangement):
+        ids, *_ = columns = self.fleet_columns(seed, arrangement)
+        plugged = fleet(0.0, *((ChargingTask(vid, 0.0, float(dep), 0.5, 0.5), 0.5)
+                               for vid, dep in zip(ids, columns[1])))
+        assert plugged.ids == ids
+        self.assert_equals_reference(columns)
+
+    @pytest.mark.parametrize("arrangement", ["tied", "clamped"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_columns_in_departure_order_kept_as_given(self, seed, arrangement):
+        """Ties out of id order are kept as they come."""
+        ids, *_ = columns = self.columns(seed, arrangement)
+        assert ids != self.fleet_columns(seed, arrangement)[0]
+        self.assert_equals_reference(columns)
+
+    @pytest.mark.parametrize("swap", [None, 0, 4, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decreasing_departures_raise(self, seed, swap):
+        """Reversed columns, or in-order columns with one neighbouring pair
+        swapped, name the first vehicle whose departure is before the one
+        before it, in input order."""
+        ids, t_dep, soc, soc_dep, t_s = self.columns(seed, "in-order" if swap is not None
+                                                     else "reversed")
+        first = 1
+        if swap is not None:
+            order = list(range(len(ids)))
+            order[swap:swap + 2] = swap + 1, swap
+            ids, t_dep = tuple(ids[k] for k in order), t_dep[order]
+            first = swap + 1
+        message = (f"vehicle {ids[first]}: t_dep {t_dep[first]} before the departure "
+                   f"{t_dep[first - 1]} of the vehicle before it: columns out of order")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_instance(ids, t_dep, soc, soc_dep, t_s, ZERO_PRICES, self.LIMITS)
 
     @pytest.mark.parametrize("arrangement", ["in-order", "reversed", "tied", "clamped"])
     def test_instance_keeps_its_own_start_socs(self, arrangement):
-        ids, t_dep, soc, soc_dep, t_s = self.columns(0, arrangement)
+        ids, t_dep, soc, soc_dep, t_s = self.fleet_columns(0, arrangement)
         inst = build_instance(ids, t_dep, soc, soc_dep, t_s, ZERO_PRICES, self.LIMITS)
         held = inst.soc_start.tobytes()
         soc[:] = 0.5
@@ -796,8 +837,9 @@ class TestColumnOrder:
 
     @pytest.mark.parametrize("arrangement", ["in-order", "reversed", "tied", "clamped"])
     def test_first_bad_vehicle_named_in_input_order(self, arrangement):
-        """The checks run on the columns as given, before any sort: of two
-        bad vehicles the first in input order is named."""
+        """The range checks run on the columns as given, before the order
+        check: of two bad vehicles the first in input order is named, and a
+        bad SoC or departure is named even in reversed columns."""
         ids, t_dep, soc, soc_dep, t_s = self.columns(1, arrangement)
         bad_soc, bad_dep = soc.copy(), t_dep.copy()
         bad_soc[[6, 2]] = 1.5, 1.25

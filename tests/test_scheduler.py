@@ -260,30 +260,29 @@ class TestApplySlot:
 
     def test_slot_rows_equal_each_vehicle_alone(self):
         """Applying a slot to its vehicles together gives each row, and each
-        SoC, that applying it to that vehicle alone gives: an absent vehicle
-        has no row, one leaves inside the window, one idles at zero current
-        and one charges on the HI branch."""
-        socs = {"gone": 0.4, "short": 0.5, "idle": 0.6, "hi": 0.05, "lo": 0.5}
+        SoC, that applying it to that vehicle alone gives: one leaves inside
+        the window, one idles at zero current and one charges on the HI
+        branch."""
+        socs = {"short": 0.5, "idle": 0.6, "hi": 0.05, "lo": 0.5}
         tasks = {vid: ChargingTask(vid, 0.0, 0.25 if vid == "short" else 4.0, soc, 0.9)
                  for vid, soc in socs.items()}
         state = fleet(0.0, *((tasks[vid], soc) for vid, soc in socs.items()))
         _, inst = baseline_schedule(state, limits(dt=0.5, ic_max=400.0), price_fn(0.2))
-        amps = {"gone": 20.0, "short": 40.0, "idle": 0.0, "hi": 50.0, "lo": 30.0}
+        amps = {"short": 40.0, "idle": 0.0, "hi": 50.0, "lo": 30.0}
         alloc = np.zeros((inst.horizon, inst.n_vehicles))
         alloc[0] = [amps[vid] for vid in inst.vehicle_ids]
         assert inst.fade_params.is_hi(amps["hi"], socs["hi"])
         assert not inst.fade_params.is_hi(amps["lo"], socs["lo"])
-        state.unplug("gone")
 
         rows = slot_rows(state, alloc, inst, 0.4)
-        order = [vid for vid in inst.vehicle_ids if vid != "gone"]
-        assert [e.vehicle_id for e in rows] == order
+        assert [e.vehicle_id for e in rows] == list(inst.vehicle_ids)
         assert state.now == 0.4
         by_id = {e.vehicle_id: e for e in rows}
         assert by_id["short"].duration_h == 0.25 and by_id["hi"].duration_h == 0.4
-        for vid in order:
+        for v, vid in enumerate(inst.vehicle_ids):
             alone = fleet(0.0, (tasks[vid], socs[vid]))
-            assert slot_rows(alone, alloc, inst, 0.4) == (by_id[vid],)
+            _, own = baseline_schedule(alone, limits(dt=0.5, ic_max=400.0), price_fn(0.2))
+            assert slot_rows(alone, alloc[:own.horizon, [v]], own, 0.4) == (by_id[vid],)
             assert soc_of(alone, vid) == soc_of(state, vid)
 
     def test_row_columns_equal_scalar_expressions(self):
@@ -337,23 +336,45 @@ class TestApplySlot:
         assert state.now == 0.0 and len(ledger) == 0
         assert (soc_of(state, "first"), soc_of(state, "second")) == (0.5, 0.99)
 
+    @pytest.mark.parametrize("hours", [0.0, 1.0])
+    def test_stale_plan_raises_and_changes_nothing(self, hours):
+        """A plan walked after a plug, or after an unplug, with no new plan
+        raises before anything changes: the clock, every fleet column and
+        the ledger stay as they were, also for a walk of no length."""
+        lm = limits(dt=0.5)
+        state = fleet(0.0, (ChargingTask("a", 0.0, 2.0, 0.3, 0.9), 0.3),
+                      (ChargingTask("b", 0.0, 4.0, 0.4, 0.9), 0.4))
+        ledger = Ledger()
+        apply_slot(state, *baseline_schedule(state, lm), 0.5, ledger)
+        for change in ("plug", "unplug"):
+            plan = baseline_schedule(state, lm)
+            if change == "plug":
+                state.plug(ChargingTask("c", 0.5, 3.0, 0.5, 0.9), 0.5)
+            else:
+                state.unplug("a")
+            held, rows = _held(state), _ledger_bytes(ledger)
+            with pytest.raises(ValueError, match="^the plan's vehicles are not the fleet's"):
+                apply_slot(state, *plan, state.now + hours, ledger)
+            assert all(a is b and x == y for (a, x), (b, y) in
+                       zip(_held(state), held, strict=True)), change
+            assert _ledger_bytes(ledger) == rows and len(ledger) == 2
+        assert state.ids == ("c", "b") and state.now == 0.5
+
     def test_walk_equals_per_slot_reference(self):
         """A walk of two whole slots and the part of a third equals applying
         the plan one slot at a time, row by row and SoC by SoC, bit for bit:
-        ``leave`` departs inside the second slot, ``gone`` is in the plan but
-        not in the state, and the third slot's window is measured from the
-        clock the second left, which is not its start."""
+        ``leave`` departs inside the second slot, and the third slot's window
+        is measured from the clock the second left, which is not its start."""
         t_s, dt = 2 / 60, 0.5
-        socs = {"stay": 0.3, "leave": 0.5, "gone": 0.4, "hi": 0.05, "idle": 0.6}
+        socs = {"stay": 0.3, "leave": 0.5, "hi": 0.05, "idle": 0.6}
         tasks = {vid: ChargingTask(vid, t_s, t_s + (0.75 if vid == "leave" else 4.0), soc, 1.0)
                  for vid, soc in socs.items()}
         state = fleet(t_s, *((tasks[vid], soc) for vid, soc in socs.items()))
         _, inst = baseline_schedule(state, limits(dt=dt, ic_max=400.0),
                                     price_fn(lambda t: 0.1 + 0.01 * round(t / dt)))
-        amps = {"stay": 31.7, "leave": 40.0, "gone": 20.0, "hi": 50.0, "idle": 0.0}
+        amps = {"stay": 31.7, "leave": 40.0, "hi": 50.0, "idle": 0.0}
         alloc = np.array([[amps[vid] * (1.0 + 0.1 * i) for vid in inst.vehicle_ids]
                           for i in range(inst.horizon)])
-        state.unplug("gone")
         until = t_s + 1.2
         assert (t_s + dt) + dt != t_s + 2 * dt < until < t_s + 3 * dt
 
@@ -361,8 +382,7 @@ class TestApplySlot:
         for i in range(inst.horizon):
             start = t_s + i * dt
             window = dt if start + dt <= until else until - clock
-            here = [v for v, vid in enumerate(inst.vehicle_ids)
-                    if vid in soc and inst.durations[i, v] > 0]
+            here = [v for v in range(inst.n_vehicles) if inst.durations[i, v] > 0]
             d = np.minimum(window, inst.durations[i, here])
             a = alloc[i, here]
             s0 = np.array([soc[inst.vehicle_ids[v]] for v in here])
@@ -384,7 +404,6 @@ class TestApplySlot:
 
         ledger = slot_rows(state, alloc, inst, until)
         assert [e.time_h for e in ledger] == [t_s] * 4 + [t_s + dt] * 4 + [t_s + 2 * dt] * 3
-        assert "gone" not in {e.vehicle_id for e in ledger}
         assert [[x.hex() if isinstance(x, float) else x for x in e] for e in ledger] == \
             [[float(x).hex() if i != 1 else x for i, x in enumerate(e)] for e in rows]
         assert {vid: s.hex() for vid, s in zip(state.ids, state.soc_cur.tolist())} == \
@@ -555,6 +574,12 @@ def _reference_walk(state, alloc, inst, until, ledger):
     )
 
 
+def _held(state):
+    """Each of a :class:`FleetState`'s fields, with its bytes if an array."""
+    return [(value, value.tobytes() if isinstance(value, np.ndarray) else value)
+            for value in vars(state).values()]
+
+
 def _ledger_bytes(ledger):
     return [ledger.column(name) if name == "vehicle_id" else ledger.column(name).tobytes()
             for name in LedgerEntry._fields]
@@ -576,9 +601,8 @@ class TestBlockWalk:
     @staticmethod
     def _plan(seed, clock=None):
         """A random fleet at ``clock``, its max-power plan scaled down cell by
-        cell, current on cells past each vehicle's stay (whose length is 0),
-        a vehicle filled to within 1e-9 above full, and plan vehicles
-        missing from the state."""
+        cell, current on cells past each vehicle's stay (whose length is 0)
+        and a vehicle filled to within 1e-9 above full."""
         rng = np.random.default_rng(seed)
         n, dt = int(rng.integers(1, 16)), float(rng.choice([0.25, 0.5, 1.0 / 3.0]))
         t_s = float(rng.uniform(0.0, 50.0)) if clock is None else clock
@@ -598,9 +622,6 @@ class TestBlockWalk:
             soc = soc_of(state, inst.vehicle_ids[v])
             alloc[:, v] = 0.0  # one slot takes it to 1 + 5e-10 from below full
             alloc[0, v] = (1.0 + 5e-10 - soc) * inst.c_bat / inst.durations[0, v]
-        for vid in inst.vehicle_ids:
-            if rng.random() < 0.15:
-                state.unplug(vid)
         return rng, state, alloc, inst
 
     @staticmethod
@@ -636,7 +657,7 @@ class TestBlockWalk:
         """200 seeded plans, each walked once; every case the plans are drawn
         for occurs."""
         seen = dict.fromkeys(("inside", "boundary", "ulp_past", "ulp_before", "past_end",
-                              "several_slots", "missing", "zero_length_current",
+                              "several_slots", "zero_length_current",
                               "above_full"), 0)
         for seed in range(200):
             rng, state, alloc, inst = self._plan(seed)
@@ -648,7 +669,6 @@ class TestBlockWalk:
             seen[kind] += 1
             times = set(ledger.column("time_h"))
             seen["several_slots"] += len(times) > 1
-            seen["missing"] += len(state.ids) < inst.n_vehicles and len(ledger) > 0
             walked = inst.durations[:len(times)]
             seen["zero_length_current"] += bool(((walked == 0) & (alloc[:len(times)] > 0)).any())
             soc = dict(zip(state.ids, state.soc_cur.tolist()))
@@ -865,18 +885,15 @@ class TestFleetState:
 
 def _reference_instance(ref, limits, prices_fn):
     """The instance of a :class:`DictFleet` as it was assembled before the
-    columns: one row per vehicle in plug order, each departure clamped to
-    the clock with ``max``, the rows sorted with ``np.lexsort`` by
-    (departure, id)."""
+    columns: one row per vehicle, in the fleet's (departure, id) order, each
+    departure then clamped to the clock with ``max``."""
     now, ids, rows = ref.now, [], []
-    for vs in ref.vehicles.values():
+    for vs in sorted(ref.vehicles.values(), key=lambda vs: (vs.task.t_dep, vs.task.vehicle_id)):
         task = vs.task
         ids.append(task.vehicle_id)
         rows.append((max(task.t_dep, now), vs.soc_cur, task.soc_dep))
     t_dep, soc, soc_dep = np.array(rows, dtype=float).reshape(-1, 3).T
-    order = np.lexsort((np.array(ids, dtype=object), t_dep))
-    return build_instance([ids[k] for k in order.tolist()], t_dep[order], soc[order],
-                          soc_dep[order], now, prices_fn, limits)
+    return build_instance(ids, t_dep, soc, soc_dep, now, prices_fn, limits)
 
 
 def _instance_bytes(inst):
@@ -906,7 +923,8 @@ _SEQ_IDS = ("v2", "v10", "a\x00", "a", "B")
 _SEQ_LIMITS = limits(dt=0.5, i_max=80.0, ic_max=160.0)
 _SEQ_PRICES = price_fn(lambda t: 0.05 + 0.01 * (t % 3.0))
 # plug(id, departure on a 0.25 h grid, SoC, departure SoC, replan),
-# unplug(id, replan) and walk(hours), each walk replanning after it
+# unplug(id, replan) and walk(hours), each walk replanning after it; a walk
+# after a plug or unplug that did not replan raises
 _PLUG = st.tuples(st.just("plug"), st.sampled_from(_SEQ_IDS), st.integers(0, 16),
                   st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans())
 _UNPLUG = st.tuples(st.just("unplug"), st.sampled_from(_SEQ_IDS), st.booleans())
@@ -966,13 +984,17 @@ class TestFleetColumns:
                     ("plug", "v2", 12, 0.4, 0.9, True), ("walk", 0.6),
                     ("walk", 0.25)])  # overdue vehicles clamped to the clock
     @example(steps=[("plug", "a", 10, 0.2, 0.9, False), ("plug", "B", 12, 0.3, 0.9, True),
-                    ("unplug", "a", False), ("walk", 0.5)])  # a walk after a vehicle left
+                    ("unplug", "a", False), ("walk", 0.5)])  # a stale walk after an unplug
+    @example(steps=[("plug", "v2", 0, 0.0, 0.0, False), ("unplug", "v2", False),
+                    ("walk", 0.1)])  # the fleet back to the plan's vehicles walks it
     def test_steps_equal_dict_reference(self, steps):
         """A sequence of plugs, unplugs and walks on the column fleet and on
         the dict fleet: after each step the columns hold the dict's
         vehicles in (departure, id) order, each plan's instance and
         max-power plan are the reference's byte for byte, and each walk
-        gives the reference's ledger rows, SoCs and errors."""
+        gives the reference's ledger rows, SoCs and errors; a walk of a plan
+        made for other vehicles than the fleet now holds raises and changes
+        nothing."""
         state, ref = fleet(1.0), DictFleet(1.0)
         ledgers, ref_ledgers = Ledger(), Ledger()
 
@@ -983,7 +1005,7 @@ class TestFleetColumns:
             assert alloc.tobytes() == max_power_allocation(want).tobytes()
             return alloc, inst
 
-        plan = replan()
+        plan, planned = replan(), state.ids
         for step in steps:
             if step[0] == "plug":
                 _, vid, k, soc, soc_dep, again = step
@@ -998,6 +1020,13 @@ class TestFleetColumns:
                 _, vid, again = step
                 gone = ref.vehicles.pop(vid, None)
                 assert state.unplug(vid) == (gone and (gone.task, gone.soc_cur))
+            elif state.ids != planned:
+                held, rows = list(vars(state).values()), _ledger_bytes(ledgers)
+                with pytest.raises(ValueError, match="not the fleet's"):
+                    apply_slot(state, *plan, state.now + step[1], ledgers)
+                assert all(a is b for a, b in zip(vars(state).values(), held, strict=True))
+                assert _ledger_bytes(ledgers) == rows
+                again = True
             else:
                 got, want = _walk_both(state, ref, plan, state.now + step[1],
                                        (ledgers, ref_ledgers))
@@ -1011,7 +1040,7 @@ class TestFleetColumns:
             assert state.soc_dep.tolist() == [ref.vehicles[v].task.soc_dep for v in order]
             assert _fleet_state(state) == _fleet_state(ref)
             if again:
-                plan = replan()
+                plan, planned = replan(), state.ids
 
 
 class TestKeptReschedule:

@@ -215,6 +215,45 @@ class TestTailDrain:
         assert [d.vehicle_id for d in res.departures] == ["A"]
 
 
+class TestOverdueVehicles:
+    @pytest.mark.parametrize("kind", ["baseline", "proposed"])
+    def test_missed_departures_keep_the_fleet_order(self, kind, monkeypatch):
+        """``b`` (2.0 h) and ``a`` (3.0 h) hold their target SoC and miss
+        their departure events, so from 3.0 h both departures clamp to the
+        clock while ``c`` charges on to 6.0 h and ``d`` comes and goes: the
+        replay finishes, neither overdue vehicle makes a row after its
+        departure, and every instance lists the vehicles in the fleet's
+        (departure, id) order, ``b`` before ``a``, not in id order."""
+        seen = []  # per reschedule: the fleet's ids, the instance's and its start
+
+        def recorded(schedule):
+            def call(state, *args):
+                out = schedule(state, *args)
+                seen.append((state.ids, out[-1].vehicle_ids, out[-1].grid.t_s))
+                return out
+            return call
+
+        for name in ("baseline_schedule", "proposed_schedule"):
+            monkeypatch.setattr(simulator_module, name, recorded(getattr(simulator_module, name)))
+        events = [
+            *(Event(time_h=0.0, kind="arrival", task=ChargingTask(vid, 0.0, t_dep, 0.8, 0.8))
+              for vid, t_dep in (("a", 3.0), ("b", 2.0))),
+            Event(time_h=0.0, kind="arrival", task=ChargingTask("c", 0.0, 6.0, 0.1, 0.9)),
+            Event(time_h=4.0, kind="arrival", task=ChargingTask("d", 4.0, 4.5, 0.6, 0.6)),
+            Event(time_h=4.5, kind="departure", vehicle_id="d"),
+            Event(time_h=6.0, kind="departure", vehicle_id="c"),
+        ]
+        res = run(events, day_prices, config(kind))
+        assert [d.vehicle_id for d in res.departures] == ["d", "c"] and not res.rejected
+        for vid, t_dep in (("a", 3.0), ("b", 2.0)):
+            assert all(e.time_h + e.duration_h <= t_dep + 1e-12
+                       for e in res.ledger if e.vehicle_id == vid), vid
+        assert any(e.time_h >= 3.0 and e.current_a > 0 for e in res.ledger if e.vehicle_id == "c")
+        assert all(fleet_ids == inst_ids for fleet_ids, inst_ids, _ in seen)
+        overdue = [tuple(v for v in ids if v in "ab") for _, ids, t_s in seen if t_s >= 3.0]
+        assert len(overdue) == 3 and set(overdue) == {("b", "a")}
+
+
 def cfg_value_loss(fade):
     cfg = config()
     return cfg.battery_cost_usd * fade / cfg.c_bat
