@@ -82,19 +82,19 @@ def _empty_column() -> np.ndarray:
 
 @dataclass
 class FleetState:
-    """Plugged vehicles and the station clock, in hours.
+    """Plugged vehicles and the station clock, in hours: what an instance
+    is built from.
 
-    The fleet is one table of columns, one entry per plugged vehicle, kept
-    in (departure, vehicle id) order as vehicles plug in and leave: the ids,
-    the tasks, the departures, the required departure SoCs and the current
-    SoCs, the last three as float arrays.  :meth:`plug` and :meth:`unplug`
-    build new columns and :func:`apply_slot` a new ``soc_cur``; no column is
-    written into, so a copy that shares them is never changed by another.
+    The fleet is four columns, one entry per plugged vehicle, kept in
+    (departure, vehicle id) order as vehicles plug in and leave: the ids,
+    and the departures, required departure SoCs and current SoCs as float
+    arrays.  :meth:`plug` and :meth:`unplug` build new columns and
+    :func:`apply_slot` a new ``soc_cur``; no column is written into, so a
+    copy that shares them is never changed by another.
     """
 
     now: float
     ids: tuple = ()
-    tasks: tuple = ()
     t_dep: np.ndarray = field(default_factory=_empty_column)
     soc_dep: np.ndarray = field(default_factory=_empty_column)
     soc_cur: np.ndarray = field(default_factory=_empty_column)
@@ -109,25 +109,23 @@ class FleetState:
         lo = bisect_left(self.t_dep, t_dep)
         k = bisect_left(self.ids, vid, lo, bisect_right(self.t_dep, t_dep, lo))
         self.ids = (*self.ids[:k], vid, *self.ids[k:])
-        self.tasks = (*self.tasks[:k], task, *self.tasks[k:])
         self.t_dep, self.soc_dep, self.soc_cur = (
             _inserted(col, k, value) for col, value in
             ((self.t_dep, t_dep), (self.soc_dep, task.soc_dep), (self.soc_cur, soc)))
 
-    def unplug(self, vehicle_id: str):
-        """Unplug a vehicle; returns its task and its current SoC, or None
-        when no vehicle of that id is plugged in."""
+    def unplug(self, vehicle_id: str) -> float | None:
+        """Unplug a vehicle; returns its current SoC, or None when no
+        vehicle of that id is plugged in."""
         try:
             k = self.ids.index(vehicle_id)
         except ValueError:
             return None
-        task, soc = self.tasks[k], float(self.soc_cur[k])
+        soc = float(self.soc_cur[k])
         self.ids = self.ids[:k] + self.ids[k + 1:]
-        self.tasks = self.tasks[:k] + self.tasks[k + 1:]
         self.t_dep, self.soc_dep, self.soc_cur = (
             np.concatenate((col[:k], col[k + 1:])) for col in (self.t_dep, self.soc_dep,
                                                                 self.soc_cur))
-        return task, soc
+        return soc
 
 
 def _inserted(col: np.ndarray, k: int, value: float) -> np.ndarray:

@@ -86,8 +86,8 @@ class SimConfig(StationLimits):
         super().__post_init__()
         if not 0.0 < self.peak_threshold <= 1.0:
             raise ValueError("peak_threshold must be in (0, 1]")
-        if not self.battery_cost_usd > 0:
-            raise ValueError("battery_cost_usd must be > 0")
+        if not 0.0 < self.battery_cost_usd < np.inf:
+            raise ValueError("battery_cost_usd must be finite and > 0")
         if not 0.0 <= self.default_soc_start <= 1.0:
             raise ValueError(
                 f"default_soc_start must be in [0, 1], got {self.default_soc_start}")
@@ -185,8 +185,14 @@ def run(
     """Replay an event list under one policy and accumulate metrics.
 
     Events are processed in time order with arrivals before departures at
-    equal timestamps.  Deterministic: repeated runs produce identical
-    results apart from measured optimization wall time.
+    equal timestamps.  Each arrival's task, accepted or rejected, is held
+    by vehicle id until that vehicle's departure event, which fills its
+    :class:`DepartureRecord` if the vehicle was plugged in; a departure
+    with no task held raises ``ValueError``, so departures match arrivals
+    one to one.  Vehicles still plugged in after the last event are walked
+    to the latest departure, or to the clock when all are overdue.
+    Deterministic: repeated runs produce identical results apart from
+    measured optimization wall time.
     """
     events = sorted(events, key=event_sort_key)
     result = RunResult(
@@ -196,7 +202,7 @@ def run(
         return result
 
     state = FleetState(now=events[0].time_h)
-    rejected_ids = set()  # the vehicle ids of result.rejected
+    tasks = {}  # vehicle id -> task, from its arrival event to its departure event
     plan = None  # the first event is at state.now: nothing to walk
     for ev in events:
         if plan is not None:
@@ -209,31 +215,25 @@ def run(
             if admission is None or admission.accepted:
                 state.plug(task, task.soc_start)
             else:
-                result.metrics.n_rejected += 1
                 result.rejected.append((task, admission.reason))
-                rejected_ids.add(task.vehicle_id)
+            tasks[task.vehicle_id] = task
         else:
-            gone = state.unplug(ev.vehicle_id)
-            if gone is not None:
-                task, soc = gone
-                result.departures.append(
-                    DepartureRecord(
-                        vehicle_id=ev.vehicle_id,
-                        soc_at_departure=soc,
-                        soc_dep_required=task.soc_dep,
-                        soc_start=task.soc_start,
-                    )
-                )
-            elif ev.vehicle_id not in rejected_ids:
+            task = tasks.pop(ev.vehicle_id, None)
+            if task is None:
                 raise ValueError(f"unmatched-departure: {ev.vehicle_id}")
+            soc = state.unplug(ev.vehicle_id)
+            if soc is not None:
+                result.departures.append(
+                    DepartureRecord(ev.vehicle_id, soc, task.soc_dep, task.soc_start))
             # a rejected task never plugged in, but its departure still ends
             # in a reschedule: the walk may have applied part of a slot
         plan = _reschedule(state, config, prices_fn, result)
 
     # Tail: drain any vehicles whose departure events were missing, to the
-    # latest departure, the last in the fleet's departure order.
+    # latest departure, the last in the fleet's departure order, or to the
+    # clock when every one is overdue, so the clock never runs back.
     if state.ids:
-        apply_slot(state, *plan, float(state.t_dep[-1]), result.ledger)
+        apply_slot(state, *plan, max(float(state.t_dep[-1]), state.now), result.ledger)
 
     # Each total adds its rows one at a time, in row order, from 0.0: a
     # pairwise or compensated sum would change its bits.  A masked total
@@ -247,4 +247,5 @@ def run(
     m.total_peak_power_period = _left_fold(
         np.where(amps > config.peak_threshold * config.i_max, hours, 0.0))
     m.total_value_loss = value_loss(m.total_fade_exact, config)
+    m.n_rejected = len(result.rejected)
     return result

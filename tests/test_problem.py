@@ -688,11 +688,19 @@ def _column_fleet(seed):
     return state, dt, extra
 
 
+def _plugged(state):
+    """Each plugged vehicle as ``(task, soc)``, in the fleet's order: its
+    task built from its columns, at its current SoC, arriving at the
+    earlier of its departure and the clock."""
+    return [(ChargingTask(vid, min(t_dep, state.now), t_dep, soc, soc_dep), soc)
+            for vid, t_dep, soc, soc_dep in zip(state.ids, state.t_dep.tolist(),
+                                                state.soc_cur.tolist(), state.soc_dep.tolist())]
+
+
 def _reanchored(state):
     """The per-vehicle tasks the column assembly replaced: each vehicle's
     task at its current SoC, its departure clamped to the clock."""
-    return [ChargingTask(t.vehicle_id, t.t_arr, max(t.t_dep, state.now), soc, t.soc_dep)
-            for t, soc in zip(state.tasks, state.soc_cur.tolist())]
+    return [dataclasses.replace(t, t_dep=max(t.t_dep, state.now)) for t, _ in _plugged(state)]
 
 
 def _with_newcomer(state, task):
@@ -729,7 +737,7 @@ class TestColumnAssembly:
     @pytest.mark.parametrize("seed", range(4))
     def test_insertion_order_does_not_matter(self, seed):
         state, dt, extra = _column_fleet(seed)
-        items = list(zip(state.tasks, state.soc_cur.tolist()))
+        items = _plugged(state)
         rng = np.random.default_rng(100 + seed)
         order = rng.permutation(len(items)).tolist()
         shuffled = fleet(state.now, *(items[k] for k in order))

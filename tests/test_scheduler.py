@@ -520,9 +520,13 @@ class DictFleet:
 
 
 def _dict_fleet(state) -> DictFleet:
-    """The reference fleet holding what the column fleet ``state`` holds."""
-    return DictFleet(state.now, {vid: VehicleState(task, soc) for vid, task, soc in
-                                 zip(state.ids, state.tasks, state.soc_cur.tolist())})
+    """The reference fleet holding what the column fleet ``state`` holds:
+    each vehicle's task is built from its columns, with the departure SoC
+    as its start SoC, which the columns do not hold and no reference reads."""
+    return DictFleet(state.now, {
+        vid: VehicleState(ChargingTask(vid, min(t_dep, state.now), t_dep, soc_dep, soc_dep), soc)
+        for vid, t_dep, soc_dep, soc in zip(state.ids, state.t_dep.tolist(),
+                                            state.soc_dep.tolist(), state.soc_cur.tolist())})
 
 
 def _reference_walk(state, alloc, inst, until, ledger):
@@ -940,18 +944,20 @@ class TestFleetColumns:
                                     ("c", 0.5))]
         state = fleet(0.0, *((t, 0.1 * k) for k, t in enumerate(tasks)))
         assert state.ids == ("c", "Z", "a", "a\x00", "b")
-        assert state.tasks == tuple(sorted(tasks, key=lambda t: (t.t_dep, t.vehicle_id)))
+        assert state.ids == tuple(t.vehicle_id for t in
+                                  sorted(tasks, key=lambda t: (t.t_dep, t.vehicle_id)))
         assert state.t_dep.tolist() == [0.5, 1.0, 1.0, 1.0, 2.0]
         assert state.soc_cur.tolist() == [0.4, 0.2, 0.30000000000000004, 0.1, 0.0]
         assert state.soc_dep.tolist() == [0.8] * 5
 
-    def test_unplug_returns_task_and_soc(self):
+    def test_unplug_returns_the_soc(self):
         a, b = ChargingTask("a", 0.0, 1.0, 0.5, 0.8), ChargingTask("b", 0.0, 2.0, 0.3, 0.9)
         state = fleet(0.0, (a, 0.6), (b, 0.3))
         assert state.unplug("ghost") is None
-        assert state.unplug("a") == (a, 0.6)
-        assert (state.ids, state.tasks, state.t_dep.tolist(), state.soc_dep.tolist(),
-                state.soc_cur.tolist()) == (("b",), (b,), [2.0], [0.9], [0.3])
+        soc = state.unplug("a")
+        assert type(soc) is float and soc == 0.6
+        assert (state.ids, state.t_dep.tolist(), state.soc_dep.tolist(),
+                state.soc_cur.tolist()) == (("b",), [2.0], [0.9], [0.3])
         assert state.unplug("a") is None
 
     def test_duplicate_plug_raises_and_changes_nothing(self):
@@ -1019,7 +1025,7 @@ class TestFleetColumns:
             elif step[0] == "unplug":
                 _, vid, again = step
                 gone = ref.vehicles.pop(vid, None)
-                assert state.unplug(vid) == (gone and (gone.task, gone.soc_cur))
+                assert state.unplug(vid) == (gone and gone.soc_cur)
             elif state.ids != planned:
                 held, rows = list(vars(state).values()), _ledger_bytes(ledgers)
                 with pytest.raises(ValueError, match="not the fleet's"):
@@ -1035,7 +1041,6 @@ class TestFleetColumns:
                 again = True
             order = sorted(ref.vehicles, key=lambda v: (ref.vehicles[v].task.t_dep, v))
             assert state.ids == tuple(order)
-            assert state.tasks == tuple(ref.vehicles[v].task for v in order)
             assert state.t_dep.tolist() == [ref.vehicles[v].task.t_dep for v in order]
             assert state.soc_dep.tolist() == [ref.vehicles[v].task.soc_dep for v in order]
             assert _fleet_state(state) == _fleet_state(ref)

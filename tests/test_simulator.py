@@ -1,6 +1,8 @@
 """Event-driven replay tests: metric operations, golden run, invariants."""
 
+from collections import Counter
 from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -180,6 +182,25 @@ class TestRunBasics:
         with pytest.raises(ValueError, match="^duplicate arrival for A$"):
             run(events, day_prices, config(kind))
 
+    @pytest.mark.parametrize("kind", ["baseline", "proposed"])
+    def test_second_departure_after_an_accepted_arrival_is_unmatched(self, kind):
+        events = [Event(time_h=0.0, kind="arrival", task=ChargingTask("A", 0.0, 2.0, 0.5, 0.7)),
+                  *(Event(time_h=t, kind="departure", vehicle_id="A") for t in (2.0, 3.0))]
+        with pytest.raises(ValueError, match="^unmatched-departure: A$"):
+            run(events, day_prices, config(kind))
+
+    def test_second_departure_after_a_rejected_arrival_is_unmatched(self):
+        """Departures match arrivals one to one, a rejected arrival's too:
+        its first departure ends it, and a second one raises."""
+        cfg = config("proposed", ic_max=80.0)
+        events = log_events([("R0", 0.0, 2.0, 0.1, 0.7), ("R1", 0.5, 2.5, 0.1, 0.6)])
+        res = run(events, day_prices, cfg)
+        assert [t.vehicle_id for t, _ in res.rejected] == ["R1"]
+        assert [d.vehicle_id for d in res.departures] == ["R0"]
+        events.append(Event(time_h=3.0, kind="departure", vehicle_id="R1"))
+        with pytest.raises(ValueError, match="^unmatched-departure: R1$"):
+            run(events, day_prices, cfg)
+
 
 class TestTailDrain:
     @pytest.mark.parametrize("kind", ["baseline", "proposed"])
@@ -213,6 +234,29 @@ class TestTailDrain:
         assert rows[-1].time_h + rows[-1].duration_h <= t_dep + 1e-12
         assert rows[-1].soc == soc_of(state, "B")
         assert [d.vehicle_id for d in res.departures] == ["A"]
+
+    @pytest.mark.parametrize("kind", ["baseline", "proposed"])
+    def test_overdue_fleet_drains_to_the_clock(self, kind, monkeypatch):
+        """``a`` (0-3 h) never departs and ``c`` leaves at 6.0 h, so after
+        the last event every vehicle left is overdue: the tail drain walks
+        to the clock, not back to ``a``'s departure, and no walk ends
+        before the clock it starts from."""
+        walks = []  # per walk: the clock and the walk's end
+
+        def recorded(state, alloc, inst, until, ledger):
+            walks.append((state.now, until))
+            apply_slot(state, alloc, inst, until, ledger)
+
+        monkeypatch.setattr(simulator_module, "apply_slot", recorded)
+        events = [
+            Event(time_h=0.0, kind="arrival", task=ChargingTask("a", 0.0, 3.0, 0.5, 0.7)),
+            Event(time_h=0.0, kind="arrival", task=ChargingTask("c", 0.0, 6.0, 0.4, 0.8)),
+            Event(time_h=6.0, kind="departure", vehicle_id="c"),
+        ]
+        res = run(events, day_prices, config(kind))
+        assert [d.vehicle_id for d in res.departures] == ["c"]
+        assert walks == [(0.0, 0.0), (0.0, 6.0), (6.0, 6.0)]
+        assert all(until >= now for now, until in walks)
 
 
 class TestOverdueVehicles:
@@ -437,6 +481,60 @@ class TestRandomLogInvariants:
         assert again.metrics.as_dict() == res.metrics.as_dict()
 
 
+def accounting(events, cfg):
+    """A replay of ``events`` under ``cfg``, and the ids of the fleet left
+    plugged in after its last event, read from the state its walks saw."""
+    seen = []
+
+    def recorded(state, *args):
+        seen.append(state)
+        apply_slot(state, *args)
+
+    with mock.patch.object(simulator_module, "apply_slot", recorded):
+        res = run(events, day_prices, cfg)
+    return res, seen[-1].ids if seen else ()
+
+
+class TestArrivalAccounting:
+    """Every arrival is accounted for exactly once: its vehicle departs,
+    is rejected, or is still plugged in when the log ends."""
+
+    @staticmethod
+    def assert_each_arrival_once(events, cfg):
+        res, drained = accounting(events, cfg)
+        arrivals = [e.task for e in events if e.kind == "arrival"]
+        ids = [*(d.vehicle_id for d in res.departures), *(t.vehicle_id for t, _ in res.rejected),
+               *drained]
+        assert Counter(ids) == Counter(t.vehicle_id for t in arrivals)
+        arrivals = {t.vehicle_id: t for t in arrivals}
+        assert res.metrics.n_rejected == len(res.rejected)
+        for d in res.departures:
+            task = arrivals[d.vehicle_id]
+            assert (d.soc_start, d.soc_dep_required) == (task.soc_start, task.soc_dep)
+        return res, drained
+
+    @pytest.mark.parametrize("kind", ["baseline", "proposed"])
+    @settings(max_examples=12, deadline=None)
+    @given(log=session_logs(), kept=st.lists(st.booleans(), min_size=4, max_size=4))
+    @example(log=([("R0", 0.0, 2.0, 0.1, 0.7), ("R1", 0.5, 2.5, 0.1, 0.6),
+                   ("R2", 1.25, 3.0, 0.4, 0.45)], 80.0, 0.5, 0.0),
+             kept=[True, True, False, True])
+    def test_random_logs(self, kind, log, kept):
+        """Random logs, some departure events dropped, so that their
+        vehicles are drained at the end unless rejected."""
+        specs, ic_max, dt, xtra = log
+        cfg = config(kind, dt=dt, ic_max=ic_max, soc_xtra_ah=xtra)
+        events = [e for e in log_events(specs)
+                  if e.kind == "arrival" or kept[int(e.vehicle_id[1:])]]
+        self.assert_each_arrival_once(events, cfg)
+
+    @pytest.mark.parametrize("kind", ["baseline", "proposed"])
+    def test_rejection_log(self, kind):
+        cfg = SimConfig(dt=1.0, ic_max=80.0, policy=Policy(kind))
+        res, drained = self.assert_each_arrival_once(rejection_log(cfg), cfg)
+        assert len(res.rejected) == (kind == "proposed") and not drained
+
+
 def depot_log(seed, spaces=10, days=3):
     """A seeded depot log: each space holds one stay after another for
     ``days``, on the minute, so that events land inside slots."""
@@ -605,6 +703,11 @@ class TestEventValidation:
             SimConfig(peak_threshold=0.0)
         with pytest.raises(ValueError):
             SimConfig(battery_cost_usd=-5.0)
+
+    @pytest.mark.parametrize("cost", [0.0, -5.0, np.inf, -np.inf, np.nan])
+    def test_battery_cost_not_positive_and_finite_rejected(self, cost):
+        with pytest.raises(ValueError, match="battery_cost_usd"):
+            SimConfig(battery_cost_usd=cost)
 
     @pytest.mark.parametrize("soc", [-0.01, 1.5, np.nan])
     def test_default_soc_start_outside_unit_interval_rejected(self, soc):
