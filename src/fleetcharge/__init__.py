@@ -3,10 +3,10 @@
 from .fade import (
     BranchCoefficients,
     FadeModelParams,
-    calendric_fade_approx,
     cyclic_fade_approx,
     cyclic_fade_exact,
     fade_fit_report,
+    slot_fade,
 )
 from .problem import (
     ChargingTask,

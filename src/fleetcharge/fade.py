@@ -11,7 +11,8 @@ Two fade mechanisms are modelled for an LFP/graphite pack:
 
 All quantities use SoC as a fraction in [0, 1], current in A, charge in Ah
 and time in hours.  Each model is one kernel over scalars or arrays of
-slots, shared by the ledger, the optimizer's evaluator and the fit report.
+slots, and :func:`slot_fade` is a slot's approximate loss, shared by the
+ledger and the optimizer's objective.
 Every function here is pure; values are safe to share across threads.
 """
 
@@ -28,7 +29,7 @@ __all__ = [
     "InvalidSlotError",
     "cyclic_fade_exact",
     "cyclic_fade_approx",
-    "calendric_fade_approx",
+    "slot_fade",
     "fade_fit_report",
 ]
 
@@ -120,9 +121,8 @@ class FadeModelParams:
         return np.where(is_hi, hi, lo)
 
     def calendric(self, soc_avg):
-        """Affine calendric loss ``p1 * soc_avg + p2`` per slot, in Ah, of a
-        scalar or array average SoC, unchecked (see
-        :func:`calendric_fade_approx`)."""
+        """Affine calendric loss ``p1 * soc_avg + p2`` per full slot, in Ah,
+        of a scalar or array average SoC, taken as it is."""
         return self.p1 * soc_avg + self.p2
 
 
@@ -163,12 +163,18 @@ def cyclic_fade_approx(soc_init, current, dt, c_bat, params: FadeModelParams):
     return np.where(current == 0.0, 0.0, cyclic), soc_avg, is_hi
 
 
-def calendric_fade_approx(soc_avg, params: FadeModelParams):
-    """Affine calendric capacity loss per slot, in Ah, of a scalar or array
-    average SoC; every value must lie in [0, 1]."""
-    if not np.logical_and(0.0 <= soc_avg, soc_avg <= 1.0).all():
-        raise InvalidSlotError("soc_avg", f"{soc_avg} not in [0, 1]")
-    return params.calendric(soc_avg)
+def slot_fade(soc_init, current, d, dt, c_bat, params: FadeModelParams):
+    """Approximate ``(cyclic, calendric)`` capacity loss, in Ah, of slots
+    lasting ``d`` hours of a ``dt``-hour step, given as scalars or
+    broadcastable arrays: the one rule the ledger and the objective share.
+
+    The cyclic loss is :func:`cyclic_fade_approx`'s, zero where ``d`` is
+    zero; the calendric loss is that of the average SoC, capped at 1,
+    pro-rated by the fraction ``d / dt`` of the step spent plugged.
+    """
+    cyclic, soc_avg, _ = cyclic_fade_approx(soc_init, current, d, c_bat, params)
+    calendric = (d / dt) * params.calendric(np.minimum(soc_avg, 1.0))
+    return np.where(d == 0.0, 0.0, cyclic), calendric
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ __all__ = [
     "MalformedRowError",
     "parse_sessions",
     "sessions_to_events",
-    "write_sessions",
     "parse_prices",
     "load_config",
     "events_digest",
@@ -120,24 +119,21 @@ def _session_record(row: list) -> SessionRecord:
 
 def parse_sessions(path) -> list:
     """Session records from a CSV file, sorted by connection time; an empty
-    file holds none."""
-    records = _read_csv(Path(path), SESSION_HEADER, _session_record) or []
+    file holds none.  A session id repeated on a later row raises
+    :class:`MalformedRowError` naming that row, as the replay keys vehicles
+    by session id."""
+    seen = set()
+
+    def record(row):
+        rec = _session_record(row)
+        if rec.session_id in seen:
+            raise ValueError(f"session {rec.session_id}: id repeats an earlier row")
+        seen.add(rec.session_id)
+        return rec
+
+    records = _read_csv(Path(path), SESSION_HEADER, record) or []
     records.sort(key=lambda r: (r.connection_time, r.session_id))
     return records
-
-
-def write_sessions(records: list, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SESSION_HEADER)
-        for r in records:
-            writer.writerow([
-                r.session_id,
-                r.connection_time.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                r.disconnect_time.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                f"{r.kwh_requested:g}",
-                r.space_id,
-            ])
 
 
 def sessions_to_events(records: list, config: SimConfig):

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fade import FadeModelParams, cyclic_fade_approx
+from .fade import FadeModelParams, slot_fade
 
 __all__ = [
     "COMPONENTS",
@@ -380,25 +380,14 @@ def soc_before_slots(alloc: np.ndarray, inst: ProblemInstance,
 
 def fade_terms(alloc: np.ndarray, inst: ProblemInstance,
                vehicles: np.ndarray | None = None):
-    """Vectorised per-slot cyclic and calendric fade, each (H, V) in Ah.
-
-    The cyclic part is :func:`cyclic_fade_approx`, the kernel the simulator's
-    ledger records: the quadratic is clamped at zero, forced to zero at zero
-    current, and branch selection uses the slot's initial SoC.  Calendric
-    loss for a fractional final slot is scaled by the fraction of the grid
-    step actually spent plugged.
+    """Vectorised per-slot cyclic and calendric fade, each (H, V) in Ah:
+    :func:`~fleetcharge.fade.slot_fade`, the rule the simulator's ledger
+    records, of each cell from its initial SoC.
     ``vehicles`` maps columns to vehicles as in :func:`soc_before_slots`.
     """
-    v = slice(None) if vehicles is None else vehicles
-    p = inst.fade_params
-    durations, active = inst.durations[:, v], inst.active[:, v]
-    cyclic, avg, _ = cyclic_fade_approx(
-        soc_before_slots(alloc, inst, vehicles), alloc, durations, inst.c_bat, p
-    )
-    cyclic[~active] = 0.0
-
-    frac = np.where(active, durations / inst.grid.dt, 0.0)
-    return cyclic, frac * p.calendric(avg)
+    durations = inst.durations if vehicles is None else inst.durations[:, vehicles]
+    return slot_fade(soc_before_slots(alloc, inst, vehicles), alloc, durations,
+                     inst.grid.dt, inst.c_bat, inst.fade_params)
 
 
 def objective_components(alloc: np.ndarray, inst: ProblemInstance) -> ObjectiveBreakdown:

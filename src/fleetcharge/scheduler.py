@@ -24,12 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fade import (
-    InvalidSlotError,
-    calendric_fade_approx,
-    cyclic_fade_approx,
-    cyclic_fade_exact,
-)
+from .fade import InvalidSlotError, cyclic_fade_exact, slot_fade
 from .problem import (ChargingTask, ProblemInstance, StationLimits, build_instance,
                       max_power_allocation)
 from .solver import feasibility_check, solve
@@ -279,8 +274,7 @@ class Ledger(Sequence):
         d, amps, price = (np.frombuffer(floats[name][start:])
                           for name in ("duration_h", "current_a", "price_usd_per_kwh"))
         exact = cyclic_fade_exact(soc, amps, d, c_bat, params)
-        approx, soc_avg, _ = cyclic_fade_approx(soc, amps, d, c_bat, params)
-        cal = (d / dt) * calendric_fade_approx(np.minimum(soc_avg, 1.0), params)
+        approx, cal = slot_fade(soc, amps, d, dt, c_bat, params)
         ah = amps * d
         for name, col in (("power_kw", amps * voltage / 1000.0),
                           ("cost_usd", ah * voltage / 1000.0 * price), ("energy_ah", ah),
@@ -327,8 +321,9 @@ def apply_slot(
 
     ``alloc`` and ``inst`` are a schedule of the fleet as it stands, made
     at the clock: a plan whose vehicles are not the fleet's, in the fleet's
-    order, raises ``ValueError`` and changes nothing, so a plug or unplug
-    needs a new plan before the next walk.  A slot applies whole when it
+    order, or whose grid does not start at the clock, raises ``ValueError``
+    and changes nothing, so after a plug, an unplug or a walk that moves
+    the clock the next walk needs a new plan.  A slot applies whole when it
     ends by ``until``; the slot that holds ``until`` applies up to it,
     measured from the clock the slot before left.  A walk, or the part of a
     slot it would apply, shorter than 1e-12 h applies nothing: a slot's
@@ -355,6 +350,9 @@ def apply_slot(
     if ids != state.ids:
         raise ValueError("the plan's vehicles are not the fleet's: replan after a plug "
                          "or unplug")
+    if now != grid.t_s:
+        raise ValueError(f"the plan was made at {grid.t_s!r} h, not at the clock {now!r} h: "
+                         "walk a plan once, from the clock it was made at")
     if until <= now + 1e-12 or not inst.horizon:
         state.now = until
         return

@@ -9,12 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fleetcharge.fade import (
-    FadeModelParams,
-    calendric_fade_approx,
-    cyclic_fade_approx,
-    cyclic_fade_exact,
-)
+from fleetcharge.fade import FadeModelParams, cyclic_fade_approx, cyclic_fade_exact
 from fleetcharge.problem import ChargingTask, StationLimits, build_instance
 from fleetcharge.scheduler import FleetState, Ledger, LedgerEntry, apply_slot
 
@@ -108,7 +103,7 @@ def ledger_row(time_h, vid, d, amps, price, soc_before, soc, c_bat, voltage, dt,
     evaluated on that row alone."""
     exact = cyclic_fade_exact(soc_before, amps, d, c_bat, params)
     approx, soc_avg, _ = cyclic_fade_approx(soc_before, amps, d, c_bat, params)
-    cal = d / dt * calendric_fade_approx(np.minimum(soc_avg, 1.0), params)
+    cal = d / dt * params.calendric(np.minimum(soc_avg, 1.0))
     ah = amps * d
     return LedgerEntry(time_h, vid, d, amps, amps * voltage / 1000.0, price,
                        ah * voltage / 1000.0 * price, ah, soc, float(exact + cal),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fleetcharge.cli import main
-from fleetcharge.fade import FadeModelParams, calendric_fade_approx, fade_fit_report
+from fleetcharge.fade import FadeModelParams, fade_fit_report
 from fleetcharge.ingest import load_config, parse_prices, parse_sessions, sessions_to_events
 from fleetcharge.problem import ChargingTask, build_constraints
 from fleetcharge.scheduler import (
@@ -150,7 +150,7 @@ def test_criterion_4_fade_model_fidelity():
     t0 = time.perf_counter()
     params = FadeModelParams()
     report = fade_fit_report(params, n=100)
-    intercept = calendric_fade_approx(0.0, params)
+    intercept = params.calendric(0.0)
     elapsed = time.perf_counter() - t0
     ok = (report["hi"]["r_squared"] >= 0.99
           and report["lo"]["r_squared"] >= 0.99

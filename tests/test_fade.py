@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 
 from fleetcharge.fade import (
     FadeModelParams,
-    InvalidSlotError,
-    calendric_fade_approx,
     cyclic_fade_approx,
     cyclic_fade_exact,
     fade_fit_report,
+    slot_fade,
 )
 
 # Frozen reference values (independent scalar evaluation).
@@ -215,31 +214,25 @@ class TestBranchCoefficients:
 
 class TestCalendricFadeApprox:
     def test_intercept_exact(self, fade_params):
-        assert calendric_fade_approx(0.0, fade_params) == 5.356e-05
+        assert fade_params.calendric(0.0) == 5.356e-05
 
     def test_full_charge(self, fade_params):
-        assert calendric_fade_approx(1.0, fade_params) == pytest.approx(CAL_FULL, rel=1e-12)
+        assert fade_params.calendric(1.0) == pytest.approx(CAL_FULL, rel=1e-12)
 
     def test_half_charge(self, fade_params):
-        assert calendric_fade_approx(0.5, fade_params) == pytest.approx(CAL_HALF, rel=1e-12)
-
-    def test_out_of_range(self, fade_params):
-        with pytest.raises(InvalidSlotError):
-            calendric_fade_approx(1.2, fade_params)
-        with pytest.raises(InvalidSlotError):
-            calendric_fade_approx(np.array([0.5, -0.1]), fade_params)
+        assert fade_params.calendric(0.5) == pytest.approx(CAL_HALF, rel=1e-12)
 
     def test_array_equals_scalar(self, fade_params):
         soc_avg = np.linspace(0.0, 1.0, 11)
-        assert calendric_fade_approx(soc_avg, fade_params).tolist() == [
-            calendric_fade_approx(a, fade_params) for a in soc_avg.tolist()]
+        assert fade_params.calendric(soc_avg).tolist() == [
+            fade_params.calendric(a) for a in soc_avg.tolist()]
 
     def test_affine_form_is_unchecked(self, fade_params):
-        """``FadeModelParams.calendric`` is the affine form the kernel checks
-        and returns; it takes an average SoC outside [0, 1] as it is."""
-        soc_avg = np.array([0.0, 0.37, 1.0])
-        assert fade_params.calendric(soc_avg).tobytes() == \
-            calendric_fade_approx(soc_avg, fade_params).tobytes()
+        """``FadeModelParams.calendric`` is the affine form itself; it takes
+        an average SoC outside [0, 1] as it is."""
+        soc_avg = np.array([-0.1, 0.37, 1.2])
+        assert fade_params.calendric(soc_avg).tolist() == [
+            fade_params.p1 * a + fade_params.p2 for a in soc_avg.tolist()]
         assert fade_params.calendric(1.2) == fade_params.p1 * 1.2 + fade_params.p2
 
     @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
@@ -247,7 +240,7 @@ class TestCalendricFadeApprox:
     def test_monotone_nondecreasing(self, a, b):
         params = FadeModelParams()
         lo, hi = sorted((a, b))
-        assert calendric_fade_approx(lo, params) <= calendric_fade_approx(hi, params)
+        assert params.calendric(lo) <= params.calendric(hi)
 
     @given(soc=st.floats(0.0, 0.9), frac=st.floats(0.01, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -259,8 +252,46 @@ class TestCalendricFadeApprox:
         if current <= 0:
             return
         cyclic, soc_avg, _ = cyclic_fade_approx(soc, current, 0.5, 210.0, params)
-        assert calendric_fade_approx(soc_avg, params) > 0.0
+        assert params.calendric(soc_avg) > 0.0
         assert cyclic >= 0.0
+
+
+class TestSlotFade:
+    """:func:`slot_fade`, the approximate loss of one slot that the ledger
+    records and the objective minimizes."""
+
+    def test_full_slot_is_the_two_models(self, fade_params):
+        soc = np.array([0.1, 0.5, 0.5, 0.8])
+        amps = np.array([200.0, 100.0, 0.0, 30.0])
+        cyclic, calendric = slot_fade(soc, amps, 0.5, 0.5, 210.0, fade_params)
+        approx, avg, _ = cyclic_fade_approx(soc, amps, 0.5, 210.0, fade_params)
+        assert cyclic.tobytes() == approx.tobytes()
+        assert calendric.tobytes() == fade_params.calendric(avg).tobytes()
+
+    def test_partial_slot_is_pro_rated(self, fade_params):
+        soc, amps, d, dt = 0.4, np.array([0.0, 20.0, 60.0]), 0.2, 0.5
+        cyclic, calendric = slot_fade(soc, amps, d, dt, 210.0, fade_params)
+        approx, avg, _ = cyclic_fade_approx(soc, amps, d, 210.0, fade_params)
+        assert cyclic.tobytes() == approx.tobytes()
+        assert calendric.tolist() == [
+            d / dt * (fade_params.p1 * a + fade_params.p2) for a in avg.tolist()]
+        assert (calendric < fade_params.calendric(avg)).all()
+
+    def test_zero_length_slot_is_zero(self, fade_params):
+        """A cell of no length loses nothing, at any current."""
+        d = np.array([0.0, 0.0, 0.5])
+        cyclic, calendric = slot_fade(0.3, 40.0, d, 0.5, 210.0, fade_params)
+        assert cyclic.tolist()[:2] == [0.0, 0.0] and calendric.tolist()[:2] == [0.0, 0.0]
+        assert cyclic[2] > 0.0 and calendric[2] > 0.0
+
+    def test_average_soc_capped_at_one(self, fade_params):
+        """An average SoC past full charge takes the calendric loss of a full
+        one, as the ledger records it."""
+        cyclic, calendric = slot_fade(0.99, 80.0, 0.5, 0.5, 210.0, fade_params)
+        _, avg, _ = cyclic_fade_approx(0.99, 80.0, 0.5, 210.0, fade_params)
+        assert avg > 1.0
+        assert calendric == fade_params.calendric(1.0)
+        assert calendric < fade_params.calendric(avg)
 
 
 class TestApproximationQuality:

@@ -1,4 +1,4 @@
-"""Ingest tests: session/price parsing, config loading, round trips."""
+"""Ingest tests: session/price parsing, config loading, event digests."""
 
 import bisect
 from datetime import datetime, timedelta, timezone
@@ -16,7 +16,6 @@ from fleetcharge.ingest import (
     parse_prices,
     parse_sessions,
     sessions_to_events,
-    write_sessions,
 )
 from fleetcharge.scheduler import Policy
 from fleetcharge.simulator import SimConfig
@@ -96,11 +95,16 @@ class TestParseSessions:
         with pytest.raises(MalformedRowError):
             parse_sessions(p)
 
-    def test_round_trip(self, tmp_path, fixture_paths):
-        records = parse_sessions(fixture_paths["sessions_week"])
-        out = tmp_path / "rt.csv"
-        write_sessions(records, out)
-        assert parse_sessions(out) == records
+    def test_repeated_session_id_rejected(self, tmp_path):
+        """The replay keys vehicles by session id, so a second row with one
+        id fails here, naming its line, and not later in the replay."""
+        p = write(tmp_path / "s.csv",
+                  "session_id,connection_time,disconnect_time,kwh_requested,space_id\n"
+                  "R1,2021-05-03T08:00:00Z,2021-05-03T10:00:00Z,10,CA-01\n"
+                  "R0,2021-05-03T08:00:00Z,2021-05-03T10:00:00Z,10,CA-02\n"
+                  "R1,2021-05-03T09:00:00Z,2021-05-03T11:00:00Z,10,CA-03\n")
+        with pytest.raises(MalformedRowError, match="s.csv:4: .*R1.*repeats"):
+            parse_sessions(p)
 
     def test_week_fixture_shape(self, fixture_paths):
         """The bundled week is low density: one event pair per row and at

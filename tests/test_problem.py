@@ -864,24 +864,28 @@ class TestFadeTerms:
         """The fade the optimizer minimizes is the fade the ledger records:
         on a one-slot instance every ledger row's approximate fade equals
         its cell's cyclic plus calendric term bit for bit, across both
-        branches, zero current and the clamp at zero."""
+        branches, zero current and the clamp at zero, for a whole slot and
+        for a partial last slot, whose calendric term is pro-rated."""
         socs = np.linspace(0.0, 0.8, 9)
         rng = np.random.default_rng(11)
         currents = np.concatenate([[0.0, 0.37, 1.13], rng.uniform(0.0, 80.0, 38)])
         cells = {f"v{k:03d}": (s, c) for k, (s, c) in
                  enumerate((s, c) for s in socs for c in currents)}
-        tasks = [ChargingTask(vid, 0.0, 0.5, s, 1.0) for vid, (s, _) in cells.items()]
-        inst = make_instance(tasks, ic_max=80.0 * len(tasks))
-        alloc = np.array([[cells[vid][1] for vid in inst.vehicle_ids]])
-        cyclic, calendric = fade_terms(alloc, inst)
+        for t_dep in (0.5, 0.3):  # dt = 0.5 h
+            tasks = [ChargingTask(vid, 0.0, t_dep, s, 1.0) for vid, (s, _) in cells.items()]
+            inst = make_instance(tasks, ic_max=80.0 * len(tasks))
+            assert inst.horizon == 1 and (inst.durations == t_dep).all()
+            alloc = np.array([[cells[vid][1] for vid in inst.vehicle_ids]])
+            cyclic, calendric = fade_terms(alloc, inst)
 
-        state = fleet(0.0, *((t, t.soc_start) for t in tasks))
-        rows = slot_rows(state, alloc, inst, 0.5)
-        assert [e.vehicle_id for e in rows] == list(inst.vehicle_ids)
-        assert [e.fade_approx_ah for e in rows] == (cyclic[0] + calendric[0]).tolist()
-        is_hi = alloc[0] >= inst.fade_params.branch_slope * inst.soc_start
-        assert is_hi.any() and (~is_hi).any()
-        assert np.any((alloc[0] > 0) & (cyclic[0] == 0.0))  # clamped cells
+            state = fleet(0.0, *((t, t.soc_start) for t in tasks))
+            rows = slot_rows(state, alloc, inst, t_dep)
+            assert [e.vehicle_id for e in rows] == list(inst.vehicle_ids)
+            assert [e.duration_h for e in rows] == [t_dep] * len(tasks)
+            assert [e.fade_approx_ah for e in rows] == (cyclic[0] + calendric[0]).tolist()
+            is_hi = alloc[0] >= inst.fade_params.branch_slope * inst.soc_start
+            assert is_hi.any() and (~is_hi).any()
+            assert np.any((alloc[0] > 0) & (cyclic[0] == 0.0))  # clamped cells
 
 
 class TestConstraintAudit:

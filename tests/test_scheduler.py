@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fleetcharge.fade import FadeModelParams, InvalidSlotError, calendric_fade_approx, \
-    cyclic_fade_approx, cyclic_fade_exact
+from fleetcharge.fade import FadeModelParams, InvalidSlotError, cyclic_fade_approx, \
+    cyclic_fade_exact
 from fleetcharge.problem import ChargingTask, build_instance, max_power_allocation
 import fleetcharge.scheduler as scheduler_module
 from fleetcharge.scheduler import (
@@ -251,7 +251,7 @@ class TestApplySlot:
         alloc[0, 0] = 30.0
         ledger = slot_rows(state, alloc, inst, 0.5)
         approx, soc_avg, _ = cyclic_fade_approx(0.5, 30.0, 0.5, 200.0, params)
-        cal = calendric_fade_approx(soc_avg, params)
+        cal = params.calendric(soc_avg)
         entry = ledger[0]
         assert entry.fade_exact_ah == pytest.approx(
             float(cyclic_fade_exact(0.5, 30.0, 0.5, 200.0, params)) + cal, rel=1e-12
@@ -360,6 +360,29 @@ class TestApplySlot:
             assert _ledger_bytes(ledger) == rows and len(ledger) == 2
         assert state.ids == ("c", "b") and state.now == 0.5
 
+    def test_plan_walks_only_from_its_anchor(self):
+        """A plan walked again from a later clock raises before anything
+        changes, also for a walk of no length: walked from slot 0 a second
+        time, the 1 h plan would charge 1.5 h in one hour, in overlapping
+        rows.  A new plan made at the clock walks on."""
+        lm = limits(dt=1.0, i_max=50.0)
+        state = fleet(0.0, (ChargingTask("v", 0.0, 3.0, 0.2, 1.0), 0.2))
+        plan = baseline_schedule(state, lm)
+        ledger = Ledger()
+        apply_slot(state, *plan, 0.5, ledger)
+        assert soc_of(state, "v") == pytest.approx(0.325)
+        held, rows = _held(state), _ledger_bytes(ledger)
+        for until in (1.0, 0.5):
+            with pytest.raises(ValueError, match=r"^the plan was made at 0\.0 h, not at the "
+                                                 r"clock 0\.5 h"):
+                apply_slot(state, *plan, until, ledger)
+            assert all(a is b and x == y for (a, x), (b, y) in
+                       zip(_held(state), held, strict=True))
+            assert _ledger_bytes(ledger) == rows and len(ledger) == 1
+        apply_slot(state, *baseline_schedule(state, lm), 1.0, ledger)
+        assert [(e.time_h, e.duration_h) for e in ledger] == [(0.0, 0.5), (0.5, 0.5)]
+        assert soc_of(state, "v") == pytest.approx(0.45) and state.now == 1.0
+
     def test_walk_equals_per_slot_reference(self):
         """A walk of two whole slots and the part of a third equals applying
         the plan one slot at a time, row by row and SoC by SoC, bit for bit:
@@ -390,7 +413,7 @@ class TestApplySlot:
             s1 = np.minimum(s0 + ah / 200.0, 1.0)
             exact = cyclic_fade_exact(s0, a, d, 200.0, inst.fade_params)
             approx, avg, _ = cyclic_fade_approx(s0, a, d, 200.0, inst.fade_params)
-            cal = d / dt * calendric_fade_approx(np.minimum(avg, 1.0), inst.fade_params)
+            cal = d / dt * inst.fade_params.calendric(np.minimum(avg, 1.0))
             price = float(inst.wep[i])
             for k, v in enumerate(here):
                 vid = inst.vehicle_ids[v]
